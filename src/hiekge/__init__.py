@@ -3,12 +3,11 @@
 from .baselines import BaselineConfig, BaselineParams
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from .evaluator import MetricsReport, RankResult, aggregate_metrics, evaluate, full_report
-from .hie_model import HieConfig, HieParams, init_params, score, score_batch, score_triples
+from .hie_model import HieConfig, HieParams, init_params, score_batch, score_triples
 from .kg_data import (
     DataError,
     KnowledgeGraph,
     RelationCategory,
-    Triple,
     build_filter_index,
     classify_relations,
     load_kg,
@@ -31,7 +30,6 @@ __all__ = [
     "RankResult",
     "RelationCategory",
     "TrainConfig",
-    "Triple",
     "aggregate_metrics",
     "build_filter_index",
     "classify_relations",
@@ -43,7 +41,6 @@ __all__ = [
     "load_checkpoint",
     "load_kg",
     "save_checkpoint",
-    "score",
     "score_batch",
     "score_triples",
     "train",

@@ -68,75 +68,59 @@ def init_params(num_entities, num_relations, config: BaselineConfig, seed) -> Ba
     return BaselineParams(kind=config.kind, ent=ent, rel=rel)
 
 
-def transe_score(params, h, r, t, norm_p=1) -> float:
-    """|| h + r - t ||_p"""
-    u = params.ent[h] + params.rel[r] - params.ent[t]
+def _norm_rows(u, norm_p):
     if norm_p == 1:
-        return float(np.sum(np.abs(u)))
-    return float(np.sqrt(np.sum(u * u)))
+        return np.sum(np.abs(u), axis=-1)
+    return np.sqrt(np.sum(u * u, axis=-1))
 
 
-def distmult_score(params, h, r, t) -> float:
-    """Negated trilinear product, so lower is better like the distances.
+def _transe_residual(h, r, t):
+    """h + r - t, broadcasting over leading axes."""
+    return (h + r) - t
 
-    The entity rows multiply first, which makes the head/tail symmetry
-    bit-exact rather than merely close.
+
+def _rotate_residual(h, r, t):
+    """Real and imaginary parts of h o r - t, plus (hr, hi, cos, sin) for backprop.
+
+    r rotates each complex pair of h by the phase in its first d/2
+    columns. Operands broadcast over their leading axes.
     """
-    return float(-np.sum((params.ent[h] * params.ent[t]) * params.rel[r]))
-
-
-def rotate_score(params, h, r, t) -> float:
-    """|| h o r - t ||_2 with r acting as per-pair complex rotation."""
-    ent = params.ent
-    half = ent.shape[1] // 2
-    hr, hi = ent[h, 0::2], ent[h, 1::2]
-    tr, ti = ent[t, 0::2], ent[t, 1::2]
-    phase = params.rel[r, :half]
+    hr, hi = h[..., 0::2], h[..., 1::2]
+    phase = r[..., : h.shape[-1] // 2]
     cos, sin = np.cos(phase), np.sin(phase)
-    re = hr * cos - hi * sin - tr
-    im = hr * sin + hi * cos - ti
-    return float(np.sqrt(np.sum(re * re) + np.sum(im * im)))
+    re = hr * cos - hi * sin - t[..., 0::2]
+    im = hr * sin + hi * cos - t[..., 1::2]
+    return re, im, (hr, hi, cos, sin)
 
 
-def score_one(params: BaselineParams, config: BaselineConfig, h, r, t) -> float:
-    if params.kind == TRANSE:
-        return transe_score(params, h, r, t, config.norm_p)
-    if params.kind == DISTMULT:
-        return distmult_score(params, h, r, t)
-    return rotate_score(params, h, r, t)
+def _rotate_norm(re, im):
+    return np.sqrt(np.sum(re * re, axis=-1) + np.sum(im * im, axis=-1))
 
 
 def score_triples(params: BaselineParams, config: BaselineConfig, triples):
-    """Vectorized totals for a (B, 3) id batch, plus a cache for backprop."""
+    """Vectorized totals for a (B, 3) id batch, plus a cache for backprop.
+
+    DistMult is the negated trilinear product, entity rows multiplied
+    first, so lower is better like the distances and the head/tail
+    symmetry is bit-exact.
+    """
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     h_ids, r_ids, t_ids = triples[:, 0], triples[:, 1], triples[:, 2]
     h, r, t = params.ent[h_ids], params.rel[r_ids], params.ent[t_ids]
     cache = {"ids": (h_ids, r_ids, t_ids)}
     if params.kind == TRANSE:
-        u = h + r - t
+        u = _transe_residual(h, r, t)
         cache["u"] = u
         totals = _norm_rows(u, config.norm_p)
     elif params.kind == DISTMULT:
         cache["hrt"] = (h, r, t)
         totals = -np.sum((h * t) * r, axis=-1)
     else:
-        half = config.dim // 2
-        hr, hi = h[:, 0::2], h[:, 1::2]
-        tr, ti = t[:, 0::2], t[:, 1::2]
-        phase = r[:, :half]
-        cos, sin = np.cos(phase), np.sin(phase)
-        re = hr * cos - hi * sin - tr
-        im = hr * sin + hi * cos - ti
+        re, im, (hr, hi, cos, sin) = _rotate_residual(h, r, t)
         cache["rotate"] = (hr, hi, cos, sin, re, im)
-        totals = np.sqrt(np.sum(re * re, axis=-1) + np.sum(im * im, axis=-1))
+        totals = _rotate_norm(re, im)
     cache["totals"] = totals
     return totals, cache
-
-
-def _norm_rows(u, norm_p):
-    if norm_p == 1:
-        return np.sum(np.abs(u), axis=-1)
-    return np.sqrt(np.sum(u * u, axis=-1))
 
 
 def score_batch(params: BaselineParams, config: BaselineConfig, triples, candidates, corrupt_side, slab=8192):
@@ -148,39 +132,21 @@ def score_batch(params: BaselineParams, config: BaselineConfig, triples, candida
     h_ids, r_ids, t_ids = triples[:, 0], triples[:, 1], triples[:, 2]
     B, C = len(triples), len(candidates)
     r = params.rel[r_ids]
+    fixed = params.ent[t_ids if corrupt_side == "head" else h_ids]
     cand = params.ent[candidates]
     totals = np.empty((B, C))
     for start in range(0, C, slab):
         stop = min(start + slab, C)
         cb = cand[start:stop]
-        if params.kind == TRANSE:
-            if corrupt_side == "tail":
-                m = params.ent[h_ids] + r
-                u = m[:, None, :] - cb[None, :, :]
-            else:
-                u = (cb[None, :, :] + r[:, None, :]) - params.ent[t_ids][:, None, :]
-            totals[:, start:stop] = _norm_rows(u, config.norm_p)
-        elif params.kind == DISTMULT:
-            if corrupt_side == "tail":
-                m = params.ent[h_ids] * r
-            else:
-                m = r * params.ent[t_ids]
+        if params.kind == DISTMULT:
             # trilinear form is a plain inner product against the candidate
-            totals[:, start:stop] = -(m @ cb.T)
+            totals[:, start:stop] = -((fixed * r) @ cb.T)
+            continue
+        # fixed side and relation as (B, 1, d), candidates as (1, slab, d)
+        h, t = (cb[None], fixed[:, None]) if corrupt_side == "head" else (fixed[:, None], cb[None])
+        if params.kind == TRANSE:
+            totals[:, start:stop] = _norm_rows(_transe_residual(h, r[:, None], t), config.norm_p)
         else:
-            half = config.dim // 2
-            phase = r[:, :half]
-            cos, sin = np.cos(phase), np.sin(phase)
-            cr, ci = cb[:, 0::2], cb[:, 1::2]
-            if corrupt_side == "tail":
-                h = params.ent[h_ids]
-                hr, hi = h[:, 0::2], h[:, 1::2]
-                re = (hr * cos - hi * sin)[:, None, :] - cr[None, :, :]
-                im = (hr * sin + hi * cos)[:, None, :] - ci[None, :, :]
-            else:
-                t = params.ent[t_ids]
-                tr, ti = t[:, 0::2], t[:, 1::2]
-                re = cr[None, :, :] * cos[:, None, :] - ci[None, :, :] * sin[:, None, :] - tr[:, None, :]
-                im = cr[None, :, :] * sin[:, None, :] + ci[None, :, :] * cos[:, None, :] - ti[:, None, :]
-            totals[:, start:stop] = np.sqrt(np.sum(re * re, axis=-1) + np.sum(im * im, axis=-1))
+            re, im, _ = _rotate_residual(h, r[:, None], t)
+            totals[:, start:stop] = _rotate_norm(re, im)
     return totals

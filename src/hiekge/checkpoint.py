@@ -11,31 +11,19 @@ so identical params and metadata give identical bytes.
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .baselines import BaselineParams
+from .baselines import BASELINE_KINDS, BaselineParams
 from .hie_model import HieParams
 
 MAGIC = b"HIEKGE01"
 
-HIE_FIELDS = (
-    "ent",
-    "rel",
-    "proj_head_dist",
-    "proj_tail_dist",
-    "proj_rel_dist",
-    "proj_head_sem",
-    "proj_tail_sem",
-    "proj_rel_sem",
-    "transform_seed",
-    "extract_dist",
-    "extract_sem",
-    "blend_logit",
-)
+HIE_FIELDS = tuple(f.name for f in fields(HieParams))
 
 
 class CheckpointError(Exception):
@@ -114,7 +102,7 @@ def load_checkpoint(path) -> Checkpoint:
         if rank > 8:
             raise ShapeMismatchError(f"{path}: tensor {idx} claims rank {rank}")
         dims = [reader.u32(f"tensor {idx} dims") for _ in range(rank)]
-        n = int(np.prod(dims, dtype=np.int64)) if dims else 1
+        n = math.prod(dims)  # exact; a 64-bit product can wrap to zero or below
         raw = reader.take(8 * n, f"tensor {idx} data")
         arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(dims)
         arrays.append(arr)
@@ -124,14 +112,25 @@ def load_checkpoint(path) -> Checkpoint:
     meta_path = sidecar_path(path)
     if not meta_path.exists():
         raise CheckpointError(f"{path}: missing metadata sidecar {meta_path.name}")
-    with open(meta_path, encoding="utf-8") as f:
-        meta = json.load(f)
+    try:
+        with open(meta_path, encoding="utf-8") as f:
+            meta = json.load(f)
+    except (ValueError, RecursionError) as exc:
+        raise CheckpointError(f"{path}: unreadable metadata sidecar: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: metadata sidecar must hold a JSON object")
     declared = meta.get("tensors")
-    if declared is None or len(declared) != count:
+    if not isinstance(declared, list) or len(declared) != count:
         raise ShapeMismatchError(f"{path}: metadata declares a different tensor count")
     named = {}
     for entry, arr in zip(declared, arrays):
-        if list(arr.shape) != list(entry["shape"]):
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("shape"), list)
+        ):
+            raise CheckpointError(f"{path}: malformed tensor entry {entry!r}")
+        if list(arr.shape) != entry["shape"]:
             raise ShapeMismatchError(
                 f"{path}: tensor {entry['name']} is {list(arr.shape)}, "
                 f"metadata says {entry['shape']}"
@@ -144,8 +143,10 @@ def load_checkpoint(path) -> Checkpoint:
         if missing:
             raise ShapeMismatchError(f"{path}: missing tensors {missing}")
         params = HieParams(**{n: named[n] for n in HIE_FIELDS})
-    else:
+    elif kind in BASELINE_KINDS:
         if "ent" not in named or "rel" not in named:
             raise ShapeMismatchError(f"{path}: baseline checkpoint needs ent and rel")
         params = BaselineParams(kind=kind, ent=named["ent"], rel=named["rel"])
+    else:
+        raise CheckpointError(f"{path}: unknown model kind {kind!r}")
     return Checkpoint(params=params, meta=meta)

@@ -137,11 +137,14 @@ def _config_as_doc(config) -> dict:
 
 
 def _model_config_from_doc(kind, doc):
-    if kind == "hie":
-        doc = dict(doc)
-        doc["lambdas"] = tuple(doc["lambdas"])
-        return HieConfig(**doc)
-    return BaselineConfig(**doc)
+    try:
+        if kind == "hie":
+            doc = dict(doc)
+            doc["lambdas"] = tuple(doc["lambdas"])
+            return HieConfig(**doc)
+        return BaselineConfig(**doc)
+    except (TypeError, ValueError, KeyError) as exc:
+        raise CheckpointError(f"checkpoint model_config does not rebuild: {exc}") from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -294,14 +297,18 @@ def _load_dataset(run: RunConfig):
     return load_kg(run.data_dir)
 
 
-def _evaluation_doc(params, model_config, kg, split, tie_break):
+def _evaluation_report(params, model_config, kg, split, tie_break):
     results = evaluator.evaluate(params, model_config, kg, split=split, tie_break=tie_break)
     categories = classify_relations(kg.train)
     try:
-        report = evaluator.full_report(results, categories)
+        return evaluator.full_report(results, categories)
     except ValueError as exc:
         # a relation in this split never appears in train, so it has no category
         raise DataError(str(exc)) from exc
+
+
+def _evaluation_doc(params, model_config, kg, split, tie_break):
+    report = _evaluation_report(params, model_config, kg, split, tie_break)
     conventions = {"filtered": True, "tie_break": tie_break, "split": split}
     return evaluator.report_to_dict(report, conventions=conventions)
 
@@ -383,7 +390,7 @@ def cmd_eval(run: RunConfig) -> int:
         raise DataError(
             f"checkpoint metadata declares vocab {declared}, dataset has {actual}"
         )
-    kind = meta.get("model_kind", run.model)
+    kind = meta["model_kind"]  # load_checkpoint has checked it
     if meta.get("model_config") is not None:
         model_config = _model_config_from_doc(kind, meta["model_config"])
     else:
@@ -416,7 +423,7 @@ def cmd_classify(run: RunConfig) -> int:
     return EXIT_OK
 
 
-SWEEP_HEADER = "levels,lambda1,gamma,dim,batch_size,status,mr,mrr,hits1,hits3,hits10,count"
+SWEEP_HEADER = "levels,lambda1,gamma,dim,batch_size,status," + evaluator.CSV_HEADER
 
 
 def cmd_sweep(run: RunConfig) -> int:
@@ -446,14 +453,12 @@ def cmd_sweep(run: RunConfig) -> int:
         prefix = f"{point.levels},{point.lambda1:g},{point.gamma:g},{point.dim},{point.batch_size}"
         try:
             params, model_config, _, _ = _train_once(kg=kg, run=point, out_dir=out_dir, stem=f"point_{index:03d}")
-            doc = _evaluation_doc(params, model_config, kg, "valid", point.tie_break)
-            row = (
-                f"{prefix},ok,{doc['mr']:.6f},{doc['mrr']:.6f},{doc['hits1']:.6f},"
-                f"{doc['hits3']:.6f},{doc['hits10']:.6f},{doc['count']}"
-            )
+            report = _evaluation_report(params, model_config, kg, "valid", point.tie_break)
+            row = f"{prefix},ok,{evaluator.report_csv_row(report)}"
         except (UsageError, DataError, NumericError, ValueError) as exc:
             _info(f"sweep point {index} failed: {exc}")
-            row = f"{prefix},error:{type(exc).__name__},,,,,,"
+            empty_metrics = "," * len(evaluator.CSV_HEADER.split(","))
+            row = f"{prefix},error:{type(exc).__name__}{empty_metrics}"
         lines.append(row)
         print(row)
     (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -485,7 +490,7 @@ def cmd_gradcheck(run: RunConfig) -> int:
     return EXIT_OK
 
 
-ABLATE_HEADER = "variant,mr,mrr,hits1,hits3,hits10,count"
+ABLATE_HEADER = "variant," + evaluator.CSV_HEADER
 ABLATE_VARIANTS = (
     ("full", {}),
     ("no_distance", {"no_distance": True}),
@@ -506,11 +511,8 @@ def cmd_ablate(run: RunConfig) -> int:
     for name, overrides in ABLATE_VARIANTS:
         variant = dataclasses.replace(run, **overrides)
         params, model_config, _, _ = _train_once(kg=kg, run=variant, out_dir=out_dir, stem=name)
-        doc = _evaluation_doc(params, model_config, kg, "valid", variant.tie_break)
-        row = (
-            f"{name},{doc['mr']:.6f},{doc['mrr']:.6f},{doc['hits1']:.6f},"
-            f"{doc['hits3']:.6f},{doc['hits10']:.6f},{doc['count']}"
-        )
+        report = _evaluation_report(params, model_config, kg, "valid", variant.tie_break)
+        row = f"{name},{evaluator.report_csv_row(report)}"
         lines.append(row)
         print(row)
     (out_dir / "ablate.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -9,6 +9,7 @@ import numpy as np
 
 from . import baselines, hie_model
 from .hie_model import HieParams
+from .trainer import NumericError
 
 TIE_PESSIMISTIC = "pessimistic"
 TIE_STRICT = "strict"
@@ -41,11 +42,15 @@ def rank_triple(score_row, true_entity, filter_set, tie_break=TIE_PESSIMISTIC) -
 
     Candidates in filter_set are excluded (the true entity itself never
     is). Pessimistic ties count equal-scoring candidates against the true
-    entity; strict counts only strictly better ones.
+    entity; strict counts only strictly better ones. A non-finite score
+    anywhere in the row raises NumericError: it has no rank.
     """
     if tie_break not in TIE_BREAKS:
         raise ValueError(f"unknown tie_break {tie_break!r}")
     row = np.asarray(score_row, dtype=np.float64)
+    if not np.all(np.isfinite(row)):
+        bad = np.count_nonzero(~np.isfinite(row))
+        raise NumericError(f"{bad} non-finite score(s) in a ranking row")
     true_score = row[true_entity]
     excluded = np.fromiter((c for c in filter_set if c != true_entity), dtype=np.int64)
     if tie_break == TIE_PESSIMISTIC:

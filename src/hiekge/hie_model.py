@@ -10,8 +10,7 @@ and combined across levels with fixed convex weights. Lower is better.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -107,30 +106,8 @@ class HieParams:
         return self.rel.shape[0]
 
     def field_items(self):
-        """(name, tensor) pairs in the canonical serialization order."""
-        return [
-            ("ent", self.ent),
-            ("rel", self.rel),
-            ("proj_head_dist", self.proj_head_dist),
-            ("proj_tail_dist", self.proj_tail_dist),
-            ("proj_rel_dist", self.proj_rel_dist),
-            ("proj_head_sem", self.proj_head_sem),
-            ("proj_tail_sem", self.proj_tail_sem),
-            ("proj_rel_sem", self.proj_rel_sem),
-            ("transform_seed", self.transform_seed),
-            ("extract_dist", self.extract_dist),
-            ("extract_sem", self.extract_sem),
-            ("blend_logit", self.blend_logit),
-        ]
-
-
-@dataclass(frozen=True)
-class ScoreBreakdown:
-    """Per-level components of one triple's score, after ablation masking."""
-
-    distance_terms: np.ndarray
-    semantic_terms: np.ndarray
-    total: float
+        """(name, tensor) pairs in the canonical serialization order: declaration order."""
+        return [(f.name, getattr(self, f.name)) for f in fields(self)]
 
 
 def init_params(num_entities, num_relations, config: HieConfig, seed) -> HieParams:
@@ -190,90 +167,17 @@ def level_weights(config: HieConfig, alpha: float):
     return weights
 
 
-def project_level1(params: HieParams, h, r, t):
-    """Level-1 projections (head, rel, tail) in distance then semantic space."""
-    half = params.ent.shape[1] // 2
-    h_row, r_row, t_row = params.ent[h], params.rel[r], params.ent[t]
-    return (
-        params.proj_head_dist * h_row[:half],
-        params.proj_rel_dist * r_row[:half],
-        params.proj_tail_dist * t_row[:half],
-        params.proj_head_sem * h_row[half:],
-        params.proj_rel_sem * r_row[half:],
-        params.proj_tail_sem * t_row[half:],
-    )
 
 
-def lift_level(params: HieParams, level: int, dist_proj, sem_proj, dist_base, sem_base):
-    """Raise one embedding's projections from `level` to `level + 1`.
-
-    Row vector times the transition's extraction matrix, plus the raw half
-    as a residual. `level` is 1-based and must be strictly below the
-    parameter depth.
-    """
-    n_levels = params.transform_seed.shape[0]
-    if not 1 <= level < n_levels:
-        raise ValueError(f"cannot lift from level {level} in a {n_levels}-level model")
-    lifted_dist = dist_proj @ params.extract_dist[level - 1] + dist_base
-    lifted_sem = sem_proj @ params.extract_sem[level - 1] + sem_base
-    return lifted_dist, lifted_sem
+def _space_columns(config: HieConfig):
+    """Column slice of each space's half within an embedding row."""
+    return {"dist": slice(0, config.half), "sem": slice(config.half, None)}
 
 
-def level_distance(head_proj, rel_proj, tail_proj, seed, norm_p, transform):
-    """Distance-space residual norm at one level.
-
-    Diagonal transform: || head * (seed * rel) - tail ||_p.
-    Rank-1 transform: || (head . seed) * rel - tail ||_p.
-    """
-    if transform == TRANSFORM_DIAGONAL:
-        residual = head_proj * (seed * rel_proj) - tail_proj
-    elif transform == TRANSFORM_RANK1:
-        residual = (head_proj @ seed) * rel_proj - tail_proj
-    else:
-        raise ValueError(f"unknown transform {transform!r}")
-    if norm_p == 1:
-        return float(np.sum(np.abs(residual)))
-    return float(np.sqrt(np.sum(residual * residual)))
-
-
-def level_semantic(head_proj, rel_proj, tail_proj):
-    """Semantic translation residual || head + rel - tail ||_2."""
-    residual = (head_proj + rel_proj) - tail_proj
-    return float(np.sqrt(np.sum(residual * residual)))
-
-
-def score(params: HieParams, config: HieConfig, h, r, t) -> ScoreBreakdown:
-    """Full per-level breakdown for a single (h, r, t) id triple.
-
-    Masked level/space combinations are reported as exact zeros and carry
-    zero weight in the total.
-    """
-    half = config.half
-    h_row, r_row, t_row = params.ent[h], params.rel[r], params.ent[t]
-    bases = {
-        "dist": (h_row[:half], r_row[:half], t_row[:half]),
-        "sem": (h_row[half:], r_row[half:], t_row[half:]),
-    }
-    hd, rd, td, hs, rs, ts = project_level1(params, h, r, t)
-    weights = level_weights(config, params.alpha)
-    d_terms = np.zeros(config.levels)
-    s_terms = np.zeros(config.levels)
-    total = 0.0
-    for level in range(1, config.levels + 1):
-        if level > 1:
-            hd, hs = lift_level(params, level - 1, hd, hs, bases["dist"][0], bases["sem"][0])
-            rd, rs = lift_level(params, level - 1, rd, rs, bases["dist"][1], bases["sem"][1])
-            td, ts = lift_level(params, level - 1, td, ts, bases["dist"][2], bases["sem"][2])
-        w_dist, w_sem = weights[level - 1]
-        dist_on, sem_on = active_spaces(config, level)
-        if dist_on:
-            d_terms[level - 1] = level_distance(
-                hd, rd, td, params.transform_seed[level - 1], config.norm_p, config.transform
-            )
-        if sem_on:
-            s_terms[level - 1] = level_semantic(hs, rs, ts)
-        total += config.lambdas[level - 1] * (w_dist * d_terms[level - 1] + w_sem * s_terms[level - 1])
-    return ScoreBreakdown(distance_terms=d_terms, semantic_terms=s_terms, total=total)
+def _needed_spaces(config: HieConfig):
+    """The spaces, of "dist" and "sem", that are active at one level or more."""
+    flags = [active_spaces(config, lv) for lv in range(1, config.levels + 1)]
+    return [space for k, space in enumerate(("dist", "sem")) if any(f[k] for f in flags)]
 
 
 def _norm_rows(residual, norm_p):
@@ -282,13 +186,35 @@ def _norm_rows(residual, norm_p):
     return np.sqrt(np.sum(residual * residual, axis=-1))
 
 
-def _chain(params, base, proj_vec, levels, space):
-    """Per-level projections of a (B, half) base block, as a list of arrays."""
+def _chain(params, base, role, space, levels):
+    """Per-level projections of one role's (B, half) base block, as a list of arrays."""
+    proj = getattr(params, f"proj_{role}_{space}")
     extract = params.extract_dist if space == "dist" else params.extract_sem
-    out = [proj_vec * base]
+    out = [proj * base]
     for level in range(2, levels + 1):
         out.append(out[-1] @ extract[level - 2] + base)
     return out
+
+
+def _distance_residual(h, r, t, seed, transform):
+    """Distance-space residual at one level and, for rank-1, the inner product.
+
+    Diagonal transform: h * (seed * r) - t.
+    Rank-1 transform: (h . seed) * r - t.
+    Operands broadcast over their leading axes. The inner product runs as
+    one 2-D matmul whatever the shape of h, so per-triple and
+    all-candidate scoring get the same bits.
+    """
+    if transform == TRANSFORM_DIAGONAL:
+        return h * (seed * r) - t, None
+    half = h.shape[-1]
+    inner = (h.reshape(-1, half) @ seed).reshape(h.shape[:-1])
+    return inner[..., None] * r - t, inner
+
+
+def _semantic_residual(h, r, t):
+    """Semantic translation residual (h + r) - t, broadcasting like the distance one."""
+    return (h + r) - t
 
 
 def score_triples(params: HieParams, config: HieConfig, triples):
@@ -300,30 +226,18 @@ def score_triples(params: HieParams, config: HieConfig, triples):
     """
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     h_ids, r_ids, t_ids = triples[:, 0], triples[:, 1], triples[:, 2]
-    half = config.half
     levels = config.levels
-    h_row, r_row, t_row = params.ent[h_ids], params.rel[r_ids], params.ent[t_ids]
-    need_dist = any(active_spaces(config, lv)[0] for lv in range(1, levels + 1))
-    need_sem = any(active_spaces(config, lv)[1] for lv in range(1, levels + 1))
+    rows = (params.ent[h_ids], params.rel[r_ids], params.ent[t_ids])
+    needed = _needed_spaces(config)
 
-    cache = {
-        "ids": (h_ids, r_ids, t_ids),
-        "bases_dist": (h_row[:, :half], r_row[:, :half], t_row[:, :half]),
-        "bases_sem": (h_row[:, half:], r_row[:, half:], t_row[:, half:]),
-        "alpha": params.alpha,
-    }
+    cache = {"ids": (h_ids, r_ids, t_ids), "alpha": params.alpha}
     cache["weights"] = level_weights(config, cache["alpha"])
-
-    if need_dist:
-        hb, rb, tb = cache["bases_dist"]
-        cache["h_dist"] = _chain(params, hb, params.proj_head_dist, levels, "dist")
-        cache["r_dist"] = _chain(params, rb, params.proj_rel_dist, levels, "dist")
-        cache["t_dist"] = _chain(params, tb, params.proj_tail_dist, levels, "dist")
-    if need_sem:
-        hb, rb, tb = cache["bases_sem"]
-        cache["h_sem"] = _chain(params, hb, params.proj_head_sem, levels, "sem")
-        cache["r_sem"] = _chain(params, rb, params.proj_rel_sem, levels, "sem")
-        cache["t_sem"] = _chain(params, tb, params.proj_tail_sem, levels, "sem")
+    for space, cols in _space_columns(config).items():
+        bases = tuple(row[:, cols] for row in rows)
+        cache[f"bases_{space}"] = bases
+        if space in needed:
+            for key, role, base in zip("hrt", ("head", "rel", "tail"), bases):
+                cache[f"{key}_{space}"] = _chain(params, base, role, space, levels)
 
     B = len(triples)
     d_dist = np.zeros((B, levels))
@@ -337,31 +251,20 @@ def score_triples(params: HieParams, config: HieConfig, triples):
         dist_on, sem_on = active_spaces(config, level)
         w_dist, w_sem = cache["weights"][i]
         if dist_on:
-            seed = params.transform_seed[i]
-            if config.transform == TRANSFORM_DIAGONAL:
-                u = cache["h_dist"][i] * (seed * cache["r_dist"][i]) - cache["t_dist"][i]
-            else:
-                inner = cache["h_dist"][i] @ seed
-                cache["rank1_inner"][i] = inner
-                u = inner[:, None] * cache["r_dist"][i] - cache["t_dist"][i]
+            u, cache["rank1_inner"][i] = _distance_residual(
+                cache["h_dist"][i], cache["r_dist"][i], cache["t_dist"][i],
+                params.transform_seed[i], config.transform,
+            )
             cache["u_dist"][i] = u
             d_dist[:, i] = _norm_rows(u, config.norm_p)
         if sem_on:
-            v = (cache["h_sem"][i] + cache["r_sem"][i]) - cache["t_sem"][i]
+            v = _semantic_residual(cache["h_sem"][i], cache["r_sem"][i], cache["t_sem"][i])
             cache["u_sem"][i] = v
             d_sem[:, i] = _norm_rows(v, 2)
         totals += config.lambdas[i] * (w_dist * d_dist[:, i] + w_sem * d_sem[:, i])
     cache["d_dist"] = d_dist
     cache["d_sem"] = d_sem
     return totals, cache
-
-
-def _candidate_chain(params, config, candidates, role, space):
-    half = config.half
-    cols = slice(0, half) if space == "dist" else slice(half, 2 * half)
-    base = params.ent[candidates, cols]
-    proj = getattr(params, f"proj_{role}_{space}")
-    return base, _chain(params, base, proj, config.levels, space)
 
 
 def score_batch(params: HieParams, config: HieConfig, triples, candidates, corrupt_side, slab=8192):
@@ -377,25 +280,27 @@ def score_batch(params: HieParams, config: HieConfig, triples, candidates, corru
     candidates = np.asarray(candidates, dtype=np.int64).ravel()
     B, C, levels = len(triples), len(candidates), config.levels
     h_ids, r_ids, t_ids = triples[:, 0], triples[:, 1], triples[:, 2]
-    half = config.half
+    fixed_ids, fixed_role, cand_role = (
+        (t_ids, "tail", "head") if corrupt_side == "head" else (h_ids, "head", "tail")
+    )
 
-    need_dist = any(active_spaces(config, lv)[0] for lv in range(1, levels + 1))
-    need_sem = any(active_spaces(config, lv)[1] for lv in range(1, levels + 1))
-    fixed_ent = t_ids if corrupt_side == "head" else h_ids
-    fixed_role = "tail" if corrupt_side == "head" else "head"
-    cand_role = "head" if corrupt_side == "head" else "tail"
-
+    # per space: (fixed, relation, candidate) chains, shaped to broadcast
+    # as (B, 1, half), (B, 1, half) and (1, C, half)
     chains = {}
-    if need_dist:
-        fb = params.ent[fixed_ent, :half]
-        chains["fixed_dist"] = _chain(params, fb, getattr(params, f"proj_{fixed_role}_dist"), levels, "dist")
-        chains["rel_dist"] = _chain(params, params.rel[r_ids, :half], params.proj_rel_dist, levels, "dist")
-        _, chains["cand_dist"] = _candidate_chain(params, config, candidates, cand_role, "dist")
-    if need_sem:
-        fb = params.ent[fixed_ent, half:]
-        chains["fixed_sem"] = _chain(params, fb, getattr(params, f"proj_{fixed_role}_sem"), levels, "sem")
-        chains["rel_sem"] = _chain(params, params.rel[r_ids, half:], params.proj_rel_sem, levels, "sem")
-        _, chains["cand_sem"] = _candidate_chain(params, config, candidates, cand_role, "sem")
+    for space in _needed_spaces(config):
+        cols = _space_columns(config)[space]
+        fixed = _chain(params, params.ent[fixed_ids, cols], fixed_role, space, levels)
+        rel = _chain(params, params.rel[r_ids, cols], "rel", space, levels)
+        cand = _chain(params, params.ent[candidates, cols], cand_role, space, levels)
+        chains[space] = [
+            (f[:, None, :], r[:, None, :], c[None, :, :]) for f, r, c in zip(fixed, rel, cand)
+        ]
+
+    def operands(space, i, start, stop):
+        """(head, rel, tail) at one level for the candidate slab start:stop."""
+        fixed, rel, cand = chains[space][i]
+        cand = cand[:, start:stop]
+        return (cand, rel, fixed) if corrupt_side == "head" else (fixed, rel, cand)
 
     weights = level_weights(config, params.alpha)
     totals = np.zeros((B, C))
@@ -408,29 +313,11 @@ def score_batch(params: HieParams, config: HieConfig, triples, candidates, corru
             w_dist, w_sem = weights[i]
             lam = config.lambdas[i]
             if dist_on and w_dist != 0.0:
-                seed = params.transform_seed[i]
-                rel = chains["rel_dist"][i]
-                cand = chains["cand_dist"][i][start:stop]
-                fixed = chains["fixed_dist"][i]
-                if corrupt_side == "tail":
-                    if config.transform == TRANSFORM_DIAGONAL:
-                        m = fixed * (seed * rel)
-                    else:
-                        m = (fixed @ seed)[:, None] * rel
-                    u = m[:, None, :] - cand[None, :, :]
-                else:
-                    if config.transform == TRANSFORM_DIAGONAL:
-                        u = cand[None, :, :] * (seed * rel)[:, None, :] - fixed[:, None, :]
-                    else:
-                        u = (cand @ seed)[None, :, None] * rel[:, None, :] - fixed[:, None, :]
+                u, _ = _distance_residual(
+                    *operands("dist", i, start, stop), params.transform_seed[i], config.transform
+                )
                 block += (lam * w_dist) * _norm_rows(u, config.norm_p)
             if sem_on and w_sem != 0.0:
-                rel = chains["rel_sem"][i]
-                cand = chains["cand_sem"][i][start:stop]
-                fixed = chains["fixed_sem"][i]
-                if corrupt_side == "tail":
-                    u = (fixed + rel)[:, None, :] - cand[None, :, :]
-                else:
-                    u = (cand[None, :, :] + rel[:, None, :]) - fixed[:, None, :]
-                block += (lam * w_sem) * _norm_rows(u, 2)
+                v = _semantic_residual(*operands("sem", i, start, stop))
+                block += (lam * w_sem) * _norm_rows(v, 2)
     return totals

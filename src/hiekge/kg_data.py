@@ -5,15 +5,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
-
-
-class Triple(NamedTuple):
-    head: int
-    rel: int
-    tail: int
 
 
 class DataError(ValueError):

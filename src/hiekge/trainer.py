@@ -21,7 +21,7 @@ SIGN_LITERAL = "literal"
 
 
 class NumericError(RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training or ranking produced a non-finite loss or score."""
 
 
 @dataclass(frozen=True)
@@ -104,22 +104,11 @@ def merge_grad_sets(a: GradSet, b: GradSet) -> GradSet:
     return GradSet(ent=ent, rel=rel, dense=dense)
 
 
-def sample_negatives(triple, n, num_entities, rng):
-    """n corruptions of one triple: fair coin for the side, uniform entity."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    h, r, t = (int(v) for v in triple)
-    out = np.empty((n, 3), dtype=np.int64)
-    out[:, 0], out[:, 1], out[:, 2] = h, r, t
-    corrupt_head = rng.integers(0, 2, size=n).astype(bool)
-    entities = rng.integers(0, num_entities, size=n)
-    out[corrupt_head, 0] = entities[corrupt_head]
-    out[~corrupt_head, 2] = entities[~corrupt_head]
-    return out
-
-
 def sample_negatives_batch(batch, n, num_entities, rng):
-    """(B, n, 3) corruptions, one negative set per batch row."""
+    """(B, n, 3) corruptions, one negative set per batch row.
+
+    Each negative flips a fair coin for the side and draws a uniform entity.
+    """
     batch = np.asarray(batch, dtype=np.int64).reshape(-1, 3)
     B = len(batch)
     out = np.repeat(batch[:, None, :], n, axis=1)

@@ -18,7 +18,7 @@ import pytest
 
 from hiekge import cli, evaluator, hie_model, kg_data, trainer
 from hiekge.baselines import BaselineConfig
-from hiekge.hie_model import HieConfig, init_params, score
+from hiekge.hie_model import HieConfig, init_params, score_triples
 from hiekge.kg_data import classify_relations, load_kg
 from hiekge.trainer import TrainConfig, adversarial_weights, grad_check, train
 
@@ -122,7 +122,8 @@ def test_criterion_1_gradient_correctness():
 @criterion(2)
 def test_criterion_2_oracle_ranking():
     # 32 entities, 128 triples; every test triple, both corruption sides,
-    # filtered and raw, against per-candidate rescoring with the scalar scorer.
+    # filtered and raw, against rescoring every (h, r, c) / (c, r, t) row
+    # through the per-triple kernel.
     kg = build_synth_kg(num_entities=32, seed=3, holdout_frac=0.2)
     assert kg.num_entities <= 50 and sum(len(kg.split(s)) for s in ("train", "valid", "test")) <= 200
     config = HieConfig(dim=8, levels=2, lambdas=lambdas_for(2))
@@ -134,8 +135,9 @@ def test_criterion_2_oracle_ranking():
         results = evaluator.evaluate(params, config, kg, split="test", filtered=filtered)
         for result in results:
             h, r, t = result.triple
-            tail_scores = [score(params, config, h, r, c).total for c in range(kg.num_entities)]
-            head_scores = [score(params, config, c, r, t).total for c in range(kg.num_entities)]
+            ids = range(kg.num_entities)
+            tail_scores = score_triples(params, config, [(h, r, c) for c in ids])[0].tolist()
+            head_scores = score_triples(params, config, [(c, r, t) for c in ids])[0].tolist()
             tail_filter = kg.filter_index.true_tails(h, r) if filtered else frozenset()
             head_filter = kg.filter_index.true_heads(r, t) if filtered else frozenset()
 

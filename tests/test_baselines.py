@@ -4,16 +4,25 @@ import pytest
 from hiekge.baselines import (
     BaselineConfig,
     BaselineParams,
-    distmult_score,
     init_params,
-    rotate_score,
     score_batch,
-    score_one,
     score_triples,
-    transe_score,
 )
 
 from oracles import distmult_oracle, rotate_oracle, transe_oracle
+
+
+def score_of(params, h, r, t, norm_p=1):
+    """One triple's score through the batch kernel."""
+    config = BaselineConfig(kind=params.kind, dim=params.ent.shape[1], norm_p=norm_p)
+    return score_triples(params, config, [(h, r, t)])[0][0]
+
+
+ORACLES = {
+    "transe": transe_oracle,
+    "distmult": lambda params, h, r, t, p: distmult_oracle(params, h, r, t),
+    "rotate": lambda params, h, r, t, p: rotate_oracle(params, h, r, t),
+}
 
 
 def make(kind, rng, num_entities=6, num_relations=3, dim=6, norm_p=1):
@@ -53,7 +62,7 @@ class TestTransE:
             ent=np.array([[1.0, 2.0], [3.0, 1.0]]),
             rel=np.array([[2.0, -1.0]]),
         )
-        assert transe_score(params, 0, 0, 1, norm_p=1) == 0.0
+        assert score_of(params, 0, 0, 1, norm_p=1) == 0.0
 
     def test_forced_l1(self):
         params = BaselineParams(
@@ -61,7 +70,7 @@ class TestTransE:
             ent=np.array([[1.0, 0.0], [0.0, 0.0]]),
             rel=np.array([[0.0, 1.0]]),
         )
-        assert transe_score(params, 0, 0, 1, norm_p=1) == 2.0
+        assert score_of(params, 0, 0, 1, norm_p=1) == 2.0
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(1)
@@ -69,7 +78,7 @@ class TestTransE:
         for _ in range(20):
             h, r, t = rng.integers(0, 6), rng.integers(0, 3), rng.integers(0, 6)
             for p in (1, 2):
-                assert transe_score(params, h, r, t, p) == pytest.approx(
+                assert score_of(params, h, r, t, p) == pytest.approx(
                     transe_oracle(params, h, r, t, p), rel=1e-12
                 )
 
@@ -79,8 +88,8 @@ class TestTransE:
         shift = rng.normal(size=params.ent.shape[1])
         shifted = BaselineParams(kind="transe", ent=params.ent + shift, rel=params.rel)
         for p in (1, 2):
-            assert transe_score(shifted, 0, 1, 3, p) == pytest.approx(
-                transe_score(params, 0, 1, 3, p), rel=1e-9
+            assert score_of(shifted, 0, 1, 3, p) == pytest.approx(
+                score_of(params, 0, 1, 3, p), rel=1e-9
             )
 
 
@@ -89,27 +98,27 @@ class TestDistMult:
         params = BaselineParams(
             kind="distmult", ent=np.array([[0.0, 0.0], [1.0, 2.0]]), rel=np.array([[3.0, 4.0]])
         )
-        assert distmult_score(params, 0, 0, 1) == 0.0
+        assert score_of(params, 0, 0, 1) == 0.0
 
     def test_forced_value(self):
         params = BaselineParams(
             kind="distmult", ent=np.array([[1.0, 1.0]]), rel=np.array([[1.0, 1.0]])
         )
-        assert distmult_score(params, 0, 0, 0) == -2.0
+        assert score_of(params, 0, 0, 0) == -2.0
 
     def test_head_tail_symmetry_exact(self):
         rng = np.random.default_rng(3)
         params, _ = make("distmult", rng)
         for _ in range(20):
             h, r, t = rng.integers(0, 6), rng.integers(0, 3), rng.integers(0, 6)
-            assert distmult_score(params, h, r, t) == distmult_score(params, t, r, h)
+            assert score_of(params, h, r, t) == score_of(params, t, r, h)
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(4)
         params, _ = make("distmult", rng)
         for _ in range(20):
             h, r, t = rng.integers(0, 6), rng.integers(0, 3), rng.integers(0, 6)
-            assert distmult_score(params, h, r, t) == pytest.approx(
+            assert score_of(params, h, r, t) == pytest.approx(
                 distmult_oracle(params, h, r, t), rel=1e-12, abs=1e-14
             )
 
@@ -119,21 +128,21 @@ class TestRotatE:
         ent = np.array([[0.5, -1.0, 2.0, 0.25], [0.5, -1.0, 2.0, 0.25]])
         rel = np.zeros((1, 4))
         params = BaselineParams(kind="rotate", ent=ent, rel=rel)
-        assert rotate_score(params, 0, 0, 1) == 0.0
+        assert score_of(params, 0, 0, 1) == 0.0
 
     def test_quarter_turn(self):
         # 1+0i rotated by pi/2 lands on 0+1i
         ent = np.array([[1.0, 0.0], [0.0, 1.0]])
         rel = np.array([[np.pi / 2, 0.0]])
         params = BaselineParams(kind="rotate", ent=ent, rel=rel)
-        assert rotate_score(params, 0, 0, 1) == pytest.approx(0.0, abs=1e-15)
+        assert score_of(params, 0, 0, 1) == pytest.approx(0.0, abs=1e-15)
 
     def test_matches_complex_oracle(self):
         rng = np.random.default_rng(5)
         params, _ = make("rotate", rng, dim=6)
         for _ in range(20):
             h, r, t = rng.integers(0, 6), rng.integers(0, 3), rng.integers(0, 6)
-            assert rotate_score(params, h, r, t) == pytest.approx(
+            assert score_of(params, h, r, t) == pytest.approx(
                 rotate_oracle(params, h, r, t), rel=1e-12, abs=1e-14
             )
 
@@ -153,7 +162,7 @@ class TestRotatE:
 class TestVectorizedPaths:
     @pytest.mark.parametrize("kind", ["transe", "distmult", "rotate"])
     @pytest.mark.parametrize("norm_p", [1, 2])
-    def test_score_triples_matches_score_one(self, kind, norm_p):
+    def test_score_triples_matches_oracle(self, kind, norm_p):
         rng = np.random.default_rng(7)
         params, config = make(kind, rng, dim=6, norm_p=norm_p)
         triples = np.stack(
@@ -161,20 +170,18 @@ class TestVectorizedPaths:
         )
         totals, _ = score_triples(params, config, triples)
         for i, (h, r, t) in enumerate(triples):
-            assert totals[i] == pytest.approx(score_one(params, config, h, r, t), rel=1e-12)
+            expected = ORACLES[kind](params, h, r, t, norm_p)
+            assert totals[i] == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("kind", ["transe", "distmult", "rotate"])
     @pytest.mark.parametrize("side", ["head", "tail"])
-    def test_score_batch_matches_score_one(self, kind, side):
+    def test_score_batch_matches_score_triples(self, kind, side):
         rng = np.random.default_rng(8)
         params, config = make(kind, rng, dim=6, norm_p=2)
         triples = np.stack(
             [rng.integers(0, 6, 4), rng.integers(0, 3, 4), rng.integers(0, 6, 4)], axis=1
         )
         got = score_batch(params, config, triples, np.arange(6), side, slab=4)
-        for i, (h, r, t) in enumerate(triples):
-            for c in range(6):
-                hh, tt = (c, t) if side == "head" else (h, c)
-                assert got[i, c] == pytest.approx(
-                    score_one(params, config, hh, r, tt), rel=1e-11, abs=1e-12
-                )
+        rows = [(c, r, t) if side == "head" else (h, r, c) for h, r, t in triples for c in range(6)]
+        expected = score_triples(params, config, rows)[0].reshape(got.shape)
+        assert got == pytest.approx(expected, rel=1e-11, abs=1e-12)

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hiekge.baselines import BaselineConfig
 from hiekge.baselines import init_params as init_baseline
@@ -185,8 +187,107 @@ class TestCorruption:
         with pytest.raises(ShapeMismatchError, match="blend_logit"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "sidecar",
+        [
+            b'{"model_kind": "hie", "tensors": [',  # malformed JSON
+            b"\xff\xfe not utf-8",
+            b'["model_kind", "hie"]',  # not an object
+            b"3",
+        ],
+    )
+    def test_unreadable_sidecar(self, tmp_path, sidecar):
+        params, meta = hie_fixture()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, meta, path)
+        sidecar_path(path).write_bytes(sidecar)
+        with pytest.raises(CheckpointError, match="sidecar"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"name": "ent"},  # no shape
+            {"shape": [7, 8]},  # no name
+            {"name": "ent", "shape": 56},
+            {"name": ["ent"], "shape": [7, 8]},
+            "ent",
+        ],
+    )
+    def test_malformed_tensor_entry(self, tmp_path, entry):
+        params, meta = hie_fixture()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, meta, path)
+        doc = json.loads(sidecar_path(path).read_text())
+        doc["tensors"][0] = entry
+        sidecar_path(path).write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="malformed tensor entry"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("kind", ["bogus", None, 3])
+    def test_unknown_model_kind(self, tmp_path, kind):
+        config = BaselineConfig(kind="transe", dim=4)
+        params = init_baseline(5, 2, config, seed=0)
+        path = tmp_path / "model.ckpt"
+        meta = {} if kind is None else {"model_kind": kind}
+        save_checkpoint(params, meta, path)
+        with pytest.raises(CheckpointError, match="unknown model kind"):
+            load_checkpoint(path)
+
+    def test_huge_dims_are_truncation_not_overflow(self, tmp_path):
+        # (2**16)**4 wraps a 64-bit element count to 0; the payload is missing
+        path = tmp_path / "model.ckpt"
+        dims = struct.pack("<4I", 2**16, 2**16, 2**16, 2**16)
+        path.write_bytes(MAGIC + struct.pack("<I", 1) + struct.pack("<I", 4) + dims)
+        with pytest.raises(TruncatedError):
+            load_checkpoint(path)
+
     def test_error_types_are_distinct_checkpoint_errors(self):
         for exc in (BadMagicError, TruncatedError, ShapeMismatchError):
             assert issubclass(exc, CheckpointError)
         assert not issubclass(BadMagicError, TruncatedError)
         assert not issubclass(TruncatedError, ShapeMismatchError)
+
+
+def _valid_files(tmp_path):
+    config = BaselineConfig(kind="rotate", dim=4)
+    params = init_baseline(3, 2, config, seed=0)
+    path = tmp_path / "seed.ckpt"
+    save_checkpoint(params, {"model_kind": "rotate"}, path)
+    return path.read_bytes(), sidecar_path(path).read_bytes()
+
+
+def _mutate(data, draw):
+    """Random splice of a valid file: cut, overwrite bytes, or append junk."""
+    data = bytearray(data)
+    for _ in range(draw(st.integers(0, 4))):
+        op = draw(st.sampled_from(["cut", "flip", "append"]))
+        pos = draw(st.integers(0, len(data)))
+        if op == "cut":
+            del data[pos : pos + draw(st.integers(1, 16))]
+        elif op == "flip" and pos < len(data):
+            data[pos] = draw(st.integers(0, 255))
+        else:
+            data[pos:pos] = draw(st.binary(max_size=16))
+    return bytes(data)
+
+
+class TestFuzz:
+    @given(data=st.data())
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_only_checkpoint_errors_escape(self, tmp_path, data):
+        blob, sidecar = _valid_files(tmp_path)
+        path = tmp_path / "fuzz.ckpt"
+        for target, valid in ((path, blob), (sidecar_path(path), sidecar)):
+            if data.draw(st.booleans()):
+                target.write_bytes(data.draw(st.binary(max_size=64)))
+            else:
+                target.write_bytes(_mutate(valid, data.draw))
+        try:
+            load_checkpoint(path)
+        except CheckpointError:
+            pass

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from hiekge import cli, trainer
-from hiekge.checkpoint import load_checkpoint
+from hiekge.checkpoint import load_checkpoint, save_checkpoint
 from hiekge.cli import RunConfig, derive_lambdas, model_config_from
 from hiekge.kg_data import load_kg
 
@@ -267,6 +267,69 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval", "--data-dir", data_dir)
         assert code == 1
         assert "--checkpoint" in err
+
+
+def copy_checkpoint(trained, dest):
+    """The trained checkpoint and its sidecar under dest; returns the new paths."""
+    dest.mkdir()
+    ckpt = dest / "model.ckpt"
+    sidecar = dest / "model.json"
+    ckpt.write_bytes((trained / "model.ckpt").read_bytes())
+    sidecar.write_bytes((trained / "model.json").read_bytes())
+    return ckpt, sidecar
+
+
+def edit_sidecar(sidecar, change):
+    doc = json.loads(sidecar.read_text())
+    change(doc)
+    sidecar.write_text(json.dumps(doc))
+
+
+class TestEvalBadCheckpoint:
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "malformed_json",
+            "non_object",
+            "entry_without_shape",
+            "unknown_model_kind",
+            "unknown_config_field",
+            "invalid_config_value",
+            "config_not_an_object",
+        ],
+    )
+    def test_bad_sidecar_is_data_error(self, capsys, data_dir, trained, tmp_path, case):
+        ckpt, sidecar = copy_checkpoint(trained, tmp_path / "ckpt")
+        if case == "malformed_json":
+            sidecar.write_text(sidecar.read_text()[:-20])
+        elif case == "non_object":
+            sidecar.write_text("[1, 2, 3]")
+        elif case == "entry_without_shape":
+            edit_sidecar(sidecar, lambda doc: doc["tensors"][0].pop("shape"))
+        elif case == "unknown_model_kind":
+            edit_sidecar(sidecar, lambda doc: doc.update(model_kind="bogus"))
+        elif case == "unknown_config_field":
+            edit_sidecar(sidecar, lambda doc: doc["model_config"].update(width=3))
+        elif case == "invalid_config_value":
+            edit_sidecar(sidecar, lambda doc: doc["model_config"].update(dim=7))
+        else:
+            edit_sidecar(sidecar, lambda doc: doc.update(model_config=[8, 2]))
+        code, out, err = run_cli(
+            capsys, "eval", "--data-dir", data_dir, "--checkpoint", str(ckpt))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("data error:")
+
+    def test_non_finite_parameters_exit_numeric(self, capsys, data_dir, trained, tmp_path):
+        ckpt, _ = copy_checkpoint(trained, tmp_path / "ckpt")
+        loaded = load_checkpoint(ckpt)
+        loaded.params.ent[3, 0] = np.nan
+        save_checkpoint(loaded.params, loaded.meta, ckpt)
+        code, out, err = run_cli(
+            capsys, "eval", "--data-dir", data_dir, "--checkpoint", str(ckpt))
+        assert code == 3
+        assert out == ""
+        assert "non-finite" in err
 
 
 class TestClassify:

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hiekge import baselines
 from hiekge.baselines import BaselineConfig
 from hiekge.baselines import init_params as init_baseline
-from hiekge.baselines import score_one
 from hiekge.evaluator import (
     CSV_HEADER,
     MetricsReport,
@@ -18,7 +18,7 @@ from hiekge.evaluator import (
     report_csv_row,
     report_to_dict,
 )
-from hiekge.hie_model import HieConfig, init_params, score
+from hiekge.hie_model import HieConfig, init_params, score_triples
 from hiekge.kg_data import (
     N_TO_N,
     ONE_TO_ONE,
@@ -27,6 +27,8 @@ from hiekge.kg_data import (
     build_filter_index,
     classify_relations,
 )
+
+from hiekge.trainer import NumericError
 
 from helpers import random_hie_params
 from oracles import metrics_oracle, rank_oracle
@@ -65,6 +67,20 @@ class TestRankTriple:
     def test_unknown_tie_break_rejected(self):
         with pytest.raises(ValueError):
             rank_triple([1.0, 2.0], 0, frozenset(), "optimistic")
+
+    @pytest.mark.parametrize("tie", ["pessimistic", "strict"])
+    def test_nan_true_score_raises(self, tie):
+        # a NaN compares false with everything, so it used to rank first
+        with pytest.raises(NumericError, match="non-finite"):
+            rank_triple([1.0, np.nan, 2.0], 1, frozenset(), tie)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_competitor_raises(self, bad):
+        # even a filtered-out competitor: the row as a whole is unusable
+        with pytest.raises(NumericError, match="non-finite"):
+            rank_triple([0.5, bad, 2.0], 0, frozenset())
+        with pytest.raises(NumericError, match="non-finite"):
+            rank_triple([0.5, bad, 2.0], 0, frozenset({1}))
 
     @given(
         scores=st.lists(st.integers(min_value=0, max_value=6), min_size=2, max_size=30),
@@ -124,11 +140,11 @@ def rescoring_oracle_ranks(params, config, kg, scalar_score, filtered, pessimist
 
 
 def hie_scalar(params, config, h, r, t):
-    return score(params, config, h, r, t).total
+    return score_triples(params, config, [(h, r, t)])[0][0]
 
 
 def baseline_scalar(params, config, h, r, t):
-    return score_one(params, config, h, r, t)
+    return baselines.score_triples(params, config, [(h, r, t)])[0][0]
 
 
 class TestEvaluateAgainstOracle:
@@ -175,6 +191,14 @@ class TestEvaluateAgainstOracle:
         for a, b in zip(filt, raw):
             assert a.head_rank <= b.head_rank
             assert a.tail_rank <= b.tail_rank
+
+    def test_nan_entity_row_raises_numeric_error(self):
+        kg = tiny_kg()
+        config = HieConfig(dim=8)
+        params = random_hie_params(np.random.default_rng(5), kg.num_entities, 2, config)
+        params.ent[4, 1] = np.nan
+        with pytest.raises(NumericError, match="non-finite"):
+            evaluate(params, config, kg)
 
     def test_single_entity_vocab_gives_rank_one(self):
         train = np.array([[0, 0, 0]])

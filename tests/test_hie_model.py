@@ -7,12 +7,7 @@ from hiekge.hie_model import (
     HieConfig,
     active_spaces,
     init_params,
-    level_distance,
-    level_semantic,
     level_weights,
-    lift_level,
-    project_level1,
-    score,
     score_batch,
     score_triples,
     sigmoid,
@@ -72,36 +67,55 @@ class TestInitParams:
         # at init the lift is residual-only, so deep projections equal the raw half
         config = HieConfig(dim=8)
         p = init_params(4, 2, config, seed=1)
-        hd, rd, td, hs, rs, ts = project_level1(p, 0, 0, 1)
-        lifted_d, lifted_s = lift_level(p, 1, hd, hs, p.ent[0, :4], p.ent[0, 4:])
-        assert np.array_equal(lifted_d, p.ent[0, :4])
-        assert np.array_equal(lifted_s, p.ent[0, 4:])
+        _, cache = score_triples(p, config, [(0, 1, 3)])
+        for key, row in (("h", p.ent[0]), ("r", p.rel[1]), ("t", p.ent[3])):
+            assert np.array_equal(cache[f"{key}_dist"][1][0], row[:4])
+            assert np.array_equal(cache[f"{key}_sem"][1][0], row[4:])
 
     def test_empty_vocab_rejected(self):
         with pytest.raises(ValueError):
             init_params(0, 1, HieConfig(dim=4), seed=0)
 
 
+def level1_terms(h, r, t, seed=None, norm_p=1, transform="diagonal"):
+    """(distance, semantic) terms of a one-level model whose unit projections
+    leave the given vectors as they are, in both halves."""
+    half = len(h)
+    config = HieConfig(dim=2 * half, levels=1, lambdas=(1.0,), norm_p=norm_p, transform=transform)
+    p = init_params(2, 1, config, seed=0)
+    p.ent[0] = np.concatenate([h, h])
+    p.ent[1] = np.concatenate([t, t])
+    p.rel[0] = np.concatenate([r, r])
+    if seed is not None:
+        p.transform_seed[0] = seed
+    _, cache = score_triples(p, config, [(0, 0, 1)])
+    return cache["d_dist"][0, 0], cache["d_sem"][0, 0]
+
+
 class TestProjectLevel1:
     def test_ones_diagonal_is_identity(self):
         config = HieConfig(dim=6, levels=1, lambdas=(1.0,))
         p = init_params(3, 2, config, seed=0)
-        hd, rd, td, hs, rs, ts = project_level1(p, 1, 0, 2)
-        assert np.array_equal(hd, p.ent[1, :3]) and np.array_equal(hs, p.ent[1, 3:])
-        assert np.array_equal(rd, p.rel[0, :3]) and np.array_equal(ts, p.ent[2, 3:])
+        _, cache = score_triples(p, config, [(1, 0, 2)])
+        assert np.array_equal(cache["h_dist"][0][0], p.ent[1, :3])
+        assert np.array_equal(cache["h_sem"][0][0], p.ent[1, 3:])
+        assert np.array_equal(cache["r_dist"][0][0], p.rel[0, :3])
+        assert np.array_equal(cache["t_sem"][0][0], p.ent[2, 3:])
 
     def test_zero_embedding_projects_to_zero(self):
         config = HieConfig(dim=4, levels=1, lambdas=(1.0,))
         p = init_params(2, 1, config, seed=0)
         p.ent[0] = 0.0
-        hd, *_ = project_level1(p, 0, 0, 1)
-        assert np.all(hd == 0.0)
+        _, cache = score_triples(p, config, [(0, 0, 1)])
+        assert np.all(cache["h_dist"][0] == 0.0)
 
     def test_matches_scalar_loop(self):
         rng = np.random.default_rng(3)
         config = HieConfig(dim=8, levels=1, lambdas=(1.0,))
         p = random_hie_params(rng, 5, 3, config)
-        hd, rd, td, hs, rs, ts = project_level1(p, 2, 1, 4)
+        _, cache = score_triples(p, config, [(2, 1, 4)])
+        hd, rd, td = (cache[f"{k}_dist"][0][0] for k in "hrt")
+        hs, rs, ts = (cache[f"{k}_sem"][0][0] for k in "hrt")
         for i in range(4):
             assert hd[i] == p.proj_head_dist[i] * p.ent[2, i]
             assert rd[i] == p.proj_rel_dist[i] * p.rel[1, i]
@@ -116,35 +130,25 @@ class TestLiftLevel:
         config = HieConfig(dim=8)
         p = init_params(3, 1, config, seed=0)
         p.extract_dist[0] = np.eye(4)
-        base_d, base_s = p.ent[0, :4], p.ent[0, 4:]
-        hd, *_ = project_level1(p, 0, 0, 1)
-        lifted_d, _ = lift_level(p, 1, hd, p.ent[0, 4:], base_d, base_s)
-        np.testing.assert_allclose(lifted_d, 2.0 * base_d, rtol=0, atol=0)
+        _, cache = score_triples(p, config, [(0, 0, 1)])
+        np.testing.assert_allclose(cache["h_dist"][1][0], 2.0 * p.ent[0, :4], rtol=0, atol=0)
 
     def test_matches_matvec_oracle(self):
         rng = np.random.default_rng(11)
         config = HieConfig(dim=8, levels=3, lambdas=lambdas_for(3))
         p = random_hie_params(rng, 4, 2, config)
-        x_d, x_s = rng.normal(size=4), rng.normal(size=4)
-        b_d, b_s = rng.normal(size=4), rng.normal(size=4)
-        got_d, got_s = lift_level(p, 2, x_d, x_s, b_d, b_s)
-        exp_d = [
-            sum(x_d[i] * p.extract_dist[1][i, j] for i in range(4)) + b_d[j] for j in range(4)
-        ]
-        exp_s = [
-            sum(x_s[i] * p.extract_sem[1][i, j] for i in range(4)) + b_s[j] for j in range(4)
-        ]
-        np.testing.assert_allclose(got_d, exp_d, rtol=1e-12)
-        np.testing.assert_allclose(got_s, exp_s, rtol=1e-12)
-
-    def test_level_out_of_range(self):
-        config = HieConfig(dim=4)
-        p = init_params(2, 1, config, seed=0)
-        z = np.zeros(2)
-        with pytest.raises(ValueError):
-            lift_level(p, 2, z, z, z, z)
-        with pytest.raises(ValueError):
-            lift_level(p, 0, z, z, z, z)
+        _, cache = score_triples(p, config, [(0, 1, 3), (2, 0, 1)])
+        for space, extract in (("dist", p.extract_dist[1]), ("sem", p.extract_sem[1])):
+            for key in "hrt":
+                bases = cache[f"bases_{space}"]["hrt".index(key)]
+                for row in range(2):
+                    x, b = cache[f"{key}_{space}"][1][row], bases[row]
+                    expected = [
+                        sum(x[i] * extract[i, j] for i in range(4)) + b[j] for j in range(4)
+                    ]
+                    np.testing.assert_allclose(
+                        cache[f"{key}_{space}"][2][row], expected, rtol=1e-12
+                    )
 
 
 class TestLevelDistance:
@@ -153,25 +157,25 @@ class TestLevelDistance:
         seed = np.array([3.0, 0.5])
         r = np.array([2.0, 2.0])
         t = h * (seed * r)
-        assert level_distance(h, r, t, seed, 1, "diagonal") == 0.0
-        assert level_distance(h, r, t, seed, 2, "diagonal") == 0.0
+        assert level1_terms(h, r, t, seed, 1, "diagonal")[0] == 0.0
+        assert level1_terms(h, r, t, seed, 2, "diagonal")[0] == 0.0
 
     def test_forced_arithmetic(self):
         h = np.array([1.0, 1.0])
         seed = np.array([1.0, 1.0])
         r = np.array([2.0, 3.0])
         t = np.zeros(2)
-        assert level_distance(h, r, t, seed, 1, "diagonal") == 5.0
+        assert level1_terms(h, r, t, seed, 1, "diagonal")[0] == 5.0
 
     def test_matches_scalar_loop_both_kinds_and_norms(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
             h, r, t, seed = (rng.normal(size=6) for _ in range(4))
             for norm_p in (1, 2):
-                got = level_distance(h, r, t, seed, norm_p, "diagonal")
+                got = level1_terms(h, r, t, seed, norm_p, "diagonal")[0]
                 exp = vec_norm([h[i] * seed[i] * r[i] - t[i] for i in range(6)], norm_p)
                 assert got == pytest.approx(exp, rel=1e-12)
-                got = level_distance(h, r, t, seed, norm_p, "rank1")
+                got = level1_terms(h, r, t, seed, norm_p, "rank1")[0]
                 inner = sum(h[i] * seed[i] for i in range(6))
                 exp = vec_norm([inner * r[i] - t[i] for i in range(6)], norm_p)
                 assert got == pytest.approx(exp, rel=1e-12)
@@ -180,10 +184,10 @@ class TestLevelDistance:
 class TestLevelSemantic:
     def test_translation_fixed_point(self):
         h, r = np.array([0.3, -1.0]), np.array([1.0, 2.0])
-        assert level_semantic(h, r, h + r) == 0.0
+        assert level1_terms(h, r, h + r)[1] == 0.0
 
     def test_forced_sqrt2(self):
-        got = level_semantic(np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.zeros(2))
+        got = level1_terms(np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.zeros(2))[1]
         assert got == pytest.approx(np.sqrt(2.0), rel=1e-15)
 
     @given(st.floats(min_value=0.0, max_value=1e3))
@@ -191,9 +195,13 @@ class TestLevelSemantic:
     def test_joint_scaling_is_homogeneous(self, c):
         rng = np.random.default_rng(9)
         h, r, t = rng.normal(size=4), rng.normal(size=4), rng.normal(size=4)
-        base = level_semantic(h, r, t)
-        scaled = level_semantic(c * h, c * r, c * t)
+        base = level1_terms(h, r, t)[1]
+        scaled = level1_terms(c * h, c * r, c * t)[1]
         assert scaled == pytest.approx(c * base, rel=1e-9, abs=1e-12)
+
+
+def total_of(params, config, h, r, t):
+    return score_triples(params, config, [(h, r, t)])[0][0]
 
 
 class TestScore:
@@ -202,9 +210,9 @@ class TestScore:
         p = init_params(3, 2, config, seed=0)
         p.ent[:] = 0.0
         p.rel[:] = 0.0
-        out = score(p, config, 0, 0, 1)
-        assert out.total == 0.0
-        assert np.all(out.distance_terms == 0.0) and np.all(out.semantic_terms == 0.0)
+        totals, cache = score_triples(p, config, [(0, 0, 1)])
+        assert totals[0] == 0.0
+        assert np.all(cache["d_dist"] == 0.0) and np.all(cache["d_sem"] == 0.0)
 
     def test_forced_two_level_ablated_total(self):
         # distance terms (2, 4) at lambdas (.5, .5) with semantic off -> 3
@@ -214,22 +222,24 @@ class TestScore:
         p.ent[1] = [0.0, 0.0]
         p.rel[0] = [1.0, 0.0]
         p.extract_dist[0] = [[np.sqrt(2.0) - 1.0]]
-        out = score(p, config, 0, 0, 1)
-        np.testing.assert_allclose(out.distance_terms, [2.0, 4.0], rtol=1e-12)
-        assert out.total == pytest.approx(3.0, rel=1e-12)
+        totals, cache = score_triples(p, config, [(0, 0, 1)])
+        np.testing.assert_allclose(cache["d_dist"][0], [2.0, 4.0], rtol=1e-12)
+        assert totals[0] == pytest.approx(3.0, rel=1e-12)
 
     def test_matches_straight_line_oracle(self):
         rng = np.random.default_rng(2024)
         checked = 0
         for config in config_grid(levels_list=(1, 2, 3), dims=(4, 8), ablations=ABLATION_COMBOS):
             p = random_hie_params(rng, 6, 3, config)
-            for _ in range(2):
-                h, r, t = rng.integers(0, 6), rng.integers(0, 3), rng.integers(0, 6)
-                got = score(p, config, h, r, t)
+            triples = np.stack(
+                [rng.integers(0, 6, 2), rng.integers(0, 3, 2), rng.integers(0, 6, 2)], axis=1
+            )
+            totals, cache = score_triples(p, config, triples)
+            for b, (h, r, t) in enumerate(triples):
                 d_exp, s_exp, total_exp = hie_score_oracle(p, config, h, r, t)
-                np.testing.assert_allclose(got.distance_terms, d_exp, rtol=1e-10, atol=1e-12)
-                np.testing.assert_allclose(got.semantic_terms, s_exp, rtol=1e-10, atol=1e-12)
-                assert got.total == pytest.approx(total_exp, rel=1e-10, abs=1e-12)
+                np.testing.assert_allclose(cache["d_dist"][b], d_exp, rtol=1e-10, atol=1e-12)
+                np.testing.assert_allclose(cache["d_sem"][b], s_exp, rtol=1e-10, atol=1e-12)
+                assert totals[b] == pytest.approx(total_exp, rel=1e-10, abs=1e-12)
                 checked += 1
         assert checked >= 100
 
@@ -237,31 +247,33 @@ class TestScore:
         rng = np.random.default_rng(77)
         for config in config_grid(levels_list=(1, 2), dims=(4,), ablations=ABLATION_COMBOS):
             p = random_hie_params(rng, 5, 2, config)
-            for _ in range(5):
-                out = score(p, config, rng.integers(0, 5), rng.integers(0, 2), rng.integers(0, 5))
-                assert np.all(out.distance_terms >= 0.0)
-                assert np.all(out.semantic_terms >= 0.0)
-                assert out.total >= 0.0
+            triples = np.stack(
+                [rng.integers(0, 5, 5), rng.integers(0, 2, 5), rng.integers(0, 5, 5)], axis=1
+            )
+            totals, cache = score_triples(p, config, triples)
+            assert np.all(cache["d_dist"] >= 0.0)
+            assert np.all(cache["d_sem"] >= 0.0)
+            assert np.all(totals >= 0.0)
 
     def test_breakdown_recombines_to_total(self):
         rng = np.random.default_rng(13)
         for config in config_grid(levels_list=(2,), dims=(8,), ablations=ABLATION_COMBOS):
             p = random_hie_params(rng, 5, 2, config)
-            out = score(p, config, 0, 0, 1)
+            totals, cache = score_triples(p, config, [(0, 0, 1)])
             weights = level_weights(config, p.alpha)
             rebuilt = sum(
                 lam * (w_d * dp + w_s * ds)
                 for lam, (w_d, w_s), dp, ds in zip(
-                    config.lambdas, weights, out.distance_terms, out.semantic_terms
+                    config.lambdas, weights, cache["d_dist"][0], cache["d_sem"][0]
                 )
             )
-            assert out.total == pytest.approx(rebuilt, rel=1e-12, abs=1e-15)
+            assert totals[0] == pytest.approx(rebuilt, rel=1e-12, abs=1e-15)
 
     def test_disable_semantic_ignores_semantic_parameters_exactly(self):
         rng = np.random.default_rng(4)
         config = HieConfig(dim=8, disable_semantic=True)
         p = random_hie_params(rng, 5, 2, config)
-        before = score(p, config, 0, 0, 1).total
+        before = total_of(p, config, 0, 0, 1)
         p.ent[0, 4:] += 3.0
         p.rel[0, 4:] -= 2.0
         p.proj_head_sem[:] = rng.normal(size=4)
@@ -269,13 +281,13 @@ class TestScore:
         p.proj_tail_sem[:] = -1.0
         p.extract_sem[:] = rng.normal(size=p.extract_sem.shape)
         p.blend_logit[...] = 5.0
-        assert score(p, config, 0, 0, 1).total == before
+        assert total_of(p, config, 0, 0, 1) == before
 
     def test_disable_distance_ignores_distance_parameters_exactly(self):
         rng = np.random.default_rng(6)
         config = HieConfig(dim=8, disable_distance=True)
         p = random_hie_params(rng, 5, 2, config)
-        before = score(p, config, 1, 1, 2).total
+        before = total_of(p, config, 1, 1, 2)
         p.ent[1, :4] = 7.0
         p.rel[1, :4] = -3.0
         p.proj_head_dist[:] = 0.0
@@ -284,7 +296,7 @@ class TestScore:
         p.transform_seed[:] = rng.normal(size=p.transform_seed.shape)
         p.extract_dist[:] = rng.normal(size=p.extract_dist.shape)
         p.blend_logit[...] = -4.0
-        assert score(p, config, 1, 1, 2).total == before
+        assert total_of(p, config, 1, 1, 2) == before
 
     def test_single_level_equals_two_level_with_degenerate_lambda(self):
         rng = np.random.default_rng(8)
@@ -306,8 +318,8 @@ class TestScore:
         p1.transform_seed = p2.transform_seed[:1]
         p1.blend_logit = p2.blend_logit
         for h, r, t in [(0, 0, 1), (2, 1, 3), (4, 0, 4)]:
-            assert score(p1, config1, h, r, t).total == pytest.approx(
-                score(p2, config2, h, r, t).total, rel=1e-12
+            assert total_of(p1, config1, h, r, t) == pytest.approx(
+                total_of(p2, config2, h, r, t), rel=1e-12
             )
 
     def test_alpha_strictly_inside_unit_interval(self):
@@ -320,7 +332,7 @@ class TestScore:
 
 
 class TestScoreTriples:
-    def test_matches_scalar_score_rowwise(self):
+    def test_matches_oracle_rowwise(self):
         rng = np.random.default_rng(21)
         for config in config_grid(levels_list=(1, 2), dims=(8,), ablations=ABLATION_COMBOS):
             p = random_hie_params(rng, 6, 3, config)
@@ -329,11 +341,11 @@ class TestScoreTriples:
             )
             totals, _ = score_triples(p, config, triples)
             for i, (h, r, t) in enumerate(triples):
-                assert totals[i] == pytest.approx(score(p, config, h, r, t).total, rel=1e-12)
+                assert totals[i] == pytest.approx(hie_score_oracle(p, config, h, r, t)[2], rel=1e-12)
 
 
 class TestScoreBatch:
-    def test_matches_scalar_score_both_sides(self):
+    def test_matches_score_triples_both_sides(self):
         rng = np.random.default_rng(31)
         for config in config_grid(levels_list=(1, 2), dims=(8,), ablations=ABLATION_COMBOS):
             p = random_hie_params(rng, 7, 3, config)
@@ -343,11 +355,13 @@ class TestScoreBatch:
             candidates = np.arange(7)
             for side in ("head", "tail"):
                 got = score_batch(p, config, triples, candidates, side, slab=3)
-                for i, (h, r, t) in enumerate(triples):
-                    for j, c in enumerate(candidates):
-                        hh, tt = (c, t) if side == "head" else (h, c)
-                        expected = score(p, config, hh, r, tt).total
-                        assert got[i, j] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+                rows = [
+                    (c, r, t) if side == "head" else (h, r, c)
+                    for h, r, t in triples
+                    for c in candidates
+                ]
+                expected = score_triples(p, config, rows)[0].reshape(got.shape)
+                assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_true_candidate_column_equals_plain_score(self):
         rng = np.random.default_rng(41)
@@ -355,7 +369,7 @@ class TestScoreBatch:
         p = random_hie_params(rng, 5, 2, config)
         got = score_batch(p, config, [(0, 1, 3)], [3], "tail")
         assert got.shape == (1, 1)
-        assert got[0, 0] == pytest.approx(score(p, config, 0, 1, 3).total, rel=1e-12)
+        assert got[0, 0] == pytest.approx(total_of(p, config, 0, 1, 3), rel=1e-12)
 
     def test_zero_parameter_model_scores_zero(self):
         config = HieConfig(dim=4)
