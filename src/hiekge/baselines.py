@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hie_model import _norm_backward, _norm_rows
+
 TRANSE = "transe"
 DISTMULT = "distmult"
 ROTATE = "rotate"
@@ -68,12 +70,6 @@ def init_params(num_entities, num_relations, config: BaselineConfig, seed) -> Ba
     return BaselineParams(kind=config.kind, ent=ent, rel=rel)
 
 
-def _norm_rows(u, norm_p):
-    if norm_p == 1:
-        return np.sum(np.abs(u), axis=-1)
-    return np.sqrt(np.sum(u * u, axis=-1))
-
-
 def _transe_residual(h, r, t):
     """h + r - t, broadcasting over leading axes."""
     return (h + r) - t
@@ -121,6 +117,38 @@ def score_triples(params: BaselineParams, config: BaselineConfig, triples):
         totals = _rotate_norm(re, im)
     cache["totals"] = totals
     return totals, cache
+
+
+def backward(params: BaselineParams, config: BaselineConfig, cache, upstream):
+    """Analytic gradients of sum_b upstream[b] * total[b] for one score_triples cache.
+
+    Returns (ent_rows, rel_rows, dense) like hie_model.backward: B head rows
+    then B tail rows, B relation rows, and no dense tensors.
+    """
+    upstream = np.asarray(upstream, dtype=np.float64)
+    B, dim = len(upstream), params.ent.shape[1]
+    ent_rows = np.empty((2 * B, dim))
+    g_head, g_tail = ent_rows[:B], ent_rows[B:]
+    if params.kind == TRANSE:
+        gu = _norm_backward(cache["u"], cache["totals"], config.norm_p, upstream)
+        g_head[...], g_tail[...], rel_rows = gu, -gu, gu
+    elif params.kind == DISTMULT:
+        h, r, t = cache["hrt"]
+        g_head[...] = -upstream[:, None] * (r * t)
+        g_tail[...] = -upstream[:, None] * (h * r)
+        rel_rows = -upstream[:, None] * (h * t)
+    else:
+        hr, hi, cos, sin, re, im = cache["rotate"]
+        # |h o r - t| is the L2 norm over the (re, im) pairs
+        gu_re = _norm_backward(re, cache["totals"], 2, upstream)
+        gu_im = _norm_backward(im, cache["totals"], 2, upstream)
+        g_head[:, 0::2] = gu_re * cos + gu_im * sin
+        g_head[:, 1::2] = -gu_re * sin + gu_im * cos
+        g_tail[:, 0::2] = -gu_re
+        g_tail[:, 1::2] = -gu_im
+        rel_rows = np.zeros((B, dim))
+        rel_rows[:, : dim // 2] = gu_re * (-hr * sin - hi * cos) + gu_im * (hr * cos - hi * sin)
+    return ent_rows, rel_rows, {}
 
 
 def score_batch(params: BaselineParams, config: BaselineConfig, triples, candidates, corrupt_side, slab=8192):

@@ -81,7 +81,8 @@ class RunConfig:
     sweep_batch_size: tuple = None
 
 
-RUN_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
+RUN_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 
 def derive_lambdas(levels, lambda1):
@@ -145,6 +146,26 @@ def _model_config_from_doc(kind, doc):
         return BaselineConfig(**doc)
     except (TypeError, ValueError, KeyError) as exc:
         raise CheckpointError(f"checkpoint model_config does not rebuild: {exc}") from exc
+
+
+def _check_config_fits(params, kind, model_config):
+    """CheckpointError unless model_config implies the checkpoint's tensor shapes.
+
+    The shapes come from a one-entity, one-relation initialization; only
+    the vocabulary axis of ent and rel is taken from the checkpoint.
+    """
+    if getattr(model_config, "kind", kind) != kind:
+        raise CheckpointError(
+            f"model_config kind {model_config.kind!r} differs from model_kind {kind!r}"
+        )
+    template = init_model(kind, 1, 1, model_config, seed=0)
+    for (name, tensor), (_, fresh) in zip(params.field_items(), template.field_items()):
+        expected = tensor.shape[:1] + fresh.shape[1:] if name in ("ent", "rel") else fresh.shape
+        if tensor.shape != expected:
+            raise CheckpointError(
+                f"checkpoint tensor {name} is {list(tensor.shape)} but the model config "
+                f"implies {list(expected)}"
+            )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -246,13 +267,14 @@ def merge_run_config(args: argparse.Namespace) -> RunConfig:
                 doc = json.load(f)
         except OSError as exc:
             raise DataError(f"cannot read config {config_path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise UsageError(f"config {config_path} is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise UsageError(f"config {config_path} must hold a JSON object")
         for key, value in doc.items():
             if key not in RUN_FIELDS:
                 raise UsageError(f"unknown config field {key!r}")
+            _check_config_type(key, value)
             if key.startswith("sweep_") and value is not None:
                 value = tuple(value)
             merged[key] = value
@@ -262,6 +284,23 @@ def merge_run_config(args: argparse.Namespace) -> RunConfig:
     run = RunConfig(**merged)
     _validate_run(run)
     return run
+
+
+def _check_config_type(key, value):
+    """UsageError unless a JSON config value fits the type of its RunConfig field.
+
+    An int passes for a float, a bool only for a bool, null only where the
+    default is null, and a sweep list's items must fit the swept field.
+    """
+    if value is None and getattr(RunConfig, key) is None:
+        return
+    field_type, items = RUN_FIELDS[key], [value]
+    if field_type == "tuple" and isinstance(value, list):
+        field_type, items = RUN_FIELDS[key.removeprefix("sweep_")], value
+    accepted = _JSON_TYPES.get(field_type, ())
+    for item in items:
+        if not isinstance(item, accepted) or isinstance(item, bool) != (field_type == "bool"):
+            raise UsageError(f"config field {key!r} expects {field_type} values, got {item!r}")
 
 
 def _validate_run(run: RunConfig):
@@ -292,9 +331,14 @@ def _out_dir(run: RunConfig) -> Path:
     return path
 
 
-def _load_dataset(run: RunConfig):
+def _load_dataset(run: RunConfig, *evaluated_splits):
+    """The run's graph; DataError if a split it will rank triples of is empty."""
     _require(run, "data_dir")
-    return load_kg(run.data_dir)
+    kg = load_kg(run.data_dir)
+    for split in evaluated_splits:
+        if len(kg.split(split)) == 0:
+            raise DataError(f"{run.data_dir}: the {split} split is empty, nothing to evaluate")
+    return kg
 
 
 def _evaluation_report(params, model_config, kg, split, tie_break):
@@ -356,7 +400,7 @@ def _train_once(run: RunConfig, kg, out_dir: Path, stem="model"):
 
 def cmd_train(run: RunConfig) -> int:
     _require(run, "out")
-    kg = _load_dataset(run)
+    kg = _load_dataset(run, "valid")
     out_dir = _out_dir(run)
     _info(
         f"training {run.model} on {run.data_dir} "
@@ -375,9 +419,15 @@ def cmd_train(run: RunConfig) -> int:
 
 def cmd_eval(run: RunConfig) -> int:
     _require(run, "checkpoint")
-    kg = _load_dataset(run)
+    kg = _load_dataset(run, run.split)
     loaded = load_checkpoint(run.checkpoint)
     params, meta = loaded.params, loaded.meta
+    kind = meta["model_kind"]  # load_checkpoint has checked it
+    if meta.get("model_config") is not None:
+        model_config = _model_config_from_doc(kind, meta["model_config"])
+    else:
+        model_config = model_config_from(dataclasses.replace(run, model=kind))
+    _check_config_fits(params, kind, model_config)
     declared = (meta.get("num_entities"), meta.get("num_relations"))
     actual = (kg.num_entities, kg.num_relations)
     if params.num_entities != kg.num_entities or params.num_relations != kg.num_relations:
@@ -390,11 +440,6 @@ def cmd_eval(run: RunConfig) -> int:
         raise DataError(
             f"checkpoint metadata declares vocab {declared}, dataset has {actual}"
         )
-    kind = meta["model_kind"]  # load_checkpoint has checked it
-    if meta.get("model_config") is not None:
-        model_config = _model_config_from_doc(kind, meta["model_config"])
-    else:
-        model_config = model_config_from(dataclasses.replace(run, model=kind))
     doc = _evaluation_doc(params, model_config, kg, run.split, run.tie_break)
     _print_json(doc)
     if run.out is not None:
@@ -428,7 +473,7 @@ SWEEP_HEADER = "levels,lambda1,gamma,dim,batch_size,status," + evaluator.CSV_HEA
 
 def cmd_sweep(run: RunConfig) -> int:
     _require(run, "out")
-    kg = _load_dataset(run)
+    kg = _load_dataset(run, "valid")
     out_dir = _out_dir(run)
     axes = [
         ("levels", run.sweep_levels),
@@ -504,7 +549,7 @@ def cmd_ablate(run: RunConfig) -> int:
     if run.model != "hie":
         raise UsageError("ablate only applies to the hie model")
     _require(run, "out")
-    kg = _load_dataset(run)
+    kg = _load_dataset(run, "valid")
     out_dir = _out_dir(run)
     lines = [ABLATE_HEADER]
     print(ABLATE_HEADER)

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
 
-from . import baselines, hie_model
-from .hie_model import HieParams
-from .trainer import NumericError
+from .trainer import NumericError, model_module
 
 TIE_PESSIMISTIC = "pessimistic"
 TIE_STRICT = "strict"
@@ -35,6 +33,10 @@ class MetricsReport:
     count: int
     per_relation: Optional[dict] = None
     per_category: Optional[dict] = None
+
+
+# the six scalar fields of a bundle, in report and CSV column order
+METRIC_FIELDS = tuple(f.name for f in fields(MetricsReport) if not f.name.startswith("per_"))
 
 
 def rank_triple(score_row, true_entity, filter_set, tie_break=TIE_PESSIMISTIC) -> int:
@@ -64,12 +66,6 @@ def rank_triple(score_row, true_entity, filter_set, tie_break=TIE_PESSIMISTIC) -
     return 1 + int(better)
 
 
-def _score_batch(params, config, triples, candidates, corrupt_side, slab):
-    if isinstance(params, HieParams):
-        return hie_model.score_batch(params, config, triples, candidates, corrupt_side, slab=slab)
-    return baselines.score_batch(params, config, triples, candidates, corrupt_side, slab=slab)
-
-
 def evaluate(
     params,
     config,
@@ -90,14 +86,14 @@ def evaluate(
     triples = kg.split(split) if isinstance(split, str) else np.asarray(split, dtype=np.int64)
     if len(triples) == 0:
         raise ValueError("cannot evaluate an empty split")
-    num_entities = params.num_entities
-    candidates = np.arange(num_entities, dtype=np.int64)
+    model = model_module(params)
+    candidates = np.arange(params.num_entities, dtype=np.int64)
     index = kg.filter_index
     results = []
     for start in range(0, len(triples), triple_chunk):
         chunk = triples[start : start + triple_chunk]
-        tail_scores = _score_batch(params, config, chunk, candidates, "tail", slab)
-        head_scores = _score_batch(params, config, chunk, candidates, "head", slab)
+        tail_scores = model.score_batch(params, config, chunk, candidates, "tail", slab=slab)
+        head_scores = model.score_batch(params, config, chunk, candidates, "head", slab=slab)
         for b, (h, r, t) in enumerate(chunk):
             h, r, t = int(h), int(r), int(t)
             tail_filter = index.true_tails(h, r) if filtered else frozenset()
@@ -156,27 +152,11 @@ def full_report(results, categories=None) -> MetricsReport:
     if categories is None:
         return top
     per_relation, per_category = per_relation_metrics(results, categories)
-    return MetricsReport(
-        mr=top.mr,
-        mrr=top.mrr,
-        hits1=top.hits1,
-        hits3=top.hits3,
-        hits10=top.hits10,
-        count=top.count,
-        per_relation=per_relation,
-        per_category=per_category,
-    )
+    return replace(top, per_relation=per_relation, per_category=per_category)
 
 
 def _bundle_dict(report: MetricsReport) -> dict:
-    return {
-        "mr": report.mr,
-        "mrr": report.mrr,
-        "hits1": report.hits1,
-        "hits3": report.hits3,
-        "hits10": report.hits10,
-        "count": report.count,
-    }
+    return {name: getattr(report, name) for name in METRIC_FIELDS}
 
 
 def report_to_dict(report: MetricsReport, conventions=None) -> dict:
@@ -197,11 +177,11 @@ def report_to_dict(report: MetricsReport, conventions=None) -> dict:
     return doc
 
 
-CSV_HEADER = "mr,mrr,hits1,hits3,hits10,count"
+CSV_HEADER = ",".join(METRIC_FIELDS)
 
 
 def report_csv_row(report: MetricsReport) -> str:
-    return (
-        f"{report.mr:.6f},{report.mrr:.6f},{report.hits1:.6f},"
-        f"{report.hits3:.6f},{report.hits10:.6f},{report.count}"
+    return ",".join(
+        str(report.count) if name == "count" else f"{getattr(report, name):.6f}"
+        for name in METRIC_FIELDS
     )

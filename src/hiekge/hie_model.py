@@ -186,6 +186,17 @@ def _norm_rows(residual, norm_p):
     return np.sqrt(np.sum(residual * residual, axis=-1))
 
 
+def _norm_backward(u, d, norm_p, upstream):
+    """Gradient of upstream * ||u||_p w.r.t. u, row-wise, given d = ||u||_p.
+
+    Subgradient 0 at L1 kinks and at the L2 origin.
+    """
+    if norm_p == 1:
+        return upstream[:, None] * np.sign(u)
+    safe = np.where(d > 0.0, d, 1.0)
+    return (upstream / safe)[:, None] * np.where(d[:, None] > 0.0, u, 0.0)
+
+
 def _chain(params, base, role, space, levels):
     """Per-level projections of one role's (B, half) base block, as a list of arrays."""
     proj = getattr(params, f"proj_{role}_{space}")
@@ -222,7 +233,7 @@ def score_triples(params: HieParams, config: HieConfig, triples):
 
     The cache holds the bases, the per-level projection chains, the raw
     per-level residual vectors and distances, and the blend state: enough
-    to run the analytic backward pass without re-scoring.
+    for `backward` to run without re-scoring.
     """
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     h_ids, r_ids, t_ids = triples[:, 0], triples[:, 1], triples[:, 2]
@@ -265,6 +276,76 @@ def score_triples(params: HieParams, config: HieConfig, triples):
     cache["d_dist"] = d_dist
     cache["d_sem"] = d_sem
     return totals, cache
+
+
+def backward(params: HieParams, config: HieConfig, cache, upstream):
+    """Analytic gradients of sum_b upstream[b] * total[b] for one score_triples cache.
+
+    Returns (ent_rows, rel_rows, dense): the (2B, dim) entity-row gradients,
+    B head rows then B tail rows; the (B, dim) relation-row gradients, both
+    uncoalesced; and every structure tensor's dense gradient by field name.
+    """
+    upstream = np.asarray(upstream, dtype=np.float64)
+    half, levels = config.half, config.levels
+    B = len(cache["ids"][0])
+    dense = {n: np.zeros_like(t) for n, t in params.field_items() if n not in ("ent", "rel")}
+
+    # per space and level: the direct (head, rel, tail) gradients into the chains
+    direct = {"dist": [None] * levels, "sem": [None] * levels}
+    blend_slope = 0.0
+    for i in range(levels):
+        dist_on, sem_on = active_spaces(config, i + 1)
+        w_dist, w_sem = cache["weights"][i]
+        lam = config.lambdas[i]
+        if dist_on and sem_on:
+            # d(total)/d(alpha) collects only levels where the blend is live
+            blend_slope += lam * float(
+                np.sum(upstream * (cache["d_dist"][:, i] - cache["d_sem"][:, i]))
+            )
+        if dist_on and w_dist != 0.0:
+            u = cache["u_dist"][i]
+            gu = _norm_backward(u, cache["d_dist"][:, i], config.norm_p, upstream * (lam * w_dist))
+            seed = params.transform_seed[i]
+            h_lvl = cache["h_dist"][i]
+            r_lvl = cache["r_dist"][i]
+            if config.transform == TRANSFORM_DIAGONAL:
+                g_head, g_rel = gu * (seed * r_lvl), gu * (seed * h_lvl)
+                dense["transform_seed"][i] += np.sum(gu * (h_lvl * r_lvl), axis=0)
+            else:
+                g_inner = np.sum(gu * r_lvl, axis=-1)
+                g_head = g_inner[:, None] * seed[None, :]
+                g_rel = cache["rank1_inner"][i][:, None] * gu
+                dense["transform_seed"][i] += g_inner @ h_lvl
+            direct["dist"][i] = (g_head, g_rel, -gu)
+        if sem_on and w_sem != 0.0:
+            v = cache["u_sem"][i]
+            gv = _norm_backward(v, cache["d_sem"][:, i], 2, upstream * (lam * w_sem))
+            direct["sem"][i] = (gv, gv, -gv)
+    dense["blend_logit"][...] = blend_slope * cache["alpha"] * (1.0 - cache["alpha"])
+
+    # walk each chain from its deepest level back to the raw half it was built from
+    ent_rows = np.zeros((2 * B, config.dim))
+    rel_rows = np.zeros((B, config.dim))
+    row_blocks = (ent_rows[:B], rel_rows, ent_rows[B:])
+    for space, cols in _space_columns(config).items():
+        grads = direct[space]
+        if all(g is None for g in grads):
+            continue
+        extract = params.extract_dist if space == "dist" else params.extract_sem
+        g_extract = dense[f"extract_{space}"]
+        for k, (key, role) in enumerate(zip("hrt", ("head", "rel", "tail"))):
+            chain = cache[f"{key}_{space}"]
+            g_base = row_blocks[k][:, cols]
+            G = grads[levels - 1][k] if grads[levels - 1] is not None else np.zeros((B, half))
+            for j in range(levels - 1, 0, -1):
+                g_extract[j - 1] += chain[j - 1].T @ G
+                g_base += G
+                G = G @ extract[j - 1].T
+                if grads[j - 1] is not None:
+                    G = G + grads[j - 1][k]
+            dense[f"proj_{role}_{space}"] += np.sum(G * cache[f"bases_{space}"][k], axis=0)
+            g_base += G * getattr(params, f"proj_{role}_{space}")
+    return ent_rows, rel_rows, dense
 
 
 def score_batch(params: HieParams, config: HieConfig, triples, candidates, corrupt_side, slab=8192):

@@ -92,30 +92,34 @@ def load_triples(path, entity_vocab=None, relation_vocab=None):
     given vocabularies in place. Returns (triples, entity_vocab,
     relation_vocab) with triples as an int64 (N,3) array in file order.
     Exact duplicate triples within the file are dropped with a warning;
-    a line without exactly three tab-separated fields raises DataError.
+    a line without exactly three tab-separated fields, or a file that is
+    not UTF-8 text, raises DataError.
     """
     entity_vocab = {} if entity_vocab is None else entity_vocab
     relation_vocab = {} if relation_vocab is None else relation_vocab
     triples = []
     seen = set()
     dupes = 0
-    with open(path, encoding="utf-8", newline="") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\r\n")
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise DataError(
-                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
-                )
-            h_name, r_name, t_name = fields
-            h = entity_vocab.setdefault(h_name, len(entity_vocab))
-            r = relation_vocab.setdefault(r_name, len(relation_vocab))
-            t = entity_vocab.setdefault(t_name, len(entity_vocab))
-            if (h, r, t) in seen:
-                dupes += 1
-                continue
-            seen.add((h, r, t))
-            triples.append((h, r, t))
+    try:
+        with open(path, encoding="utf-8", newline="") as f:
+            for lineno, line in enumerate(f, start=1):
+                line = line.rstrip("\r\n")
+                fields = line.split("\t")
+                if len(fields) != 3:
+                    raise DataError(
+                        f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
+                    )
+                h_name, r_name, t_name = fields
+                h = entity_vocab.setdefault(h_name, len(entity_vocab))
+                r = relation_vocab.setdefault(r_name, len(relation_vocab))
+                t = entity_vocab.setdefault(t_name, len(entity_vocab))
+                if (h, r, t) in seen:
+                    dupes += 1
+                    continue
+                seen.add((h, r, t))
+                triples.append((h, r, t))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     if dupes:
         warnings.warn(f"{path}: dropped {dupes} duplicate triple line(s)")
     return as_triple_array(triples), entity_vocab, relation_vocab

@@ -1,10 +1,11 @@
-"""Negative sampling, self-adversarial loss, analytic gradients, Adam, training loop.
+"""Negative sampling, self-adversarial loss, gradient assembly, Adam, training loop.
 
-Gradient code lives here rather than in the model modules: the models
-expose forward passes with caches, and this module walks those caches
-backward. Adversarial weights are treated as constants of the objective
-(no gradient flows through them), so the finite-difference checker
-freezes them before differencing.
+Each model module owns its math: `score_triples` returns scores and a
+cache, and `backward` turns that cache into per-row and dense gradients.
+This module only routes calls to the right model, coalesces the rows,
+and applies the loss and the optimiser. Adversarial weights are treated
+as constants of the objective (no gradient flows through them), so the
+finite-difference checker freezes them before differencing.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import baselines, hie_model
+from . import baselines, hie_model, kg_data
 from .hie_model import HieParams, sigmoid
 
 SIGN_PLAUSIBILITY = "plausibility"
@@ -162,169 +163,22 @@ def loss(pos_scores, neg_scores, weights, gamma):
     return float(np.mean(per_example))
 
 
+def model_module(params):
+    """The module holding the forward and backward kernels of params' model."""
+    return hie_model if isinstance(params, HieParams) else baselines
+
+
 def _forward(params, config, triples):
-    if isinstance(params, HieParams):
-        return hie_model.score_triples(params, config, triples)
-    return baselines.score_triples(params, config, triples)
-
-
-def _norm_backward(u, d, norm_p, upstream):
-    """Gradient of upstream * ||u||_p w.r.t. u, row-wise.
-
-    Subgradient 0 at L1 kinks and at the L2 origin.
-    """
-    if norm_p == 1:
-        return upstream[:, None] * np.sign(u)
-    safe = np.where(d > 0.0, d, 1.0)
-    return (upstream / safe)[:, None] * np.where(d[:, None] > 0.0, u, 0.0)
-
-
-def _hie_backprop(params: HieParams, config, cache, upstream) -> GradSet:
-    """Analytic gradients of sum_b upstream[b] * total[b] for one forward cache."""
-    upstream = np.asarray(upstream, dtype=np.float64)
-    half = config.half
-    levels = config.levels
-    h_ids, r_ids, t_ids = cache["ids"]
-    B = len(h_ids)
-    alpha = cache["alpha"]
-    weights = cache["weights"]
-
-    dense = {
-        "proj_head_dist": np.zeros(half),
-        "proj_tail_dist": np.zeros(half),
-        "proj_rel_dist": np.zeros(half),
-        "proj_head_sem": np.zeros(half),
-        "proj_tail_sem": np.zeros(half),
-        "proj_rel_sem": np.zeros(half),
-        "transform_seed": np.zeros_like(params.transform_seed),
-        "extract_dist": np.zeros_like(params.extract_dist),
-        "extract_sem": np.zeros_like(params.extract_sem),
-        "blend_logit": np.zeros(()),
-    }
-    # direct per-level gradients into each projection chain
-    g_chain = {
-        (role, space): [None] * levels
-        for role in ("head", "rel", "tail")
-        for space in ("dist", "sem")
-    }
-
-    blend_slope = 0.0
-    for level in range(1, levels + 1):
-        i = level - 1
-        dist_on, sem_on = hie_model.active_spaces(config, level)
-        w_dist, w_sem = weights[i]
-        lam = config.lambdas[i]
-        if dist_on and sem_on:
-            # d(total)/d(alpha) collects only levels where the blend is live
-            blend_slope += lam * float(
-                np.sum(upstream * (cache["d_dist"][:, i] - cache["d_sem"][:, i]))
-            )
-        if dist_on and w_dist != 0.0:
-            u = cache["u_dist"][i]
-            gu = _norm_backward(u, cache["d_dist"][:, i], config.norm_p, upstream * (lam * w_dist))
-            seed = params.transform_seed[i]
-            h_lvl = cache["h_dist"][i]
-            r_lvl = cache["r_dist"][i]
-            if config.transform == hie_model.TRANSFORM_DIAGONAL:
-                g_chain[("head", "dist")][i] = gu * (seed * r_lvl)
-                g_chain[("rel", "dist")][i] = gu * (seed * h_lvl)
-                dense["transform_seed"][i] += np.sum(gu * (h_lvl * r_lvl), axis=0)
-            else:
-                g_inner = np.sum(gu * r_lvl, axis=-1)
-                inner = cache["rank1_inner"][i]
-                g_chain[("head", "dist")][i] = g_inner[:, None] * seed[None, :]
-                g_chain[("rel", "dist")][i] = inner[:, None] * gu
-                dense["transform_seed"][i] += g_inner @ h_lvl
-            g_chain[("tail", "dist")][i] = -gu
-        if sem_on and w_sem != 0.0:
-            v = cache["u_sem"][i]
-            gv = _norm_backward(v, cache["d_sem"][:, i], 2, upstream * (lam * w_sem))
-            g_chain[("head", "sem")][i] = gv
-            g_chain[("rel", "sem")][i] = gv
-            g_chain[("tail", "sem")][i] = -gv
-    dense["blend_logit"][...] = blend_slope * alpha * (1.0 - alpha)
-
-    base_grads = {}  # (role, space) -> (B, half) gradient into the raw halves
-    for (role, space), grads in g_chain.items():
-        if all(g is None for g in grads):
-            continue
-        chain = cache[f"{'hrt'[('head', 'rel', 'tail').index(role)]}_{space}"]
-        extract = params.extract_dist if space == "dist" else params.extract_sem
-        g_extract = dense["extract_dist"] if space == "dist" else dense["extract_sem"]
-        bases = cache["bases_dist"] if space == "dist" else cache["bases_sem"]
-        base = bases[("head", "rel", "tail").index(role)]
-        proj = getattr(params, f"proj_{role}_{space}")
-
-        g_base = np.zeros((B, half))
-        G = grads[levels - 1] if grads[levels - 1] is not None else np.zeros((B, half))
-        for j in range(levels - 1, 0, -1):
-            g_extract[j - 1] += chain[j - 1].T @ G
-            g_base += G
-            G = G @ extract[j - 1].T
-            if grads[j - 1] is not None:
-                G = G + grads[j - 1]
-        dense[f"proj_{role}_{space}"] += np.sum(G * base, axis=0)
-        g_base += G * proj
-        base_grads[(role, space)] = g_base
-
-    k = 2 * half
-    ent_rows = np.zeros((2 * B, k))
-    if ("head", "dist") in base_grads:
-        ent_rows[:B, :half] = base_grads[("head", "dist")]
-    if ("head", "sem") in base_grads:
-        ent_rows[:B, half:] = base_grads[("head", "sem")]
-    if ("tail", "dist") in base_grads:
-        ent_rows[B:, :half] = base_grads[("tail", "dist")]
-    if ("tail", "sem") in base_grads:
-        ent_rows[B:, half:] = base_grads[("tail", "sem")]
-    rel_rows = np.zeros((B, k))
-    if ("rel", "dist") in base_grads:
-        rel_rows[:, :half] = base_grads[("rel", "dist")]
-    if ("rel", "sem") in base_grads:
-        rel_rows[:, half:] = base_grads[("rel", "sem")]
-
-    ent = coalesce(np.concatenate([h_ids, t_ids]), ent_rows)
-    rel = coalesce(r_ids, rel_rows)
-    return GradSet(ent=ent, rel=rel, dense=dense)
-
-
-def _baseline_backprop(params, config, cache, upstream) -> GradSet:
-    upstream = np.asarray(upstream, dtype=np.float64)
-    h_ids, r_ids, t_ids = cache["ids"]
-    if params.kind == baselines.TRANSE:
-        gu = _norm_backward(cache["u"], cache["totals"], config.norm_p, upstream)
-        gh, gr, gt = gu, gu.copy(), -gu
-    elif params.kind == baselines.DISTMULT:
-        h, r, t = cache["hrt"]
-        gh = -upstream[:, None] * (r * t)
-        gr = -upstream[:, None] * (h * t)
-        gt = -upstream[:, None] * (h * r)
-    else:
-        hr, hi, cos, sin, re, im = cache["rotate"]
-        d = cache["totals"]
-        safe = np.where(d > 0.0, d, 1.0)
-        scale = (upstream / safe)[:, None]
-        live = d[:, None] > 0.0
-        gu_re = scale * np.where(live, re, 0.0)
-        gu_im = scale * np.where(live, im, 0.0)
-        B, dim = len(h_ids), params.ent.shape[1]
-        gh = np.empty((B, dim))
-        gh[:, 0::2] = gu_re * cos + gu_im * sin
-        gh[:, 1::2] = -gu_re * sin + gu_im * cos
-        gt = np.empty((B, dim))
-        gt[:, 0::2] = -gu_re
-        gt[:, 1::2] = -gu_im
-        gr = np.zeros((B, dim))
-        gr[:, : dim // 2] = gu_re * (-hr * sin - hi * cos) + gu_im * (hr * cos - hi * sin)
-    ent = coalesce(np.concatenate([h_ids, t_ids]), np.concatenate([gh, gt]))
-    rel = coalesce(r_ids, gr)
-    return GradSet(ent=ent, rel=rel, dense={})
+    return model_module(params).score_triples(params, config, triples)
 
 
 def backprop(params, config, cache, upstream) -> GradSet:
-    if isinstance(params, HieParams):
-        return _hie_backprop(params, config, cache, upstream)
-    return _baseline_backprop(params, config, cache, upstream)
+    """Gradients of sum_b upstream[b] * total[b] for one forward cache, rows coalesced."""
+    ent_rows, rel_rows, dense = model_module(params).backward(params, config, cache, upstream)
+    h_ids, r_ids, t_ids = cache["ids"]
+    ent = coalesce(np.concatenate([h_ids, t_ids]), ent_rows)
+    rel = coalesce(r_ids, rel_rows)
+    return GradSet(ent=ent, rel=rel, dense=dense)
 
 
 def gradients(params, model_config, train_config: TrainConfig, batch, negatives, weights=None):
@@ -493,9 +347,8 @@ def adam_step(params, grads: GradSet, state: AdamState, config: TrainConfig):
 
 
 def init_model(model_kind, num_entities, num_relations, model_config, seed):
-    if model_kind == "hie":
-        return hie_model.init_params(num_entities, num_relations, model_config, seed)
-    return baselines.init_params(num_entities, num_relations, model_config, seed)
+    module = hie_model if model_kind == "hie" else baselines
+    return module.init_params(num_entities, num_relations, model_config, seed)
 
 
 def train(kg, model_kind, model_config, train_config: TrainConfig, params=None):
@@ -504,8 +357,6 @@ def train(kg, model_kind, model_config, train_config: TrainConfig, params=None):
     loss_log rows are (step, mean_loss, alpha_value); alpha_value is None
     for baseline models. Raises NumericError on a non-finite loss.
     """
-    from . import kg_data  # local import keeps module load order flat
-
     if params is None:
         params = init_model(
             model_kind, len(kg.entity_names), len(kg.relation_names), model_config, train_config.seed

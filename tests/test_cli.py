@@ -6,6 +6,7 @@ one subprocess test checks the installed console script.
 
 import json
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,11 +126,39 @@ class TestConfigFile:
         code, _, _ = run_cli(capsys, "stats", "--config", str(cfg))
         assert code == 1
 
+    def test_non_utf8_config_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"data_dir": "caf\xe9"}')
+        code, _, err = run_cli(capsys, "stats", "--config", str(cfg))
+        assert code == 1
+        assert err.startswith("usage error:")
+
     def test_config_must_be_object(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1, 2]")
         code, _, _ = run_cli(capsys, "stats", "--config", str(cfg))
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{"dim": "8"}, {"steps": 2.5}, {"steps": True}, {"no_distance": 1},
+         {"sweep_dim": ["8"]}, {"sweep_levels": 2}, {"seed": None}],
+    )
+    def test_wrongly_typed_value_is_usage_error(self, capsys, data_dir, tmp_path, doc):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        # stats uses none of these fields; merging the config must still reject them
+        code, out, err = run_cli(capsys, "stats", "--config", str(cfg), "--data-dir", data_dir)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error:") and repr(next(iter(doc))) in err
+
+    def test_int_for_float_and_null_for_optional_accepted(self, capsys, data_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gamma": 6, "eta": 2, "out": None, "sweep_gamma": [6, 7.5]}))
+        run = cli.merge_run_config(cli.build_parser().parse_args(
+            ["stats", "--config", str(cfg), "--data-dir", data_dir]))
+        assert (run.gamma, run.eta, run.out, run.sweep_gamma) == (6, 2, None, (6, 7.5))
 
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "stats", "--config", str(tmp_path / "absent.json"))
@@ -269,6 +298,36 @@ class TestEval:
         assert "--checkpoint" in err
 
 
+def copy_data_dir(data_dir, dest, empty_split):
+    """The dataset's three files under dest; the file of empty_split, if any, emptied."""
+    dest.mkdir()
+    for name in ("train", "valid", "test"):
+        text = "" if name == empty_split else (Path(data_dir) / f"{name}.txt").read_text()
+        (dest / f"{name}.txt").write_text(text)
+    return str(dest)
+
+
+class TestEmptySplit:
+    def test_eval_on_empty_split_is_data_error(self, capsys, data_dir, trained, tmp_path):
+        empty = copy_data_dir(data_dir, tmp_path / "data", "test")
+        code, out, err = run_cli(
+            capsys, "eval", "--data-dir", empty,
+            "--checkpoint", str(trained / "model.ckpt"), "--split", "test")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("data error:") and "test split is empty" in err
+
+    def test_train_with_empty_valid_fails_before_training(self, capsys, data_dir, tmp_path):
+        empty = copy_data_dir(data_dir, tmp_path / "data", "valid")
+        out = tmp_path / "run"
+        code, stdout, err = run_cli(
+            capsys, "train", "--data-dir", empty, "--out", str(out), *TINY)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("data error:") and "valid split is empty" in err
+        assert not out.exists()
+
+
 def copy_checkpoint(trained, dest):
     """The trained checkpoint and its sidecar under dest; returns the new paths."""
     dest.mkdir()
@@ -296,6 +355,8 @@ class TestEvalBadCheckpoint:
             "unknown_config_field",
             "invalid_config_value",
             "config_not_an_object",
+            "config_dim_disagrees",
+            "config_levels_disagree",
         ],
     )
     def test_bad_sidecar_is_data_error(self, capsys, data_dir, trained, tmp_path, case):
@@ -312,13 +373,51 @@ class TestEvalBadCheckpoint:
             edit_sidecar(sidecar, lambda doc: doc["model_config"].update(width=3))
         elif case == "invalid_config_value":
             edit_sidecar(sidecar, lambda doc: doc["model_config"].update(dim=7))
-        else:
+        elif case == "config_not_an_object":
             edit_sidecar(sidecar, lambda doc: doc.update(model_config=[8, 2]))
+        elif case == "config_dim_disagrees":
+            # rebuilds as a valid config, but the tensors are dim 8
+            edit_sidecar(sidecar, lambda doc: doc["model_config"].update(dim=4))
+        else:
+            edit_sidecar(
+                sidecar,
+                lambda doc: doc["model_config"].update(levels=3, lambdas=[0.5, 0.25, 0.25]))
         code, out, err = run_cli(
             capsys, "eval", "--data-dir", data_dir, "--checkpoint", str(ckpt))
         assert code == 2
         assert out == ""
         assert err.startswith("data error:")
+
+    def test_baseline_config_kind_differs_from_model_kind(self, capsys, data_dir, tmp_path):
+        out = tmp_path / "run"
+        assert cli.main(["train", "--data-dir", data_dir, "--out", str(out),
+                         "--model", "transe", *TINY]) == 0
+        capsys.readouterr()
+        edit_sidecar(out / "model.json", lambda doc: doc["model_config"].update(kind="distmult"))
+        code, stdout, err = run_cli(
+            capsys, "eval", "--data-dir", data_dir, "--checkpoint", str(out / "model.ckpt"))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("data error:") and "'distmult'" in err and "'transe'" in err
+
+    @pytest.mark.parametrize("flags", [(), ("--dim", "4"), ("--dim", "8", "--levels", "3")])
+    def test_flags_disagreeing_with_tensors_are_data_error(
+            self, capsys, data_dir, trained, tmp_path, flags):
+        # without a sidecar model_config the flags give the config (default dim 64)
+        ckpt, sidecar = copy_checkpoint(trained, tmp_path / "ckpt")
+        edit_sidecar(sidecar, lambda doc: doc.pop("model_config"))
+        code, out, err = run_cli(
+            capsys, "eval", "--data-dir", data_dir, "--checkpoint", str(ckpt), *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("data error:") and "model config implies" in err
+
+    def test_flags_matching_tensors_evaluate(self, capsys, data_dir, trained, tmp_path):
+        ckpt, sidecar = copy_checkpoint(trained, tmp_path / "ckpt")
+        expected = run_cli(capsys, "eval", "--data-dir", data_dir, "--checkpoint", str(ckpt))
+        edit_sidecar(sidecar, lambda doc: doc.pop("model_config"))
+        got = run_cli(capsys, "eval", "--data-dir", data_dir, "--checkpoint", str(ckpt), "--dim", "8")
+        assert got[0] == 0 and got[1] == expected[1]
 
     def test_non_finite_parameters_exit_numeric(self, capsys, data_dir, trained, tmp_path):
         ckpt, _ = copy_checkpoint(trained, tmp_path / "ckpt")
@@ -474,6 +573,15 @@ class TestStats:
         assert doc["entities"] == 24
         assert doc["relations"] == 4
         assert doc["train"] > 0 and doc["valid"] == 5 and doc["test"] == 5
+
+    def test_non_utf8_triple_file_is_data_error(self, capsys, data_dir, tmp_path):
+        bad = copy_data_dir(data_dir, tmp_path / "data", None)
+        with open(Path(bad) / "valid.txt", "ab") as f:
+            f.write(b"caf\xe9\tr0\te0\n")
+        code, out, err = run_cli(capsys, "stats", "--data-dir", bad)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("data error:") and "valid.txt: not UTF-8" in err
 
     def test_dump_dicts(self, capsys, data_dir, tmp_path):
         out = tmp_path / "st"

@@ -61,6 +61,12 @@ class TestLoadTriples:
         with pytest.raises(DataError, match=r":2:"):
             load_triples(path)
 
+    def test_non_utf8_bytes_raise_data_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"a\tr\tb\nca\xf1on\tr\tb\n")
+        with pytest.raises(DataError, match="latin1.txt: not UTF-8"):
+            load_triples(path)
+
     def test_duplicates_dropped_with_warning(self, tmp_path):
         path = tmp_path / "dup.txt"
         write_tsv(path, [("a", "r", "b"), ("a", "r", "b"), ("a", "r", "c")])
