@@ -331,13 +331,16 @@ def _out_dir(run: RunConfig) -> Path:
     return path
 
 
-def _load_dataset(run: RunConfig, *evaluated_splits):
-    """The run's graph; DataError if a split it will rank triples of is empty."""
+def _load_dataset(run: RunConfig, *used_splits):
+    """The run's graph; DataError if a split the command trains on or ranks is empty.
+
+    Runs before the command creates its output directory.
+    """
     _require(run, "data_dir")
     kg = load_kg(run.data_dir)
-    for split in evaluated_splits:
+    for split in used_splits:
         if len(kg.split(split)) == 0:
-            raise DataError(f"{run.data_dir}: the {split} split is empty, nothing to evaluate")
+            raise DataError(f"{run.data_dir}: the {split} split is empty")
     return kg
 
 
@@ -400,7 +403,7 @@ def _train_once(run: RunConfig, kg, out_dir: Path, stem="model"):
 
 def cmd_train(run: RunConfig) -> int:
     _require(run, "out")
-    kg = _load_dataset(run, "valid")
+    kg = _load_dataset(run, "train", "valid")
     out_dir = _out_dir(run)
     _info(
         f"training {run.model} on {run.data_dir} "
@@ -419,7 +422,7 @@ def cmd_train(run: RunConfig) -> int:
 
 def cmd_eval(run: RunConfig) -> int:
     _require(run, "checkpoint")
-    kg = _load_dataset(run, run.split)
+    kg = _load_dataset(run, "train", run.split)
     loaded = load_checkpoint(run.checkpoint)
     params, meta = loaded.params, loaded.meta
     kind = meta["model_kind"]  # load_checkpoint has checked it
@@ -451,10 +454,12 @@ CLASSIFY_HEADER = "relation,hco,tcs,category"
 
 
 def cmd_classify(run: RunConfig) -> int:
-    kg = _load_dataset(run)
+    kg = _load_dataset(run, "train")
     try:
         categories = classify_relations(kg.train, eta=run.eta)
-    except ValueError as exc:
+    except DataError:
+        raise
+    except ValueError as exc:  # a non-positive --eta
         raise UsageError(str(exc)) from exc
     lines = [CLASSIFY_HEADER]
     for rel_id in sorted(categories):
@@ -473,7 +478,7 @@ SWEEP_HEADER = "levels,lambda1,gamma,dim,batch_size,status," + evaluator.CSV_HEA
 
 def cmd_sweep(run: RunConfig) -> int:
     _require(run, "out")
-    kg = _load_dataset(run, "valid")
+    kg = _load_dataset(run, "train", "valid")
     out_dir = _out_dir(run)
     axes = [
         ("levels", run.sweep_levels),
@@ -511,7 +516,7 @@ def cmd_sweep(run: RunConfig) -> int:
 
 
 def cmd_gradcheck(run: RunConfig) -> int:
-    kg = _load_dataset(run)
+    kg = _load_dataset(run, "train")
     model_config = model_config_from(run)
     train_config = train_config_from(run)
     params = init_model(run.model, kg.num_entities, kg.num_relations, model_config, run.seed)
@@ -549,7 +554,7 @@ def cmd_ablate(run: RunConfig) -> int:
     if run.model != "hie":
         raise UsageError("ablate only applies to the hie model")
     _require(run, "out")
-    kg = _load_dataset(run, "valid")
+    kg = _load_dataset(run, "train", "valid")
     out_dir = _out_dir(run)
     lines = [ABLATE_HEADER]
     print(ABLATE_HEADER)

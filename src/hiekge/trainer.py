@@ -3,9 +3,12 @@
 Each model module owns its math: `score_triples` returns scores and a
 cache, and `backward` turns that cache into per-row and dense gradients.
 This module only routes calls to the right model, coalesces the rows,
-and applies the loss and the optimiser. Adversarial weights are treated
-as constants of the objective (no gradient flows through them), so the
-finite-difference checker freezes them before differencing.
+and applies the loss and the optimiser. A training step scores its
+positives and negatives in one `score_triples` call, runs one `backward`
+over that cache and one `coalesce` per embedding table. Adversarial
+weights are treated as constants of the objective (no gradient flows
+through them), so the finite-difference checker freezes them before
+differencing.
 """
 
 from __future__ import annotations
@@ -81,16 +84,25 @@ class GradSet:
 
 
 def coalesce(ids, values) -> SparseGrad:
-    """Sum duplicate row gradients into unique sorted rows."""
+    """Sum duplicate row gradients into unique sorted rows.
+
+    One flat bincount over (unique row, column) cells: linear in the number
+    of values, and each cell sums its rows in input order.
+    """
     ids = np.asarray(ids, dtype=np.int64)
-    order = np.argsort(ids, kind="stable")
-    ids_sorted = ids[order]
-    values_sorted = np.ascontiguousarray(values[order])
-    starts = np.flatnonzero(np.concatenate(([True], ids_sorted[1:] != ids_sorted[:-1])))
-    return SparseGrad(ids=ids_sorted[starts], values=np.add.reduceat(values_sorted, starts, axis=0))
+    unique_ids, inverse = np.unique(ids, return_inverse=True)
+    width = values.shape[1]
+    cells = (inverse[:, None] * width + np.arange(width)).ravel()
+    sums = np.bincount(cells, weights=values.ravel(), minlength=len(unique_ids) * width)
+    return SparseGrad(ids=unique_ids, values=sums.reshape(len(unique_ids), width))
 
 
 def merge_grad_sets(a: GradSet, b: GradSet) -> GradSet:
+    """Sum of two gradient sets.
+
+    Training no longer calls it; tests use it to check `gradients` against
+    positives and negatives backpropagated apart.
+    """
     ent = coalesce(
         np.concatenate([a.ent.ids, b.ent.ids]),
         np.concatenate([a.ent.values, b.ent.values]),
@@ -172,6 +184,13 @@ def _forward(params, config, triples):
     return model_module(params).score_triples(params, config, triples)
 
 
+def _forward_step(params, config, batch, negatives):
+    """(B,) positive and (B, n) negative scores from one forward over both blocks, and its cache."""
+    B, n = len(batch), negatives.shape[1]
+    scores, cache = _forward(params, config, np.concatenate([batch, negatives.reshape(-1, 3)]))
+    return scores[:B], scores[B:].reshape(B, n), cache
+
+
 def backprop(params, config, cache, upstream) -> GradSet:
     """Gradients of sum_b upstream[b] * total[b] for one forward cache, rows coalesced."""
     ent_rows, rel_rows, dense = model_module(params).backward(params, config, cache, upstream)
@@ -193,20 +212,17 @@ def gradients(params, model_config, train_config: TrainConfig, batch, negatives,
     B = len(batch)
     if B == 0:
         raise ValueError("batch must be nonempty")
-    n = negatives.shape[1]
-    pos_scores, pos_cache = _forward(params, model_config, batch)
-    neg_scores_flat, neg_cache = _forward(params, model_config, negatives.reshape(-1, 3))
-    neg_scores = neg_scores_flat.reshape(B, n)
+    pos_scores, neg_scores, cache = _forward_step(params, model_config, batch, negatives)
     if weights is None:
         weights = adversarial_weights(
             neg_scores, train_config.alpha_temp, train_config.gamma, train_config.adversarial_sign
         )
     loss_value = loss(pos_scores, neg_scores, weights, train_config.gamma)
-    up_pos = sigmoid(pos_scores - train_config.gamma) / B
-    up_neg = -(weights * sigmoid(train_config.gamma - neg_scores)) / B
-    g_pos = backprop(params, model_config, pos_cache, up_pos)
-    g_neg = backprop(params, model_config, neg_cache, up_neg.reshape(-1))
-    return loss_value, merge_grad_sets(g_pos, g_neg)
+    upstream = np.concatenate([
+        sigmoid(pos_scores - train_config.gamma),
+        -(weights * sigmoid(train_config.gamma - neg_scores)).ravel(),
+    ]) / B
+    return loss_value, backprop(params, model_config, cache, upstream)
 
 
 def grad_dense(grads: GradSet, params, name):
@@ -242,11 +258,10 @@ def grad_check(params, model_config, train_config, batch, fd_step=1e-6, max_coor
     rng = np.random.default_rng(0) if rng is None else rng
     batch = np.asarray(batch, dtype=np.int64).reshape(-1, 3)
     negatives = sample_negatives_batch(batch, train_config.num_negatives, params.num_entities, rng)
-    neg_flat = negatives.reshape(-1, 3)
 
-    center_neg, _ = _forward(params, model_config, neg_flat)
+    _, center_neg, _ = _forward_step(params, model_config, batch, negatives)
     weights = adversarial_weights(
-        center_neg.reshape(len(batch), -1),
+        center_neg,
         train_config.alpha_temp,
         train_config.gamma,
         train_config.adversarial_sign,
@@ -260,9 +275,8 @@ def grad_check(params, model_config, train_config, batch, fd_step=1e-6, max_coor
         floor = max(1e-8, 1e-3 * scale)
 
     def loss_at():
-        pos, _ = _forward(params, model_config, batch)
-        neg, _ = _forward(params, model_config, neg_flat)
-        return loss(pos, neg.reshape(len(batch), -1), weights, train_config.gamma)
+        pos, neg, _ = _forward_step(params, model_config, batch, negatives)
+        return loss(pos, neg, weights, train_config.gamma)
 
     names = [name for name, _ in params.field_items()]
     sizes = [getattr(params, name).size for name in names]
@@ -325,12 +339,11 @@ def adam_step(params, grads: GradSet, state: AdamState, config: TrainConfig):
         if sparse.values.shape[1:] != tensor.shape[1:]:
             raise ValueError(f"gradient width mismatch for {name}")
         rows = sparse.ids
-        m = state.moment1[name]
-        v = state.moment2[name]
-        m[rows] = b1 * m[rows] + (1.0 - b1) * sparse.values
-        v[rows] = b2 * v[rows] + (1.0 - b2) * sparse.values**2
-        update = (m[rows] / bc1) / (np.sqrt(v[rows] / bc2) + eps)
-        tensor[rows] -= lr * update
+        m_rows = b1 * state.moment1[name][rows] + (1.0 - b1) * sparse.values
+        v_rows = b2 * state.moment2[name][rows] + (1.0 - b2) * sparse.values**2
+        state.moment1[name][rows] = m_rows
+        state.moment2[name][rows] = v_rows
+        tensor[rows] -= lr * ((m_rows / bc1) / (np.sqrt(v_rows / bc2) + eps))
 
     for name, g in grads.dense.items():
         tensor = getattr(params, name)

@@ -327,6 +327,19 @@ class TestEmptySplit:
         assert err.startswith("data error:") and "valid split is empty" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "sweep", "ablate", "eval", "classify", "gradcheck"])
+    def test_empty_train_is_data_error_before_any_output(
+            self, capsys, data_dir, trained, tmp_path, command):
+        empty = copy_data_dir(data_dir, tmp_path / "data", "train")
+        out = tmp_path / "run"
+        extra = ["--checkpoint", str(trained / "model.ckpt")] if command == "eval" else []
+        code, stdout, err = run_cli(
+            capsys, command, "--data-dir", empty, "--out", str(out), *TINY, *extra)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("data error:") and "train split is empty" in err
+        assert not out.exists()
+
 
 def copy_checkpoint(trained, dest):
     """The trained checkpoint and its sidecar under dest; returns the new paths."""
@@ -454,6 +467,13 @@ class TestClassify:
                                   "--out", str(out))
         assert code == 0
         assert (out / "relations.csv").read_text() == stdout
+
+    @pytest.mark.parametrize("eta", ["0", "-1"])
+    def test_non_positive_eta_is_usage_error(self, capsys, data_dir, eta):
+        code, stdout, err = run_cli(capsys, "classify", "--data-dir", data_dir, "--eta", eta)
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("usage error:") and "eta" in err
 
 
 class TestSweep:

@@ -1,17 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hiekge.baselines import BaselineConfig
 from hiekge.baselines import init_params as init_baseline
-from hiekge.hie_model import HieConfig, init_params, score_triples
+from hiekge.hie_model import HieConfig, init_params, score_triples, sigmoid
 from hiekge.trainer import (
     AdamState,
     GradSet,
     NumericError,
     SparseGrad,
     TrainConfig,
+    _forward,
     adam_step,
     adversarial_weights,
+    backprop,
     coalesce,
     grad_check,
     grad_dense,
@@ -203,8 +208,76 @@ class TestCoalesce:
         assert m.rel.ids.tolist() == [0, 1]
         assert m.dense["x"].tolist() == [3.0] and m.dense["y"].tolist() == [7.0]
 
+    @given(
+        ids=st.one_of(
+            st.lists(st.integers(0, 6), max_size=40),  # many duplicates
+            st.lists(st.integers(0, 10**9), min_size=1, max_size=40),  # mostly distinct
+            st.tuples(st.integers(0, 100), st.integers(1, 30)).map(lambda p: [p[0]] * p[1]),
+        ),
+        width=st.integers(1, 8),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dict_sum_oracle(self, ids, width, data):
+        values = data.draw(arrays(np.float64, (len(ids), width),
+                                  elements=st.floats(-1e6, 1e6, allow_nan=False)))
+        expected = {}
+        for i, row in zip(ids, values.tolist()):
+            acc = expected.setdefault(i, [0.0] * width)
+            for c, x in enumerate(row):
+                acc[c] += x
+        sparse = coalesce(np.array(ids, dtype=np.int64), values)
+        assert sparse.ids.tolist() == sorted(expected)
+        assert sparse.values.shape == (len(expected), width)
+        # each cell sums its rows in input order, so the sums match bit for bit
+        assert sparse.values.tolist() == [expected[i] for i in sorted(expected)]
+
+
+def two_pass_gradients(params, config, tc, batch, negatives):
+    """The loss and gradient with positives and negatives scored and backpropagated apart."""
+    B = len(batch)
+    pos, pos_cache = _forward(params, config, batch)
+    neg, neg_cache = _forward(params, config, negatives.reshape(-1, 3))
+    neg = neg.reshape(B, -1)
+    weights = adversarial_weights(neg, tc.alpha_temp, tc.gamma, tc.adversarial_sign)
+    g_pos = backprop(params, config, pos_cache, sigmoid(pos - tc.gamma) / B)
+    g_neg = backprop(params, config, neg_cache, (-(weights * sigmoid(tc.gamma - neg)) / B).ravel())
+    return loss(pos, neg, weights, tc.gamma), merge_grad_sets(g_pos, g_neg)
+
+
+HIE_VARIANTS = [
+    HieConfig(dim=8, levels=levels, lambdas=lambdas_for(levels), norm_p=norm_p, transform=transform)
+    for levels in (1, 2, 3) for norm_p in (1, 2) for transform in ("diagonal", "rank1")
+]
+BASELINE_VARIANTS = [BaselineConfig(kind=kind, dim=8) for kind in ("transe", "distmult", "rotate")]
+
 
 class TestGradients:
+    @pytest.mark.parametrize(
+        "config", HIE_VARIANTS + BASELINE_VARIANTS,
+        ids=lambda c: getattr(c, "kind", None) or f"hie-{c.levels}-l{c.norm_p}-{c.transform}",
+    )
+    def test_one_pass_equals_positive_and_negative_passes_merged(self, config):
+        rng = np.random.default_rng(31)
+        if isinstance(config, HieConfig):
+            params = random_hie_params(rng, 15, 4, config)
+        else:
+            params = init_baseline(15, 4, config, seed=2)
+        batch = toy_batch(rng, 15, 4, 8)
+        negs = sample_negatives_batch(batch, 5, 15, rng)
+        got_loss, got = gradients(params, config, TOY_TRAIN, batch, negs)
+        want_loss, want = two_pass_gradients(params, config, TOY_TRAIN, batch, negs)
+        assert got_loss == pytest.approx(want_loss, rel=1e-12)
+        for got_sparse, want_sparse in ((got.ent, want.ent), (got.rel, want.rel)):
+            assert np.array_equal(got_sparse.ids, want_sparse.ids)
+        pairs = [(got.ent.values, want.ent.values), (got.rel.values, want.rel.values)]
+        assert set(got.dense) == set(want.dense)
+        pairs += [(got.dense[name], want.dense[name]) for name in want.dense]
+        for g, w in pairs:
+            # relative to the array's scale: rows summed in another order can
+            # cancel to near zero, where an elementwise relative error means nothing
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.max(np.abs(w), initial=0.0))
+
     def test_untouched_rows_absent(self):
         rng = np.random.default_rng(2)
         config = HieConfig(dim=8)
@@ -387,6 +460,38 @@ class TestAdam:
             g = params.proj_head_dist - 3.0
             adam_step(params, GradSet(ent=empty, rel=empty, dense={"proj_head_dist": g}), state, tc)
         np.testing.assert_allclose(params.proj_head_dist, [3.0, 3.0], atol=1e-3)
+
+    def test_matches_textbook_update_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        config = HieConfig(dim=6)
+        params = random_hie_params(rng, 9, 3, config)
+        tc = TrainConfig(learning_rate=0.01, adam_beta1=0.8, adam_beta2=0.95, adam_eps=1e-6)
+        state = init_adam(params)
+        want = {name: t.copy() for name, t in params.field_items()}
+        m = {name: np.zeros_like(t) for name, t in params.field_items()}
+        v = {name: np.zeros_like(t) for name, t in params.field_items()}
+        for step in range(1, 4):
+            ent_rows = rng.permutation(9)[:5]  # duplicate-free and unsorted
+            rel_rows = rng.permutation(3)[:2]
+            grads = GradSet(
+                ent=SparseGrad(ent_rows, rng.normal(size=(5, 6))),
+                rel=SparseGrad(rel_rows, rng.normal(size=(2, 6))),
+                dense={"transform_seed": rng.normal(size=params.transform_seed.shape)},
+            )
+            adam_step(params, grads, state, tc)
+            b1, b2 = tc.adam_beta1, tc.adam_beta2
+            bc1, bc2 = 1.0 - b1**step, 1.0 - b2**step
+            for name, rows, g in (("ent", ent_rows, grads.ent.values),
+                                  ("rel", rel_rows, grads.rel.values),
+                                  ("transform_seed", slice(None), grads.dense["transform_seed"])):
+                m[name][rows] = b1 * m[name][rows] + (1.0 - b1) * g
+                v[name][rows] = b2 * v[name][rows] + (1.0 - b2) * (g * g)
+                want[name][rows] -= tc.learning_rate * (
+                    (m[name][rows] / bc1) / (np.sqrt(v[name][rows] / bc2) + tc.adam_eps))
+        for name, tensor in params.field_items():
+            assert np.array_equal(tensor, want[name]), name
+            assert np.array_equal(state.moment1[name], m[name]), name
+            assert np.array_equal(state.moment2[name], v[name]), name
 
     def test_shape_mismatch_rejected(self):
         config = HieConfig(dim=4)
