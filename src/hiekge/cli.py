@@ -457,8 +457,6 @@ def cmd_classify(run: RunConfig) -> int:
     kg = _load_dataset(run, "train")
     try:
         categories = classify_relations(kg.train, eta=run.eta)
-    except DataError:
-        raise
     except ValueError as exc:  # a non-positive --eta
         raise UsageError(str(exc)) from exc
     lines = [CLASSIFY_HEADER]

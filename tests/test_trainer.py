@@ -240,8 +240,9 @@ def two_pass_gradients(params, config, tc, batch, negatives):
     neg, neg_cache = _forward(params, config, negatives.reshape(-1, 3))
     neg = neg.reshape(B, -1)
     weights = adversarial_weights(neg, tc.alpha_temp, tc.gamma, tc.adversarial_sign)
-    g_pos = backprop(params, config, pos_cache, sigmoid(pos - tc.gamma) / B)
-    g_neg = backprop(params, config, neg_cache, (-(weights * sigmoid(tc.gamma - neg)) / B).ravel())
+    g_pos = backprop(params, config, [(pos_cache, sigmoid(pos - tc.gamma) / B)])
+    up_neg = -(weights * sigmoid(tc.gamma - neg)) / B
+    g_neg = backprop(params, config, [(neg_cache, up_neg.ravel())])
     return loss(pos, neg, weights, tc.gamma), merge_grad_sets(g_pos, g_neg)
 
 
