@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hie_model import _norm_backward, _norm_rows
+from .hie_model import _norm_backward, _norm_rows, row_tiles, slab_size
 
 TRANSE = "transe"
 DISTMULT = "distmult"
@@ -151,30 +151,35 @@ def backward(params: BaselineParams, config: BaselineConfig, cache, upstream):
     return ent_rows, rel_rows, {}
 
 
-def score_batch(params: BaselineParams, config: BaselineConfig, triples, candidates, corrupt_side, slab=8192):
-    """(B, C) totals with one side of each triple replaced by each candidate."""
+def score_batch(params: BaselineParams, config: BaselineConfig, triples, candidates, corrupt_side, slab=None):
+    """(B, C) totals with one side of each triple replaced by each candidate.
+
+    Candidates run in slabs that bound the (B, slab, dim) temporaries;
+    slab=None sizes them from hie_model.SLAB_BYTES. DistMult is one matrix
+    product into the output, which needs no temporaries, so it takes no
+    slabs. Every slab size gives the same scores.
+    """
     if corrupt_side not in ("head", "tail"):
         raise ValueError(f"corrupt_side must be 'head' or 'tail', got {corrupt_side!r}")
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     candidates = np.asarray(candidates, dtype=np.int64).ravel()
     h_ids, r_ids, t_ids = triples[:, 0], triples[:, 1], triples[:, 2]
     B, C = len(triples), len(candidates)
+    slab = slab_size(slab, B, config.dim)
     r = params.rel[r_ids]
     fixed = params.ent[t_ids if corrupt_side == "head" else h_ids]
     cand = params.ent[candidates]
+    if params.kind == DISTMULT:
+        # trilinear form is a plain inner product against the candidate
+        return -((fixed * r) @ cand.T)
     totals = np.empty((B, C))
-    for start in range(0, C, slab):
-        stop = min(start + slab, C)
-        cb = cand[start:stop]
-        if params.kind == DISTMULT:
-            # trilinear form is a plain inner product against the candidate
-            totals[:, start:stop] = -((fixed * r) @ cb.T)
-            continue
+    for cols in row_tiles(C, slab):
+        cb = cand[cols]
         # fixed side and relation as (B, 1, d), candidates as (1, slab, d)
         h, t = (cb[None], fixed[:, None]) if corrupt_side == "head" else (fixed[:, None], cb[None])
         if params.kind == TRANSE:
-            totals[:, start:stop] = _norm_rows(_transe_residual(h, r[:, None], t), config.norm_p)
+            totals[:, cols] = _norm_rows(_transe_residual(h, r[:, None], t), config.norm_p)
         else:
             re, im, _ = _rotate_residual(h, r[:, None], t)
-            totals[:, start:stop] = _rotate_norm(re, im)
+            totals[:, cols] = _rotate_norm(re, im)
     return totals

@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -514,6 +515,12 @@ def cmd_sweep(run: RunConfig) -> int:
 
 
 def cmd_gradcheck(run: RunConfig) -> int:
+    if not (math.isfinite(run.fd_step) and run.fd_step > 0):
+        raise UsageError(f"--fd-step must be a finite number > 0, got {run.fd_step}")
+    if run.batches < 1:
+        raise UsageError(f"--batches must be >= 1, got {run.batches}")
+    if not run.tolerance >= 0:
+        raise UsageError(f"--tolerance must be >= 0, got {run.tolerance}")
     kg = _load_dataset(run, "train")
     model_config = model_config_from(run)
     train_config = train_config_from(run)

@@ -74,15 +74,19 @@ def evaluate(
     tie_break=TIE_PESSIMISTIC,
     filtered=True,
     triple_chunk=16,
-    slab=8192,
+    slab=None,
 ):
     """Both-direction ranks for every triple of the split.
 
-    Scores all |E| candidates per direction with score_batch, excluding
-    known-true completions from train+valid+test when filtered.
+    Scores all |E| candidates per direction with score_batch, triple_chunk
+    triples per call, excluding known-true completions from
+    train+valid+test when filtered. slab=None lets score_batch size its
+    candidate slabs.
     """
     if tie_break not in TIE_BREAKS:
         raise ValueError(f"unknown tie_break {tie_break!r}")
+    if triple_chunk < 1:
+        raise ValueError(f"triple_chunk must be >= 1, got {triple_chunk}")
     triples = kg.split(split) if isinstance(split, str) else np.asarray(split, dtype=np.int64)
     if len(triples) == 0:
         raise ValueError("cannot evaluate an empty split")

@@ -6,6 +6,17 @@ produced by a shared square extraction matrix per transition with the raw
 half added back as a residual. Each level contributes a distance-space
 term and a semantic translation term, blended by a learned sigmoid weight
 and combined across levels with fixed convex weights. Lower is better.
+
+The per-row kernels run over row tiles small enough for a core's L2
+cache: `score_triples` and `backward` walk their rows in tiles of
+`tile_rows(half)` rows, and `score_batch` walks the candidates in slabs
+whose (B, slab, half) temporaries stay near SLAB_BYTES. Each tile is
+written into slices of full-size arrays, so the cache keeps one (N, half)
+array per chain level and role, whatever the tile size. Tiles and default
+slabs are whole multiples of ROW_ALIGN rows: OpenBLAS can give a row of
+a matrix product other bits when the product is split at a row that is
+not a multiple of 512, so only aligned blocks reproduce one call over all
+rows.
 """
 
 from __future__ import annotations
@@ -16,6 +27,15 @@ import numpy as np
 
 TRANSFORM_DIAGONAL = "diagonal"
 TRANSFORM_RANK1 = "rank1"
+# (cache key prefix, role) of each slot of a triple
+ROLES = (("h", "head"), ("r", "rel"), ("t", "tail"))
+
+# bytes of one (rows, half) float64 block of a training tile
+TILE_BYTES = 256 * 1024
+# bytes of one (B, slab, width) float64 ranking temporary
+SLAB_BYTES = 2 * 1024 * 1024
+# tiles and default slabs are whole multiples of this many rows
+ROW_ALIGN = 512
 
 
 def sigmoid(x):
@@ -167,6 +187,31 @@ def level_weights(config: HieConfig, alpha: float):
     return weights
 
 
+def _aligned_rows(budget, row_bytes):
+    """Rows of row_bytes each that fit budget, as a whole multiple of ROW_ALIGN (at least one)."""
+    return max(1, budget // (row_bytes * ROW_ALIGN)) * ROW_ALIGN
+
+
+def tile_rows(half):
+    """Rows per tile of score_triples and backward."""
+    return _aligned_rows(TILE_BYTES, 8 * half)
+
+
+def slab_size(slab, B, width):
+    """Candidates per slab of a score_batch over B triples with (B, slab, width) temporaries.
+
+    slab=None sizes the slab from SLAB_BYTES; an explicit slab must be >= 1.
+    """
+    if slab is None:
+        return _aligned_rows(SLAB_BYTES, 8 * width * max(B, 1))
+    if slab < 1:
+        raise ValueError(f"slab must be >= 1, got {slab}")
+    return slab
+
+
+def row_tiles(n, rows):
+    """Slices covering range(n) in consecutive blocks of `rows`; the last may be shorter."""
+    return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
 
 
 def _space_columns(config: HieConfig):
@@ -197,35 +242,43 @@ def _norm_backward(u, d, norm_p, upstream):
     return (upstream / safe)[:, None] * np.where(d[:, None] > 0.0, u, 0.0)
 
 
-def _chain(params, base, role, space, levels):
-    """Per-level projections of one role's (B, half) base block, as a list of arrays."""
+def _chain(params, base, role, space, levels, out=None):
+    """Per-level projections of one role's (B, half) base block, as a list of arrays.
+
+    Written into out, one (B, half) array per level, when given.
+    """
     proj = getattr(params, f"proj_{role}_{space}")
     extract = params.extract_dist if space == "dist" else params.extract_sem
-    out = [proj * base]
+    if out is None:
+        out = [np.empty(base.shape) for _ in range(levels)]
+    np.multiply(proj, base, out=out[0])
     for level in range(2, levels + 1):
-        out.append(out[-1] @ extract[level - 2] + base)
+        np.matmul(out[level - 2], extract[level - 2], out=out[level - 1])
+        out[level - 1] += base
     return out
 
 
-def _distance_residual(h, r, t, seed, transform):
+def _distance_residual(h, r, t, seed, transform, out=None):
     """Distance-space residual at one level and, for rank-1, the inner product.
 
     Diagonal transform: h * (seed * r) - t.
     Rank-1 transform: (h . seed) * r - t.
-    Operands broadcast over their leading axes. The inner product runs as
-    one 2-D matmul whatever the shape of h, so per-triple and
-    all-candidate scoring get the same bits.
+    Operands broadcast over their leading axes; out, when given, has the
+    full broadcast shape. The inner product runs as one 2-D matmul whatever
+    the shape of h, so per-triple and all-candidate scoring get the same bits.
     """
     if transform == TRANSFORM_DIAGONAL:
-        return h * (seed * r) - t, None
-    half = h.shape[-1]
-    inner = (h.reshape(-1, half) @ seed).reshape(h.shape[:-1])
-    return inner[..., None] * r - t, inner
+        u, inner = np.multiply(h, seed * r, out=out), None
+    else:
+        half = h.shape[-1]
+        inner = (h.reshape(-1, half) @ seed).reshape(h.shape[:-1])
+        u = np.multiply(inner[..., None], r, out=out)
+    return np.subtract(u, t, out=out), inner
 
 
-def _semantic_residual(h, r, t):
+def _semantic_residual(h, r, t, out=None):
     """Semantic translation residual (h + r) - t, broadcasting like the distance one."""
-    return (h + r) - t
+    return np.subtract(np.add(h, r, out=out), t, out=out)
 
 
 def score_triples(params: HieParams, config: HieConfig, triples):
@@ -233,49 +286,65 @@ def score_triples(params: HieParams, config: HieConfig, triples):
 
     The cache holds the bases, the per-level projection chains, the raw
     per-level residual vectors and distances, and the blend state: enough
-    for `backward` to run without re-scoring.
+    for `backward` to run without re-scoring. Each chain, residual and
+    distance is one array over all B rows; the rows are gathered and scored
+    tile by tile (`tile_rows`) into slices of those arrays.
     """
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-    h_ids, r_ids, t_ids = triples[:, 0], triples[:, 1], triples[:, 2]
-    levels = config.levels
-    rows = (params.ent[h_ids], params.rel[r_ids], params.ent[t_ids])
+    B, levels, half = len(triples), config.levels, config.half
+    alpha = params.alpha
+    cache = {
+        "ids": (triples[:, 0], triples[:, 1], triples[:, 2]),
+        "alpha": alpha,
+        "weights": level_weights(config, alpha),
+    }
+    rows = tuple(np.empty((B, config.dim)) for _ in range(3))
     needed = _needed_spaces(config)
-
-    cache = {"ids": (h_ids, r_ids, t_ids), "alpha": params.alpha}
-    cache["weights"] = level_weights(config, cache["alpha"])
     for space, cols in _space_columns(config).items():
-        bases = tuple(row[:, cols] for row in rows)
-        cache[f"bases_{space}"] = bases
+        cache[f"bases_{space}"] = tuple(row[:, cols] for row in rows)
         if space in needed:
-            for key, role, base in zip("hrt", ("head", "rel", "tail"), bases):
-                cache[f"{key}_{space}"] = _chain(params, base, role, space, levels)
-
-    B = len(triples)
-    d_dist = np.zeros((B, levels))
-    d_sem = np.zeros((B, levels))
-    cache["u_dist"] = [None] * levels
-    cache["u_sem"] = [None] * levels
-    cache["rank1_inner"] = [None] * levels
+            for key, _ in ROLES:
+                cache[f"{key}_{space}"] = [np.empty((B, half)) for _ in range(levels)]
+    on = [active_spaces(config, level) for level in range(1, levels + 1)]
+    rank1 = config.transform == TRANSFORM_RANK1
+    cache["u_dist"] = [np.empty((B, half)) if d else None for d, _ in on]
+    cache["u_sem"] = [np.empty((B, half)) if s else None for _, s in on]
+    cache["rank1_inner"] = [np.empty(B) if d and rank1 else None for d, _ in on]
+    cache["d_dist"] = np.zeros((B, levels))
+    cache["d_sem"] = np.zeros((B, levels))
     totals = np.zeros(B)
-    for level in range(1, levels + 1):
-        i = level - 1
-        dist_on, sem_on = active_spaces(config, level)
+    for tile in row_tiles(B, tile_rows(half)):
+        _score_tile(params, config, cache, rows, totals, tile)
+    return totals, cache
+
+
+def _score_tile(params, config, cache, rows, totals, tile):
+    """score_triples over the rows of one tile, written into its slices of cache and totals."""
+    tables = (params.ent, params.rel, params.ent)
+    for row, table, ids in zip(rows, tables, cache["ids"]):
+        row[tile] = table[ids[tile]]
+    for space in _needed_spaces(config):
+        for k, (key, role) in enumerate(ROLES):
+            chain = [level[tile] for level in cache[f"{key}_{space}"]]
+            _chain(params, cache[f"bases_{space}"][k][tile], role, space, config.levels, out=chain)
+    d_dist, d_sem = cache["d_dist"][tile], cache["d_sem"][tile]
+    for i in range(config.levels):
+        dist_on, sem_on = active_spaces(config, i + 1)
         w_dist, w_sem = cache["weights"][i]
         if dist_on:
-            u, cache["rank1_inner"][i] = _distance_residual(
-                cache["h_dist"][i], cache["r_dist"][i], cache["t_dist"][i],
-                params.transform_seed[i], config.transform,
+            u, inner = _distance_residual(
+                *(cache[f"{key}_dist"][i][tile] for key, _ in ROLES),
+                params.transform_seed[i], config.transform, out=cache["u_dist"][i][tile],
             )
-            cache["u_dist"][i] = u
+            if inner is not None:
+                cache["rank1_inner"][i][tile] = inner
             d_dist[:, i] = _norm_rows(u, config.norm_p)
         if sem_on:
-            v = _semantic_residual(cache["h_sem"][i], cache["r_sem"][i], cache["t_sem"][i])
-            cache["u_sem"][i] = v
+            v = _semantic_residual(
+                *(cache[f"{key}_sem"][i][tile] for key, _ in ROLES), out=cache["u_sem"][i][tile]
+            )
             d_sem[:, i] = _norm_rows(v, 2)
-        totals += config.lambdas[i] * (w_dist * d_dist[:, i] + w_sem * d_sem[:, i])
-    cache["d_dist"] = d_dist
-    cache["d_sem"] = d_sem
-    return totals, cache
+        totals[tile] += config.lambdas[i] * (w_dist * d_dist[:, i] + w_sem * d_sem[:, i])
 
 
 def backward(params: HieParams, config: HieConfig, cache, upstream):
@@ -284,82 +353,96 @@ def backward(params: HieParams, config: HieConfig, cache, upstream):
     Returns (ent_rows, rel_rows, dense): the (2B, dim) entity-row gradients,
     B head rows then B tail rows; the (B, dim) relation-row gradients, both
     uncoalesced; and every structure tensor's dense gradient by field name.
+    Rows run in the tiles of score_triples: each tile's row gradients are
+    exactly those of one pass over all rows, and each dense gradient sums
+    its per-tile parts.
     """
     upstream = np.asarray(upstream, dtype=np.float64)
-    half, levels = config.half, config.levels
     B = len(cache["ids"][0])
     dense = {n: np.zeros_like(t) for n, t in params.field_items() if n not in ("ent", "rel")}
+    # d(total)/d(alpha) collects only levels where the blend is live
+    blend_slope = 0.0
+    for i in range(config.levels):
+        if all(active_spaces(config, i + 1)):
+            blend_slope += config.lambdas[i] * float(
+                np.sum(upstream * (cache["d_dist"][:, i] - cache["d_sem"][:, i]))
+            )
+    dense["blend_logit"][...] = blend_slope * cache["alpha"] * (1.0 - cache["alpha"])
 
+    ent_rows = np.zeros((2 * B, config.dim))
+    rel_rows = np.zeros((B, config.dim))
+    row_blocks = (ent_rows[:B], rel_rows, ent_rows[B:])
+    for tile in row_tiles(B, tile_rows(config.half)):
+        _backward_tile(params, config, cache, upstream[tile],
+                       [block[tile] for block in row_blocks], dense, tile)
+    return ent_rows, rel_rows, dense
+
+
+def _backward_tile(params, config, cache, upstream, row_blocks, dense, tile):
+    """backward over one tile: writes its (head, rel, tail) row gradients, adds to dense."""
+    levels = config.levels
     # per space and level: the direct (head, rel, tail) gradients into the chains
     direct = {"dist": [None] * levels, "sem": [None] * levels}
-    blend_slope = 0.0
     for i in range(levels):
         dist_on, sem_on = active_spaces(config, i + 1)
         w_dist, w_sem = cache["weights"][i]
         lam = config.lambdas[i]
-        if dist_on and sem_on:
-            # d(total)/d(alpha) collects only levels where the blend is live
-            blend_slope += lam * float(
-                np.sum(upstream * (cache["d_dist"][:, i] - cache["d_sem"][:, i]))
-            )
         if dist_on and w_dist != 0.0:
-            u = cache["u_dist"][i]
-            gu = _norm_backward(u, cache["d_dist"][:, i], config.norm_p, upstream * (lam * w_dist))
+            u = cache["u_dist"][i][tile]
+            gu = _norm_backward(u, cache["d_dist"][tile, i], config.norm_p, upstream * (lam * w_dist))
             seed = params.transform_seed[i]
-            h_lvl = cache["h_dist"][i]
-            r_lvl = cache["r_dist"][i]
+            h_lvl = cache["h_dist"][i][tile]
+            r_lvl = cache["r_dist"][i][tile]
             if config.transform == TRANSFORM_DIAGONAL:
                 g_head, g_rel = gu * (seed * r_lvl), gu * (seed * h_lvl)
                 dense["transform_seed"][i] += np.sum(gu * (h_lvl * r_lvl), axis=0)
             else:
                 g_inner = np.sum(gu * r_lvl, axis=-1)
                 g_head = g_inner[:, None] * seed[None, :]
-                g_rel = cache["rank1_inner"][i][:, None] * gu
+                g_rel = cache["rank1_inner"][i][tile][:, None] * gu
                 dense["transform_seed"][i] += g_inner @ h_lvl
             direct["dist"][i] = (g_head, g_rel, -gu)
         if sem_on and w_sem != 0.0:
-            v = cache["u_sem"][i]
-            gv = _norm_backward(v, cache["d_sem"][:, i], 2, upstream * (lam * w_sem))
+            v = cache["u_sem"][i][tile]
+            gv = _norm_backward(v, cache["d_sem"][tile, i], 2, upstream * (lam * w_sem))
             direct["sem"][i] = (gv, gv, -gv)
-    dense["blend_logit"][...] = blend_slope * cache["alpha"] * (1.0 - cache["alpha"])
 
     # walk each chain from its deepest level back to the raw half it was built from
-    ent_rows = np.zeros((2 * B, config.dim))
-    rel_rows = np.zeros((B, config.dim))
-    row_blocks = (ent_rows[:B], rel_rows, ent_rows[B:])
     for space, cols in _space_columns(config).items():
         grads = direct[space]
         if all(g is None for g in grads):
             continue
         extract = params.extract_dist if space == "dist" else params.extract_sem
         g_extract = dense[f"extract_{space}"]
-        for k, (key, role) in enumerate(zip("hrt", ("head", "rel", "tail"))):
+        for k, (key, role) in enumerate(ROLES):
             chain = cache[f"{key}_{space}"]
             g_base = row_blocks[k][:, cols]
-            G = grads[levels - 1][k] if grads[levels - 1] is not None else np.zeros((B, half))
+            G = grads[levels - 1][k] if grads[levels - 1] is not None else np.zeros(g_base.shape)
             for j in range(levels - 1, 0, -1):
-                g_extract[j - 1] += chain[j - 1].T @ G
+                g_extract[j - 1] += chain[j - 1][tile].T @ G
                 g_base += G
                 G = G @ extract[j - 1].T
                 if grads[j - 1] is not None:
                     G = G + grads[j - 1][k]
-            dense[f"proj_{role}_{space}"] += np.sum(G * cache[f"bases_{space}"][k], axis=0)
+            dense[f"proj_{role}_{space}"] += np.sum(G * cache[f"bases_{space}"][k][tile], axis=0)
             g_base += G * getattr(params, f"proj_{role}_{space}")
-    return ent_rows, rel_rows, dense
 
 
-def score_batch(params: HieParams, config: HieConfig, triples, candidates, corrupt_side, slab=8192):
+def score_batch(params: HieParams, config: HieConfig, triples, candidates, corrupt_side, slab=None):
     """(B, C) totals with one side of each triple replaced by each candidate.
 
     corrupt_side is "head" or "tail". Candidate projection chains are
     computed once; candidates are processed in slabs to bound the size of
-    the (B, slab, half) temporaries.
+    the (B, slab, half) temporaries. slab=None sizes them from SLAB_BYTES
+    (see `slab_size`), and those slabs give the bits of one slab over all
+    candidates.
     """
     if corrupt_side not in ("head", "tail"):
         raise ValueError(f"corrupt_side must be 'head' or 'tail', got {corrupt_side!r}")
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     candidates = np.asarray(candidates, dtype=np.int64).ravel()
     B, C, levels = len(triples), len(candidates), config.levels
+    slab = slab_size(slab, B, config.half)
     h_ids, r_ids, t_ids = triples[:, 0], triples[:, 1], triples[:, 2]
     fixed_ids, fixed_role, cand_role = (
         (t_ids, "tail", "head") if corrupt_side == "head" else (h_ids, "head", "tail")
@@ -377,17 +460,16 @@ def score_batch(params: HieParams, config: HieConfig, triples, candidates, corru
             (f[:, None, :], r[:, None, :], c[None, :, :]) for f, r, c in zip(fixed, rel, cand)
         ]
 
-    def operands(space, i, start, stop):
-        """(head, rel, tail) at one level for the candidate slab start:stop."""
+    def operands(space, i, cols):
+        """(head, rel, tail) at one level for the candidate slab cols."""
         fixed, rel, cand = chains[space][i]
-        cand = cand[:, start:stop]
+        cand = cand[:, cols]
         return (cand, rel, fixed) if corrupt_side == "head" else (fixed, rel, cand)
 
     weights = level_weights(config, params.alpha)
     totals = np.zeros((B, C))
-    for start in range(0, C, slab):
-        stop = min(start + slab, C)
-        block = totals[:, start:stop]
+    for cols in row_tiles(C, slab):
+        block = totals[:, cols]
         for level in range(1, levels + 1):
             i = level - 1
             dist_on, sem_on = active_spaces(config, level)
@@ -395,10 +477,10 @@ def score_batch(params: HieParams, config: HieConfig, triples, candidates, corru
             lam = config.lambdas[i]
             if dist_on and w_dist != 0.0:
                 u, _ = _distance_residual(
-                    *operands("dist", i, start, stop), params.transform_seed[i], config.transform
+                    *operands("dist", i, cols), params.transform_seed[i], config.transform
                 )
                 block += (lam * w_dist) * _norm_rows(u, config.norm_p)
             if sem_on and w_sem != 0.0:
-                v = _semantic_residual(*operands("sem", i, start, stop))
+                v = _semantic_residual(*operands("sem", i, cols))
                 block += (lam * w_sem) * _norm_rows(v, 2)
     return totals

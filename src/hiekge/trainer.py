@@ -18,10 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import baselines, hie_model, kg_data
-from .hie_model import HieParams, sigmoid
+from .hie_model import HieParams, row_tiles, sigmoid
 
 SIGN_PLAUSIBILITY = "plausibility"
 SIGN_LITERAL = "literal"
+
+# bytes of one (rows, dim) float64 block of a sparse Adam tile
+ADAM_TILE_BYTES = 256 * 1024
 
 
 class NumericError(RuntimeError):
@@ -357,7 +360,10 @@ def adam_step(params, grads: GradSet, state: AdamState, config: TrainConfig):
 
     Untouched embedding rows keep stale moments (no decay), which is the
     standard sparse-Adam compromise; dense tensors always update. Bias
-    correction uses the global step count.
+    correction uses the global step count. The embedding rows update in
+    tiles of about ADAM_TILE_BYTES per (rows, dim) block, so each tile's
+    moments and temporaries stay in cache; every row gets the bits of one
+    pass over all rows.
     """
     state.step += 1
     b1, b2 = config.adam_beta1, config.adam_beta2
@@ -369,12 +375,14 @@ def adam_step(params, grads: GradSet, state: AdamState, config: TrainConfig):
         tensor = getattr(params, name)
         if sparse.values.shape[1:] != tensor.shape[1:]:
             raise ValueError(f"gradient width mismatch for {name}")
-        rows = sparse.ids
-        m_rows = b1 * state.moment1[name][rows] + (1.0 - b1) * sparse.values
-        v_rows = b2 * state.moment2[name][rows] + (1.0 - b2) * sparse.values**2
-        state.moment1[name][rows] = m_rows
-        state.moment2[name][rows] = v_rows
-        tensor[rows] -= lr * ((m_rows / bc1) / (np.sqrt(v_rows / bc2) + eps))
+        m, v = state.moment1[name], state.moment2[name]
+        for tile in row_tiles(len(sparse.ids), max(1, ADAM_TILE_BYTES // (8 * tensor.shape[1]))):
+            rows, g = sparse.ids[tile], sparse.values[tile]
+            m_rows = b1 * m[rows] + (1.0 - b1) * g
+            v_rows = b2 * v[rows] + (1.0 - b2) * g**2
+            m[rows] = m_rows
+            v[rows] = v_rows
+            tensor[rows] -= lr * ((m_rows / bc1) / (np.sqrt(v_rows / bc2) + eps))
 
     for name, g in grads.dense.items():
         tensor = getattr(params, name)

@@ -185,3 +185,10 @@ class TestVectorizedPaths:
         rows = [(c, r, t) if side == "head" else (h, r, c) for h, r, t in triples for c in range(6)]
         expected = score_triples(params, config, rows)[0].reshape(got.shape)
         assert got == pytest.approx(expected, rel=1e-11, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["transe", "distmult", "rotate"])
+    @pytest.mark.parametrize("slab", [0, -1])
+    def test_non_positive_slab_rejected(self, kind, slab):
+        params, config = make(kind, np.random.default_rng(8))
+        with pytest.raises(ValueError, match="slab"):
+            score_batch(params, config, [(0, 0, 1)], np.arange(6), "tail", slab=slab)

@@ -553,6 +553,19 @@ class TestGradcheck:
         assert code == 3
         assert "numeric failure" in err
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--fd-step", "0"), ("--fd-step", "-0.5"), ("--fd-step", "nan"), ("--fd-step", "inf"),
+        ("--batches", "0"), ("--batches", "-2"),
+        ("--tolerance", "-1"), ("--tolerance", "nan"),
+    ])
+    def test_bad_flag_is_usage_error_before_data_loads(self, capsys, tmp_path, flag, value):
+        # a missing data directory would be a data error (exit 2) if it were read
+        code, out, err = run_cli(
+            capsys, "gradcheck", "--data-dir", str(tmp_path / "absent"), "--dim", "8", flag, value)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error:") and flag in err
+
     def test_covers_baseline_models(self, capsys, data_dir):
         for model in ("transe", "distmult", "rotate"):
             code, out, _ = run_cli(

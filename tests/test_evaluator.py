@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hiekge import baselines
+from hiekge import baselines, hie_model
 from hiekge.baselines import BaselineConfig
 from hiekge.baselines import init_params as init_baseline
 from hiekge.evaluator import (
@@ -28,7 +28,7 @@ from hiekge.kg_data import (
     classify_relations,
 )
 
-from hiekge.trainer import NumericError
+from hiekge.trainer import NumericError, model_module
 
 from helpers import random_hie_params
 from oracles import metrics_oracle, rank_oracle
@@ -288,6 +288,87 @@ class TestEvaluateAgainstOracle:
         params = init_params(kg.num_entities, 2, config, seed=0)
         with pytest.raises(ValueError):
             evaluate(params, config, kg, tie_break="mean")
+
+    @pytest.mark.parametrize("kwargs", [
+        {"triple_chunk": 0}, {"triple_chunk": -1}, {"slab": 0}, {"slab": -4},
+    ])
+    def test_non_positive_chunk_or_slab_rejected(self, kwargs):
+        kg = tiny_kg()
+        config = HieConfig(dim=4)
+        params = init_params(kg.num_entities, 2, config, seed=0)
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            evaluate(params, config, kg, **kwargs)
+
+
+# every model and norm, and both hie transforms; dim 64 and B=16 make the
+# default slab (512 candidates) smaller than SLAB_ENTITIES
+SLAB_MODELS = [
+    HieConfig(dim=64, levels=2, lambdas=(0.5, 0.5), norm_p=norm_p, transform=transform)
+    for transform in ("diagonal", "rank1") for norm_p in (1, 2)
+] + [BaselineConfig(kind=kind, dim=64, norm_p=norm_p)
+     for kind in ("transe", "distmult", "rotate") for norm_p in (1, 2)]
+SLAB_ENTITIES = 1301
+
+
+def slab_case(config, seed):
+    """Parameters over SLAB_ENTITIES entities and 16 test triples for one SLAB_MODELS entry."""
+    rng = np.random.default_rng(seed)
+    if isinstance(config, HieConfig):
+        params = random_hie_params(rng, SLAB_ENTITIES, 5, config)
+        assert hie_model.slab_size(None, 16, config.half) < SLAB_ENTITIES
+    else:
+        params = init_baseline(SLAB_ENTITIES, 5, config, seed=seed)
+        assert hie_model.slab_size(None, 16, config.dim) < SLAB_ENTITIES
+    triples = np.stack([rng.integers(0, SLAB_ENTITIES, 16), rng.integers(0, 5, 16),
+                        rng.integers(0, SLAB_ENTITIES, 16)], axis=1)
+    return params, triples
+
+
+def slab_model_id(config):
+    if isinstance(config, HieConfig):
+        return f"hie-{config.transform}-l{config.norm_p}"
+    return f"{config.kind}-l{config.norm_p}"
+
+
+class TestSlabInvariance:
+    @pytest.mark.parametrize("side", ["head", "tail"])
+    @pytest.mark.parametrize("config", SLAB_MODELS, ids=slab_model_id)
+    def test_default_slabs_score_like_one_slab(self, config, side):
+        params, triples = slab_case(config, 3)
+        module = model_module(params)
+        candidates = np.arange(SLAB_ENTITIES)
+        got = module.score_batch(params, config, triples, candidates, side)
+        want = module.score_batch(params, config, triples, candidates, side, slab=SLAB_ENTITIES)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("side", ["head", "tail"])
+    @pytest.mark.parametrize("config", SLAB_MODELS, ids=slab_model_id)
+    def test_tied_candidates_rank_alike_in_any_slab(self, config, side):
+        # copies of the first triple's true entity, in the first, middle and
+        # last default slabs, including the last two rows
+        params, triples = slab_case(config, 4)
+        col = 0 if side == "head" else 2
+        true = int(triples[0, col])
+        copies = [c for c in (1, 600, SLAB_ENTITIES - 2, SLAB_ENTITIES - 1) if c != true]
+        params.ent[copies] = params.ent[true]
+        module = model_module(params)
+        candidates = np.arange(SLAB_ENTITIES)
+        by_slab = [module.score_batch(params, config, triples, candidates, side, **kw)
+                   for kw in ({}, {"slab": SLAB_ENTITIES})]
+        for b in range(len(triples)):
+            for tie in ("pessimistic", "strict"):
+                ranks = [rank_triple(s[b], int(triples[b, col]), frozenset(), tie) for s in by_slab]
+                assert ranks[0] == ranks[1], (b, tie)
+        blas_scored = (getattr(config, "kind", None) == "distmult"
+                       or getattr(config, "transform", None) == "rank1" and side == "head")
+        if blas_scored:
+            # candidates scored through a BLAS product: the last rows can get
+            # other bits than an identical earlier row, so the copies need not tie
+            return
+        row = by_slab[0][0]
+        assert np.all(row[copies] == row[true])
+        pess, strict = (rank_triple(row, true, frozenset(), tie) for tie in ("pessimistic", "strict"))
+        assert pess - strict == len(copies)
 
 
 def results_from_pairs(pairs, relation=0):

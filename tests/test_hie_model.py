@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hiekge import hie_model
 from hiekge.hie_model import (
     HieConfig,
     active_spaces,
@@ -384,6 +385,61 @@ class TestScoreBatch:
         p = init_params(3, 1, config, seed=0)
         with pytest.raises(ValueError):
             score_batch(p, config, [(0, 0, 1)], np.arange(3), "both")
+
+    @pytest.mark.parametrize("slab", [0, -2])
+    def test_non_positive_slab_rejected(self, slab):
+        config = HieConfig(dim=4)
+        p = init_params(3, 1, config, seed=0)
+        with pytest.raises(ValueError, match="slab"):
+            score_batch(p, config, [(0, 0, 1)], np.arange(3), "tail", slab=slab)
+
+
+TILE_CONFIGS = [
+    HieConfig(dim=8, levels=levels, lambdas=lambdas_for(levels), norm_p=norm_p, transform=transform)
+    for levels in (1, 2, 3) for norm_p in (1, 2) for transform in ("diagonal", "rank1")
+] + [HieConfig(dim=8, levels=2, lambdas=(0.5, 0.5), **flags) for flags in ABLATION_COMBOS[1:]] + [
+    # at half 32 this BLAS gives different bits to blocks not aligned to ROW_ALIGN rows
+    HieConfig(dim=64, levels=3, lambdas=lambdas_for(3), norm_p=norm_p, transform="rank1")
+    for norm_p in (1, 2)
+]
+
+
+def tile_config_id(config):
+    flags = [name for name, on in vars(config).items() if name.startswith("disable_") and on]
+    return "-".join([f"dim{config.dim}", f"{config.levels}lv", f"l{config.norm_p}", config.transform, *flags])
+
+
+class TestRowTiles:
+    @pytest.mark.parametrize("config", TILE_CONFIGS, ids=tile_config_id)
+    def test_tiles_match_one_tile(self, monkeypatch, config):
+        # three whole tiles of ROW_ALIGN rows and a ragged fourth
+        rng = np.random.default_rng(17)
+        p = random_hie_params(rng, 50, 4, config)
+        n = 3 * hie_model.ROW_ALIGN + 77
+        triples = np.stack([rng.integers(0, 50, n), rng.integers(0, 4, n), rng.integers(0, 50, n)], axis=1)
+        upstream = rng.normal(size=n)
+        runs = []
+        for budget in (2**40, hie_model.ROW_ALIGN * 8 * config.half):
+            monkeypatch.setattr(hie_model, "TILE_BYTES", budget)
+            totals, cache = score_triples(p, config, triples)
+            runs.append((totals, cache, hie_model.backward(p, config, cache, upstream)))
+        assert hie_model.tile_rows(config.half) == hie_model.ROW_ALIGN
+        (one_totals, one_cache, one_grads), (totals, cache, grads) = runs
+        assert np.array_equal(totals, one_totals)
+        for key in ("d_dist", "d_sem"):
+            assert np.array_equal(cache[key], one_cache[key])
+        for space in hie_model._needed_spaces(config):
+            for key in "hrt":
+                for level, one_level in zip(cache[f"{key}_{space}"], one_cache[f"{key}_{space}"]):
+                    assert level.shape == (n, config.half)
+                    assert np.array_equal(level, one_level)
+        ent, rel, dense = grads
+        one_ent, one_rel, one_dense = one_grads
+        assert np.array_equal(ent, one_ent) and np.array_equal(rel, one_rel)
+        assert set(dense) == set(one_dense)
+        for name, want in one_dense.items():
+            np.testing.assert_allclose(
+                dense[name], want, rtol=0, atol=1e-12 * np.max(np.abs(want), initial=0.0))
 
 
 def test_active_spaces_deep_flags_only_bite_below_level_one():

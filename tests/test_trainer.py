@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from hiekge import hie_model, trainer
 from hiekge.baselines import BaselineConfig
 from hiekge.baselines import init_params as init_baseline
 from hiekge.hie_model import HieConfig, init_params, score_triples, sigmoid
@@ -338,6 +339,22 @@ class TestGradients:
                 err = grad_check(params, config, FD_TRAIN, batch, fd_step=1e-6, rng=rng)
                 assert err < 1e-5, (flags, transform, err)
 
+    def test_finite_difference_agreement_across_row_tiles(self, monkeypatch):
+        # 5-row tiles: the 8 positives take two, the 32 negatives seven, the last of each ragged
+        monkeypatch.setattr(hie_model, "ROW_ALIGN", 1)
+        rng = np.random.default_rng(29)
+        tc = TrainConfig(gamma=3.0, alpha_temp=0.0, num_negatives=4, batch_size=8, steps=5, seed=0)
+        for transform in ("diagonal", "rank1"):
+            for norm_p in (1, 2):
+                config = HieConfig(dim=8, levels=2, lambdas=(0.5, 0.5), norm_p=norm_p,
+                                   transform=transform)
+                monkeypatch.setattr(hie_model, "TILE_BYTES", 5 * 8 * config.half)
+                assert hie_model.tile_rows(config.half) == 5
+                params = fd_friendly_hie_params(rng, 12, 4, config)
+                batch = toy_batch(rng, 12, 4, 8)
+                err = grad_check(params, config, tc, batch, fd_step=1e-6, rng=rng, floor=None)
+                assert err < 1e-5, (transform, norm_p, err)
+
     @pytest.mark.parametrize(
         "kind,norm_p,seed",
         [("transe", 1, 1), ("transe", 2, 13), ("distmult", 1, 1), ("rotate", 1, 3)],
@@ -462,21 +479,25 @@ class TestAdam:
             adam_step(params, GradSet(ent=empty, rel=empty, dense={"proj_head_dist": g}), state, tc)
         np.testing.assert_allclose(params.proj_head_dist, [3.0, 3.0], atol=1e-3)
 
-    def test_matches_textbook_update_bit_for_bit(self):
+    @pytest.mark.parametrize("tile_rows", [None, 4], ids=["one_tile", "ragged_tiles"])
+    def test_matches_textbook_update_bit_for_bit(self, monkeypatch, tile_rows):
+        # 23 entity rows and 5 relation rows a step: in 4-row tiles, 6 and 2, the last ragged
+        if tile_rows is not None:
+            monkeypatch.setattr(trainer, "ADAM_TILE_BYTES", tile_rows * 8 * 6)
         rng = np.random.default_rng(8)
         config = HieConfig(dim=6)
-        params = random_hie_params(rng, 9, 3, config)
+        params = random_hie_params(rng, 40, 7, config)
         tc = TrainConfig(learning_rate=0.01, adam_beta1=0.8, adam_beta2=0.95, adam_eps=1e-6)
         state = init_adam(params)
         want = {name: t.copy() for name, t in params.field_items()}
         m = {name: np.zeros_like(t) for name, t in params.field_items()}
         v = {name: np.zeros_like(t) for name, t in params.field_items()}
         for step in range(1, 4):
-            ent_rows = rng.permutation(9)[:5]  # duplicate-free and unsorted
-            rel_rows = rng.permutation(3)[:2]
+            ent_rows = rng.permutation(40)[:23]  # duplicate-free and unsorted
+            rel_rows = rng.permutation(7)[:5]
             grads = GradSet(
-                ent=SparseGrad(ent_rows, rng.normal(size=(5, 6))),
-                rel=SparseGrad(rel_rows, rng.normal(size=(2, 6))),
+                ent=SparseGrad(ent_rows, rng.normal(size=(23, 6))),
+                rel=SparseGrad(rel_rows, rng.normal(size=(5, 6))),
                 dense={"transform_seed": rng.normal(size=params.transform_seed.shape)},
             )
             adam_step(params, grads, state, tc)
