@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hie_model import _norm_backward, _norm_rows, row_tiles, slab_size
+from .hie_model import _norm_backward, _norm_rows, _padded, row_tiles, slab_size
 
 TRANSE = "transe"
 DISTMULT = "distmult"
@@ -151,13 +151,28 @@ def backward(params: BaselineParams, config: BaselineConfig, cache, upstream):
     return ent_rows, rel_rows, {}
 
 
-def score_batch(params: BaselineParams, config: BaselineConfig, triples, candidates, corrupt_side, slab=None):
+def candidate_table(params: BaselineParams, config: BaselineConfig, candidates, corrupt_side):
+    """The candidate side shared by every score_batch call of one direction.
+
+    DistMult's is its candidate rows zero-padded to whole ROW_ALIGN blocks
+    (see score_batch); TransE and RotatE share nothing and get None.
+    """
+    if params.kind != DISTMULT:
+        return None
+    return _padded(params.ent[np.asarray(candidates, dtype=np.int64).ravel()])
+
+
+def score_batch(params: BaselineParams, config: BaselineConfig, triples, candidates, corrupt_side, slab=None,
+                table=None):
     """(B, C) totals with one side of each triple replaced by each candidate.
 
     Candidates run in slabs that bound the (B, slab, dim) temporaries;
-    slab=None sizes them from hie_model.SLAB_BYTES. DistMult is one matrix
-    product into the output, which needs no temporaries, so it takes no
-    slabs. Every slab size gives the same scores.
+    slab=None sizes them from hie_model.SLAB_BYTES. Every slab size gives
+    the same scores. DistMult is one matrix product with the candidates on
+    the row axis of a table padded to whole ROW_ALIGN blocks (table, from
+    `candidate_table`, or built here): every candidate row runs through the
+    same BLAS kernel, so a copy of an entity ties the row it copies. It
+    takes no slabs.
     """
     if corrupt_side not in ("head", "tail"):
         raise ValueError(f"corrupt_side must be 'head' or 'tail', got {corrupt_side!r}")
@@ -168,10 +183,12 @@ def score_batch(params: BaselineParams, config: BaselineConfig, triples, candida
     slab = slab_size(slab, B, config.dim)
     r = params.rel[r_ids]
     fixed = params.ent[t_ids if corrupt_side == "head" else h_ids]
-    cand = params.ent[candidates]
     if params.kind == DISTMULT:
+        if table is None:
+            table = candidate_table(params, config, candidates, corrupt_side)
         # trilinear form is a plain inner product against the candidate
-        return -((fixed * r) @ cand.T)
+        return np.negative((table @ (fixed * r).T)[:C].T, out=np.empty((B, C)))
+    cand = params.ent[candidates]
     totals = np.empty((B, C))
     for cols in row_tiles(C, slab):
         cb = cand[cols]

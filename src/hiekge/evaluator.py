@@ -80,8 +80,9 @@ def evaluate(
 
     Scores all |E| candidates per direction with score_batch, triple_chunk
     triples per call, excluding known-true completions from
-    train+valid+test when filtered. slab=None lets score_batch size its
-    candidate slabs.
+    train+valid+test when filtered. Each direction's candidate table
+    (`candidate_table`) is built once and shared by all of that
+    direction's calls. slab=None lets score_batch size its candidate slabs.
     """
     if tie_break not in TIE_BREAKS:
         raise ValueError(f"unknown tie_break {tie_break!r}")
@@ -93,23 +94,24 @@ def evaluate(
     model = model_module(params)
     candidates = np.arange(params.num_entities, dtype=np.int64)
     index = kg.filter_index
-    results = []
-    for start in range(0, len(triples), triple_chunk):
-        chunk = triples[start : start + triple_chunk]
-        tail_scores = model.score_batch(params, config, chunk, candidates, "tail", slab=slab)
-        head_scores = model.score_batch(params, config, chunk, candidates, "head", slab=slab)
-        for b, (h, r, t) in enumerate(chunk):
-            h, r, t = int(h), int(r), int(t)
-            tail_filter = index.true_tails(h, r) if filtered else frozenset()
-            head_filter = index.true_heads(r, t) if filtered else frozenset()
-            results.append(
-                RankResult(
-                    triple=(h, r, t),
-                    head_rank=rank_triple(head_scores[b], h, head_filter, tie_break),
-                    tail_rank=rank_triple(tail_scores[b], t, tail_filter, tie_break),
-                )
-            )
-    return results
+    ranks = {}
+    for side in ("tail", "head"):
+        table = model.candidate_table(params, config, candidates, side)
+        ranks[side] = []
+        for start in range(0, len(triples), triple_chunk):
+            chunk = triples[start : start + triple_chunk]
+            scores = model.score_batch(params, config, chunk, candidates, side, slab=slab, table=table)
+            for row, (h, r, t) in zip(scores, chunk.tolist()):
+                if side == "tail":
+                    true, known = t, index.true_tails(h, r) if filtered else frozenset()
+                else:
+                    true, known = h, index.true_heads(r, t) if filtered else frozenset()
+                ranks[side].append(rank_triple(row, true, known, tie_break))
+        del table  # free this side's table before the next one is built
+    return [
+        RankResult(triple=tuple(triple), head_rank=head, tail_rank=tail)
+        for triple, head, tail in zip(triples.tolist(), ranks["head"], ranks["tail"])
+    ]
 
 
 def _bundle(ranks) -> MetricsReport:

@@ -9,14 +9,21 @@ and combined across levels with fixed convex weights. Lower is better.
 
 The per-row kernels run over row tiles small enough for a core's L2
 cache: `score_triples` and `backward` walk their rows in tiles of
-`tile_rows(half)` rows, and `score_batch` walks the candidates in slabs
-whose (B, slab, half) temporaries stay near SLAB_BYTES. Each tile is
-written into slices of full-size arrays, so the cache keeps one (N, half)
-array per chain level and role, whatever the tile size. Tiles and default
-slabs are whole multiples of ROW_ALIGN rows: OpenBLAS can give a row of
-a matrix product other bits when the product is split at a row that is
-not a multiple of 512, so only aligned blocks reproduce one call over all
-rows.
+`tile_rows(half)` rows, each written into slices of full-size arrays, so
+the cache keeps one (N, half) array per chain level and role, whatever
+the tile size. Tiles are whole multiples of ROW_ALIGN rows: OpenBLAS can
+give a row of a matrix product other bits when the product is split at a
+row that is not a multiple of 512, so only aligned blocks reproduce one
+call over all rows.
+
+All-candidate scoring (`score_batch`) takes its candidate chains from a
+`candidate_table`, built once per corrupted side over the candidate rows
+zero-padded to whole ROW_ALIGN blocks, so every candidate row goes
+through the same BLAS kernel and a copy of an entity gets the bits of the
+row it copies. The chains are stored transposed, and each distance and
+semantic term is summed one coordinate at a time into a (B, slab) block
+with elementwise operations only: a candidate's score depends on its own
+values, never on its position, the slab size or the other triples.
 """
 
 from __future__ import annotations
@@ -32,9 +39,12 @@ ROLES = (("h", "head"), ("r", "rel"), ("t", "tail"))
 
 # bytes of one (rows, half) float64 block of a training tile
 TILE_BYTES = 256 * 1024
-# bytes of one (B, slab, width) float64 ranking temporary
+# bytes of the working set of one ranking slab: width (B, slab) float64 blocks
 SLAB_BYTES = 2 * 1024 * 1024
-# tiles and default slabs are whole multiples of this many rows
+# (B, slab) blocks live in score_batch's kernel: the totals block, one
+# term's running sum and one coordinate's residual
+SLAB_BLOCKS = 3
+# tiles, default slabs and padded candidate tables are whole multiples of this many rows
 ROW_ALIGN = 512
 
 
@@ -198,7 +208,10 @@ def tile_rows(half):
 
 
 def slab_size(slab, B, width):
-    """Candidates per slab of a score_batch over B triples with (B, slab, width) temporaries.
+    """Candidates per slab of a score_batch over B triples whose working set is width (B, slab) blocks.
+
+    hie's kernel keeps SLAB_BLOCKS blocks; a broadcast (B, slab, dim)
+    temporary of the baselines is dim blocks.
 
     slab=None sizes the slab from SLAB_BYTES; an explicit slab must be >= 1.
     """
@@ -212,6 +225,35 @@ def slab_size(slab, B, width):
 def row_tiles(n, rows):
     """Slices covering range(n) in consecutive blocks of `rows`; the last may be shorter."""
     return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
+
+
+def _padded(rows):
+    """A copy of rows zero-padded to a whole multiple of ROW_ALIGN rows.
+
+    A matrix product over the padded block runs every real row through the
+    same BLAS kernel, so a row's bits depend on its values only: not on its
+    position or on how many rows share the call.
+    """
+    out = np.zeros((-(-len(rows) // ROW_ALIGN) * ROW_ALIGN,) + rows.shape[1:])
+    out[: len(rows)] = rows
+    return out
+
+
+def _transposed(rows):
+    """A C-ordered copy of rows.T, copied ROW_ALIGN rows at a time (a strided copy in one go is slower)."""
+    out = np.empty(rows.shape[::-1])
+    for tile in row_tiles(len(rows), ROW_ALIGN):
+        out[:, tile] = rows[tile].T
+    return out
+
+
+def _coordinate_dot(columns, seed):
+    """sum_k columns[k] * seed[k] over a (half, n) block, added one coordinate at a time."""
+    out = columns[0] * seed[0]
+    step = np.empty_like(out)
+    for k in range(1, len(seed)):
+        out += np.multiply(columns[k], seed[k], out=step)
+    return out
 
 
 def _space_columns(config: HieConfig):
@@ -259,25 +301,21 @@ def _chain(params, base, role, space, levels, out=None):
 
 
 def _distance_residual(h, r, t, seed, transform, out=None):
-    """Distance-space residual at one level and, for rank-1, the inner product.
+    """Distance-space residual of (N, half) chains at one level and, for rank-1, the inner product.
 
     Diagonal transform: h * (seed * r) - t.
     Rank-1 transform: (h . seed) * r - t.
-    Operands broadcast over their leading axes; out, when given, has the
-    full broadcast shape. The inner product runs as one 2-D matmul whatever
-    the shape of h, so per-triple and all-candidate scoring get the same bits.
     """
     if transform == TRANSFORM_DIAGONAL:
         u, inner = np.multiply(h, seed * r, out=out), None
     else:
-        half = h.shape[-1]
-        inner = (h.reshape(-1, half) @ seed).reshape(h.shape[:-1])
-        u = np.multiply(inner[..., None], r, out=out)
+        inner = h @ seed
+        u = np.multiply(inner[:, None], r, out=out)
     return np.subtract(u, t, out=out), inner
 
 
 def _semantic_residual(h, r, t, out=None):
-    """Semantic translation residual (h + r) - t, broadcasting like the distance one."""
+    """Semantic translation residual (h + r) - t."""
     return np.subtract(np.add(h, r, out=out), t, out=out)
 
 
@@ -428,59 +466,140 @@ def _backward_tile(params, config, cache, upstream, row_blocks, dense, tile):
             g_base += G * getattr(params, f"proj_{role}_{space}")
 
 
-def score_batch(params: HieParams, config: HieConfig, triples, candidates, corrupt_side, slab=None):
-    """(B, C) totals with one side of each triple replaced by each candidate.
+@dataclass(frozen=True)
+class CandidateTable:
+    """The candidate side of score_batch for one corrupted side, shared by its calls.
 
-    corrupt_side is "head" or "tail". Candidate projection chains are
-    computed once; candidates are processed in slabs to bound the size of
-    the (B, slab, half) temporaries. slab=None sizes them from SLAB_BYTES
-    (see `slab_size`), and those slabs give the bits of one slab over all
-    candidates.
+    rows maps "dist" and "sem" to one entry per level: the candidates'
+    chain at that level stored transposed, (half, C), or None where the
+    level does not use the space. On the head side of the rank-1 transform
+    a distance entry is the inner product cand . seed broadcast to
+    (half, C), since that is all the residual reads of a candidate.
+    """
+
+    side: str
+    size: int
+    rows: dict
+
+
+def candidate_table(params: HieParams, config: HieConfig, candidates, corrupt_side):
+    """Candidate chains of score_batch over `candidates` on corrupt_side.
+
+    The chains are built by `_chain` over the candidate rows zero-padded to
+    whole ROW_ALIGN blocks, so a copy of an entity row gets exactly the
+    chains of the row it copies.
     """
     if corrupt_side not in ("head", "tail"):
         raise ValueError(f"corrupt_side must be 'head' or 'tail', got {corrupt_side!r}")
-    triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     candidates = np.asarray(candidates, dtype=np.int64).ravel()
-    B, C, levels = len(triples), len(candidates), config.levels
-    slab = slab_size(slab, B, config.half)
-    h_ids, r_ids, t_ids = triples[:, 0], triples[:, 1], triples[:, 2]
-    fixed_ids, fixed_role, cand_role = (
-        (t_ids, "tail", "head") if corrupt_side == "head" else (h_ids, "head", "tail")
-    )
+    C = len(candidates)
+    on = [active_spaces(config, level) for level in range(1, config.levels + 1)]
+    rank1_head = corrupt_side == "head" and config.transform == TRANSFORM_RANK1
+    rows = {}
+    for k, (space, cols) in enumerate(_space_columns(config).items()):
+        rows[space] = [None] * config.levels
+        if space not in _needed_spaces(config):
+            continue
+        chain = _chain(params, _padded(params.ent[candidates, cols]), corrupt_side, space, config.levels)
+        for i, level in enumerate(chain):
+            if not on[i][k]:
+                continue
+            rows[space][i] = _transposed(level[:C])
+            if space == "dist" and rank1_head:
+                inner = _coordinate_dot(rows[space][i], params.transform_seed[i])
+                rows[space][i] = np.broadcast_to(inner, (config.half, C))
+    return CandidateTable(corrupt_side, C, rows)
 
-    # per space: (fixed, relation, candidate) chains, shaped to broadcast
-    # as (B, 1, half), (B, 1, half) and (1, C, half)
-    chains = {}
-    for space in _needed_spaces(config):
-        cols = _space_columns(config)[space]
-        fixed = _chain(params, params.ent[fixed_ids, cols], fixed_role, space, levels)
-        rel = _chain(params, params.rel[r_ids, cols], "rel", space, levels)
-        cand = _chain(params, params.ent[candidates, cols], cand_role, space, levels)
-        chains[space] = [
-            (f[:, None, :], r[:, None, :], c[None, :, :]) for f, r, c in zip(fixed, rel, cand)
-        ]
 
-    def operands(space, i, cols):
-        """(head, rel, tail) at one level for the candidate slab cols."""
-        fixed, rel, cand = chains[space][i]
-        cand = cand[:, cols]
-        return (cand, rel, fixed) if corrupt_side == "head" else (fixed, rel, cand)
+def _batch_terms(params, config, triples, table):
+    """(weight, norm p, combine, first, last, candidate rows) of every live term of score_batch.
 
-    weights = level_weights(config, params.alpha)
+    A term's residual at coordinate k is combine(first[k], cand[k]) - last[k]
+    (no subtraction when last is None): per coordinate, the arithmetic of
+    _distance_residual and _semantic_residual, except that the rank-1 inner
+    product is summed one coordinate at a time. first and last are stored
+    (half, B, 1), so first[k] broadcasts down a (B, slab) block. The fixed
+    and relation chains are built over rows padded like the candidates', so
+    a triple's operands do not depend on the other triples of the call.
+    """
+    B, levels = len(triples), config.levels
+    head = table.side == "head"
+    fixed_ids, fixed_role = (triples[:, 2], "tail") if head else (triples[:, 0], "head")
+
+    def columns(block):
+        return np.ascontiguousarray(block.T)[:, :, None]
+
+    chains = {
+        space: (_chain(params, _padded(params.ent[fixed_ids, cols]), fixed_role, space, levels),
+                _chain(params, _padded(params.rel[triples[:, 1], cols]), "rel", space, levels))
+        for space, cols in _space_columns(config).items() if space in _needed_spaces(config)
+    }
+    terms = []
+    for i, weights in enumerate(level_weights(config, params.alpha)):
+        for space, weight in zip(("dist", "sem"), weights):
+            cand = table.rows[space][i]
+            if cand is None or weight == 0.0:
+                continue
+            fixed, rel = (chain[i][:B] for chain in chains[space])
+            seed = params.transform_seed[i]
+            if space == "sem":
+                # (h + r) - t, with the candidate as h or as t
+                term = (np.add, columns(rel), columns(fixed)) if head else (
+                    np.subtract, columns(fixed + rel), None)
+            elif head:
+                # candidate heads: h * (seed * r) - t, or (h . seed) * r - t
+                first = seed * rel if config.transform == TRANSFORM_DIAGONAL else rel
+                term = (np.multiply, columns(first), columns(fixed))
+            elif config.transform == TRANSFORM_DIAGONAL:
+                term = (np.subtract, columns(fixed * (seed * rel)), None)
+            else:
+                term = (np.subtract, columns(_coordinate_dot(fixed.T, seed)[:, None] * rel), None)
+            norm_p = 2 if space == "sem" else config.norm_p
+            terms.append((config.lambdas[i] * weight, norm_p, *term, cand))
+    return terms
+
+
+def score_batch(params: HieParams, config: HieConfig, triples, candidates, corrupt_side, slab=None,
+                table=None):
+    """(B, C) totals with one side of each triple replaced by each candidate.
+
+    corrupt_side is "head" or "tail". table is the `candidate_table` of
+    these candidates and side; it is built here when not given, and
+    `evaluate` builds it once for all its calls. Each term is summed one
+    coordinate at a time into a (B, slab) block, with no BLAS call, so a
+    candidate's score depends only on its own chains: a copy of an entity
+    ties the row it copies, and every slab size gives the same bits.
+    slab=None sizes the slabs from SLAB_BYTES (see `slab_size`).
+    """
+    triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    B = len(triples)
+    slab = slab_size(slab, B, SLAB_BLOCKS)
+    if table is None:
+        table = candidate_table(params, config, candidates, corrupt_side)
+    elif table.side != corrupt_side or table.size != np.size(candidates):
+        raise ValueError(f"table holds {table.size} {table.side} candidates, "
+                         f"not {np.size(candidates)} {corrupt_side} ones")
+    C = table.size
     totals = np.zeros((B, C))
+    sum_buf, step_buf = np.empty((B, min(slab, C))), np.empty((B, min(slab, C)))
+    terms = _batch_terms(params, config, triples, table)
     for cols in row_tiles(C, slab):
-        block = totals[:, cols]
-        for level in range(1, levels + 1):
-            i = level - 1
-            dist_on, sem_on = active_spaces(config, level)
-            w_dist, w_sem = weights[i]
-            lam = config.lambdas[i]
-            if dist_on and w_dist != 0.0:
-                u, _ = _distance_residual(
-                    *operands("dist", i, cols), params.transform_seed[i], config.transform
-                )
-                block += (lam * w_dist) * _norm_rows(u, config.norm_p)
-            if sem_on and w_sem != 0.0:
-                v = _semantic_residual(*operands("sem", i, cols))
-                block += (lam * w_sem) * _norm_rows(v, 2)
+        n = cols.stop - cols.start
+        block, acc, step = totals[:, cols], sum_buf[:, :n], step_buf[:, :n]
+        for weight, norm_p, combine, first, last, cand in terms:
+            for k in range(config.half):
+                out = step if k else acc
+                combine(first[k], cand[k, cols], out=out)
+                if last is not None:
+                    np.subtract(out, last[k], out=out)
+                if norm_p == 1:
+                    np.abs(out, out=out)
+                else:
+                    np.multiply(out, out, out=out)
+                if k:
+                    acc += step
+            if norm_p == 2:
+                np.sqrt(acc, out=acc)
+            acc *= weight
+            block += acc
     return totals

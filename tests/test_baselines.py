@@ -4,6 +4,7 @@ import pytest
 from hiekge.baselines import (
     BaselineConfig,
     BaselineParams,
+    candidate_table,
     init_params,
     score_batch,
     score_triples,
@@ -185,6 +186,18 @@ class TestVectorizedPaths:
         rows = [(c, r, t) if side == "head" else (h, r, c) for h, r, t in triples for c in range(6)]
         expected = score_triples(params, config, rows)[0].reshape(got.shape)
         assert got == pytest.approx(expected, rel=1e-11, abs=1e-12)
+
+    @pytest.mark.parametrize("side", ["head", "tail"])
+    def test_distmult_table_scores_like_a_built_one(self, side):
+        rng = np.random.default_rng(9)
+        params, config = make("distmult", rng, dim=6)
+        triples = np.stack([rng.integers(0, 6, 4), rng.integers(0, 3, 4), rng.integers(0, 6, 4)], axis=1)
+        table = candidate_table(params, config, np.arange(6), side)
+        assert table.shape == (512, 6) and not table[6:].any()
+        got = score_batch(params, config, triples, np.arange(6), side, table=table)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, score_batch(params, config, triples, np.arange(6), side))
+        assert candidate_table(*make("transe", rng), np.arange(6), side) is None
 
     @pytest.mark.parametrize("kind", ["transe", "distmult", "rotate"])
     @pytest.mark.parametrize("slab", [0, -1])

@@ -300,33 +300,43 @@ class TestEvaluateAgainstOracle:
             evaluate(params, config, kg, **kwargs)
 
 
-# every model and norm, and both hie transforms; dim 64 and B=16 make the
-# default slab (512 candidates) smaller than SLAB_ENTITIES
+# every model and norm, and both hie transforms; B=16 makes the default
+# slabs (5,120 candidates for hie, 512 for the baselines at dim 64) smaller
+# than SLAB_ENTITIES. Three levels at dim 100 lift the candidate chains
+# through a GEMM whose remainder rows BLAS computes with another kernel.
 SLAB_MODELS = [
     HieConfig(dim=64, levels=2, lambdas=(0.5, 0.5), norm_p=norm_p, transform=transform)
     for transform in ("diagonal", "rank1") for norm_p in (1, 2)
+] + [HieConfig(dim=100, levels=3, lambdas=(0.25, 0.5, 0.25), transform=transform)
+     for transform in ("diagonal", "rank1")
 ] + [BaselineConfig(kind=kind, dim=64, norm_p=norm_p)
      for kind in ("transe", "distmult", "rotate") for norm_p in (1, 2)]
-SLAB_ENTITIES = 1301
+SLAB_ENTITIES = 5120 + 1301
 
 
-def slab_case(config, seed):
-    """Parameters over SLAB_ENTITIES entities and 16 test triples for one SLAB_MODELS entry."""
+# Small tables run through BLAS's small-matrix and remainder kernels, where
+# unpadded products gave a copy of a row other bits (see CHANGES.md): at 15
+# entities the three-level lift, at 301 DistMult and the rank-1 head product.
+TIE_ENTITIES = (15, 61, 301, SLAB_ENTITIES)
+
+
+def slab_case(config, seed, entities=SLAB_ENTITIES):
+    """Parameters over `entities` entities and 16 test triples for one SLAB_MODELS entry."""
     rng = np.random.default_rng(seed)
     if isinstance(config, HieConfig):
-        params = random_hie_params(rng, SLAB_ENTITIES, 5, config)
-        assert hie_model.slab_size(None, 16, config.half) < SLAB_ENTITIES
+        params = random_hie_params(rng, entities, 5, config)
+        assert hie_model.slab_size(None, 16, hie_model.SLAB_BLOCKS) < SLAB_ENTITIES
     else:
-        params = init_baseline(SLAB_ENTITIES, 5, config, seed=seed)
+        params = init_baseline(entities, 5, config, seed=seed)
         assert hie_model.slab_size(None, 16, config.dim) < SLAB_ENTITIES
-    triples = np.stack([rng.integers(0, SLAB_ENTITIES, 16), rng.integers(0, 5, 16),
-                        rng.integers(0, SLAB_ENTITIES, 16)], axis=1)
+    triples = np.stack([rng.integers(0, entities, 16), rng.integers(0, 5, 16),
+                        rng.integers(0, entities, 16)], axis=1)
     return params, triples
 
 
 def slab_model_id(config):
     if isinstance(config, HieConfig):
-        return f"hie-{config.transform}-l{config.norm_p}"
+        return f"hie-{config.transform}-l{config.norm_p}" + ("-dim100-3lv" if config.levels == 3 else "")
     return f"{config.kind}-l{config.norm_p}"
 
 
@@ -341,34 +351,49 @@ class TestSlabInvariance:
         want = module.score_batch(params, config, triples, candidates, side, slab=SLAB_ENTITIES)
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("entities", TIE_ENTITIES)
     @pytest.mark.parametrize("side", ["head", "tail"])
     @pytest.mark.parametrize("config", SLAB_MODELS, ids=slab_model_id)
-    def test_tied_candidates_rank_alike_in_any_slab(self, config, side):
-        # copies of the first triple's true entity, in the first, middle and
-        # last default slabs, including the last two rows
-        params, triples = slab_case(config, 4)
+    def test_tied_candidates_rank_alike_in_any_slab(self, config, side, entities):
+        # copies of the first triple's true entity in the first row, the
+        # middle and the last two rows; at SLAB_ENTITIES those are the first
+        # and last default slabs
+        params, triples = slab_case(config, 4, entities)
         col = 0 if side == "head" else 2
         true = int(triples[0, col])
-        copies = [c for c in (1, 600, SLAB_ENTITIES - 2, SLAB_ENTITIES - 1) if c != true]
+        copies = sorted({1, entities // 2, entities - 2, entities - 1} - {true})
         params.ent[copies] = params.ent[true]
         module = model_module(params)
-        candidates = np.arange(SLAB_ENTITIES)
+        candidates = np.arange(entities)
         by_slab = [module.score_batch(params, config, triples, candidates, side, **kw)
                    for kw in ({}, {"slab": SLAB_ENTITIES})]
         for b in range(len(triples)):
             for tie in ("pessimistic", "strict"):
                 ranks = [rank_triple(s[b], int(triples[b, col]), frozenset(), tie) for s in by_slab]
                 assert ranks[0] == ranks[1], (b, tie)
-        blas_scored = (getattr(config, "kind", None) == "distmult"
-                       or getattr(config, "transform", None) == "rank1" and side == "head")
-        if blas_scored:
-            # candidates scored through a BLAS product: the last rows can get
-            # other bits than an identical earlier row, so the copies need not tie
-            return
         row = by_slab[0][0]
         assert np.all(row[copies] == row[true])
         pess, strict = (rank_triple(row, true, frozenset(), tie) for tie in ("pessimistic", "strict"))
         assert pess - strict == len(copies)
+
+
+@pytest.mark.parametrize("config", [
+    HieConfig(dim=8, levels=2, lambdas=(0.5, 0.5)),
+    HieConfig(dim=8, levels=2, lambdas=(0.5, 0.5), transform="rank1"),
+    BaselineConfig(kind="distmult", dim=8),
+], ids=lambda c: getattr(c, "kind", None) or f"hie-{c.transform}")
+def test_ranks_do_not_depend_on_triple_chunk(config):
+    # evaluate builds each side's candidate table once and shares it across chunks
+    kg = build_synth_kg(num_entities=40, seed=2)
+    rng = np.random.default_rng(8)
+    if isinstance(config, HieConfig):
+        params = random_hie_params(rng, kg.num_entities, kg.num_relations, config)
+    else:
+        params = init_baseline(kg.num_entities, kg.num_relations, config, seed=8)
+    n = len(kg.test)
+    runs = [evaluate(params, config, kg, triple_chunk=chunk) for chunk in (1, 5, n)]
+    assert n > 5 and len(runs[0]) == n
+    assert runs[0] == runs[1] == runs[2]
 
 
 def results_from_pairs(pairs, relation=0):

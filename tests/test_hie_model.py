@@ -348,7 +348,7 @@ class TestScoreTriples:
 class TestScoreBatch:
     def test_matches_score_triples_both_sides(self):
         rng = np.random.default_rng(31)
-        for config in config_grid(levels_list=(1, 2), dims=(8,), ablations=ABLATION_COMBOS):
+        for config in config_grid(levels_list=(1, 2, 3), dims=(8, 50), ablations=ABLATION_COMBOS):
             p = random_hie_params(rng, 7, 3, config)
             triples = np.stack(
                 [rng.integers(0, 7, 3), rng.integers(0, 3, 3), rng.integers(0, 7, 3)], axis=1
@@ -392,6 +392,57 @@ class TestScoreBatch:
         p = init_params(3, 1, config, seed=0)
         with pytest.raises(ValueError, match="slab"):
             score_batch(p, config, [(0, 0, 1)], np.arange(3), "tail", slab=slab)
+
+    @pytest.mark.parametrize("transform", ["diagonal", "rank1"])
+    @pytest.mark.parametrize("side", ["head", "tail"])
+    def test_given_table_scores_like_a_built_one_in_any_chunk(self, side, transform):
+        rng = np.random.default_rng(43)
+        config = HieConfig(dim=50, levels=3, lambdas=lambdas_for(3), transform=transform)
+        p = random_hie_params(rng, 37, 3, config)
+        triples = np.stack([rng.integers(0, 37, 9), rng.integers(0, 3, 9), rng.integers(0, 37, 9)], axis=1)
+        candidates = np.arange(37)
+        table = hie_model.candidate_table(p, config, candidates, side)
+        want = score_batch(p, config, triples, candidates, side)
+        assert np.array_equal(score_batch(p, config, triples, candidates, side, table=table), want)
+        # a triple's row has the same bits whichever triples share its call
+        for b in range(len(triples)):
+            row = score_batch(p, config, triples[b : b + 1], candidates, side, table=table)
+            assert np.array_equal(row[0], want[b])
+
+    def test_table_of_other_side_or_size_rejected(self):
+        config = HieConfig(dim=4)
+        p = init_params(3, 1, config, seed=0)
+        table = hie_model.candidate_table(p, config, np.arange(3), "head")
+        for side, candidates in (("tail", np.arange(3)), ("head", np.arange(2))):
+            with pytest.raises(ValueError, match="table"):
+                score_batch(p, config, [(0, 0, 1)], candidates, side, table=table)
+
+
+class TestCandidateTable:
+    @pytest.mark.parametrize("dim", [50, 64, 100])
+    @pytest.mark.parametrize("side", ["head", "tail"])
+    def test_copies_of_a_row_get_its_chains(self, side, dim):
+        # unpadded, the level lift gave the last rows of these tables other bits
+        config = HieConfig(dim=dim, levels=3, lambdas=lambdas_for(3))
+        p = random_hie_params(np.random.default_rng(4), 300, 3, config)
+        for C in [*range(5, 40), 257, 300]:
+            copies = [C // 2, C - 2, C - 1]
+            p.ent[copies] = p.ent[0]
+            table = hie_model.candidate_table(p, config, np.arange(C), side)
+            for space in ("dist", "sem"):
+                for level in table.rows[space]:
+                    assert level.shape == (config.half, C)
+                    assert np.array_equal(level[:, copies], np.repeat(level[:, :1], 3, axis=1)), C
+
+    def test_levels_without_the_space_hold_none(self):
+        config = HieConfig(dim=8, levels=3, lambdas=lambdas_for(3), disable_semantic_deep=True)
+        p = random_hie_params(np.random.default_rng(2), 5, 2, config)
+        rows = hie_model.candidate_table(p, config, np.arange(5), "tail").rows
+        assert [level is None for level in rows["sem"]] == [False, True, True]
+        assert all(level is not None for level in rows["dist"])
+        only_dist = HieConfig(dim=8, levels=3, lambdas=lambdas_for(3), disable_semantic=True)
+        rows = hie_model.candidate_table(p, only_dist, np.arange(5), "head").rows
+        assert rows["sem"] == [None] * 3 and all(level is not None for level in rows["dist"])
 
 
 TILE_CONFIGS = [
