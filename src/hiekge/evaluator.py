@@ -12,6 +12,8 @@ from .trainer import NumericError, model_module
 TIE_PESSIMISTIC = "pessimistic"
 TIE_STRICT = "strict"
 TIE_BREAKS = (TIE_PESSIMISTIC, TIE_STRICT)
+# test triples per score_batch call of evaluate
+TRIPLE_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -66,28 +68,17 @@ def rank_triple(score_row, true_entity, filter_set, tie_break=TIE_PESSIMISTIC) -
     return 1 + int(better)
 
 
-def evaluate(
-    params,
-    config,
-    kg,
-    split="test",
-    tie_break=TIE_PESSIMISTIC,
-    filtered=True,
-    triple_chunk=16,
-    slab=None,
-):
+def evaluate(params, config, kg, split="test", tie_break=TIE_PESSIMISTIC, filtered=True):
     """Both-direction ranks for every triple of the split.
 
-    Scores all |E| candidates per direction with score_batch, triple_chunk
+    Scores all |E| candidates per direction with score_batch, TRIPLE_CHUNK
     triples per call, excluding known-true completions from
     train+valid+test when filtered. Each direction's candidate table
     (`candidate_table`) is built once and shared by all of that
-    direction's calls. slab=None lets score_batch size its candidate slabs.
+    direction's calls; score_batch sizes its candidate slabs.
     """
     if tie_break not in TIE_BREAKS:
         raise ValueError(f"unknown tie_break {tie_break!r}")
-    if triple_chunk < 1:
-        raise ValueError(f"triple_chunk must be >= 1, got {triple_chunk}")
     triples = kg.split(split) if isinstance(split, str) else np.asarray(split, dtype=np.int64)
     if len(triples) == 0:
         raise ValueError("cannot evaluate an empty split")
@@ -98,9 +89,9 @@ def evaluate(
     for side in ("tail", "head"):
         table = model.candidate_table(params, config, candidates, side)
         ranks[side] = []
-        for start in range(0, len(triples), triple_chunk):
-            chunk = triples[start : start + triple_chunk]
-            scores = model.score_batch(params, config, chunk, candidates, side, slab=slab, table=table)
+        for start in range(0, len(triples), TRIPLE_CHUNK):
+            chunk = triples[start : start + TRIPLE_CHUNK]
+            scores = model.score_batch(params, config, chunk, candidates, side, table=table)
             for row, (h, r, t) in zip(scores, chunk.tolist()):
                 if side == "tail":
                     true, known = t, index.true_tails(h, r) if filtered else frozenset()

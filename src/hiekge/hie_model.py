@@ -10,11 +10,12 @@ and combined across levels with fixed convex weights. Lower is better.
 The per-row kernels run over row tiles small enough for a core's L2
 cache: `score_triples` and `backward` walk their rows in tiles of
 `tile_rows(half)` rows, each written into slices of full-size arrays, so
-the cache keeps one (N, half) array per chain level and role, whatever
-the tile size. Tiles are whole multiples of ROW_ALIGN rows: OpenBLAS can
-give a row of a matrix product other bits when the product is split at a
-row that is not a multiple of 512, so only aligned blocks reproduce one
-call over all rows.
+the cache keeps one (N, half) array per level of each role's distance
+chain and of the semantic residual chain, whatever the tile size. Tiles
+are whole multiples of ROW_ALIGN rows: OpenBLAS can give a row of a
+matrix product other bits when the product is split at a row that is not
+a multiple of 512, so only aligned blocks reproduce one call over all
+rows.
 
 All-candidate scoring (`score_batch`) takes its candidate chains from a
 `candidate_table`, built once per corrupted side over the candidate rows
@@ -294,10 +295,15 @@ def _chain(params, base, role, space, levels, out=None):
     if out is None:
         out = [np.empty(base.shape) for _ in range(levels)]
     np.multiply(proj, base, out=out[0])
-    for level in range(2, levels + 1):
-        np.matmul(out[level - 2], extract[level - 2], out=out[level - 1])
-        out[level - 1] += base
-    return out
+    return _lift(out, base, extract)
+
+
+def _lift(chain, base, extract):
+    """Fills levels 2.. of a chain from its level 1: chain[j] = chain[j-1] @ extract[j-1] + base."""
+    for j in range(1, len(chain)):
+        np.matmul(chain[j - 1], extract[j - 1], out=chain[j])
+        chain[j] += base
+    return chain
 
 
 def _distance_residual(h, r, t, seed, transform, out=None):
@@ -314,22 +320,21 @@ def _distance_residual(h, r, t, seed, transform, out=None):
     return np.subtract(u, t, out=out), inner
 
 
-def _semantic_residual(h, r, t, out=None):
-    """Semantic translation residual (h + r) - t."""
-    return np.subtract(np.add(h, r, out=out), t, out=out)
-
-
 def score_triples(params: HieParams, config: HieConfig, triples):
     """Vectorized totals for a (B, 3) id batch, plus a cache for backprop.
 
-    The cache holds the bases, the per-level projection chains, the raw
+    The cache holds the bases, the per-role distance chains, the raw
     per-level residual vectors and distances, and the blend state: enough
-    for `backward` to run without re-scoring. Each chain, residual and
-    distance is one array over all B rows; the rows are gathered and scored
-    tile by tile (`tile_rows`) into slices of those arrays.
+    for `backward` to run without re-scoring. The semantic space keeps no
+    per-role chains: its residual is one chain of its own, v_1 = p_h*h +
+    p_r*r - p_t*t and v_j = v_{j-1} @ extract_sem[j-1] + (h + r - t),
+    cached as "u_sem". Each space's lists hold only the levels the score
+    reads. Each chain, residual and distance is one array over all B rows;
+    the rows are gathered and scored tile by tile (`tile_rows`) into
+    slices of those arrays.
     """
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-    B, levels, half = len(triples), config.levels, config.half
+    B, half = len(triples), config.half
     alpha = params.alpha
     cache = {
         "ids": (triples[:, 0], triples[:, 1], triples[:, 2]),
@@ -337,19 +342,18 @@ def score_triples(params: HieParams, config: HieConfig, triples):
         "weights": level_weights(config, alpha),
     }
     rows = tuple(np.empty((B, config.dim)) for _ in range(3))
-    needed = _needed_spaces(config)
     for space, cols in _space_columns(config).items():
         cache[f"bases_{space}"] = tuple(row[:, cols] for row in rows)
-        if space in needed:
-            for key, _ in ROLES:
-                cache[f"{key}_{space}"] = [np.empty((B, half)) for _ in range(levels)]
-    on = [active_spaces(config, level) for level in range(1, levels + 1)]
+    # levels whose term the score reads, per space: under every ablation a prefix
+    on = [active_spaces(config, level) for level in range(1, config.levels + 1)]
+    n_dist, n_sem = sum(d for d, _ in on), sum(s for _, s in on)
+    for key in ("h_dist", "r_dist", "t_dist", "u_dist"):
+        cache[key] = [np.empty((B, half)) for _ in range(n_dist)]
+    cache["u_sem"] = [np.empty((B, half)) for _ in range(n_sem)]
     rank1 = config.transform == TRANSFORM_RANK1
-    cache["u_dist"] = [np.empty((B, half)) if d else None for d, _ in on]
-    cache["u_sem"] = [np.empty((B, half)) if s else None for _, s in on]
-    cache["rank1_inner"] = [np.empty(B) if d and rank1 else None for d, _ in on]
-    cache["d_dist"] = np.zeros((B, levels))
-    cache["d_sem"] = np.zeros((B, levels))
+    cache["rank1_inner"] = [np.empty(B) for _ in range(n_dist if rank1 else 0)]
+    cache["d_dist"] = np.zeros((B, config.levels))
+    cache["d_sem"] = np.zeros((B, config.levels))
     totals = np.zeros(B)
     for tile in row_tiles(B, tile_rows(half)):
         _score_tile(params, config, cache, rows, totals, tile)
@@ -361,27 +365,25 @@ def _score_tile(params, config, cache, rows, totals, tile):
     tables = (params.ent, params.rel, params.ent)
     for row, table, ids in zip(rows, tables, cache["ids"]):
         row[tile] = table[ids[tile]]
-    for space in _needed_spaces(config):
-        for k, (key, role) in enumerate(ROLES):
-            chain = [level[tile] for level in cache[f"{key}_{space}"]]
-            _chain(params, cache[f"bases_{space}"][k][tile], role, space, config.levels, out=chain)
     d_dist, d_sem = cache["d_dist"][tile], cache["d_sem"][tile]
-    for i in range(config.levels):
-        dist_on, sem_on = active_spaces(config, i + 1)
-        w_dist, w_sem = cache["weights"][i]
-        if dist_on:
-            u, inner = _distance_residual(
-                *(cache[f"{key}_dist"][i][tile] for key, _ in ROLES),
-                params.transform_seed[i], config.transform, out=cache["u_dist"][i][tile],
-            )
+    if cache["u_dist"]:
+        chains = [[level[tile] for level in cache[f"{key}_dist"]] for key, _ in ROLES]
+        for k, (_, role) in enumerate(ROLES):
+            _chain(params, cache["bases_dist"][k][tile], role, "dist", len(chains[k]), out=chains[k])
+        for i, level in enumerate(cache["u_dist"]):
+            u, inner = _distance_residual(*(chain[i] for chain in chains), params.transform_seed[i],
+                                          config.transform, out=level[tile])
             if inner is not None:
                 cache["rank1_inner"][i][tile] = inner
             d_dist[:, i] = _norm_rows(u, config.norm_p)
-        if sem_on:
-            v = _semantic_residual(
-                *(cache[f"{key}_sem"][i][tile] for key, _ in ROLES), out=cache["u_sem"][i][tile]
-            )
-            d_sem[:, i] = _norm_rows(v, 2)
+    if cache["u_sem"]:
+        v = [level[tile] for level in cache["u_sem"]]
+        h, r, t = (base[tile] for base in cache["bases_sem"])
+        np.subtract(np.add(params.proj_head_sem * h, params.proj_rel_sem * r, out=v[0]),
+                    params.proj_tail_sem * t, out=v[0])
+        for i, level in enumerate(_lift(v, h + r - t, params.extract_sem)):
+            d_sem[:, i] = _norm_rows(level, 2)
+    for i, (w_dist, w_sem) in enumerate(cache["weights"]):
         totals[tile] += config.lambdas[i] * (w_dist * d_dist[:, i] + w_sem * d_sem[:, i])
 
 
@@ -391,9 +393,11 @@ def backward(params: HieParams, config: HieConfig, cache, upstream):
     Returns (ent_rows, rel_rows, dense): the (2B, dim) entity-row gradients,
     B head rows then B tail rows; the (B, dim) relation-row gradients, both
     uncoalesced; and every structure tensor's dense gradient by field name.
-    Rows run in the tiles of score_triples: each tile's row gradients are
-    exactly those of one pass over all rows, and each dense gradient sums
-    its per-tile parts.
+    Each distance chain is walked back once per role; the semantic residual
+    chain once for all three, since its gradient reaches head and relation
+    as is and the tail negated. Rows run in the tiles of score_triples:
+    each tile's row gradients are exactly those of one pass over all rows,
+    and each dense gradient sums its per-tile parts.
     """
     upstream = np.asarray(upstream, dtype=np.float64)
     B = len(cache["ids"][0])
@@ -416,54 +420,58 @@ def backward(params: HieParams, config: HieConfig, cache, upstream):
     return ent_rows, rel_rows, dense
 
 
+def _walk_back(direct, chain, extract, g_extract):
+    """Walks a chain's gradient from its deepest level back to level 1, adding to g_extract.
+
+    direct[j] is the gradient the score sends to level j+1 and chain[j]
+    that level's values. Returns the gradient at level 1 and the sum of
+    those at the deeper levels, which is what reaches the residual base.
+    """
+    G, G_deep = direct[-1], 0.0
+    for j in range(len(direct) - 1, 0, -1):
+        g_extract[j - 1] += chain[j - 1].T @ G
+        G_deep = G_deep + G
+        G = G @ extract[j - 1].T + direct[j - 1]
+    return G, G_deep
+
+
 def _backward_tile(params, config, cache, upstream, row_blocks, dense, tile):
     """backward over one tile: writes its (head, rel, tail) row gradients, adds to dense."""
-    levels = config.levels
-    # per space and level: the direct (head, rel, tail) gradients into the chains
-    direct = {"dist": [None] * levels, "sem": [None] * levels}
-    for i in range(levels):
-        dist_on, sem_on = active_spaces(config, i + 1)
-        w_dist, w_sem = cache["weights"][i]
-        lam = config.lambdas[i]
-        if dist_on and w_dist != 0.0:
-            u = cache["u_dist"][i][tile]
-            gu = _norm_backward(u, cache["d_dist"][tile, i], config.norm_p, upstream * (lam * w_dist))
-            seed = params.transform_seed[i]
-            h_lvl = cache["h_dist"][i][tile]
-            r_lvl = cache["r_dist"][i][tile]
-            if config.transform == TRANSFORM_DIAGONAL:
-                g_head, g_rel = gu * (seed * r_lvl), gu * (seed * h_lvl)
-                dense["transform_seed"][i] += np.sum(gu * (h_lvl * r_lvl), axis=0)
-            else:
-                g_inner = np.sum(gu * r_lvl, axis=-1)
-                g_head = g_inner[:, None] * seed[None, :]
-                g_rel = cache["rank1_inner"][i][tile][:, None] * gu
-                dense["transform_seed"][i] += g_inner @ h_lvl
-            direct["dist"][i] = (g_head, g_rel, -gu)
-        if sem_on and w_sem != 0.0:
-            v = cache["u_sem"][i][tile]
-            gv = _norm_backward(v, cache["d_sem"][tile, i], 2, upstream * (lam * w_sem))
-            direct["sem"][i] = (gv, gv, -gv)
-
-    # walk each chain from its deepest level back to the raw half it was built from
-    for space, cols in _space_columns(config).items():
-        grads = direct[space]
-        if all(g is None for g in grads):
-            continue
-        extract = params.extract_dist if space == "dist" else params.extract_sem
-        g_extract = dense[f"extract_{space}"]
+    dist_cols, sem_cols = _space_columns(config).values()
+    # the direct (head, rel, tail) gradients into the distance chains, per level
+    direct = []
+    for i, u in enumerate(cache["u_dist"]):
+        gu = _norm_backward(u[tile], cache["d_dist"][tile, i], config.norm_p,
+                            upstream * (config.lambdas[i] * cache["weights"][i][0]))
+        seed = params.transform_seed[i]
+        h_lvl = cache["h_dist"][i][tile]
+        r_lvl = cache["r_dist"][i][tile]
+        if config.transform == TRANSFORM_DIAGONAL:
+            g_head, g_rel = gu * (seed * r_lvl), gu * (seed * h_lvl)
+            dense["transform_seed"][i] += np.sum(gu * (h_lvl * r_lvl), axis=0)
+        else:
+            g_inner = np.sum(gu * r_lvl, axis=-1)
+            g_head = g_inner[:, None] * seed[None, :]
+            g_rel = cache["rank1_inner"][i][tile][:, None] * gu
+            dense["transform_seed"][i] += g_inner @ h_lvl
+        direct.append((g_head, g_rel, -gu))
+    if direct:
         for k, (key, role) in enumerate(ROLES):
-            chain = cache[f"{key}_{space}"]
-            g_base = row_blocks[k][:, cols]
-            G = grads[levels - 1][k] if grads[levels - 1] is not None else np.zeros(g_base.shape)
-            for j in range(levels - 1, 0, -1):
-                g_extract[j - 1] += chain[j - 1][tile].T @ G
-                g_base += G
-                G = G @ extract[j - 1].T
-                if grads[j - 1] is not None:
-                    G = G + grads[j - 1][k]
-            dense[f"proj_{role}_{space}"] += np.sum(G * cache[f"bases_{space}"][k][tile], axis=0)
-            g_base += G * getattr(params, f"proj_{role}_{space}")
+            chain = [level[tile] for level in cache[f"{key}_dist"]]
+            G, G_deep = _walk_back([level[k] for level in direct], chain, params.extract_dist,
+                                   dense["extract_dist"])
+            dense[f"proj_{role}_dist"] += np.sum(G * cache["bases_dist"][k][tile], axis=0)
+            row_blocks[k][:, dist_cols] = G_deep + G * getattr(params, f"proj_{role}_dist")
+    # the residual chain's gradient reaches head and relation as is, the tail negated
+    v = [level[tile] for level in cache["u_sem"]]
+    if v:
+        gv = [_norm_backward(level, cache["d_sem"][tile, i], 2,
+                             upstream * (config.lambdas[i] * cache["weights"][i][1]))
+              for i, level in enumerate(v)]
+        G, G_deep = _walk_back(gv, v, params.extract_sem, dense["extract_sem"])
+        for k, ((_, role), sign) in enumerate(zip(ROLES, (1.0, 1.0, -1.0))):
+            dense[f"proj_{role}_sem"] += sign * np.sum(G * cache["bases_sem"][k][tile], axis=0)
+            row_blocks[k][:, sem_cols] = sign * (G_deep + G * getattr(params, f"proj_{role}_sem"))
 
 
 @dataclass(frozen=True)
@@ -516,11 +524,12 @@ def _batch_terms(params, config, triples, table):
 
     A term's residual at coordinate k is combine(first[k], cand[k]) - last[k]
     (no subtraction when last is None): per coordinate, the arithmetic of
-    _distance_residual and _semantic_residual, except that the rank-1 inner
-    product is summed one coordinate at a time. first and last are stored
-    (half, B, 1), so first[k] broadcasts down a (B, slab) block. The fixed
-    and relation chains are built over rows padded like the candidates', so
-    a triple's operands do not depend on the other triples of the call.
+    _distance_residual and of the semantic residual (h + r) - t, except
+    that the rank-1 inner product is summed one coordinate at a time.
+    first and last are stored (half, B, 1), so first[k] broadcasts down a
+    (B, slab) block. The fixed and relation chains are built over rows
+    padded like the candidates', so a triple's operands do not depend on
+    the other triples of the call.
     """
     B, levels = len(triples), config.levels
     head = table.side == "head"

@@ -1,9 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hiekge import baselines, hie_model
+from hiekge import baselines, evaluator, hie_model
 from hiekge.baselines import BaselineConfig
 from hiekge.baselines import init_params as init_baseline
 from hiekge.evaluator import (
@@ -150,11 +152,12 @@ def baseline_scalar(params, config, h, r, t):
 class TestEvaluateAgainstOracle:
     @pytest.mark.parametrize("filtered", [True, False])
     @pytest.mark.parametrize("tie", ["pessimistic", "strict"])
-    def test_hie_ranks_equal_per_candidate_rescoring(self, filtered, tie):
+    def test_hie_ranks_equal_per_candidate_rescoring(self, monkeypatch, filtered, tie):
         kg = tiny_kg()
         config = HieConfig(dim=8, levels=2, lambdas=(0.5, 0.5))
         params = random_hie_params(np.random.default_rng(11), kg.num_entities, 2, config)
-        results = evaluate(params, config, kg, tie_break=tie, filtered=filtered, triple_chunk=3)
+        monkeypatch.setattr(evaluator, "TRIPLE_CHUNK", 3)
+        results = evaluate(params, config, kg, tie_break=tie, filtered=filtered)
         expected = rescoring_oracle_ranks(
             params, config, kg, hie_scalar, filtered, pessimistic=(tie == "pessimistic")
         )
@@ -172,12 +175,14 @@ class TestEvaluateAgainstOracle:
         got = [(res.head_rank, res.tail_rank) for res in results]
         assert got == expected
 
-    def test_synthetic_kg_oracle_spot_check(self):
+    def test_synthetic_kg_oracle_spot_check(self, monkeypatch):
         # larger vocabulary, chunked scoring paths exercised
         kg = build_synth_kg(num_entities=24, seed=3)
         config = HieConfig(dim=4)
         params = random_hie_params(np.random.default_rng(7), kg.num_entities, 4, config)
-        results = evaluate(params, config, kg, triple_chunk=5, slab=7)
+        monkeypatch.setattr(evaluator, "TRIPLE_CHUNK", 5)
+        monkeypatch.setattr(hie_model, "score_batch", functools.partial(hie_model.score_batch, slab=7))
+        results = evaluate(params, config, kg)
         expected = rescoring_oracle_ranks(params, config, kg, hie_scalar, True)
         got = [(res.head_rank, res.tail_rank) for res in results]
         assert got == expected
@@ -289,16 +294,6 @@ class TestEvaluateAgainstOracle:
         with pytest.raises(ValueError):
             evaluate(params, config, kg, tie_break="mean")
 
-    @pytest.mark.parametrize("kwargs", [
-        {"triple_chunk": 0}, {"triple_chunk": -1}, {"slab": 0}, {"slab": -4},
-    ])
-    def test_non_positive_chunk_or_slab_rejected(self, kwargs):
-        kg = tiny_kg()
-        config = HieConfig(dim=4)
-        params = init_params(kg.num_entities, 2, config, seed=0)
-        with pytest.raises(ValueError, match=next(iter(kwargs))):
-            evaluate(params, config, kg, **kwargs)
-
 
 # every model and norm, and both hie transforms; B=16 makes the default
 # slabs (5,120 candidates for hie, 512 for the baselines at dim 64) smaller
@@ -382,7 +377,7 @@ class TestSlabInvariance:
     HieConfig(dim=8, levels=2, lambdas=(0.5, 0.5), transform="rank1"),
     BaselineConfig(kind="distmult", dim=8),
 ], ids=lambda c: getattr(c, "kind", None) or f"hie-{c.transform}")
-def test_ranks_do_not_depend_on_triple_chunk(config):
+def test_ranks_do_not_depend_on_triple_chunk(monkeypatch, config):
     # evaluate builds each side's candidate table once and shares it across chunks
     kg = build_synth_kg(num_entities=40, seed=2)
     rng = np.random.default_rng(8)
@@ -391,7 +386,10 @@ def test_ranks_do_not_depend_on_triple_chunk(config):
     else:
         params = init_baseline(kg.num_entities, kg.num_relations, config, seed=8)
     n = len(kg.test)
-    runs = [evaluate(params, config, kg, triple_chunk=chunk) for chunk in (1, 5, n)]
+    runs = []
+    for chunk in (1, 5, n):
+        monkeypatch.setattr(evaluator, "TRIPLE_CHUNK", chunk)
+        runs.append(evaluate(params, config, kg))
     assert n > 5 and len(runs[0]) == n
     assert runs[0] == runs[1] == runs[2]
 

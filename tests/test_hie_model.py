@@ -69,13 +69,22 @@ class TestInitParams:
         config = HieConfig(dim=8)
         p = init_params(4, 2, config, seed=1)
         _, cache = score_triples(p, config, [(0, 1, 3)])
-        for key, row in (("h", p.ent[0]), ("r", p.rel[1]), ("t", p.ent[3])):
+        for key, role, row in (("h", "head", p.ent[0]), ("r", "rel", p.rel[1]), ("t", "tail", p.ent[3])):
             assert np.array_equal(cache[f"{key}_dist"][1][0], row[:4])
-            assert np.array_equal(cache[f"{key}_sem"][1][0], row[4:])
+            assert np.array_equal(sem_chain(p, config, row, role)[1][0], row[4:])
 
     def test_empty_vocab_rejected(self):
         with pytest.raises(ValueError):
             init_params(0, 1, HieConfig(dim=4), seed=0)
+
+
+def sem_chain(p, config, row, role):
+    """The semantic chain of one embedding row in one role, level by level.
+
+    score_triples caches only the semantic residual; the per-role chains
+    are those candidate_table builds.
+    """
+    return hie_model._chain(p, row[None, config.half:], role, "sem", config.levels)
 
 
 def level1_terms(h, r, t, seed=None, norm_p=1, transform="diagonal"):
@@ -99,9 +108,9 @@ class TestProjectLevel1:
         p = init_params(3, 2, config, seed=0)
         _, cache = score_triples(p, config, [(1, 0, 2)])
         assert np.array_equal(cache["h_dist"][0][0], p.ent[1, :3])
-        assert np.array_equal(cache["h_sem"][0][0], p.ent[1, 3:])
+        assert np.array_equal(sem_chain(p, config, p.ent[1], "head")[0][0], p.ent[1, 3:])
         assert np.array_equal(cache["r_dist"][0][0], p.rel[0, :3])
-        assert np.array_equal(cache["t_sem"][0][0], p.ent[2, 3:])
+        assert np.array_equal(sem_chain(p, config, p.ent[2], "tail")[0][0], p.ent[2, 3:])
 
     def test_zero_embedding_projects_to_zero(self):
         config = HieConfig(dim=4, levels=1, lambdas=(1.0,))
@@ -116,7 +125,8 @@ class TestProjectLevel1:
         p = random_hie_params(rng, 5, 3, config)
         _, cache = score_triples(p, config, [(2, 1, 4)])
         hd, rd, td = (cache[f"{k}_dist"][0][0] for k in "hrt")
-        hs, rs, ts = (cache[f"{k}_sem"][0][0] for k in "hrt")
+        hs, rs, ts = (sem_chain(p, config, row, role)[0][0]
+                      for row, role in ((p.ent[2], "head"), (p.rel[1], "rel"), (p.ent[4], "tail")))
         for i in range(4):
             assert hd[i] == p.proj_head_dist[i] * p.ent[2, i]
             assert rd[i] == p.proj_rel_dist[i] * p.rel[1, i]
@@ -124,6 +134,7 @@ class TestProjectLevel1:
             assert hs[i] == p.proj_head_sem[i] * p.ent[2, 4 + i]
             assert rs[i] == p.proj_rel_sem[i] * p.rel[1, 4 + i]
             assert ts[i] == p.proj_tail_sem[i] * p.ent[4, 4 + i]
+            assert cache["u_sem"][0][0, i] == (hs[i] + rs[i]) - ts[i]
 
 
 class TestLiftLevel:
@@ -140,16 +151,38 @@ class TestLiftLevel:
         p = random_hie_params(rng, 4, 2, config)
         _, cache = score_triples(p, config, [(0, 1, 3), (2, 0, 1)])
         for space, extract in (("dist", p.extract_dist[1]), ("sem", p.extract_sem[1])):
-            for key in "hrt":
-                bases = cache[f"bases_{space}"]["hrt".index(key)]
+            for k, (key, role) in enumerate(hie_model.ROLES):
+                bases = cache[f"bases_{space}"][k]
+                chain = cache[f"{key}_dist"] if space == "dist" else hie_model._chain(
+                    p, bases, role, "sem", config.levels)
                 for row in range(2):
-                    x, b = cache[f"{key}_{space}"][1][row], bases[row]
+                    x, b = chain[1][row], bases[row]
                     expected = [
                         sum(x[i] * extract[i, j] for i in range(4)) + b[j] for j in range(4)
                     ]
-                    np.testing.assert_allclose(
-                        cache[f"{key}_{space}"][2][row], expected, rtol=1e-12
-                    )
+                    np.testing.assert_allclose(chain[2][row], expected, rtol=1e-12)
+
+
+class TestSemanticResidualChain:
+    @pytest.mark.parametrize("flags", ABLATION_COMBOS)
+    @pytest.mark.parametrize("dim", [8, 50])
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    def test_residual_is_head_plus_rel_minus_tail_chains(self, levels, dim, flags):
+        # every level of the chain is linear in its base, so the one cached
+        # residual chain is the three role chains combined
+        config = HieConfig(dim=dim, levels=levels, lambdas=lambdas_for(levels), **flags)
+        rng = np.random.default_rng(levels * 100 + dim)
+        p = random_hie_params(rng, 12, 3, config)
+        triples = np.stack([rng.integers(0, 12, 40), rng.integers(0, 3, 40), rng.integers(0, 12, 40)], axis=1)
+        _, cache = score_triples(p, config, triples)
+        read = 0 if config.disable_semantic else 1 if config.disable_semantic_deep else levels
+        assert len(cache["u_sem"]) == read
+        h, r, t = (hie_model._chain(p, base, role, "sem", levels)
+                   for base, (_, role) in zip(cache["bases_sem"], hie_model.ROLES))
+        for j, v in enumerate(cache["u_sem"]):
+            want = h[j] + r[j] - t[j]
+            np.testing.assert_allclose(v, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+            np.testing.assert_allclose(cache["d_sem"][:, j], np.linalg.norm(want, axis=1), rtol=1e-12)
 
 
 class TestLevelDistance:
@@ -479,11 +512,11 @@ class TestRowTiles:
         assert np.array_equal(totals, one_totals)
         for key in ("d_dist", "d_sem"):
             assert np.array_equal(cache[key], one_cache[key])
-        for space in hie_model._needed_spaces(config):
-            for key in "hrt":
-                for level, one_level in zip(cache[f"{key}_{space}"], one_cache[f"{key}_{space}"]):
-                    assert level.shape == (n, config.half)
-                    assert np.array_equal(level, one_level)
+        for key in ("h_dist", "r_dist", "t_dist", "u_dist", "u_sem"):
+            assert len(cache[key]) == len(one_cache[key])
+            for level, one_level in zip(cache[key], one_cache[key]):
+                assert level.shape == (n, config.half)
+                assert np.array_equal(level, one_level)
         ent, rel, dense = grads
         one_ent, one_rel, one_dense = one_grads
         assert np.array_equal(ent, one_ent) and np.array_equal(rel, one_rel)

@@ -306,6 +306,30 @@ class TestGradients:
         assert np.all(grads.ent.values[:, half:] == 0.0)
         assert np.all(grads.rel.values[:, half:] == 0.0)
 
+    @pytest.mark.parametrize("transform", ["diagonal", "rank1"])
+    @pytest.mark.parametrize("norm_p", [1, 2])
+    @pytest.mark.parametrize("blend_logit, alpha, off", [(40.0, 1.0, "sem"), (-800.0, 0.0, "dist")])
+    def test_saturated_blend_zeroes_the_switched_off_space(self, blend_logit, alpha, off, norm_p, transform):
+        # alpha rounds to exactly 1 or 0, so one space's blend weight is 0.0
+        # while both spaces stay active
+        rng = np.random.default_rng(4)
+        config = HieConfig(dim=8, levels=3, lambdas=lambdas_for(3), norm_p=norm_p, transform=transform)
+        params = random_hie_params(rng, 10, 3, config)
+        params.blend_logit = np.asarray(blend_logit)
+        assert params.alpha == alpha
+        batch = toy_batch(rng, 10, 3, 6)
+        negs = sample_negatives_batch(batch, 3, 10, rng)
+        _, grads = gradients(params, config, TOY_TRAIN, batch, negs)
+        arrays = [grads.ent.values, grads.rel.values, *grads.dense.values()]
+        assert all(np.all(np.isfinite(g)) for g in arrays)
+        assert grads.dense["blend_logit"] == 0.0
+        names = [f"proj_{role}_{off}" for role in ("head", "rel", "tail")] + [f"extract_{off}"]
+        for name in names + (["transform_seed"] if off == "dist" else []):
+            assert np.all(grads.dense[name] == 0.0), name
+        cols = slice(config.half, None) if off == "sem" else slice(0, config.half)
+        assert np.all(grads.ent.values[:, cols] == 0.0)
+        assert np.all(grads.rel.values[:, cols] == 0.0)
+
     # Seeds below are pinned so the smallest touched gradient stays an order of
     # magnitude above the FD noise floor; with a step of 1e-6 in float64,
     # coordinates whose true gradient is under ~1e-4 would otherwise drown in
