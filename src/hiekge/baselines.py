@@ -5,6 +5,11 @@ serve every model; the bilinear score is negated for that reason. The
 rotation model stores relation phase angles in the first d/2 columns of
 its relation matrix (the remaining columns are unused and receive zero
 gradient), and treats consecutive entity coordinates as complex pairs.
+
+All-candidate ranking of the two distance models runs through hie's
+ranking kernel (`hie_model._slab_sums`) with one term each, so a copy of
+an entity ties the row it copies; DistMult, which has no norm to sum,
+ranks with one matrix product.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hie_model import _norm_backward, _norm_rows, _padded, row_tiles, slab_size
+from .hie_model import _columns, _norm_backward, _norm_rows, _padded, _slab_sums, _transposed
 
 TRANSE = "transe"
 DISTMULT = "distmult"
@@ -70,27 +75,24 @@ def init_params(num_entities, num_relations, config: BaselineConfig, seed) -> Ba
     return BaselineParams(kind=config.kind, ent=ent, rel=rel)
 
 
-def _transe_residual(h, r, t):
-    """h + r - t, broadcasting over leading axes."""
-    return (h + r) - t
+def _rotate(x, phase):
+    """Real and imaginary parts of x o e^(i phase), plus (xr, xi, cos, sin) for backprop.
+
+    Consecutive coordinates of x are complex pairs; phase holds one angle
+    per pair.
+    """
+    xr, xi = x[..., 0::2], x[..., 1::2]
+    cos, sin = np.cos(phase), np.sin(phase)
+    return xr * cos - xi * sin, xr * sin + xi * cos, (xr, xi, cos, sin)
 
 
 def _rotate_residual(h, r, t):
     """Real and imaginary parts of h o r - t, plus (hr, hi, cos, sin) for backprop.
 
-    r rotates each complex pair of h by the phase in its first d/2
-    columns. Operands broadcast over their leading axes.
+    r rotates each complex pair of h by the phase in its first d/2 columns.
     """
-    hr, hi = h[..., 0::2], h[..., 1::2]
-    phase = r[..., : h.shape[-1] // 2]
-    cos, sin = np.cos(phase), np.sin(phase)
-    re = hr * cos - hi * sin - t[..., 0::2]
-    im = hr * sin + hi * cos - t[..., 1::2]
-    return re, im, (hr, hi, cos, sin)
-
-
-def _rotate_norm(re, im):
-    return np.sqrt(np.sum(re * re, axis=-1) + np.sum(im * im, axis=-1))
+    re, im, parts = _rotate(h, r[..., : h.shape[-1] // 2])
+    return re - t[..., 0::2], im - t[..., 1::2], parts
 
 
 def score_triples(params: BaselineParams, config: BaselineConfig, triples):
@@ -105,7 +107,7 @@ def score_triples(params: BaselineParams, config: BaselineConfig, triples):
     h, r, t = params.ent[h_ids], params.rel[r_ids], params.ent[t_ids]
     cache = {"ids": (h_ids, r_ids, t_ids)}
     if params.kind == TRANSE:
-        u = _transe_residual(h, r, t)
+        u = (h + r) - t
         cache["u"] = u
         totals = _norm_rows(u, config.norm_p)
     elif params.kind == DISTMULT:
@@ -114,7 +116,7 @@ def score_triples(params: BaselineParams, config: BaselineConfig, triples):
     else:
         re, im, (hr, hi, cos, sin) = _rotate_residual(h, r, t)
         cache["rotate"] = (hr, hi, cos, sin, re, im)
-        totals = _rotate_norm(re, im)
+        totals = np.sqrt(np.sum(re * re, axis=-1) + np.sum(im * im, axis=-1))
     cache["totals"] = totals
     return totals, cache
 
@@ -154,49 +156,55 @@ def backward(params: BaselineParams, config: BaselineConfig, cache, upstream):
 def candidate_table(params: BaselineParams, config: BaselineConfig, candidates, corrupt_side):
     """The candidate side shared by every score_batch call of one direction.
 
-    DistMult's is its candidate rows zero-padded to whole ROW_ALIGN blocks
-    (see score_batch); TransE and RotatE share nothing and get None.
+    TransE's is the candidate rows stored transposed, (dim, C); RotatE's
+    the same with each row's real parts first and its imaginary parts
+    after, so both are coordinates of one L2 term. Both serve either side. DistMult's is its candidate rows zero-padded to whole ROW_ALIGN
+    blocks (see score_batch).
     """
-    if params.kind != DISTMULT:
-        return None
-    return _padded(params.ent[np.asarray(candidates, dtype=np.int64).ravel()])
+    candidates = np.asarray(candidates, dtype=np.int64).ravel()
+    if params.kind == DISTMULT:
+        return _padded(params.ent[candidates])
+    if params.kind == ROTATE:
+        pair_split = np.r_[0 : config.dim : 2, 1 : config.dim : 2]
+        return _transposed(params.ent[candidates[:, None], pair_split])
+    return _transposed(params.ent[candidates])
 
 
-def score_batch(params: BaselineParams, config: BaselineConfig, triples, candidates, corrupt_side, slab=None,
-                table=None):
+def score_batch(params: BaselineParams, config: BaselineConfig, triples, candidates, corrupt_side, table=None):
     """(B, C) totals with one side of each triple replaced by each candidate.
 
-    Candidates run in slabs that bound the (B, slab, dim) temporaries;
-    slab=None sizes them from hie_model.SLAB_BYTES. Every slab size gives
-    the same scores. DistMult is one matrix product with the candidates on
-    the row axis of a table padded to whole ROW_ALIGN blocks (table, from
-    `candidate_table`, or built here): every candidate row runs through the
-    same BLAS kernel, so a copy of an entity ties the row it copies. It
-    takes no slabs.
+    table is the `candidate_table` of these candidates; it is built here
+    when not given. TransE and RotatE are one `_slab_sums` term each, so a
+    copy of an entity ties the row it copies. TransE's residual is
+    (h + r) - t per coordinate. RotatE's is the L2 norm of h o r - t over
+    the pair-split coordinates, and a candidate head uses
+    |c o r - t| = |c - t o conj(r)|, which holds because every |r_k| = 1.
+    DistMult is one matrix product with the candidates on the row axis of
+    a table padded to whole ROW_ALIGN blocks: every candidate row runs
+    through the same BLAS kernel, so a copy of an entity ties here too.
     """
     if corrupt_side not in ("head", "tail"):
         raise ValueError(f"corrupt_side must be 'head' or 'tail', got {corrupt_side!r}")
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     candidates = np.asarray(candidates, dtype=np.int64).ravel()
-    h_ids, r_ids, t_ids = triples[:, 0], triples[:, 1], triples[:, 2]
     B, C = len(triples), len(candidates)
-    slab = slab_size(slab, B, config.dim)
-    r = params.rel[r_ids]
-    fixed = params.ent[t_ids if corrupt_side == "head" else h_ids]
+    head = corrupt_side == "head"
+    r = params.rel[triples[:, 1]]
+    fixed = params.ent[triples[:, 2] if head else triples[:, 0]]
+    if table is None:
+        table = candidate_table(params, config, candidates, corrupt_side)
+    elif params.kind != DISTMULT and table.shape != (config.dim, C):
+        raise ValueError(f"table holds {table.shape[-1]} candidates, not {C}")
     if params.kind == DISTMULT:
-        if table is None:
-            table = candidate_table(params, config, candidates, corrupt_side)
         # trilinear form is a plain inner product against the candidate
         return np.negative((table @ (fixed * r).T)[:C].T, out=np.empty((B, C)))
-    cand = params.ent[candidates]
-    totals = np.empty((B, C))
-    for cols in row_tiles(C, slab):
-        cb = cand[cols]
-        # fixed side and relation as (B, 1, d), candidates as (1, slab, d)
-        h, t = (cb[None], fixed[:, None]) if corrupt_side == "head" else (fixed[:, None], cb[None])
-        if params.kind == TRANSE:
-            totals[:, cols] = _norm_rows(_transe_residual(h, r[:, None], t), config.norm_p)
-        else:
-            re, im, _ = _rotate_residual(h, r[:, None], t)
-            totals[:, cols] = _rotate_norm(re, im)
-    return totals
+    if params.kind == ROTATE:
+        # the fixed side rotated by r, or by its conjugate for candidate heads
+        phase = r[:, : config.dim // 2]
+        re, im, _ = _rotate(fixed, -phase if head else phase)
+        term = (2, np.subtract, _columns(np.concatenate([re, im], axis=1)), None)
+    elif head:
+        term = (config.norm_p, np.add, _columns(r), _columns(fixed))
+    else:
+        term = (config.norm_p, np.subtract, _columns(fixed + r), None)
+    return _slab_sums([(1.0, *term, table)], B, C)

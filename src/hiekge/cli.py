@@ -379,6 +379,17 @@ def _write_loss_log(path, log):
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _write_table(header, rows, path):
+    """Prints a CSV header and each row as it arrives, then writes the same lines to path unless it is None."""
+    lines = [header]
+    print(header)
+    for row in rows:
+        lines.append(row)
+        print(row)
+    if path is not None:
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def _checkpoint_meta(run, kg, model_config, train_config) -> dict:
     return {
         "model_kind": run.model,
@@ -458,17 +469,11 @@ def cmd_classify(run: RunConfig) -> int:
     kg = _load_dataset(run, "train")
     try:
         categories = classify_relations(kg.train, eta=run.eta)
-    except ValueError as exc:  # a non-positive --eta
+    except ValueError as exc:  # a non-positive or non-finite --eta
         raise UsageError(str(exc)) from exc
-    lines = [CLASSIFY_HEADER]
-    for rel_id in sorted(categories):
-        cat = categories[rel_id]
-        name = kg.relation_names[rel_id]
-        lines.append(f"{name},{cat.hco:.6f},{cat.tcs:.6f},{cat.category}")
-    text = "\n".join(lines)
-    print(text)
-    if run.out is not None:
-        (_out_dir(run) / "relations.csv").write_text(text + "\n", encoding="utf-8")
+    rows = (f"{kg.relation_names[rel_id]},{cat.hco:.6f},{cat.tcs:.6f},{cat.category}"
+            for rel_id, cat in sorted(categories.items()))
+    _write_table(CLASSIFY_HEADER, rows, None if run.out is None else _out_dir(run) / "relations.csv")
     return EXIT_OK
 
 
@@ -495,22 +500,22 @@ def cmd_sweep(run: RunConfig) -> int:
         ]
     else:
         points = [{}]  # 1-point grid: the base configuration itself
-    lines = [SWEEP_HEADER]
-    print(SWEEP_HEADER)
-    for index, overrides in enumerate(points):
-        point = dataclasses.replace(run, **overrides)
-        prefix = f"{point.levels},{point.lambda1:g},{point.gamma:g},{point.dim},{point.batch_size}"
-        try:
-            params, model_config, _, _ = _train_once(kg=kg, run=point, out_dir=out_dir, stem=f"point_{index:03d}")
-            report = _evaluation_report(params, model_config, kg, "valid", point.tie_break)
-            row = f"{prefix},ok,{evaluator.report_csv_row(report)}"
-        except (UsageError, DataError, NumericError, ValueError) as exc:
-            _info(f"sweep point {index} failed: {exc}")
-            empty_metrics = "," * len(evaluator.CSV_HEADER.split(","))
-            row = f"{prefix},error:{type(exc).__name__}{empty_metrics}"
-        lines.append(row)
-        print(row)
-    (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    def rows():
+        for index, overrides in enumerate(points):
+            point = dataclasses.replace(run, **overrides)
+            prefix = f"{point.levels},{point.lambda1:g},{point.gamma:g},{point.dim},{point.batch_size}"
+            try:
+                params, model_config, _, _ = _train_once(kg=kg, run=point, out_dir=out_dir,
+                                                         stem=f"point_{index:03d}")
+                report = _evaluation_report(params, model_config, kg, "valid", point.tie_break)
+                yield f"{prefix},ok,{evaluator.report_csv_row(report)}"
+            except (UsageError, DataError, NumericError, ValueError) as exc:
+                _info(f"sweep point {index} failed: {exc}")
+                empty_metrics = "," * len(evaluator.CSV_HEADER.split(","))
+                yield f"{prefix},error:{type(exc).__name__}{empty_metrics}"
+
+    _write_table(SWEEP_HEADER, rows(), out_dir / "sweep.csv")
     return EXIT_OK
 
 
@@ -561,16 +566,15 @@ def cmd_ablate(run: RunConfig) -> int:
     _require(run, "out")
     kg = _load_dataset(run, "train", "valid")
     out_dir = _out_dir(run)
-    lines = [ABLATE_HEADER]
-    print(ABLATE_HEADER)
-    for name, overrides in ABLATE_VARIANTS:
-        variant = dataclasses.replace(run, **overrides)
-        params, model_config, _, _ = _train_once(kg=kg, run=variant, out_dir=out_dir, stem=name)
-        report = _evaluation_report(params, model_config, kg, "valid", variant.tie_break)
-        row = f"{name},{evaluator.report_csv_row(report)}"
-        lines.append(row)
-        print(row)
-    (out_dir / "ablate.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    def rows():
+        for name, overrides in ABLATE_VARIANTS:
+            variant = dataclasses.replace(run, **overrides)
+            params, model_config, _, _ = _train_once(kg=kg, run=variant, out_dir=out_dir, stem=name)
+            report = _evaluation_report(params, model_config, kg, "valid", variant.tie_break)
+            yield f"{name},{evaluator.report_csv_row(report)}"
+
+    _write_table(ABLATE_HEADER, rows(), out_dir / "ablate.csv")
     return EXIT_OK
 
 

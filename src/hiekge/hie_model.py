@@ -24,7 +24,8 @@ through the same BLAS kernel and a copy of an entity gets the bits of the
 row it copies. The chains are stored transposed, and each distance and
 semantic term is summed one coordinate at a time into a (B, slab) block
 with elementwise operations only: a candidate's score depends on its own
-values, never on its position, the slab size or the other triples.
+values, never on its position, the slab size or the other triples. That
+kernel, `_slab_sums`, also ranks the translation and rotation baselines.
 """
 
 from __future__ import annotations
@@ -40,12 +41,12 @@ ROLES = (("h", "head"), ("r", "rel"), ("t", "tail"))
 
 # bytes of one (rows, half) float64 block of a training tile
 TILE_BYTES = 256 * 1024
-# bytes of the working set of one ranking slab: width (B, slab) float64 blocks
+# bytes of the working set of one ranking slab: SLAB_BLOCKS (B, slab) float64 blocks
 SLAB_BYTES = 2 * 1024 * 1024
-# (B, slab) blocks live in score_batch's kernel: the totals block, one
-# term's running sum and one coordinate's residual
+# (B, slab) blocks live in the ranking kernel (`_slab_sums`): the totals
+# block, one term's running sum and one coordinate's residual
 SLAB_BLOCKS = 3
-# tiles, default slabs and padded candidate tables are whole multiples of this many rows
+# tiles, slabs and padded candidate tables are whole multiples of this many rows
 ROW_ALIGN = 512
 
 
@@ -208,19 +209,9 @@ def tile_rows(half):
     return _aligned_rows(TILE_BYTES, 8 * half)
 
 
-def slab_size(slab, B, width):
-    """Candidates per slab of a score_batch over B triples whose working set is width (B, slab) blocks.
-
-    hie's kernel keeps SLAB_BLOCKS blocks; a broadcast (B, slab, dim)
-    temporary of the baselines is dim blocks.
-
-    slab=None sizes the slab from SLAB_BYTES; an explicit slab must be >= 1.
-    """
-    if slab is None:
-        return _aligned_rows(SLAB_BYTES, 8 * width * max(B, 1))
-    if slab < 1:
-        raise ValueError(f"slab must be >= 1, got {slab}")
-    return slab
+def slab_size(B):
+    """Candidates per slab of `_slab_sums` over B triples: its SLAB_BLOCKS (B, slab) blocks fit SLAB_BYTES."""
+    return _aligned_rows(SLAB_BYTES, 8 * SLAB_BLOCKS * max(B, 1))
 
 
 def row_tiles(n, rows):
@@ -519,24 +510,61 @@ def candidate_table(params: HieParams, config: HieConfig, candidates, corrupt_si
     return CandidateTable(corrupt_side, C, rows)
 
 
-def _batch_terms(params, config, triples, table):
-    """(weight, norm p, combine, first, last, candidate rows) of every live term of score_batch.
+def _columns(block):
+    """A (B, n) block of per-triple operands as the (n, B, 1) columns of a `_slab_sums` term."""
+    return np.ascontiguousarray(block.T)[:, :, None]
 
-    A term's residual at coordinate k is combine(first[k], cand[k]) - last[k]
-    (no subtraction when last is None): per coordinate, the arithmetic of
+
+def _slab_sums(terms, B, C):
+    """(B, C) totals: the weighted sum of each term's norm over the C candidates.
+
+    A term is (weight, norm p, combine, first, last, cand): its residual at
+    coordinate k is combine(first[k], cand[k]) - last[k] (no subtraction
+    when last is None), with first and last in `_columns` form and cand the
+    (coordinates, C) candidate rows stored transposed. Each term is summed
+    one coordinate at a time into a (B, slab) block (`slab_size`) with
+    elementwise operations only, so a candidate's total depends only on its
+    own values: a copy of an entity ties the row it copies, and every slab
+    size gives the same bits.
+    """
+    slab = slab_size(B)
+    totals = np.zeros((B, C))
+    sum_buf, step_buf = np.empty((B, min(slab, C))), np.empty((B, min(slab, C)))
+    for cols in row_tiles(C, slab):
+        n = cols.stop - cols.start
+        block, acc, step = totals[:, cols], sum_buf[:, :n], step_buf[:, :n]
+        for weight, norm_p, combine, first, last, cand in terms:
+            for k in range(len(cand)):
+                out = step if k else acc
+                combine(first[k], cand[k, cols], out=out)
+                if last is not None:
+                    np.subtract(out, last[k], out=out)
+                if norm_p == 1:
+                    np.abs(out, out=out)
+                else:
+                    np.multiply(out, out, out=out)
+                if k:
+                    acc += step
+            if norm_p == 2:
+                np.sqrt(acc, out=acc)
+            acc *= weight
+            block += acc
+    return totals
+
+
+def _batch_terms(params, config, triples, table):
+    """The `_slab_sums` terms of every live level and space of score_batch.
+
+    Per coordinate, a term's residual is the arithmetic of
     _distance_residual and of the semantic residual (h + r) - t, except
-    that the rank-1 inner product is summed one coordinate at a time.
-    first and last are stored (half, B, 1), so first[k] broadcasts down a
-    (B, slab) block. The fixed and relation chains are built over rows
-    padded like the candidates', so a triple's operands do not depend on
-    the other triples of the call.
+    that the rank-1 inner product is summed one coordinate at a time. The
+    fixed and relation chains are built over rows padded like the
+    candidates', so a triple's operands do not depend on the other triples
+    of the call.
     """
     B, levels = len(triples), config.levels
     head = table.side == "head"
     fixed_ids, fixed_role = (triples[:, 2], "tail") if head else (triples[:, 0], "head")
-
-    def columns(block):
-        return np.ascontiguousarray(block.T)[:, :, None]
 
     chains = {
         space: (_chain(params, _padded(params.ent[fixed_ids, cols]), fixed_role, space, levels),
@@ -553,62 +581,34 @@ def _batch_terms(params, config, triples, table):
             seed = params.transform_seed[i]
             if space == "sem":
                 # (h + r) - t, with the candidate as h or as t
-                term = (np.add, columns(rel), columns(fixed)) if head else (
-                    np.subtract, columns(fixed + rel), None)
+                term = (np.add, _columns(rel), _columns(fixed)) if head else (
+                    np.subtract, _columns(fixed + rel), None)
             elif head:
                 # candidate heads: h * (seed * r) - t, or (h . seed) * r - t
                 first = seed * rel if config.transform == TRANSFORM_DIAGONAL else rel
-                term = (np.multiply, columns(first), columns(fixed))
+                term = (np.multiply, _columns(first), _columns(fixed))
             elif config.transform == TRANSFORM_DIAGONAL:
-                term = (np.subtract, columns(fixed * (seed * rel)), None)
+                term = (np.subtract, _columns(fixed * (seed * rel)), None)
             else:
-                term = (np.subtract, columns(_coordinate_dot(fixed.T, seed)[:, None] * rel), None)
+                term = (np.subtract, _columns(_coordinate_dot(fixed.T, seed)[:, None] * rel), None)
             norm_p = 2 if space == "sem" else config.norm_p
             terms.append((config.lambdas[i] * weight, norm_p, *term, cand))
     return terms
 
 
-def score_batch(params: HieParams, config: HieConfig, triples, candidates, corrupt_side, slab=None,
-                table=None):
+def score_batch(params: HieParams, config: HieConfig, triples, candidates, corrupt_side, table=None):
     """(B, C) totals with one side of each triple replaced by each candidate.
 
     corrupt_side is "head" or "tail". table is the `candidate_table` of
     these candidates and side; it is built here when not given, and
-    `evaluate` builds it once for all its calls. Each term is summed one
-    coordinate at a time into a (B, slab) block, with no BLAS call, so a
-    candidate's score depends only on its own chains: a copy of an entity
-    ties the row it copies, and every slab size gives the same bits.
-    slab=None sizes the slabs from SLAB_BYTES (see `slab_size`).
+    `evaluate` builds it once for all its calls. The terms are summed by
+    `_slab_sums`, with no BLAS call, so a candidate's score depends only on
+    its own chains: a copy of an entity ties the row it copies.
     """
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-    B = len(triples)
-    slab = slab_size(slab, B, SLAB_BLOCKS)
     if table is None:
         table = candidate_table(params, config, candidates, corrupt_side)
     elif table.side != corrupt_side or table.size != np.size(candidates):
         raise ValueError(f"table holds {table.size} {table.side} candidates, "
                          f"not {np.size(candidates)} {corrupt_side} ones")
-    C = table.size
-    totals = np.zeros((B, C))
-    sum_buf, step_buf = np.empty((B, min(slab, C))), np.empty((B, min(slab, C)))
-    terms = _batch_terms(params, config, triples, table)
-    for cols in row_tiles(C, slab):
-        n = cols.stop - cols.start
-        block, acc, step = totals[:, cols], sum_buf[:, :n], step_buf[:, :n]
-        for weight, norm_p, combine, first, last, cand in terms:
-            for k in range(config.half):
-                out = step if k else acc
-                combine(first[k], cand[k, cols], out=out)
-                if last is not None:
-                    np.subtract(out, last[k], out=out)
-                if norm_p == 1:
-                    np.abs(out, out=out)
-                else:
-                    np.multiply(out, out, out=out)
-                if k:
-                    acc += step
-            if norm_p == 2:
-                np.sqrt(acc, out=acc)
-            acc *= weight
-            block += acc
-    return totals
+    return _slab_sums(_batch_terms(params, config, triples, table), len(triples), table.size)

@@ -185,8 +185,8 @@ def classify_relations(train, eta: float = 1.5) -> dict:
     whose statistic is >= eta counts as "N" (heads side for hco, tails
     side for tcs). Relations absent from train are absent from the map.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if not 0 < eta < np.inf:  # NaN fails too
+        raise ValueError(f"eta must be a finite positive number, got {eta}")
     train = as_triple_array(train)
     if len(train) == 0:
         raise DataError("cannot classify relations of an empty train split")

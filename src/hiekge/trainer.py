@@ -46,18 +46,19 @@ class TrainConfig:
     adversarial_sign: str = SIGN_PLAUSIBILITY
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
-        if self.alpha_temp < 0:
-            raise ValueError(f"alpha_temp must be >= 0, got {self.alpha_temp}")
+        # written so that NaN fails each range check
+        if not 0 < self.gamma < np.inf:
+            raise ValueError(f"gamma must be a finite number > 0, got {self.gamma}")
+        if not 0 <= self.alpha_temp < np.inf:
+            raise ValueError(f"alpha_temp must be a finite number >= 0, got {self.alpha_temp}")
         if self.num_negatives < 1:
             raise ValueError("num_negatives must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be a finite number > 0, got {self.learning_rate}")
         if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
             raise ValueError("adam betas must lie in [0, 1)")
-        if self.adam_eps <= 0:
-            raise ValueError("adam_eps must be > 0")
+        if not 0 < self.adam_eps < np.inf:
+            raise ValueError(f"adam_eps must be a finite number > 0, got {self.adam_eps}")
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
         if self.batch_size < 1:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hiekge import hie_model
 from hiekge.baselines import (
     BaselineConfig,
     BaselineParams,
@@ -176,13 +177,16 @@ class TestVectorizedPaths:
 
     @pytest.mark.parametrize("kind", ["transe", "distmult", "rotate"])
     @pytest.mark.parametrize("side", ["head", "tail"])
-    def test_score_batch_matches_score_triples(self, kind, side):
+    @pytest.mark.parametrize("dim", [6, 64])
+    def test_score_batch_matches_score_triples(self, kind, side, dim, monkeypatch):
+        # slabs of 4 over 6 candidates: one whole slab and one ragged one
+        monkeypatch.setattr(hie_model, "slab_size", lambda B: 4)
         rng = np.random.default_rng(8)
-        params, config = make(kind, rng, dim=6, norm_p=2)
+        params, config = make(kind, rng, dim=dim, norm_p=2)
         triples = np.stack(
             [rng.integers(0, 6, 4), rng.integers(0, 3, 4), rng.integers(0, 6, 4)], axis=1
         )
-        got = score_batch(params, config, triples, np.arange(6), side, slab=4)
+        got = score_batch(params, config, triples, np.arange(6), side)
         rows = [(c, r, t) if side == "head" else (h, r, c) for h, r, t in triples for c in range(6)]
         expected = score_triples(params, config, rows)[0].reshape(got.shape)
         assert got == pytest.approx(expected, rel=1e-11, abs=1e-12)
@@ -197,11 +201,26 @@ class TestVectorizedPaths:
         got = score_batch(params, config, triples, np.arange(6), side, table=table)
         assert got.flags.c_contiguous
         assert np.array_equal(got, score_batch(params, config, triples, np.arange(6), side))
-        assert candidate_table(*make("transe", rng), np.arange(6), side) is None
 
-    @pytest.mark.parametrize("kind", ["transe", "distmult", "rotate"])
-    @pytest.mark.parametrize("slab", [0, -1])
-    def test_non_positive_slab_rejected(self, kind, slab):
-        params, config = make(kind, np.random.default_rng(8))
-        with pytest.raises(ValueError, match="slab"):
-            score_batch(params, config, [(0, 0, 1)], np.arange(6), "tail", slab=slab)
+    @pytest.mark.parametrize("kind", ["transe", "rotate"])
+    @pytest.mark.parametrize("side", ["head", "tail"])
+    def test_distance_model_table_scores_like_a_built_one(self, kind, side):
+        rng = np.random.default_rng(9)
+        params, config = make(kind, rng, dim=6)
+        triples = np.stack([rng.integers(0, 6, 4), rng.integers(0, 3, 4), rng.integers(0, 6, 4)], axis=1)
+        candidates = np.array([5, 0, 3, 3, 1])
+        table = candidate_table(params, config, candidates, side)
+        # the candidate rows, transposed; rotation rows as [real parts | imaginary parts]
+        rows = params.ent[candidates]
+        if kind == "rotate":
+            rows = np.concatenate([rows[:, 0::2], rows[:, 1::2]], axis=1)
+        assert np.array_equal(table, rows.T)
+        got = score_batch(params, config, triples, candidates, side, table=table)
+        assert np.array_equal(got, score_batch(params, config, triples, candidates, side))
+
+    @pytest.mark.parametrize("kind", ["transe", "rotate"])
+    def test_table_of_other_candidates_rejected(self, kind):
+        params, config = make(kind, np.random.default_rng(9), dim=6)
+        table = candidate_table(params, config, np.arange(6), "tail")
+        with pytest.raises(ValueError, match="table"):
+            score_batch(params, config, [(0, 0, 1)], np.arange(5), "tail", table=table)

@@ -78,6 +78,17 @@ class TestParsing:
         assert code == 1
         assert "dim" in err
 
+    @pytest.mark.parametrize("flag,name", [("--gamma", "gamma"), ("--lr", "learning_rate"),
+                                           ("--alpha-temp", "alpha_temp")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_training_flag_is_usage_error(self, capsys, data_dir, tmp_path, flag, name, value):
+        # these once trained to a non-finite loss and exited 3
+        code, out, err = run_cli(capsys, "train", "--data-dir", data_dir,
+                                 "--out", str(tmp_path / "out"), *TINY, flag, value)
+        assert code == 1
+        assert out == ""
+        assert f"usage error: {name} must be a finite number" in err
+
 
 class TestDeriveLambdas:
     def test_single_level_gets_full_weight(self):
@@ -468,8 +479,8 @@ class TestClassify:
         assert code == 0
         assert (out / "relations.csv").read_text() == stdout
 
-    @pytest.mark.parametrize("eta", ["0", "-1"])
-    def test_non_positive_eta_is_usage_error(self, capsys, data_dir, eta):
+    @pytest.mark.parametrize("eta", ["0", "-1", "nan", "inf"])
+    def test_bad_eta_is_usage_error(self, capsys, data_dir, eta):
         code, stdout, err = run_cli(capsys, "classify", "--data-dir", data_dir, "--eta", eta)
         assert code == 1
         assert stdout == ""

@@ -1,5 +1,3 @@
-import functools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -181,7 +179,7 @@ class TestEvaluateAgainstOracle:
         config = HieConfig(dim=4)
         params = random_hie_params(np.random.default_rng(7), kg.num_entities, 4, config)
         monkeypatch.setattr(evaluator, "TRIPLE_CHUNK", 5)
-        monkeypatch.setattr(hie_model, "score_batch", functools.partial(hie_model.score_batch, slab=7))
+        monkeypatch.setattr(hie_model, "slab_size", lambda B: 7)
         results = evaluate(params, config, kg)
         expected = rescoring_oracle_ranks(params, config, kg, hie_scalar, True)
         got = [(res.head_rank, res.tail_rank) for res in results]
@@ -296,9 +294,9 @@ class TestEvaluateAgainstOracle:
 
 
 # every model and norm, and both hie transforms; B=16 makes the default
-# slabs (5,120 candidates for hie, 512 for the baselines at dim 64) smaller
-# than SLAB_ENTITIES. Three levels at dim 100 lift the candidate chains
-# through a GEMM whose remainder rows BLAS computes with another kernel.
+# slabs (5,120 candidates, for every model) smaller than SLAB_ENTITIES.
+# Three levels at dim 100 lift the candidate chains through a GEMM whose
+# remainder rows BLAS computes with another kernel.
 SLAB_MODELS = [
     HieConfig(dim=64, levels=2, lambdas=(0.5, 0.5), norm_p=norm_p, transform=transform)
     for transform in ("diagonal", "rank1") for norm_p in (1, 2)
@@ -318,15 +316,21 @@ TIE_ENTITIES = (15, 61, 301, SLAB_ENTITIES)
 def slab_case(config, seed, entities=SLAB_ENTITIES):
     """Parameters over `entities` entities and 16 test triples for one SLAB_MODELS entry."""
     rng = np.random.default_rng(seed)
+    assert hie_model.slab_size(16) < SLAB_ENTITIES
     if isinstance(config, HieConfig):
         params = random_hie_params(rng, entities, 5, config)
-        assert hie_model.slab_size(None, 16, hie_model.SLAB_BLOCKS) < SLAB_ENTITIES
     else:
         params = init_baseline(entities, 5, config, seed=seed)
-        assert hie_model.slab_size(None, 16, config.dim) < SLAB_ENTITIES
     triples = np.stack([rng.integers(0, entities, 16), rng.integers(0, 5, 16),
                         rng.integers(0, entities, 16)], axis=1)
     return params, triples
+
+
+def one_slab_scores(monkeypatch, params, config, *args):
+    """score_batch of params' model with every candidate in one slab."""
+    with monkeypatch.context() as patch:
+        patch.setattr(hie_model, "slab_size", lambda B: SLAB_ENTITIES)
+        return model_module(params).score_batch(params, config, *args)
 
 
 def slab_model_id(config):
@@ -338,18 +342,17 @@ def slab_model_id(config):
 class TestSlabInvariance:
     @pytest.mark.parametrize("side", ["head", "tail"])
     @pytest.mark.parametrize("config", SLAB_MODELS, ids=slab_model_id)
-    def test_default_slabs_score_like_one_slab(self, config, side):
+    def test_default_slabs_score_like_one_slab(self, config, side, monkeypatch):
         params, triples = slab_case(config, 3)
-        module = model_module(params)
         candidates = np.arange(SLAB_ENTITIES)
-        got = module.score_batch(params, config, triples, candidates, side)
-        want = module.score_batch(params, config, triples, candidates, side, slab=SLAB_ENTITIES)
+        got = model_module(params).score_batch(params, config, triples, candidates, side)
+        want = one_slab_scores(monkeypatch, params, config, triples, candidates, side)
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("entities", TIE_ENTITIES)
     @pytest.mark.parametrize("side", ["head", "tail"])
     @pytest.mark.parametrize("config", SLAB_MODELS, ids=slab_model_id)
-    def test_tied_candidates_rank_alike_in_any_slab(self, config, side, entities):
+    def test_tied_candidates_rank_alike_in_any_slab(self, config, side, entities, monkeypatch):
         # copies of the first triple's true entity in the first row, the
         # middle and the last two rows; at SLAB_ENTITIES those are the first
         # and last default slabs
@@ -358,10 +361,9 @@ class TestSlabInvariance:
         true = int(triples[0, col])
         copies = sorted({1, entities // 2, entities - 2, entities - 1} - {true})
         params.ent[copies] = params.ent[true]
-        module = model_module(params)
         candidates = np.arange(entities)
-        by_slab = [module.score_batch(params, config, triples, candidates, side, **kw)
-                   for kw in ({}, {"slab": SLAB_ENTITIES})]
+        by_slab = [model_module(params).score_batch(params, config, triples, candidates, side),
+                   one_slab_scores(monkeypatch, params, config, triples, candidates, side)]
         for b in range(len(triples)):
             for tie in ("pessimistic", "strict"):
                 ranks = [rank_triple(s[b], int(triples[b, col]), frozenset(), tie) for s in by_slab]

@@ -379,8 +379,9 @@ class TestScoreTriples:
 
 
 class TestScoreBatch:
-    def test_matches_score_triples_both_sides(self):
+    def test_matches_score_triples_both_sides(self, monkeypatch):
         rng = np.random.default_rng(31)
+        monkeypatch.setattr(hie_model, "slab_size", lambda B: 3)
         for config in config_grid(levels_list=(1, 2, 3), dims=(8, 50), ablations=ABLATION_COMBOS):
             p = random_hie_params(rng, 7, 3, config)
             triples = np.stack(
@@ -388,7 +389,7 @@ class TestScoreBatch:
             )
             candidates = np.arange(7)
             for side in ("head", "tail"):
-                got = score_batch(p, config, triples, candidates, side, slab=3)
+                got = score_batch(p, config, triples, candidates, side)
                 rows = [
                     (c, r, t) if side == "head" else (h, r, c)
                     for h, r, t in triples
@@ -418,13 +419,6 @@ class TestScoreBatch:
         p = init_params(3, 1, config, seed=0)
         with pytest.raises(ValueError):
             score_batch(p, config, [(0, 0, 1)], np.arange(3), "both")
-
-    @pytest.mark.parametrize("slab", [0, -2])
-    def test_non_positive_slab_rejected(self, slab):
-        config = HieConfig(dim=4)
-        p = init_params(3, 1, config, seed=0)
-        with pytest.raises(ValueError, match="slab"):
-            score_batch(p, config, [(0, 0, 1)], np.arange(3), "tail", slab=slab)
 
     @pytest.mark.parametrize("transform", ["diagonal", "rank1"])
     @pytest.mark.parametrize("side", ["head", "tail"])

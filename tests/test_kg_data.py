@@ -215,9 +215,10 @@ class TestClassifyRelations:
         with pytest.raises(DataError):
             classify_relations([])
 
-    def test_bad_eta_raises(self):
-        with pytest.raises(ValueError):
-            classify_relations([(0, 0, 1)], eta=0.0)
+    @pytest.mark.parametrize("eta", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_eta_raises(self, eta):
+        with pytest.raises(ValueError, match="eta"):
+            classify_relations([(0, 0, 1)], eta=eta)
 
     def test_synthetic_structure(self):
         kg = build_synth_kg(num_entities=40, holdout_frac=0.0)

@@ -59,6 +59,12 @@ def toy_batch(rng, num_entities=20, num_relations=5, size=8):
 
 
 class TestTrainConfig:
+    @pytest.mark.parametrize("field", ["gamma", "alpha_temp", "learning_rate", "adam_eps"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(gamma=0.0)
