@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hie_model import _columns, _norm_backward, _norm_rows, _padded, _slab_sums, _transposed
+from .hie_model import CandidateTable, _columns, _norm_backward, _norm_rows, _padded, _slab_sums, _transposed
 
 TRANSE = "transe"
 DISTMULT = "distmult"
@@ -105,7 +105,8 @@ def score_triples(params: BaselineParams, config: BaselineConfig, triples):
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     h_ids, r_ids, t_ids = triples[:, 0], triples[:, 1], triples[:, 2]
     h, r, t = params.ent[h_ids], params.rel[r_ids], params.ent[t_ids]
-    cache = {"ids": (h_ids, r_ids, t_ids)}
+    # the entity and relation ids of the rows `backward` emits
+    cache = {"row_ids": ((h_ids, t_ids), r_ids)}
     if params.kind == TRANSE:
         u = (h + r) - t
         cache["u"] = u
@@ -158,12 +159,14 @@ def candidate_table(params: BaselineParams, config: BaselineConfig, candidates, 
 
     TransE's is the candidate rows stored transposed, (dim, C); RotatE's
     the same with each row's real parts first and its imaginary parts
-    after, so both are coordinates of one L2 term. Both serve either side. DistMult's is its candidate rows zero-padded to whole ROW_ALIGN
-    blocks (see score_batch).
+    after, so both are coordinates of one L2 term. Both serve either side.
+    DistMult's is hie's `CandidateTable` of its side and candidate count,
+    holding the candidate rows zero-padded to whole ROW_ALIGN blocks (see
+    score_batch), since the padding hides how many candidates there are.
     """
     candidates = np.asarray(candidates, dtype=np.int64).ravel()
     if params.kind == DISTMULT:
-        return _padded(params.ent[candidates])
+        return CandidateTable(corrupt_side, len(candidates), _padded(params.ent[candidates]))
     if params.kind == ROTATE:
         pair_split = np.r_[0 : config.dim : 2, 1 : config.dim : 2]
         return _transposed(params.ent[candidates[:, None], pair_split])
@@ -193,11 +196,13 @@ def score_batch(params: BaselineParams, config: BaselineConfig, triples, candida
     fixed = params.ent[triples[:, 2] if head else triples[:, 0]]
     if table is None:
         table = candidate_table(params, config, candidates, corrupt_side)
+    elif params.kind == DISTMULT and (table.side, table.size) != (corrupt_side, C):
+        raise ValueError(f"table holds {table.size} {table.side} candidates, not {C} {corrupt_side} ones")
     elif params.kind != DISTMULT and table.shape != (config.dim, C):
         raise ValueError(f"table holds {table.shape[-1]} candidates, not {C}")
     if params.kind == DISTMULT:
         # trilinear form is a plain inner product against the candidate
-        return np.negative((table @ (fixed * r).T)[:C].T, out=np.empty((B, C)))
+        return np.negative((table.rows @ (fixed * r).T)[:C].T, out=np.empty((B, C)))
     if params.kind == ROTATE:
         # the fixed side rotated by r, or by its conjugate for candidate heads
         phase = r[:, : config.dim // 2]

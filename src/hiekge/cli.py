@@ -402,10 +402,18 @@ def _checkpoint_meta(run, kg, model_config, train_config) -> dict:
     }
 
 
-def _train_once(run: RunConfig, kg, out_dir: Path, stem="model"):
-    """Shared by train/sweep/ablate: fit, checkpoint, return artifacts."""
-    model_config = model_config_from(run)
-    train_config = train_config_from(run)
+def _configs(run: RunConfig):
+    """The run's (model config, training config); UsageError if either rejects a value.
+
+    Commands build them before they create an output directory or print
+    progress, so a rejected flag leaves neither behind.
+    """
+    return model_config_from(run), train_config_from(run)
+
+
+def _train_once(run: RunConfig, kg, configs, out_dir: Path, stem="model"):
+    """Shared by train/sweep/ablate: fit with the run's `_configs`, checkpoint, return artifacts."""
+    model_config, train_config = configs
     params, log = trainer.train(kg, run.model, model_config, train_config)
     ckpt_path = out_dir / f"{stem}.ckpt"
     save_checkpoint(params, _checkpoint_meta(run, kg, model_config, train_config), ckpt_path)
@@ -415,6 +423,7 @@ def _train_once(run: RunConfig, kg, out_dir: Path, stem="model"):
 
 def cmd_train(run: RunConfig) -> int:
     _require(run, "out")
+    configs = _configs(run)
     kg = _load_dataset(run, "train", "valid")
     out_dir = _out_dir(run)
     _info(
@@ -422,7 +431,7 @@ def cmd_train(run: RunConfig) -> int:
         f"({kg.num_entities} entities, {kg.num_relations} relations, "
         f"{len(kg.train)} train triples)"
     )
-    params, model_config, log, ckpt_path = _train_once(run, kg, out_dir)
+    params, model_config, log, ckpt_path = _train_once(run, kg, configs, out_dir)
     if log:
         _info(f"final training loss {log[-1][1]:.6f} at step {log[-1][0]}")
     _info(f"checkpoint written to {ckpt_path}")
@@ -506,7 +515,7 @@ def cmd_sweep(run: RunConfig) -> int:
             point = dataclasses.replace(run, **overrides)
             prefix = f"{point.levels},{point.lambda1:g},{point.gamma:g},{point.dim},{point.batch_size}"
             try:
-                params, model_config, _, _ = _train_once(kg=kg, run=point, out_dir=out_dir,
+                params, model_config, _, _ = _train_once(point, kg, _configs(point), out_dir,
                                                          stem=f"point_{index:03d}")
                 report = _evaluation_report(params, model_config, kg, "valid", point.tie_break)
                 yield f"{prefix},ok,{evaluator.report_csv_row(report)}"
@@ -564,13 +573,14 @@ def cmd_ablate(run: RunConfig) -> int:
     if run.model != "hie":
         raise UsageError("ablate only applies to the hie model")
     _require(run, "out")
+    variants = [(name, dataclasses.replace(run, **overrides)) for name, overrides in ABLATE_VARIANTS]
+    configs = [_configs(variant) for _, variant in variants]
     kg = _load_dataset(run, "train", "valid")
     out_dir = _out_dir(run)
 
     def rows():
-        for name, overrides in ABLATE_VARIANTS:
-            variant = dataclasses.replace(run, **overrides)
-            params, model_config, _, _ = _train_once(kg=kg, run=variant, out_dir=out_dir, stem=name)
+        for (name, variant), variant_configs in zip(variants, configs):
+            params, model_config, _, _ = _train_once(variant, kg, variant_configs, out_dir, stem=name)
             report = _evaluation_report(params, model_config, kg, "valid", variant.tie_break)
             yield f"{name},{evaluator.report_csv_row(report)}"
 

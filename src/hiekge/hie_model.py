@@ -17,6 +17,13 @@ matrix product other bits when the product is split at a row that is not
 a multiple of 512, so only aligned blocks reproduce one call over all
 rows.
 
+Training negatives are scored against their positives' cache: each
+negative keeps its positive's relation and one entity, so
+`score_triples(..., positives=cache)` builds the distance chain of the
+corrupted entity only and takes the kept side's chains and bases from the
+positive rows. Its `backward` sums the kept side's gradients per positive
+before walking the positive's chains back once, over B rows.
+
 All-candidate scoring (`score_batch`) takes its candidate chains from a
 `candidate_table`, built once per corrupted side over the candidate rows
 zero-padded to whole ROW_ALIGN blocks, so every candidate row goes
@@ -214,9 +221,9 @@ def slab_size(B):
     return _aligned_rows(SLAB_BYTES, 8 * SLAB_BLOCKS * max(B, 1))
 
 
-def row_tiles(n, rows):
-    """Slices covering range(n) in consecutive blocks of `rows`; the last may be shorter."""
-    return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
+def row_tiles(stop, rows, start=0):
+    """Slices covering range(start, stop) in consecutive blocks of `rows`; the last may be shorter."""
+    return [slice(first, min(first + rows, stop)) for first in range(start, stop, rows)]
 
 
 def _padded(rows):
@@ -297,21 +304,46 @@ def _lift(chain, base, extract):
     return chain
 
 
-def _distance_residual(h, r, t, seed, transform, out=None):
-    """Distance-space residual of (N, half) chains at one level and, for rank-1, the inner product.
+def _head_term(h, r, seed, transform, out=None):
+    """A distance residual before its tail is subtracted and, for rank-1, the inner product.
 
-    Diagonal transform: h * (seed * r) - t.
-    Rank-1 transform: (h . seed) * r - t.
+    Diagonal transform: h * (seed * r). Rank-1 transform: (h . seed) * r.
+    The residual at the level is this minus the tail's chain.
     """
     if transform == TRANSFORM_DIAGONAL:
-        u, inner = np.multiply(h, seed * r, out=out), None
-    else:
-        inner = h @ seed
-        u = np.multiply(inner[:, None], r, out=out)
-    return np.subtract(u, t, out=out), inner
+        return np.multiply(h, seed * r, out=out), None
+    inner = h @ seed
+    return np.multiply(inner[:, None], r, out=out), inner
 
 
-def score_triples(params: HieParams, config: HieConfig, triples):
+def _new_cache(params, config, n, chain_keys):
+    """The blend state and empty per-level arrays of a score_triples cache over n rows.
+
+    Each space's lists hold only the levels the score reads: under every
+    ablation a prefix of the levels.
+    """
+    alpha, half = params.alpha, config.half
+    on = [active_spaces(config, level) for level in range(1, config.levels + 1)]
+    n_dist, n_sem = sum(d for d, _ in on), sum(s for _, s in on)
+    cache = {"alpha": alpha, "weights": level_weights(config, alpha)}
+    for key in (*chain_keys, "u_dist"):
+        cache[key] = [np.empty((n, half)) for _ in range(n_dist)]
+    cache["u_sem"] = [np.empty((n, half)) for _ in range(n_sem)]
+    rank1 = config.transform == TRANSFORM_RANK1
+    cache["rank1_inner"] = [np.empty(n) for _ in range(n_dist if rank1 else 0)]
+    cache["d_dist"] = np.zeros((n, config.levels))
+    cache["d_sem"] = np.zeros((n, config.levels))
+    return cache
+
+
+def _add_totals(config, cache, totals, tile):
+    """Adds each level's blended distances over one tile to totals."""
+    d_dist, d_sem = cache["d_dist"][tile], cache["d_sem"][tile]
+    for i, (w_dist, w_sem) in enumerate(cache["weights"]):
+        totals[tile] += config.lambdas[i] * (w_dist * d_dist[:, i] + w_sem * d_sem[:, i])
+
+
+def score_triples(params: HieParams, config: HieConfig, triples, positives=None):
     """Vectorized totals for a (B, 3) id batch, plus a cache for backprop.
 
     The cache holds the bases, the per-role distance chains, the raw
@@ -323,30 +355,31 @@ def score_triples(params: HieParams, config: HieConfig, triples):
     reads. Each chain, residual and distance is one array over all B rows;
     the rows are gathered and scored tile by tile (`tile_rows`) into
     slices of those arrays.
+
+    With positives, the cache of a call over B positive triples, triples
+    are (B, n, 3) training negatives: each keeps its positive's relation
+    and one of its entities, and ValueError says so when one does not. A
+    negative whose head differs from its positive's is head-corrupted,
+    any other tail-corrupted. Such a call gathers and chains only the
+    corrupted entity of each row and takes the kept side's chains and
+    bases from positives (`_score_negatives`); it returns the (B*n,)
+    totals in row order and an anchored cache, whose `backward` emits one
+    entity row per negative plus one kept head, kept tail and relation
+    row per positive.
     """
+    if positives is not None:
+        return _score_negatives(params, config, triples, positives)
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-    B, half = len(triples), config.half
-    alpha = params.alpha
-    cache = {
-        "ids": (triples[:, 0], triples[:, 1], triples[:, 2]),
-        "alpha": alpha,
-        "weights": level_weights(config, alpha),
-    }
+    B = len(triples)
+    cache = _new_cache(params, config, B, ("h_dist", "r_dist", "t_dist"))
+    cache["ids"] = (triples[:, 0], triples[:, 1], triples[:, 2])
+    # the entity and relation ids of the rows `backward` emits
+    cache["row_ids"] = ((triples[:, 0], triples[:, 2]), triples[:, 1])
     rows = tuple(np.empty((B, config.dim)) for _ in range(3))
     for space, cols in _space_columns(config).items():
         cache[f"bases_{space}"] = tuple(row[:, cols] for row in rows)
-    # levels whose term the score reads, per space: under every ablation a prefix
-    on = [active_spaces(config, level) for level in range(1, config.levels + 1)]
-    n_dist, n_sem = sum(d for d, _ in on), sum(s for _, s in on)
-    for key in ("h_dist", "r_dist", "t_dist", "u_dist"):
-        cache[key] = [np.empty((B, half)) for _ in range(n_dist)]
-    cache["u_sem"] = [np.empty((B, half)) for _ in range(n_sem)]
-    rank1 = config.transform == TRANSFORM_RANK1
-    cache["rank1_inner"] = [np.empty(B) for _ in range(n_dist if rank1 else 0)]
-    cache["d_dist"] = np.zeros((B, config.levels))
-    cache["d_sem"] = np.zeros((B, config.levels))
     totals = np.zeros(B)
-    for tile in row_tiles(B, tile_rows(half)):
+    for tile in row_tiles(B, tile_rows(config.half)):
         _score_tile(params, config, cache, rows, totals, tile)
     return totals, cache
 
@@ -356,42 +389,154 @@ def _score_tile(params, config, cache, rows, totals, tile):
     tables = (params.ent, params.rel, params.ent)
     for row, table, ids in zip(rows, tables, cache["ids"]):
         row[tile] = table[ids[tile]]
-    d_dist, d_sem = cache["d_dist"][tile], cache["d_sem"][tile]
     if cache["u_dist"]:
         chains = [[level[tile] for level in cache[f"{key}_dist"]] for key, _ in ROLES]
         for k, (_, role) in enumerate(ROLES):
             _chain(params, cache["bases_dist"][k][tile], role, "dist", len(chains[k]), out=chains[k])
         for i, level in enumerate(cache["u_dist"]):
-            u, inner = _distance_residual(*(chain[i] for chain in chains), params.transform_seed[i],
-                                          config.transform, out=level[tile])
+            u, inner = _head_term(chains[0][i], chains[1][i], params.transform_seed[i], config.transform,
+                                  out=level[tile])
+            np.subtract(u, chains[2][i], out=u)
             if inner is not None:
                 cache["rank1_inner"][i][tile] = inner
-            d_dist[:, i] = _norm_rows(u, config.norm_p)
+            cache["d_dist"][tile, i] = _norm_rows(u, config.norm_p)
     if cache["u_sem"]:
         v = [level[tile] for level in cache["u_sem"]]
         h, r, t = (base[tile] for base in cache["bases_sem"])
         np.subtract(np.add(params.proj_head_sem * h, params.proj_rel_sem * r, out=v[0]),
                     params.proj_tail_sem * t, out=v[0])
         for i, level in enumerate(_lift(v, h + r - t, params.extract_sem)):
-            d_sem[:, i] = _norm_rows(level, 2)
-    for i, (w_dist, w_sem) in enumerate(cache["weights"]):
-        totals[tile] += config.lambdas[i] * (w_dist * d_dist[:, i] + w_sem * d_sem[:, i])
+            cache["d_sem"][tile, i] = _norm_rows(level, 2)
+    _add_totals(config, cache, totals, tile)
+
+
+def _score_negatives(params, config, negatives, positives):
+    """score_triples of (B, n, 3) negatives against positives, the cache of their B positives.
+
+    The rows are reordered once, head-corrupted rows first and then
+    tail-corrupted ones, each in batch order, so that every row of a side
+    has the same corrupted role and the negatives of one positive are
+    consecutive. Each row gathers its corrupted entity and builds that
+    entity's distance chain ("c_dist"); the positive's kept chains and
+    bases enter the residuals in the order the flat residuals add them.
+    "pos" holds each row's positive and "order" each row's place in the
+    (B*n,) row order; "rank1_inner" is written for head-corrupted rows
+    only, the tail-corrupted ones take the positive's head term whole.
+    """
+    h_ids, r_ids, t_ids = positives["ids"]
+    B = len(h_ids)
+    negatives = np.asarray(negatives, dtype=np.int64)
+    if negatives.ndim != 3 or negatives.shape[0] != B or negatives.shape[2] != 3:
+        raise ValueError(f"negatives must be (B, n, 3) for B = {B} positives, got shape {negatives.shape}")
+    head = negatives[:, :, 0] != h_ids[:, None]
+    if np.any(negatives[:, :, 1] != r_ids[:, None]) or np.any(head & (negatives[:, :, 2] != t_ids[:, None])):
+        raise ValueError("each negative must keep its positive's relation and one of its entities")
+    head, rows_in = head.ravel(), negatives.reshape(-1, 3)
+    order = np.concatenate([np.flatnonzero(head), np.flatnonzero(~head)])
+    N, n_head = len(order), int(np.count_nonzero(head))
+    ent_ids = np.where(head, rows_in[:, 0], rows_in[:, 2])[order]
+    cache = _new_cache(params, config, N, ("c_dist",))
+    cache.update(positives=positives, order=order, pos=order // negatives.shape[1],
+                 sides=(("head", slice(0, n_head)), ("tail", slice(n_head, N))),
+                 row_ids=((ent_ids, h_ids, t_ids), r_ids))
+    rows = np.empty((N, config.dim))
+    cache["bases_dist"], cache["bases_sem"] = (rows[:, cols] for cols in _space_columns(config).values())
+    kept = _kept_operands(params, config, positives)
+    totals = np.zeros(N)
+    for side, block in cache["sides"]:
+        for tile in row_tiles(block.stop, tile_rows(config.half), start=block.start):
+            rows[tile] = params.ent[ent_ids[tile]]
+            _score_negative_tile(params, config, cache, kept, totals, side, tile)
+    out = np.empty(N)
+    out[order] = totals
+    return out, cache
+
+
+def _kept_operands(params, config, positives):
+    """Per-positive operands of the negatives' residuals, computed once over the B positive rows.
+
+    "head_term" holds, per level, the positive's distance residual before
+    its tail is subtracted: a tail-corrupted negative subtracts its own
+    tail's chain from it. "sem_head" and "sem_tail" hold the kept terms of
+    the semantic residual's level 1 and of its base for head- and
+    tail-corrupted negatives.
+    """
+    h, r = positives["h_dist"], positives["r_dist"]
+    kept = {"head_term": [_head_term(h[i], r[i], params.transform_seed[i], config.transform)[0]
+                          for i in range(len(h))]}
+    if positives["u_sem"]:
+        hb, rb, tb = positives["bases_sem"]
+        rel = params.proj_rel_sem * rb
+        kept["sem_head"] = (rel, params.proj_tail_sem * tb, rb, tb)
+        kept["sem_tail"] = (params.proj_head_sem * hb + rel, hb + rb)
+    return kept
+
+
+def _score_negative_tile(params, config, cache, kept, totals, side, tile):
+    """_score_negatives over one tile of one side's rows, whose entities are gathered."""
+    positives, p = cache["positives"], cache["pos"][tile]
+    if cache["u_dist"]:
+        c = _chain(params, cache["bases_dist"][tile], side, "dist", len(cache["c_dist"]),
+                   out=[level[tile] for level in cache["c_dist"]])
+        for i, level in enumerate(cache["u_dist"]):
+            if side == "head":
+                u, inner = _head_term(c[i], positives["r_dist"][i][p], params.transform_seed[i],
+                                      config.transform, out=level[tile])
+                np.subtract(u, positives["t_dist"][i][p], out=u)
+                if inner is not None:
+                    cache["rank1_inner"][i][tile] = inner
+            else:
+                u = np.subtract(kept["head_term"][i][p], c[i], out=level[tile])
+            cache["d_dist"][tile, i] = _norm_rows(u, config.norm_p)
+    if cache["u_sem"]:
+        v = [level[tile] for level in cache["u_sem"]]
+        e = cache["bases_sem"][tile]
+        if side == "head":
+            rel, tail, rb, tb = kept["sem_head"]
+            np.subtract(np.add(params.proj_head_sem * e, rel[p], out=v[0]), tail[p], out=v[0])
+            base = (e + rb[p]) - tb[p]
+        else:
+            head_rel, hr = kept["sem_tail"]
+            np.subtract(head_rel[p], params.proj_tail_sem * e, out=v[0])
+            base = hr[p] - e
+        for i, level in enumerate(_lift(v, base, params.extract_sem)):
+            cache["d_sem"][tile, i] = _norm_rows(level, 2)
+    _add_totals(config, cache, totals, tile)
 
 
 def backward(params: HieParams, config: HieConfig, cache, upstream):
     """Analytic gradients of sum_b upstream[b] * total[b] for one score_triples cache.
 
-    Returns (ent_rows, rel_rows, dense): the (2B, dim) entity-row gradients,
-    B head rows then B tail rows; the (B, dim) relation-row gradients, both
-    uncoalesced; and every structure tensor's dense gradient by field name.
-    Each distance chain is walked back once per role; the semantic residual
-    chain once for all three, since its gradient reaches head and relation
-    as is and the tail negated. Rows run in the tiles of score_triples:
-    each tile's row gradients are exactly those of one pass over all rows,
-    and each dense gradient sums its per-tile parts.
+    Returns (ent_rows, rel_rows, dense): the entity-row and relation-row
+    gradients, uncoalesced, whose ids are the cache's "row_ids", and every
+    structure tensor's dense gradient by field name. A (B, 3) cache emits
+    2B entity rows, B head rows then B tail rows, and B relation rows.
+    Each distance chain is walked back once per role; the semantic
+    residual chain once for all three, since its gradient reaches head and
+    relation as is and the tail negated. Rows run in the tiles of
+    score_triples: each tile's row gradients are exactly those of one pass
+    over all rows, and each dense gradient sums its per-tile parts.
+
+    An anchored cache (negatives scored against their positives) emits
+    its B*n corrupted-entity rows, then B kept-head rows and B kept-tail
+    rows, and B relation rows (`_backward_negatives`).
     """
     upstream = np.asarray(upstream, dtype=np.float64)
+    if "positives" in cache:
+        return _backward_negatives(params, config, cache, upstream[cache["order"]])
     B = len(cache["ids"][0])
+    dense = _dense_gradients(params, config, cache, upstream)
+    ent_rows = np.zeros((2 * B, config.dim))
+    rel_rows = np.zeros((B, config.dim))
+    row_blocks = (ent_rows[:B], rel_rows, ent_rows[B:])
+    for tile in row_tiles(B, tile_rows(config.half)):
+        _backward_tile(params, config, cache, upstream[tile],
+                       [block[tile] for block in row_blocks], dense, tile)
+    return ent_rows, rel_rows, dense
+
+
+def _dense_gradients(params, config, cache, upstream):
+    """Every structure tensor's gradient, zero but for the blend logit's, which is complete."""
     dense = {n: np.zeros_like(t) for n, t in params.field_items() if n not in ("ent", "rel")}
     # d(total)/d(alpha) collects only levels where the blend is live
     blend_slope = 0.0
@@ -401,14 +546,7 @@ def backward(params: HieParams, config: HieConfig, cache, upstream):
                 np.sum(upstream * (cache["d_dist"][:, i] - cache["d_sem"][:, i]))
             )
     dense["blend_logit"][...] = blend_slope * cache["alpha"] * (1.0 - cache["alpha"])
-
-    ent_rows = np.zeros((2 * B, config.dim))
-    rel_rows = np.zeros((B, config.dim))
-    row_blocks = (ent_rows[:B], rel_rows, ent_rows[B:])
-    for tile in row_tiles(B, tile_rows(config.half)):
-        _backward_tile(params, config, cache, upstream[tile],
-                       [block[tile] for block in row_blocks], dense, tile)
-    return ent_rows, rel_rows, dense
+    return dense
 
 
 def _walk_back(direct, chain, extract, g_extract):
@@ -426,43 +564,157 @@ def _walk_back(direct, chain, extract, g_extract):
     return G, G_deep
 
 
+def _base_gradient(params, space, role, G, G_deep, base, dense, sign=1.0):
+    """Gradient at one role's base half from its chain's walked-back (G, G_deep); adds its projection's.
+
+    sign is the sign the role's chain enters the residual with.
+    """
+    proj = f"proj_{role}_{space}"
+    dense[proj] += sign * np.sum(G * base, axis=0)
+    return sign * (G_deep + G * getattr(params, proj))
+
+
+def _residual_gradients(config, cache, upstream, tile):
+    """The gradients at each level's distance and semantic residuals over one tile."""
+    gu = [_norm_backward(u[tile], cache["d_dist"][tile, i], config.norm_p,
+                         upstream * (config.lambdas[i] * cache["weights"][i][0]))
+          for i, u in enumerate(cache["u_dist"])]
+    gv = [_norm_backward(v[tile], cache["d_sem"][tile, i], 2,
+                         upstream * (config.lambdas[i] * cache["weights"][i][1]))
+          for i, v in enumerate(cache["u_sem"])]
+    return gu, gv
+
+
+def _distance_direct(params, config, i, gu, h, r, inner, dense):
+    """The direct gradients into level i's head and relation chains from gu at its residual.
+
+    h and r are the level's head and relation chains, inner the rank-1
+    inner product h . seed. Adds the transform seed's gradient to dense.
+    The tail chain's direct gradient is -gu.
+    """
+    seed = params.transform_seed[i]
+    if config.transform == TRANSFORM_DIAGONAL:
+        dense["transform_seed"][i] += np.sum(gu * (h * r), axis=0)
+        return gu * (seed * r), gu * (seed * h)
+    g_inner = np.sum(gu * r, axis=-1)
+    dense["transform_seed"][i] += g_inner @ h
+    return g_inner[:, None] * seed[None, :], inner[:, None] * gu
+
+
+# the sign each role's semantic chain enters the residual with: h + r - t
+SEM_SIGNS = (1.0, 1.0, -1.0)
+
+
 def _backward_tile(params, config, cache, upstream, row_blocks, dense, tile):
     """backward over one tile: writes its (head, rel, tail) row gradients, adds to dense."""
     dist_cols, sem_cols = _space_columns(config).values()
+    gu, gv = _residual_gradients(config, cache, upstream, tile)
     # the direct (head, rel, tail) gradients into the distance chains, per level
     direct = []
-    for i, u in enumerate(cache["u_dist"]):
-        gu = _norm_backward(u[tile], cache["d_dist"][tile, i], config.norm_p,
-                            upstream * (config.lambdas[i] * cache["weights"][i][0]))
-        seed = params.transform_seed[i]
-        h_lvl = cache["h_dist"][i][tile]
-        r_lvl = cache["r_dist"][i][tile]
-        if config.transform == TRANSFORM_DIAGONAL:
-            g_head, g_rel = gu * (seed * r_lvl), gu * (seed * h_lvl)
-            dense["transform_seed"][i] += np.sum(gu * (h_lvl * r_lvl), axis=0)
-        else:
-            g_inner = np.sum(gu * r_lvl, axis=-1)
-            g_head = g_inner[:, None] * seed[None, :]
-            g_rel = cache["rank1_inner"][i][tile][:, None] * gu
-            dense["transform_seed"][i] += g_inner @ h_lvl
-        direct.append((g_head, g_rel, -gu))
+    for i, g in enumerate(gu):
+        inner = cache["rank1_inner"][i][tile] if cache["rank1_inner"] else None
+        direct.append((*_distance_direct(params, config, i, g, cache["h_dist"][i][tile],
+                                         cache["r_dist"][i][tile], inner, dense), -g))
     if direct:
         for k, (key, role) in enumerate(ROLES):
             chain = [level[tile] for level in cache[f"{key}_dist"]]
             G, G_deep = _walk_back([level[k] for level in direct], chain, params.extract_dist,
                                    dense["extract_dist"])
-            dense[f"proj_{role}_dist"] += np.sum(G * cache["bases_dist"][k][tile], axis=0)
-            row_blocks[k][:, dist_cols] = G_deep + G * getattr(params, f"proj_{role}_dist")
-    # the residual chain's gradient reaches head and relation as is, the tail negated
-    v = [level[tile] for level in cache["u_sem"]]
-    if v:
-        gv = [_norm_backward(level, cache["d_sem"][tile, i], 2,
-                             upstream * (config.lambdas[i] * cache["weights"][i][1]))
-              for i, level in enumerate(v)]
-        G, G_deep = _walk_back(gv, v, params.extract_sem, dense["extract_sem"])
-        for k, ((_, role), sign) in enumerate(zip(ROLES, (1.0, 1.0, -1.0))):
-            dense[f"proj_{role}_sem"] += sign * np.sum(G * cache["bases_sem"][k][tile], axis=0)
-            row_blocks[k][:, sem_cols] = sign * (G_deep + G * getattr(params, f"proj_{role}_sem"))
+            row_blocks[k][:, dist_cols] = _base_gradient(params, "dist", role, G, G_deep,
+                                                         cache["bases_dist"][k][tile], dense)
+    if gv:
+        G, G_deep = _walk_back(gv, [level[tile] for level in cache["u_sem"]], params.extract_sem,
+                               dense["extract_sem"])
+        for k, ((_, role), sign) in enumerate(zip(ROLES, SEM_SIGNS)):
+            row_blocks[k][:, sem_cols] = _base_gradient(params, "sem", role, G, G_deep,
+                                                        cache["bases_sem"][k][tile], dense, sign)
+
+
+def _backward_negatives(params, config, cache, upstream):
+    """backward of an anchored cache, given upstream in its rows' order.
+
+    Every row walks back its corrupted entity's distance chain and the
+    semantic residual chain. The gradients that reach the kept side are
+    summed per positive first, over the runs of one positive's rows in
+    each tile: the distance chains' direct gradients per level, and the
+    semantic chain's (G, G_deep). Then each kept role walks back the
+    positive's chain once, over B rows.
+    """
+    positives = cache["positives"]
+    N, B, half = len(cache["pos"]), len(positives["ids"][0]), config.half
+    dist_cols, sem_cols = _space_columns(config).values()
+    dense = _dense_gradients(params, config, cache, upstream)
+    ent_rows = np.zeros((N + 2 * B, config.dim))
+    rel_rows = np.zeros((B, config.dim))
+    n_dist, n_sem = len(cache["u_dist"]), len(cache["u_sem"])
+    # per kept role (head, rel, tail) and positive: the direct gradients into its
+    # distance chain per level, and its semantic chain's (G, G_deep)
+    kept_dist = [[np.zeros((B, half)) for _ in range(n_dist)] for _ in ROLES]
+    kept_sem = [[np.zeros((B, half)), np.zeros((B, half))] for _ in ROLES]
+    for side, block in cache["sides"]:
+        for tile in row_tiles(block.stop, tile_rows(half), start=block.start):
+            _backward_negative_tile(params, config, cache, upstream[tile], ent_rows[tile], dense,
+                                    (kept_dist, kept_sem), side, tile)
+    kept_rows = (ent_rows[N:N + B], rel_rows, ent_rows[N + B:])
+    for k, ((key, role), sign) in enumerate(zip(ROLES, SEM_SIGNS)):
+        if n_dist:
+            G, G_deep = _walk_back(kept_dist[k], positives[f"{key}_dist"], params.extract_dist,
+                                   dense["extract_dist"])
+            kept_rows[k][:, dist_cols] = _base_gradient(params, "dist", role, G, G_deep,
+                                                        positives["bases_dist"][k], dense)
+        if n_sem:
+            kept_rows[k][:, sem_cols] = _base_gradient(params, "sem", role, *kept_sem[k],
+                                                       positives["bases_sem"][k], dense, sign)
+    return ent_rows, rel_rows, dense
+
+
+def _backward_negative_tile(params, config, cache, upstream, rows, dense, kept, side, tile):
+    """_backward_negatives over one tile of one side's rows: writes their rows, adds to kept and dense."""
+    kept_dist, kept_sem = kept
+    positives, p = cache["positives"], cache["pos"][tile]
+    # the tile's runs of rows of one positive, by their first row
+    starts = np.flatnonzero(np.r_[True, p[1:] != p[:-1]])
+    owners = p[starts]
+
+    def run_sums(values):
+        return np.add.reduceat(values, starts, axis=0)
+
+    dist_cols, sem_cols = _space_columns(config).values()
+    gu, gv = _residual_gradients(config, cache, upstream, tile)
+    direct = []
+    for i, g in enumerate(gu):
+        if side == "tail":
+            # the kept head term is linear in gu: its direct gradients come from gu's run sums
+            inner = positives["rank1_inner"][i][owners] if positives["rank1_inner"] else None
+            g_head, g_rel = _distance_direct(params, config, i, run_sums(g), positives["h_dist"][i][owners],
+                                             positives["r_dist"][i][owners], inner, dense)
+            kept_dist[0][i][owners] += g_head
+            kept_dist[1][i][owners] += g_rel
+            direct.append(-g)
+            continue
+        inner = cache["rank1_inner"][i][tile] if cache["rank1_inner"] else None
+        g_head, g_rel = _distance_direct(params, config, i, g, cache["c_dist"][i][tile],
+                                         positives["r_dist"][i][p], inner, dense)
+        direct.append(g_head)
+        kept_dist[1][i][owners] += run_sums(g_rel)
+        kept_dist[2][i][owners] -= run_sums(g)
+    if direct:
+        G, G_deep = _walk_back(direct, [level[tile] for level in cache["c_dist"]], params.extract_dist,
+                               dense["extract_dist"])
+        rows[:, dist_cols] = _base_gradient(params, "dist", side, G, G_deep, cache["bases_dist"][tile],
+                                            dense)
+    if gv:
+        G, G_deep = _walk_back(gv, [level[tile] for level in cache["u_sem"]], params.extract_sem,
+                               dense["extract_sem"])
+        corrupt = 0 if side == "head" else 2
+        rows[:, sem_cols] = _base_gradient(params, "sem", side, G, G_deep, cache["bases_sem"][tile],
+                                           dense, SEM_SIGNS[corrupt])
+        G_sums = run_sums(G)
+        G_deep_sums = run_sums(G_deep) if len(gv) > 1 else 0.0  # G_deep is 0.0 at one level
+        for k in range(3):
+            if k != corrupt:
+                kept_sem[k][0][owners] += G_sums
+                kept_sem[k][1][owners] += G_deep_sums
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,13 @@ This module only routes calls to the right model, coalesces the rows,
 and applies the loss and the optimiser. A training step scores its
 positives and its negatives in one `score_triples` call each, runs
 `backward` over both caches and sums all their rows in one `coalesce` per
-embedding table. Adversarial weights are treated as constants of the
+embedding table. hie scores the negatives against the positives' cache:
+each negative keeps its positive's relation and one entity, so the call
+gathers and chains only the corrupted entity, and its anchored cache's
+`backward` emits one entity row per negative plus one kept-head,
+kept-tail and relation row per positive, each summed over that
+positive's negatives. The baselines score every negative row in full.
+Adversarial weights are treated as constants of the
 objective (no gradient flows through them), so the finite-difference
 checker freezes them before differencing.
 """
@@ -193,10 +199,16 @@ def _forward_step(params, config, batch, negatives):
     """(B,) positive and (B, n) negative scores, and the caches of both forwards.
 
     Positives and negatives are scored in separate calls, in that order, so
-    a per-layer trace can tell the two apart.
+    a per-layer trace can tell the two apart. hie scores the negatives
+    against the positives' cache: each keeps its positive's relation and
+    one entity, so only the corrupted entity's chains are built. The
+    baselines score every negative row in full.
     """
     pos, pos_cache = _forward(params, config, batch)
-    neg, neg_cache = _forward(params, config, negatives.reshape(-1, 3))
+    if isinstance(params, HieParams):
+        neg, neg_cache = hie_model.score_triples(params, config, negatives, positives=pos_cache)
+    else:
+        neg, neg_cache = _forward(params, config, negatives.reshape(-1, 3))
     return pos, neg.reshape(len(batch), -1), (pos_cache, neg_cache)
 
 
@@ -215,15 +227,20 @@ def _coalesce_blocks(id_blocks, row_blocks) -> SparseGrad:
 def backprop(params, config, parts) -> GradSet:
     """Gradients of sum_b upstream[b] * total[b], summed over (cache, upstream) parts.
 
-    Each part runs the model's backward; the rows of all parts meet in one
-    coalesce per embedding table, and the dense gradients add up.
+    Each part runs the model's backward, which emits the rows its cache's
+    "row_ids" name: a (B, 3) cache one head and one tail row and one
+    relation row per triple, an anchored hie negative cache one row per
+    corrupted entity and one kept-head, kept-tail and relation row per
+    positive, already summed over its negatives. The rows of all parts
+    meet in one coalesce per embedding table, and the dense gradients add
+    up.
     """
     backward = model_module(params).backward
     ent_ids, ent_rows, rel_ids, rel_rows, dense = [], [], [], [], {}
     for cache, upstream in parts:
-        h_ids, r_ids, t_ids = cache["ids"]
-        ent_ids += [h_ids, t_ids]
-        rel_ids.append(r_ids)
+        ent_block_ids, rel_block_ids = cache["row_ids"]
+        ent_ids += ent_block_ids
+        rel_ids.append(rel_block_ids)
         ent, rel, part_dense = backward(params, config, cache, upstream)
         ent_rows.append(ent)
         rel_rows.append(rel)

@@ -197,7 +197,8 @@ class TestVectorizedPaths:
         params, config = make("distmult", rng, dim=6)
         triples = np.stack([rng.integers(0, 6, 4), rng.integers(0, 3, 4), rng.integers(0, 6, 4)], axis=1)
         table = candidate_table(params, config, np.arange(6), side)
-        assert table.shape == (512, 6) and not table[6:].any()
+        assert (table.side, table.size) == (side, 6)
+        assert table.rows.shape == (512, 6) and not table.rows[6:].any()
         got = score_batch(params, config, triples, np.arange(6), side, table=table)
         assert got.flags.c_contiguous
         assert np.array_equal(got, score_batch(params, config, triples, np.arange(6), side))
@@ -218,9 +219,10 @@ class TestVectorizedPaths:
         got = score_batch(params, config, triples, candidates, side, table=table)
         assert np.array_equal(got, score_batch(params, config, triples, candidates, side))
 
-    @pytest.mark.parametrize("kind", ["transe", "rotate"])
+    @pytest.mark.parametrize("kind", ["transe", "distmult", "rotate"])
     def test_table_of_other_candidates_rejected(self, kind):
         params, config = make(kind, np.random.default_rng(9), dim=6)
         table = candidate_table(params, config, np.arange(6), "tail")
-        with pytest.raises(ValueError, match="table"):
-            score_batch(params, config, [(0, 0, 1)], np.arange(5), "tail", table=table)
+        for candidates in (np.arange(5), np.array([5, 4])):
+            with pytest.raises(ValueError, match="table"):
+                score_batch(params, config, [(0, 0, 1)], candidates, "tail", table=table)

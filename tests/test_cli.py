@@ -77,6 +77,7 @@ class TestParsing:
                                "--out", str(tmp_path / "out"), "--dim", "7")
         assert code == 1
         assert "dim" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag,name", [("--gamma", "gamma"), ("--lr", "learning_rate"),
                                            ("--alpha-temp", "alpha_temp")])
@@ -88,6 +89,9 @@ class TestParsing:
         assert code == 1
         assert out == ""
         assert f"usage error: {name} must be a finite number" in err
+        # rejected before any output: no directory, no progress line
+        assert not (tmp_path / "out").exists()
+        assert "training" not in err
 
 
 class TestDeriveLambdas:
@@ -600,6 +604,15 @@ class TestAblate:
         assert (out / "ablate.csv").read_text() == stdout
         for name in names:
             assert (out / f"{name}.ckpt").exists()
+
+    # --no-semantic makes the no_distance variant disable both spaces
+    @pytest.mark.parametrize("flags", [["--gamma", "nan"], ["--no-semantic"]])
+    def test_rejected_variant_leaves_no_output(self, capsys, data_dir, tmp_path, flags):
+        code, out, err = run_cli(
+            capsys, "ablate", "--data-dir", data_dir, "--out", str(tmp_path / "ab"), *TINY, *flags)
+        assert code == 1
+        assert out == "" and "usage error" in err
+        assert not (tmp_path / "ab").exists()
 
     def test_rejects_baseline_models(self, capsys, data_dir, tmp_path):
         code, _, err = run_cli(

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hiekge import hie_model
+from hiekge import hie_model, trainer
 from hiekge.hie_model import (
     HieConfig,
     active_spaces,
@@ -14,7 +14,7 @@ from hiekge.hie_model import (
     sigmoid,
 )
 
-from helpers import ABLATION_COMBOS, config_grid, lambdas_for, random_hie_params
+from helpers import ABLATION_COMBOS, config_grid, fd_friendly_hie_params, lambdas_for, random_hie_params
 from oracles import hie_score_oracle, vec_norm
 
 
@@ -528,3 +528,106 @@ def test_active_spaces_deep_flags_only_bite_below_level_one():
     weights = level_weights(config, 0.25)
     assert weights[0] == (0.25, 0.75)
     assert weights[1] == (1.0, 0.0)
+
+
+ANCHOR_CONFIGS = [
+    HieConfig(dim=8, levels=levels, lambdas=lambdas_for(levels), norm_p=norm_p, transform=transform)
+    for levels in (1, 2, 3) for norm_p in (1, 2) for transform in ("diagonal", "rank1")
+] + [
+    HieConfig(dim=8, levels=3, lambdas=lambdas_for(3), transform=transform, **flags)
+    for flags in ABLATION_COMBOS[1:] for transform in ("diagonal", "rank1")
+]
+
+
+def anchored_case(rng, config, B=7, n=5, num_entities=12, num_relations=4):
+    """Params, B positives and (B, n, 3) negatives with every corner of the anchored path.
+
+    Positive 0's negatives are all head-corrupted, positive 1's all
+    tail-corrupted; one negative of positive 2 samples its positive's own
+    head and one of positive 3 its own tail, so both are the positive.
+    """
+    p = random_hie_params(rng, num_entities, num_relations, config)
+    batch = np.stack([rng.integers(0, num_entities, B), rng.integers(0, num_relations, B),
+                      rng.integers(0, num_entities, B)], axis=1)
+    negs = trainer.sample_negatives_batch(batch, n, num_entities, rng)
+    others = lambda e: (e + rng.integers(1, num_entities, n)) % num_entities  # never e
+    negs[0] = batch[0]
+    negs[0, :, 0] = others(batch[0, 0])
+    negs[1] = batch[1]
+    negs[1, :, 2] = others(batch[1, 2])
+    negs[2, 0], negs[3, 0] = batch[2], batch[3]
+    return p, batch, negs
+
+
+def row_sums(num_rows, ids, rows):
+    """Rows summed into a dense (num_rows, width) table by id."""
+    out = np.zeros((num_rows, rows.shape[1]))
+    np.add.at(out, np.concatenate(ids) if isinstance(ids, tuple) else ids, rows)
+    return out
+
+
+def close_to(got, want, rtol):
+    # relative to the array's scale: sums in another order can cancel to near zero
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.max(np.abs(want), initial=0.0))
+
+
+class TestAnchoredNegatives:
+    """score_triples(negatives, positives=cache) against the flat score_triples of the same rows."""
+
+    @pytest.mark.parametrize("blend_logit", [None, 40.0, -800.0], ids=["blend", "alpha1", "alpha0"])
+    @pytest.mark.parametrize("tile", [None, 4], ids=["one_tile", "ragged_tiles"])
+    @pytest.mark.parametrize("config", ANCHOR_CONFIGS, ids=tile_config_id)
+    def test_matches_flat_scores_and_gradients(self, monkeypatch, config, tile, blend_logit):
+        if tile is not None:
+            # 4-row tiles over 35 rows: the runs of one positive's rows span tiles
+            monkeypatch.setattr(hie_model, "ROW_ALIGN", 1)
+            monkeypatch.setattr(hie_model, "TILE_BYTES", tile * 8 * config.half)
+        rng = np.random.default_rng(config.levels * 10 + config.norm_p)
+        p, batch, negs = anchored_case(rng, config)
+        if blend_logit is not None:
+            p.blend_logit = np.asarray(blend_logit)
+        B, n = negs.shape[:2]
+        _, pos_cache = score_triples(p, config, batch)
+        got, cache = score_triples(p, config, negs, positives=pos_cache)
+        want, flat_cache = score_triples(p, config, negs.reshape(-1, 3))
+        assert got.shape == (B * n,)
+        close_to(got, want, 1e-14)
+        # a negative equal to its positive scores as the positive
+        for b in (2, 3):
+            close_to(got[b * n], score_triples(p, config, batch[b : b + 1])[0][0], 1e-14)
+
+        upstream = rng.normal(size=B * n)
+        ent, rel, dense = hie_model.backward(p, config, cache, upstream)
+        assert ent.shape == (B * n + 2 * B, config.dim) and rel.shape == (B, config.dim)
+        flat_ent, flat_rel, flat_dense = hie_model.backward(p, config, flat_cache, upstream)
+        (ent_ids, rel_ids), (flat_ent_ids, flat_rel_ids) = cache["row_ids"], flat_cache["row_ids"]
+        close_to(row_sums(12, ent_ids, ent), row_sums(12, flat_ent_ids, flat_ent), 1e-12)
+        close_to(row_sums(4, rel_ids, rel), row_sums(4, flat_rel_ids, flat_rel), 1e-12)
+        assert set(dense) == set(flat_dense)
+        for name, want_grad in flat_dense.items():
+            close_to(dense[name], want_grad, 1e-12)
+
+    @pytest.mark.parametrize("config", ANCHOR_CONFIGS, ids=tile_config_id)
+    def test_grad_check_passes(self, config):
+        rng = np.random.default_rng(5)
+        params = fd_friendly_hie_params(rng, 12, 4, config)
+        batch = np.stack([rng.integers(0, 12, 4), rng.integers(0, 4, 4), rng.integers(0, 12, 4)], axis=1)
+        tc = trainer.TrainConfig(gamma=3.0, alpha_temp=0.0, num_negatives=6)
+        err = trainer.grad_check(params, config, tc, batch, fd_step=1e-6, rng=rng, floor=None)
+        assert err < 1e-5
+
+    def test_negative_that_changes_the_relation_or_both_entities_rejected(self):
+        config = HieConfig(dim=8)
+        rng = np.random.default_rng(3)
+        p, batch, negs = anchored_case(rng, config)
+        _, pos_cache = score_triples(p, config, batch)
+        relation = negs.copy()
+        relation[4, 1, 1] = (batch[4, 1] + 1) % 4
+        both = negs.copy()
+        both[5, 2, [0, 2]] = (batch[5, [0, 2]] + 1) % 12
+        for bad in (relation, both):
+            with pytest.raises(ValueError, match="keep its positive's relation"):
+                score_triples(p, config, bad, positives=pos_cache)
+        for bad in (negs.reshape(-1, 3), negs[:-1]):
+            with pytest.raises(ValueError, match=r"\(B, n, 3\)"):
+                score_triples(p, config, bad, positives=pos_cache)

@@ -286,6 +286,25 @@ class TestGradients:
             # cancel to near zero, where an elementwise relative error means nothing
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.max(np.abs(w), initial=0.0))
 
+    def test_scores_positives_then_negatives_through_the_module_attribute(self, monkeypatch):
+        # bench/layers.py wraps hie_model.score_triples and labels its calls under
+        # gradients .pos and .neg by their order
+        rng = np.random.default_rng(8)
+        config = HieConfig(dim=8)
+        params = random_hie_params(rng, 15, 4, config)
+        batch = toy_batch(rng, 15, 4, 8)
+        negs = sample_negatives_batch(batch, 5, 15, rng)
+        rows, original = [], hie_model.score_triples
+
+        def recorder(*args, **kwargs):
+            result = original(*args, **kwargs)
+            rows.append(len(result[0]))
+            return result
+
+        monkeypatch.setattr(hie_model, "score_triples", recorder)
+        gradients(params, config, TOY_TRAIN, batch, negs)
+        assert rows == [8, 8 * 5]
+
     def test_untouched_rows_absent(self):
         rng = np.random.default_rng(2)
         config = HieConfig(dim=8)
@@ -370,7 +389,7 @@ class TestGradients:
                 assert err < 1e-5, (flags, transform, err)
 
     def test_finite_difference_agreement_across_row_tiles(self, monkeypatch):
-        # 5-row tiles: the 8 positives take two, the 32 negatives seven, the last of each ragged
+        # 5-row tiles: the 8 positives take two, the last ragged; each side's negatives take several
         monkeypatch.setattr(hie_model, "ROW_ALIGN", 1)
         rng = np.random.default_rng(29)
         tc = TrainConfig(gamma=3.0, alpha_temp=0.0, num_negatives=4, batch_size=8, steps=5, seed=0)
