@@ -6,6 +6,14 @@ rotation model stores relation phase angles in the first d/2 columns of
 its relation matrix (the remaining columns are unused and receive zero
 gradient), and treats consecutive entity coordinates as complex pairs.
 
+Training negatives are scored against their positives' cache, as in
+hie: each keeps its positive's relation and one entity, so
+`score_triples(..., positives=cache)` gathers only the corrupted entity e
+and compares it with one anchor per positive and side, built from the
+kept entity and the relation over B rows (`_anchors`). Its `backward`
+sums the anchor gradients per positive and side before running them back
+to the kept entity and the relation.
+
 All-candidate ranking of the two distance models runs through hie's
 ranking kernel (`hie_model._slab_sums`) with one term each, so a copy of
 an entity ties the row it copies; DistMult, which has no norm to sum,
@@ -18,7 +26,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hie_model import CandidateTable, _columns, _norm_backward, _norm_rows, _padded, _slab_sums, _transposed
+from .hie_model import (
+    CandidateTable,
+    _columns,
+    _norm_backward,
+    _norm_rows,
+    _padded,
+    _slab_sums,
+    _transposed,
+    corrupted_entities,
+)
 
 TRANSE = "transe"
 DISTMULT = "distmult"
@@ -95,18 +112,29 @@ def _rotate_residual(h, r, t):
     return re - t[..., 0::2], im - t[..., 1::2], parts
 
 
-def score_triples(params: BaselineParams, config: BaselineConfig, triples):
+def score_triples(params: BaselineParams, config: BaselineConfig, triples, positives=None):
     """Vectorized totals for a (B, 3) id batch, plus a cache for backprop.
 
     DistMult is the negated trilinear product, entity rows multiplied
     first, so lower is better like the distances and the head/tail
     symmetry is bit-exact.
+
+    With positives, the cache of a call over B positive triples, triples
+    are (B, n, 3) training negatives, each keeping its positive's relation
+    and one of its entities (`corrupted_entities` checks each and names
+    its corrupted side). Such a call gathers only each row's corrupted
+    entity and scores it against its positive's anchor for that side
+    (`_score_negatives`); it returns the (B*n,) totals in row order and an
+    anchored cache, whose `backward` emits one entity row per negative
+    plus one kept head, kept tail and relation row per positive.
     """
+    if positives is not None:
+        return _score_negatives(params, config, triples, positives)
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     h_ids, r_ids, t_ids = triples[:, 0], triples[:, 1], triples[:, 2]
     h, r, t = params.ent[h_ids], params.rel[r_ids], params.ent[t_ids]
     # the entity and relation ids of the rows `backward` emits
-    cache = {"row_ids": ((h_ids, t_ids), r_ids)}
+    cache = {"ids": (h_ids, r_ids, t_ids), "row_ids": ((h_ids, t_ids), r_ids)}
     if params.kind == TRANSE:
         u = (h + r) - t
         cache["u"] = u
@@ -122,13 +150,71 @@ def score_triples(params: BaselineParams, config: BaselineConfig, triples):
     return totals, cache
 
 
+def _anchors(params: BaselineParams, config: BaselineConfig, h, r, t):
+    """(B, 2, dim) anchors of B positives' rows: [:, 0] serves head-corrupted negatives, [:, 1] the rest.
+
+    A negative scores its corrupted entity e against its positive's anchor
+    a of its side. TransE: ||e - a||_p, with a = t - r or h + r. RotatE:
+    |e - a|, with a = t o conj(r) or h o r, since every |r_k| = 1.
+    DistMult: -<e, a>, with a = t * r or h * r.
+    """
+    anchors = np.empty((len(h), 2, config.dim))
+    if params.kind == TRANSE:
+        np.subtract(t, r, out=anchors[:, 0])
+        np.add(h, r, out=anchors[:, 1])
+    elif params.kind == DISTMULT:
+        np.multiply(t, r, out=anchors[:, 0])
+        np.multiply(h, r, out=anchors[:, 1])
+    else:
+        phase = r[:, : config.dim // 2]
+        for k, (kept, sign) in enumerate(((t, -1.0), (h, 1.0))):
+            anchors[:, k, 0::2], anchors[:, k, 1::2], _ = _rotate(kept, sign * phase)
+    return anchors
+
+
+def _score_negatives(params, config, negatives, positives):
+    """score_triples of (B, n, 3) negatives against positives, the cache of their B positives.
+
+    The rows keep their (B, n) order. "sides" holds per positive a (2, n)
+    mask of its head- and tail-corrupted negatives, which `backward` uses
+    to sum the anchor gradients of each side over one positive's rows.
+    TransE and RotatE cache the residual e - a, DistMult the corrupted
+    rows and their anchors.
+    """
+    h_ids, r_ids, t_ids = ids = positives["ids"]
+    head, ent_ids = corrupted_entities(negatives, ids)
+    B, n = head.shape
+    ent_ids = ent_ids.ravel()
+    hrt = (params.ent[h_ids], params.rel[r_ids], params.ent[t_ids])
+    anchors = _anchors(params, config, *hrt)
+    # each row's anchor: its positive's, of its corrupted side
+    e = params.ent[ent_ids]
+    a = anchors.reshape(2 * B, -1)[(2 * np.arange(B)[:, None] + ~head).ravel()]
+    cache = {"hrt": hrt, "anchors": anchors, "sides": np.stack([head, ~head], axis=1).astype(np.float64),
+             "row_ids": ((ent_ids, h_ids, t_ids), r_ids)}
+    if params.kind == DISTMULT:
+        cache["ea"] = (e, a)
+        totals = -np.sum(e * a, axis=-1)
+    else:
+        u = np.subtract(e, a, out=a)
+        cache["u"] = u
+        totals = _norm_rows(u, 2 if params.kind == ROTATE else config.norm_p)
+    cache["totals"] = totals
+    return totals, cache
+
+
 def backward(params: BaselineParams, config: BaselineConfig, cache, upstream):
     """Analytic gradients of sum_b upstream[b] * total[b] for one score_triples cache.
 
     Returns (ent_rows, rel_rows, dense) like hie_model.backward: B head rows
-    then B tail rows, B relation rows, and no dense tensors.
+    then B tail rows, B relation rows, and no dense tensors. An anchored
+    cache (negatives scored against their positives) emits its B*n
+    corrupted-entity rows, then B kept-head rows and B kept-tail rows, and
+    B relation rows (`_backward_negatives`).
     """
     upstream = np.asarray(upstream, dtype=np.float64)
+    if "sides" in cache:
+        return _backward_negatives(params, config, cache, upstream)
     B, dim = len(upstream), params.ent.shape[1]
     ent_rows = np.empty((2 * B, dim))
     g_head, g_tail = ent_rows[:B], ent_rows[B:]
@@ -151,6 +237,45 @@ def backward(params: BaselineParams, config: BaselineConfig, cache, upstream):
         g_tail[:, 1::2] = -gu_im
         rel_rows = np.zeros((B, dim))
         rel_rows[:, : dim // 2] = gu_re * (-hr * sin - hi * cos) + gu_im * (hr * cos - hi * sin)
+    return ent_rows, rel_rows, {}
+
+
+def _backward_negatives(params, config, cache, upstream):
+    """backward of an anchored cache, given upstream in its rows' order.
+
+    Each row's corrupted entity gets the gradient at e. The anchor
+    gradients are linear in it, so each positive's are summed per side
+    first, straight from the (B, n, dim) rows under the "sides" masks,
+    and then run back through that positive's anchors over B rows.
+    """
+    h, r, t = cache["hrt"]
+    B, _, n = cache["sides"].shape
+    N, dim = B * n, config.dim
+    ent_rows = np.empty((N + 2 * B, dim))
+    g_e, g_head, g_tail = ent_rows[:N], ent_rows[N:N + B], ent_rows[N + B:]
+    if params.kind == DISTMULT:
+        e, a = cache["ea"]
+        np.multiply(-upstream[:, None], a, out=g_e)
+        # the gradient at a is -upstream * e
+        sums = (cache["sides"] * -upstream.reshape(B, 1, n)) @ e.reshape(B, n, dim)
+        g_head[...], g_tail[...] = sums[:, 1] * r, sums[:, 0] * r
+        rel_rows = sums[:, 0] * t + sums[:, 1] * h
+        return ent_rows, rel_rows, {}
+    _norm_backward(cache["u"], cache["totals"], 2 if params.kind == ROTATE else config.norm_p, upstream,
+                   out=g_e)
+    # the gradient at a is minus that at e
+    sums = np.negative(cache["sides"] @ g_e.reshape(B, n, dim))
+    if params.kind == TRANSE:
+        g_head[...], g_tail[...] = sums[:, 1], sums[:, 0]
+        return ent_rows, sums[:, 1] - sums[:, 0], {}
+    # a = x o e^(i psi) sends x the gradient rotated by -psi, and psi
+    # G_im * a_re - G_re * a_im; psi is -phase for the head side
+    phase = r[:, : dim // 2]
+    rel_rows = np.zeros((B, dim))
+    for k, (kept, sign) in enumerate(((g_tail, -1.0), (g_head, 1.0))):
+        G, a = sums[:, k], cache["anchors"][:, k]
+        kept[:, 0::2], kept[:, 1::2], _ = _rotate(G, -sign * phase)
+        rel_rows[:, : dim // 2] += sign * (G[:, 1::2] * a[:, 0::2] - G[:, 0::2] * a[:, 1::2])
     return ent_rows, rel_rows, {}
 
 

@@ -489,10 +489,22 @@ def cmd_classify(run: RunConfig) -> int:
 SWEEP_HEADER = "levels,lambda1,gamma,dim,batch_size,status," + evaluator.CSV_HEADER
 
 
+def _point_configs(point: RunConfig):
+    """`_configs` of one sweep point, or the UsageError that rejects it."""
+    try:
+        return _configs(point)
+    except UsageError as exc:
+        return exc
+
+
 def cmd_sweep(run: RunConfig) -> int:
+    """One CSV row per grid point; a point whose configs are rejected gets an error row.
+
+    Every point's configs are built first: when none is accepted, a flag
+    the points share is at fault, and the first point's UsageError ends
+    the command before it loads data, creates --out or prints a row.
+    """
     _require(run, "out")
-    kg = _load_dataset(run, "train", "valid")
-    out_dir = _out_dir(run)
     axes = [
         ("levels", run.sweep_levels),
         ("lambda1", run.sweep_lambda1),
@@ -504,18 +516,24 @@ def cmd_sweep(run: RunConfig) -> int:
     if axes:
         names = [name for name, _ in axes]
         points = [
-            dict(zip(names, combo))
+            dataclasses.replace(run, **dict(zip(names, combo)))
             for combo in itertools.product(*(values for _, values in axes))
         ]
     else:
-        points = [{}]  # 1-point grid: the base configuration itself
+        points = [run]  # 1-point grid: the base configuration itself
+    configs = [_point_configs(point) for point in points]
+    if all(isinstance(c, UsageError) for c in configs):
+        raise configs[0]
+    kg = _load_dataset(run, "train", "valid")
+    out_dir = _out_dir(run)
 
     def rows():
-        for index, overrides in enumerate(points):
-            point = dataclasses.replace(run, **overrides)
+        for index, (point, point_configs) in enumerate(zip(points, configs)):
             prefix = f"{point.levels},{point.lambda1:g},{point.gamma:g},{point.dim},{point.batch_size}"
             try:
-                params, model_config, _, _ = _train_once(point, kg, _configs(point), out_dir,
+                if isinstance(point_configs, UsageError):
+                    raise point_configs
+                params, model_config, _, _ = _train_once(point, kg, point_configs, out_dir,
                                                          stem=f"point_{index:03d}")
                 report = _evaluation_report(params, model_config, kg, "valid", point.tie_break)
                 yield f"{prefix},ok,{evaluator.report_csv_row(report)}"

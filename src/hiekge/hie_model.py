@@ -55,6 +55,10 @@ SLAB_BYTES = 2 * 1024 * 1024
 SLAB_BLOCKS = 3
 # tiles, slabs and padded candidate tables are whole multiples of this many rows
 ROW_ALIGN = 512
+# the fewest ROW_ALIGN blocks of candidates in a slab: for B >= 32 the byte
+# budget alone gives narrower slabs, which cost more per triple in numpy's
+# buffered broadcast
+SLAB_MIN_BLOCKS = 6
 
 
 def sigmoid(x):
@@ -217,8 +221,12 @@ def tile_rows(half):
 
 
 def slab_size(B):
-    """Candidates per slab of `_slab_sums` over B triples: its SLAB_BLOCKS (B, slab) blocks fit SLAB_BYTES."""
-    return _aligned_rows(SLAB_BYTES, 8 * SLAB_BLOCKS * max(B, 1))
+    """Candidates per slab of `_slab_sums` over B triples.
+
+    Its SLAB_BLOCKS (B, slab) blocks fit SLAB_BYTES, but a slab holds at
+    least SLAB_MIN_BLOCKS blocks of ROW_ALIGN candidates however large B is.
+    """
+    return max(SLAB_MIN_BLOCKS * ROW_ALIGN, _aligned_rows(SLAB_BYTES, 8 * SLAB_BLOCKS * max(B, 1)))
 
 
 def row_tiles(stop, rows, start=0):
@@ -272,15 +280,16 @@ def _norm_rows(residual, norm_p):
     return np.sqrt(np.sum(residual * residual, axis=-1))
 
 
-def _norm_backward(u, d, norm_p, upstream):
-    """Gradient of upstream * ||u||_p w.r.t. u, row-wise, given d = ||u||_p.
+def _norm_backward(u, d, norm_p, upstream, out=None):
+    """Gradient of upstream * ||u||_p w.r.t. u, row-wise, given d = ||u||_p; written into out when given.
 
     Subgradient 0 at L1 kinks and at the L2 origin.
     """
     if norm_p == 1:
-        return upstream[:, None] * np.sign(u)
+        out = np.sign(u, out=out)
+        return np.multiply(out, upstream[:, None], out=out)
     safe = np.where(d > 0.0, d, 1.0)
-    return (upstream / safe)[:, None] * np.where(d[:, None] > 0.0, u, 0.0)
+    return np.multiply((upstream / safe)[:, None], np.where(d[:, None] > 0.0, u, 0.0), out=out)
 
 
 def _chain(params, base, role, space, levels, out=None):
@@ -358,14 +367,13 @@ def score_triples(params: HieParams, config: HieConfig, triples, positives=None)
 
     With positives, the cache of a call over B positive triples, triples
     are (B, n, 3) training negatives: each keeps its positive's relation
-    and one of its entities, and ValueError says so when one does not. A
-    negative whose head differs from its positive's is head-corrupted,
-    any other tail-corrupted. Such a call gathers and chains only the
-    corrupted entity of each row and takes the kept side's chains and
-    bases from positives (`_score_negatives`); it returns the (B*n,)
-    totals in row order and an anchored cache, whose `backward` emits one
-    entity row per negative plus one kept head, kept tail and relation
-    row per positive.
+    and one of its entities (`corrupted_entities` checks each and names
+    its corrupted side; the baselines share it). Such a call gathers and
+    chains only the corrupted entity of each row and takes the kept
+    side's chains and bases from positives (`_score_negatives`); it
+    returns the (B*n,) totals in row order and an anchored cache, whose
+    `backward` emits one entity row per negative plus one kept head, kept
+    tail and relation row per positive.
     """
     if positives is not None:
         return _score_negatives(params, config, triples, positives)
@@ -410,6 +418,27 @@ def _score_tile(params, config, cache, rows, totals, tile):
     _add_totals(config, cache, totals, tile)
 
 
+def corrupted_entities(negatives, positive_ids):
+    """(head, ids) of (B, n, 3) training negatives of B positives, each a (B, n) array.
+
+    positive_ids are the positives' (head, relation, tail) id arrays. Each
+    negative must keep its positive's relation and one of its entities,
+    and ValueError says so when one does not. head marks the negatives
+    whose head differs from their positive's, the head-corrupted ones; any
+    other is tail-corrupted, a negative equal to its positive too. ids
+    holds each negative's corrupted entity: its head or its tail.
+    """
+    h_ids, r_ids, t_ids = positive_ids
+    B = len(h_ids)
+    negatives = np.asarray(negatives, dtype=np.int64)
+    if negatives.ndim != 3 or negatives.shape[0] != B or negatives.shape[2] != 3:
+        raise ValueError(f"negatives must be (B, n, 3) for B = {B} positives, got shape {negatives.shape}")
+    head = negatives[:, :, 0] != h_ids[:, None]
+    if np.any(negatives[:, :, 1] != r_ids[:, None]) or np.any(head & (negatives[:, :, 2] != t_ids[:, None])):
+        raise ValueError("each negative must keep its positive's relation and one of its entities")
+    return head, np.where(head, negatives[:, :, 0], negatives[:, :, 2])
+
+
 def _score_negatives(params, config, negatives, positives):
     """score_triples of (B, n, 3) negatives against positives, the cache of their B positives.
 
@@ -424,19 +453,14 @@ def _score_negatives(params, config, negatives, positives):
     only, the tail-corrupted ones take the positive's head term whole.
     """
     h_ids, r_ids, t_ids = positives["ids"]
-    B = len(h_ids)
-    negatives = np.asarray(negatives, dtype=np.int64)
-    if negatives.ndim != 3 or negatives.shape[0] != B or negatives.shape[2] != 3:
-        raise ValueError(f"negatives must be (B, n, 3) for B = {B} positives, got shape {negatives.shape}")
-    head = negatives[:, :, 0] != h_ids[:, None]
-    if np.any(negatives[:, :, 1] != r_ids[:, None]) or np.any(head & (negatives[:, :, 2] != t_ids[:, None])):
-        raise ValueError("each negative must keep its positive's relation and one of its entities")
-    head, rows_in = head.ravel(), negatives.reshape(-1, 3)
+    head, ent_ids = corrupted_entities(negatives, positives["ids"])
+    n = head.shape[1]
+    head = head.ravel()
     order = np.concatenate([np.flatnonzero(head), np.flatnonzero(~head)])
     N, n_head = len(order), int(np.count_nonzero(head))
-    ent_ids = np.where(head, rows_in[:, 0], rows_in[:, 2])[order]
+    ent_ids = ent_ids.ravel()[order]
     cache = _new_cache(params, config, N, ("c_dist",))
-    cache.update(positives=positives, order=order, pos=order // negatives.shape[1],
+    cache.update(positives=positives, order=order, pos=order // n,
                  sides=(("head", slice(0, n_head)), ("tail", slice(n_head, N))),
                  row_ids=((ent_ids, h_ids, t_ids), r_ids))
     rows = np.empty((N, config.dim))

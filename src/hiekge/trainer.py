@@ -6,15 +6,15 @@ This module only routes calls to the right model, coalesces the rows,
 and applies the loss and the optimiser. A training step scores its
 positives and its negatives in one `score_triples` call each, runs
 `backward` over both caches and sums all their rows in one `coalesce` per
-embedding table. hie scores the negatives against the positives' cache:
-each negative keeps its positive's relation and one entity, so the call
-gathers and chains only the corrupted entity, and its anchored cache's
-`backward` emits one entity row per negative plus one kept-head,
-kept-tail and relation row per positive, each summed over that
-positive's negatives. The baselines score every negative row in full.
-Adversarial weights are treated as constants of the
-objective (no gradient flows through them), so the finite-difference
-checker freezes them before differencing.
+embedding table. Every model scores the negatives against the
+positives' cache: each negative keeps its positive's relation and one
+entity, so the call gathers only the corrupted entity (hie also chains
+only that entity), and its anchored cache's `backward` emits one entity
+row per negative plus one kept-head, kept-tail and relation row per
+positive, each summed over that positive's negatives. Adversarial
+weights are treated as constants of the objective (no gradient flows
+through them), so the finite-difference checker freezes them before
+differencing.
 """
 
 from __future__ import annotations
@@ -199,16 +199,13 @@ def _forward_step(params, config, batch, negatives):
     """(B,) positive and (B, n) negative scores, and the caches of both forwards.
 
     Positives and negatives are scored in separate calls, in that order, so
-    a per-layer trace can tell the two apart. hie scores the negatives
-    against the positives' cache: each keeps its positive's relation and
-    one entity, so only the corrupted entity's chains are built. The
-    baselines score every negative row in full.
+    a per-layer trace can tell the two apart. Every model scores the
+    negatives against the positives' cache: each keeps its positive's
+    relation and one entity, so only the corrupted entity is gathered (and,
+    for hie, chained).
     """
     pos, pos_cache = _forward(params, config, batch)
-    if isinstance(params, HieParams):
-        neg, neg_cache = hie_model.score_triples(params, config, negatives, positives=pos_cache)
-    else:
-        neg, neg_cache = _forward(params, config, negatives.reshape(-1, 3))
+    neg, neg_cache = model_module(params).score_triples(params, config, negatives, positives=pos_cache)
     return pos, neg.reshape(len(batch), -1), (pos_cache, neg_cache)
 
 
@@ -229,7 +226,7 @@ def backprop(params, config, parts) -> GradSet:
 
     Each part runs the model's backward, which emits the rows its cache's
     "row_ids" name: a (B, 3) cache one head and one tail row and one
-    relation row per triple, an anchored hie negative cache one row per
+    relation row per triple, an anchored negative cache one row per
     corrupted entity and one kept-head, kept-tail and relation row per
     positive, already summed over its negatives. The rows of all parts
     meet in one coalesce per embedding table, and the dense gradients add

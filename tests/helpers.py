@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from hiekge import trainer
 from hiekge.hie_model import HieConfig, init_params
 
 
@@ -23,6 +24,37 @@ def random_hie_params(rng, num_entities, num_relations, config, scale=0.8):
     params.extract_sem = rng.normal(scale=scale / np.sqrt(half), size=(config.levels - 1, half, half))
     params.blend_logit = np.asarray(rng.normal(scale=0.7))
     return params
+
+
+def anchored_batch(rng, B, n, num_entities, num_relations):
+    """B positives and (B, n, 3) negatives with every corner of the anchored negative path.
+
+    Positive 0's negatives are all head-corrupted, positive 1's all
+    tail-corrupted; one negative of positive 2 samples its positive's own
+    head and one of positive 3 its own tail, so both are the positive.
+    """
+    batch = np.stack([rng.integers(0, num_entities, B), rng.integers(0, num_relations, B),
+                      rng.integers(0, num_entities, B)], axis=1)
+    negs = trainer.sample_negatives_batch(batch, n, num_entities, rng)
+    others = lambda e: (e + rng.integers(1, num_entities, n)) % num_entities  # never e
+    negs[0] = batch[0]
+    negs[0, :, 0] = others(batch[0, 0])
+    negs[1] = batch[1]
+    negs[1, :, 2] = others(batch[1, 2])
+    negs[2, 0], negs[3, 0] = batch[2], batch[3]
+    return batch, negs
+
+
+def row_sums(num_rows, ids, rows):
+    """Rows summed into a dense (num_rows, width) table by id."""
+    out = np.zeros((num_rows, rows.shape[1]))
+    np.add.at(out, np.concatenate(ids) if isinstance(ids, tuple) else ids, rows)
+    return out
+
+
+def close_to(got, want, rtol):
+    # relative to the array's scale: sums in another order can cancel to near zero
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.max(np.abs(want), initial=0.0))
 
 
 def lambdas_for(levels):

@@ -5,12 +5,14 @@ from hiekge import hie_model
 from hiekge.baselines import (
     BaselineConfig,
     BaselineParams,
+    backward,
     candidate_table,
     init_params,
     score_batch,
     score_triples,
 )
 
+from helpers import anchored_batch, close_to, row_sums
 from oracles import distmult_oracle, rotate_oracle, transe_oracle
 
 
@@ -226,3 +228,62 @@ class TestVectorizedPaths:
         for candidates in (np.arange(5), np.array([5, 4])):
             with pytest.raises(ValueError, match="table"):
                 score_batch(params, config, [(0, 0, 1)], candidates, "tail", table=table)
+
+
+def one_side_negatives(rng, batch, n, num_entities, side):
+    """(B, n, 3) negatives that all replace their positive's head (side 0) or tail (side 2)."""
+    negs = np.repeat(batch[:, None, :], n, axis=1)
+    negs[:, :, side] = (batch[:, side, None] + rng.integers(1, num_entities, (len(batch), n))) % num_entities
+    return negs
+
+
+class TestAnchoredNegatives:
+    """score_triples(negatives, positives=cache) against the flat score_triples of the same rows."""
+
+    @pytest.mark.parametrize("corrupt", ["mixed", "all_heads", "all_tails"])
+    @pytest.mark.parametrize("norm_p", [1, 2])
+    @pytest.mark.parametrize("kind", ["transe", "distmult", "rotate"])
+    def test_matches_flat_scores_and_gradients(self, kind, norm_p, corrupt):
+        rng = np.random.default_rng(11 + norm_p)
+        params, config = make(kind, rng, num_entities=12, num_relations=4, dim=8, norm_p=norm_p)
+        batch, negs = anchored_batch(rng, 7, 5, 12, 4)
+        if corrupt != "mixed":
+            negs = one_side_negatives(rng, batch, 5, 12, 0 if corrupt == "all_heads" else 2)
+        B, n = negs.shape[:2]
+        _, pos_cache = score_triples(params, config, batch)
+        got, cache = score_triples(params, config, negs, positives=pos_cache)
+        want, flat_cache = score_triples(params, config, negs.reshape(-1, 3))
+        assert got.shape == (B * n,)
+        close_to(got, want, 1e-14)
+        if corrupt == "mixed":
+            # a negative equal to its positive scores as the positive
+            for b in (2, 3):
+                close_to(got[b * n], score_triples(params, config, batch[b : b + 1])[0][0], 1e-14)
+
+        upstream = rng.normal(size=B * n)
+        ent, rel, dense = backward(params, config, cache, upstream)
+        assert ent.shape == (B * n + 2 * B, 8) and rel.shape == (B, 8) and dense == {}
+        flat_ent, flat_rel, _ = backward(params, config, flat_cache, upstream)
+        (ent_ids, rel_ids), (flat_ent_ids, flat_rel_ids) = cache["row_ids"], flat_cache["row_ids"]
+        close_to(row_sums(12, ent_ids, ent), row_sums(12, flat_ent_ids, flat_ent), 1e-12)
+        close_to(row_sums(4, rel_ids, rel), row_sums(4, flat_rel_ids, flat_rel), 1e-12)
+        if kind == "rotate":
+            # the phases live in the first d/2 columns; the rest are unused
+            assert np.all(rel[:, 4:] == 0.0)
+
+    @pytest.mark.parametrize("kind", ["transe", "distmult", "rotate"])
+    def test_negative_that_changes_the_relation_or_both_entities_rejected(self, kind):
+        rng = np.random.default_rng(3)
+        params, config = make(kind, rng, num_entities=12, num_relations=4, dim=8)
+        batch, negs = anchored_batch(rng, 7, 5, 12, 4)
+        _, pos_cache = score_triples(params, config, batch)
+        relation = negs.copy()
+        relation[4, 1, 1] = (batch[4, 1] + 1) % 4
+        both = negs.copy()
+        both[5, 2, [0, 2]] = (batch[5, [0, 2]] + 1) % 12
+        for bad in (relation, both):
+            with pytest.raises(ValueError, match="keep its positive's relation"):
+                score_triples(params, config, bad, positives=pos_cache)
+        for bad in (negs.reshape(-1, 3), negs[:-1]):
+            with pytest.raises(ValueError, match=r"\(B, n, 3\)"):
+                score_triples(params, config, bad, positives=pos_cache)

@@ -537,8 +537,37 @@ class TestSweep:
         assert len(rows) == 2
         assert ",ok," in rows[0]
         status = rows[1].split(",")[5]
-        assert status.startswith("error:")
+        assert status == "error:UsageError"
         assert rows[1].split(",")[6:] == [""] * 6  # metrics stay blank
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--gamma", "nan", "gamma must be a finite number"),
+        ("--lr", "inf", "learning_rate must be a finite number"),
+        ("--dim", "7", "dim must be even"),
+    ])
+    def test_flag_every_point_rejects_is_usage_error(self, capsys, data_dir, tmp_path, flag, value, message):
+        # these once wrote an error row per point and exited 0
+        out = tmp_path / "sw"
+        code, stdout, err = run_cli(
+            capsys, "sweep", "--data-dir", data_dir, "--out", str(out),
+            "--sweep-levels", "1,2", *TINY, flag, value)
+        assert code == 1
+        assert stdout == ""
+        assert f"usage error: {message}" in err
+        # rejected before any output: no directory, no per-point line
+        assert not out.exists()
+        assert "sweep point" not in err
+
+    def test_base_value_an_axis_overrides_is_not_checked(self, capsys, data_dir, tmp_path):
+        # --dim 7 alone is rejected, but every point takes its dim from the axis
+        out = tmp_path / "sw"
+        code, stdout, _ = run_cli(
+            capsys, "sweep", "--data-dir", data_dir, "--out", str(out),
+            *TINY, "--dim", "7", "--sweep-dim", "8,6")
+        assert code == 0
+        rows = stdout.splitlines()[1:]
+        assert [row.split(",")[3] for row in rows] == ["8", "6"]
+        assert all(",ok," in row for row in rows)
 
     def test_two_axes_form_a_product_grid(self, capsys, data_dir, tmp_path):
         out = tmp_path / "sw"

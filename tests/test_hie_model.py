@@ -14,7 +14,16 @@ from hiekge.hie_model import (
     sigmoid,
 )
 
-from helpers import ABLATION_COMBOS, config_grid, fd_friendly_hie_params, lambdas_for, random_hie_params
+from helpers import (
+    ABLATION_COMBOS,
+    anchored_batch,
+    close_to,
+    config_grid,
+    fd_friendly_hie_params,
+    lambdas_for,
+    random_hie_params,
+    row_sums,
+)
 from oracles import hie_score_oracle, vec_norm
 
 
@@ -436,6 +445,14 @@ class TestScoreBatch:
             row = score_batch(p, config, triples[b : b + 1], candidates, side, table=table)
             assert np.array_equal(row[0], want[b])
 
+    def test_slab_size_has_a_floor_and_keeps_the_evaluation_chunk_slab(self):
+        # evaluate scores TRIPLE_CHUNK = 16 triples per call; wider batches once got
+        # slabs of 2,560 or 1,024 candidates, which cost more per triple
+        assert hie_model.slab_size(16) == 5120
+        for B in (32, 64, 512):
+            assert hie_model.slab_size(B) >= 3072
+            assert hie_model.slab_size(B) % hie_model.ROW_ALIGN == 0
+
     def test_table_of_other_side_or_size_rejected(self):
         config = HieConfig(dim=4)
         p = init_params(3, 1, config, seed=0)
@@ -540,35 +557,9 @@ ANCHOR_CONFIGS = [
 
 
 def anchored_case(rng, config, B=7, n=5, num_entities=12, num_relations=4):
-    """Params, B positives and (B, n, 3) negatives with every corner of the anchored path.
-
-    Positive 0's negatives are all head-corrupted, positive 1's all
-    tail-corrupted; one negative of positive 2 samples its positive's own
-    head and one of positive 3 its own tail, so both are the positive.
-    """
+    """Random params, then the positives and negatives of `anchored_batch`."""
     p = random_hie_params(rng, num_entities, num_relations, config)
-    batch = np.stack([rng.integers(0, num_entities, B), rng.integers(0, num_relations, B),
-                      rng.integers(0, num_entities, B)], axis=1)
-    negs = trainer.sample_negatives_batch(batch, n, num_entities, rng)
-    others = lambda e: (e + rng.integers(1, num_entities, n)) % num_entities  # never e
-    negs[0] = batch[0]
-    negs[0, :, 0] = others(batch[0, 0])
-    negs[1] = batch[1]
-    negs[1, :, 2] = others(batch[1, 2])
-    negs[2, 0], negs[3, 0] = batch[2], batch[3]
-    return p, batch, negs
-
-
-def row_sums(num_rows, ids, rows):
-    """Rows summed into a dense (num_rows, width) table by id."""
-    out = np.zeros((num_rows, rows.shape[1]))
-    np.add.at(out, np.concatenate(ids) if isinstance(ids, tuple) else ids, rows)
-    return out
-
-
-def close_to(got, want, rtol):
-    # relative to the array's scale: sums in another order can cancel to near zero
-    np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.max(np.abs(want), initial=0.0))
+    return (p, *anchored_batch(rng, B, n, num_entities, num_relations))
 
 
 class TestAnchoredNegatives:

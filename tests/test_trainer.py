@@ -286,22 +286,27 @@ class TestGradients:
             # cancel to near zero, where an elementwise relative error means nothing
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.max(np.abs(w), initial=0.0))
 
-    def test_scores_positives_then_negatives_through_the_module_attribute(self, monkeypatch):
-        # bench/layers.py wraps hie_model.score_triples and labels its calls under
-        # gradients .pos and .neg by their order
+    @pytest.mark.parametrize("config", [HieConfig(dim=8)] + BASELINE_VARIANTS,
+                             ids=lambda c: getattr(c, "kind", "hie"))
+    def test_scores_positives_then_negatives_through_the_module_attribute(self, monkeypatch, config):
+        # bench/layers.py wraps hie_model.score_triples and baselines.score_triples by
+        # name, and labels hie's calls under gradients .pos and .neg by their order
         rng = np.random.default_rng(8)
-        config = HieConfig(dim=8)
-        params = random_hie_params(rng, 15, 4, config)
+        if isinstance(config, HieConfig):
+            params = random_hie_params(rng, 15, 4, config)
+        else:
+            params = init_baseline(15, 4, config, seed=2)
         batch = toy_batch(rng, 15, 4, 8)
         negs = sample_negatives_batch(batch, 5, 15, rng)
-        rows, original = [], hie_model.score_triples
+        module = trainer.model_module(params)
+        rows, original = [], module.score_triples
 
         def recorder(*args, **kwargs):
             result = original(*args, **kwargs)
             rows.append(len(result[0]))
             return result
 
-        monkeypatch.setattr(hie_model, "score_triples", recorder)
+        monkeypatch.setattr(module, "score_triples", recorder)
         gradients(params, config, TOY_TRAIN, batch, negs)
         assert rows == [8, 8 * 5]
 
@@ -599,12 +604,13 @@ class TestTrain:
         last_avg = np.mean([row[1] for row in log[-3:]])
         assert last_avg < first
 
-    def test_deterministic_loss_log(self):
+    @pytest.mark.parametrize("kind", ["hie", "transe", "distmult", "rotate"])
+    def test_deterministic_loss_log(self, kind):
         kg = build_synth_kg(num_entities=20, seed=2)
-        config = HieConfig(dim=8)
+        config = HieConfig(dim=8) if kind == "hie" else BaselineConfig(kind=kind, dim=8)
         tc = TrainConfig(steps=120, batch_size=16, num_negatives=2, seed=5)
-        _, log_a = train(kg, "hie", config, tc)
-        _, log_b = train(kg, "hie", config, tc)
+        _, log_a = train(kg, kind, config, tc)
+        _, log_b = train(kg, kind, config, tc)
         assert log_a == log_b
         assert [row[0] for row in log_a] == [1, 100, 120]
 
