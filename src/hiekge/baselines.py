@@ -6,13 +6,15 @@ rotation model stores relation phase angles in the first d/2 columns of
 its relation matrix (the remaining columns are unused and receive zero
 gradient), and treats consecutive entity coordinates as complex pairs.
 
-Training negatives are scored against their positives' cache, as in
-hie: each keeps its positive's relation and one entity, so
-`score_triples(..., positives=cache)` gathers only the corrupted entity e
-and compares it with one anchor per positive and side, built from the
-kept entity and the relation over B rows (`_anchors`). Its `backward`
-sums the anchor gradients per positive and side before running them back
-to the kept entity and the relation.
+Each model has one per-row kernel, anchored on positives as in hie.
+Every scored row keeps its positive's relation and one entity, so only
+its corrupted entity e is gathered and compared with one anchor per
+positive and side, built from the kept entity and the relation over B
+rows (`_anchors`). Training negatives reuse the anchors of their
+positives' call (`score_triples(..., positives=cache)`); a plain (B, 3)
+batch is prepared as its own positives, each triple scored as its own
+tail-corrupted row. `backward` sums the anchor gradients per positive
+and side before running them back to the kept entity and the relation.
 
 All-candidate ranking of the two distance models runs through hie's
 ranking kernel (`hie_model._slab_sums`) with one term each, so a copy of
@@ -103,68 +105,51 @@ def _rotate(x, phase):
     return xr * cos - xi * sin, xr * sin + xi * cos, (xr, xi, cos, sin)
 
 
-def _rotate_residual(h, r, t):
-    """Real and imaginary parts of h o r - t, plus (hr, hi, cos, sin) for backprop.
-
-    r rotates each complex pair of h by the phase in its first d/2 columns.
-    """
-    re, im, parts = _rotate(h, r[..., : h.shape[-1] // 2])
-    return re - t[..., 0::2], im - t[..., 1::2], parts
-
-
 def score_triples(params: BaselineParams, config: BaselineConfig, triples, positives=None):
     """Vectorized totals for a (B, 3) id batch, plus a cache for backprop.
 
-    DistMult is the negated trilinear product, entity rows multiplied
-    first, so lower is better like the distances and the head/tail
+    Every row is scored against a positive it corrupts, as in hie: a
+    (B, 3) batch is first prepared as its own positives (`_prepare`: ids,
+    (h, r, t) rows and anchors over the B rows), and each triple is then
+    scored as its own tail-corrupted row. DistMult multiplies the entity
+    rows first, so lower is better like the distances and the head/tail
     symmetry is bit-exact.
 
     With positives, the cache of a call over B positive triples, triples
-    are (B, n, 3) training negatives, each keeping its positive's relation
-    and one of its entities (`corrupted_entities` checks each and names
-    its corrupted side). Such a call gathers only each row's corrupted
-    entity and scores it against its positive's anchor for that side
-    (`_score_negatives`); it returns the (B*n,) totals in row order and an
-    anchored cache, whose `backward` emits one entity row per negative
-    plus one kept head, kept tail and relation row per positive.
+    are (B, n, 3) training negatives and reuse the prepared block that
+    cache holds under "positives" (`corrupted_entities` checks each and
+    names its corrupted side). Returns the totals in row order and a cache
+    for `backward`.
     """
     if positives is not None:
-        return _score_negatives(params, config, triples, positives)
+        return _score_anchored(params, config, triples, positives["positives"])
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-    h_ids, r_ids, t_ids = triples[:, 0], triples[:, 1], triples[:, 2]
-    h, r, t = params.ent[h_ids], params.rel[r_ids], params.ent[t_ids]
-    # the entity and relation ids of the rows `backward` emits
-    cache = {"ids": (h_ids, r_ids, t_ids), "row_ids": ((h_ids, t_ids), r_ids)}
-    if params.kind == TRANSE:
-        u = (h + r) - t
-        cache["u"] = u
-        totals = _norm_rows(u, config.norm_p)
-    elif params.kind == DISTMULT:
-        cache["hrt"] = (h, r, t)
-        totals = -np.sum((h * t) * r, axis=-1)
-    else:
-        re, im, (hr, hi, cos, sin) = _rotate_residual(h, r, t)
-        cache["rotate"] = (hr, hi, cos, sin, re, im)
-        totals = np.sqrt(np.sum(re * re, axis=-1) + np.sum(im * im, axis=-1))
-    cache["totals"] = totals
-    return totals, cache
+    return _score_anchored(params, config, triples[:, None, :], _prepare(params, config, triples))
+
+
+def _prepare(params, config, triples):
+    """The prepared positives of score_triples over the (B, 3) triples: ids, (h, r, t) rows and anchors."""
+    ids = (triples[:, 0], triples[:, 1], triples[:, 2])
+    hrt = (params.ent[ids[0]], params.rel[ids[1]], params.ent[ids[2]])
+    return {"ids": ids, "hrt": hrt, "anchors": _anchors(params, config, *hrt)}
 
 
 def _anchors(params: BaselineParams, config: BaselineConfig, h, r, t):
-    """(B, 2, dim) anchors of B positives' rows: [:, 0] serves head-corrupted negatives, [:, 1] the rest.
+    """(B, 2, dim) anchors of B positives' rows: [:, 0] serves head-corrupted rows, [:, 1] the rest.
 
-    A negative scores its corrupted entity e against its positive's anchor
-    a of its side. TransE: ||e - a||_p, with a = t - r or h + r. RotatE:
+    A row scores its corrupted entity e against its positive's anchor a
+    of its side. TransE: ||e - a||_p, with a = t - r or h + r. RotatE:
     |e - a|, with a = t o conj(r) or h o r, since every |r_k| = 1.
-    DistMult: -<e, a>, with a = t * r or h * r.
+    DistMult: -sum((e * a) * r), with a the kept entity t or h: the two
+    entity rows multiply first, so a triple scores with the same bits
+    whichever entity it corrupts.
     """
     anchors = np.empty((len(h), 2, config.dim))
     if params.kind == TRANSE:
         np.subtract(t, r, out=anchors[:, 0])
         np.add(h, r, out=anchors[:, 1])
     elif params.kind == DISTMULT:
-        np.multiply(t, r, out=anchors[:, 0])
-        np.multiply(h, r, out=anchors[:, 1])
+        anchors[:, 0], anchors[:, 1] = t, h
     else:
         phase = r[:, : config.dim // 2]
         for k, (kept, sign) in enumerate(((t, -1.0), (h, 1.0))):
@@ -172,29 +157,28 @@ def _anchors(params: BaselineParams, config: BaselineConfig, h, r, t):
     return anchors
 
 
-def _score_negatives(params, config, negatives, positives):
-    """score_triples of (B, n, 3) negatives against positives, the cache of their B positives.
+def _score_anchored(params, config, triples, positives):
+    """score_triples of (B, n, 3) triples against positives, the prepared block of their B positives.
 
     The rows keep their (B, n) order. "sides" holds per positive a (2, n)
-    mask of its head- and tail-corrupted negatives, which `backward` uses
-    to sum the anchor gradients of each side over one positive's rows.
+    mask of its head- and tail-corrupted rows, which `backward` uses to
+    sum the anchor gradients of each side over one positive's rows.
     TransE and RotatE cache the residual e - a, DistMult the corrupted
     rows and their anchors.
     """
     h_ids, r_ids, t_ids = ids = positives["ids"]
-    head, ent_ids = corrupted_entities(negatives, ids)
+    head, ent_ids = corrupted_entities(triples, ids)
     B, n = head.shape
     ent_ids = ent_ids.ravel()
-    hrt = (params.ent[h_ids], params.rel[r_ids], params.ent[t_ids])
-    anchors = _anchors(params, config, *hrt)
     # each row's anchor: its positive's, of its corrupted side
     e = params.ent[ent_ids]
-    a = anchors.reshape(2 * B, -1)[(2 * np.arange(B)[:, None] + ~head).ravel()]
-    cache = {"hrt": hrt, "anchors": anchors, "sides": np.stack([head, ~head], axis=1).astype(np.float64),
+    a = positives["anchors"].reshape(2 * B, -1)[(2 * np.arange(B)[:, None] + ~head).ravel()]
+    cache = {"positives": positives, "sides": np.stack([head, ~head], axis=1).astype(np.float64),
              "row_ids": ((ent_ids, h_ids, t_ids), r_ids)}
     if params.kind == DISTMULT:
         cache["ea"] = (e, a)
-        totals = -np.sum(e * a, axis=-1)
+        r = positives["hrt"][1]
+        totals = -np.sum(((e * a).reshape(B, n, -1) * r[:, None]).reshape(B * n, -1), axis=-1)
     else:
         u = np.subtract(e, a, out=a)
         cache["u"] = u
@@ -206,57 +190,30 @@ def _score_negatives(params, config, negatives, positives):
 def backward(params: BaselineParams, config: BaselineConfig, cache, upstream):
     """Analytic gradients of sum_b upstream[b] * total[b] for one score_triples cache.
 
-    Returns (ent_rows, rel_rows, dense) like hie_model.backward: B head rows
-    then B tail rows, B relation rows, and no dense tensors. An anchored
-    cache (negatives scored against their positives) emits its B*n
+    upstream holds one value per scored row, in row order; ValueError
+    otherwise. Returns (ent_rows, rel_rows, dense) like
+    hie_model.backward: a cache of N rows over B positives emits its N
     corrupted-entity rows, then B kept-head rows and B kept-tail rows, and
-    B relation rows (`_backward_negatives`).
+    B relation rows, and no dense tensors. Each row's corrupted entity
+    gets the gradient at e. The anchor gradients are linear in it, so each
+    positive's are summed per side first, straight from the (B, n, dim)
+    rows under the "sides" masks, and then run back through that
+    positive's anchors over B rows.
     """
     upstream = np.asarray(upstream, dtype=np.float64)
-    if "sides" in cache:
-        return _backward_negatives(params, config, cache, upstream)
-    B, dim = len(upstream), params.ent.shape[1]
-    ent_rows = np.empty((2 * B, dim))
-    g_head, g_tail = ent_rows[:B], ent_rows[B:]
-    if params.kind == TRANSE:
-        gu = _norm_backward(cache["u"], cache["totals"], config.norm_p, upstream)
-        g_head[...], g_tail[...], rel_rows = gu, -gu, gu
-    elif params.kind == DISTMULT:
-        h, r, t = cache["hrt"]
-        g_head[...] = -upstream[:, None] * (r * t)
-        g_tail[...] = -upstream[:, None] * (h * r)
-        rel_rows = -upstream[:, None] * (h * t)
-    else:
-        hr, hi, cos, sin, re, im = cache["rotate"]
-        # |h o r - t| is the L2 norm over the (re, im) pairs
-        gu_re = _norm_backward(re, cache["totals"], 2, upstream)
-        gu_im = _norm_backward(im, cache["totals"], 2, upstream)
-        g_head[:, 0::2] = gu_re * cos + gu_im * sin
-        g_head[:, 1::2] = -gu_re * sin + gu_im * cos
-        g_tail[:, 0::2] = -gu_re
-        g_tail[:, 1::2] = -gu_im
-        rel_rows = np.zeros((B, dim))
-        rel_rows[:, : dim // 2] = gu_re * (-hr * sin - hi * cos) + gu_im * (hr * cos - hi * sin)
-    return ent_rows, rel_rows, {}
-
-
-def _backward_negatives(params, config, cache, upstream):
-    """backward of an anchored cache, given upstream in its rows' order.
-
-    Each row's corrupted entity gets the gradient at e. The anchor
-    gradients are linear in it, so each positive's are summed per side
-    first, straight from the (B, n, dim) rows under the "sides" masks,
-    and then run back through that positive's anchors over B rows.
-    """
-    h, r, t = cache["hrt"]
+    h, r, t = cache["positives"]["hrt"]
     B, _, n = cache["sides"].shape
     N, dim = B * n, config.dim
+    if upstream.shape != (N,):
+        raise ValueError(f"upstream must hold one value per scored row: {N} values, "
+                         f"got shape {upstream.shape}")
     ent_rows = np.empty((N + 2 * B, dim))
     g_e, g_head, g_tail = ent_rows[:N], ent_rows[N:N + B], ent_rows[N + B:]
     if params.kind == DISTMULT:
         e, a = cache["ea"]
-        np.multiply(-upstream[:, None], a, out=g_e)
-        # the gradient at a is -upstream * e
+        # the gradient at e is -upstream * (a * r)
+        np.multiply(-upstream[:, None], (a.reshape(B, n, dim) * r[:, None]).reshape(N, dim), out=g_e)
+        # and at the anchor product a * r it is -upstream * e
         sums = (cache["sides"] * -upstream.reshape(B, 1, n)) @ e.reshape(B, n, dim)
         g_head[...], g_tail[...] = sums[:, 1] * r, sums[:, 0] * r
         rel_rows = sums[:, 0] * t + sums[:, 1] * h
@@ -273,7 +230,7 @@ def _backward_negatives(params, config, cache, upstream):
     phase = r[:, : dim // 2]
     rel_rows = np.zeros((B, dim))
     for k, (kept, sign) in enumerate(((g_tail, -1.0), (g_head, 1.0))):
-        G, a = sums[:, k], cache["anchors"][:, k]
+        G, a = sums[:, k], cache["positives"]["anchors"][:, k]
         kept[:, 0::2], kept[:, 1::2], _ = _rotate(G, -sign * phase)
         rel_rows[:, : dim // 2] += sign * (G[:, 1::2] * a[:, 0::2] - G[:, 0::2] * a[:, 1::2])
     return ent_rows, rel_rows, {}

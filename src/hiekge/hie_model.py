@@ -7,22 +7,25 @@ half added back as a residual. Each level contributes a distance-space
 term and a semantic translation term, blended by a learned sigmoid weight
 and combined across levels with fixed convex weights. Lower is better.
 
-The per-row kernels run over row tiles small enough for a core's L2
-cache: `score_triples` and `backward` walk their rows in tiles of
-`tile_rows(half)` rows, each written into slices of full-size arrays, so
-the cache keeps one (N, half) array per level of each role's distance
-chain and of the semantic residual chain, whatever the tile size. Tiles
-are whole multiples of ROW_ALIGN rows: OpenBLAS can give a row of a
-matrix product other bits when the product is split at a row that is not
-a multiple of 512, so only aligned blocks reproduce one call over all
-rows.
+There is one per-row kernel, anchored on positives. Each scored row
+corrupts a positive: it keeps the positive's relation and one entity, so
+only its corrupted entity is gathered and chained, and the kept side's
+chains, bases and operands come from the positive's prepared block, built
+once over the B positive rows. Training negatives reuse the block of
+their positives' call (`score_triples(..., positives=cache)`); a plain
+(B, 3) batch is prepared as its own positives, each triple scored as its
+own tail-corrupted row. `backward` sums the kept side's gradients per
+positive before walking the positive's chains back once, over B rows.
 
-Training negatives are scored against their positives' cache: each
-negative keeps its positive's relation and one entity, so
-`score_triples(..., positives=cache)` builds the distance chain of the
-corrupted entity only and takes the kept side's chains and bases from the
-positive rows. Its `backward` sums the kept side's gradients per positive
-before walking the positive's chains back once, over B rows.
+The kernel runs over row tiles small enough for a core's L2 cache:
+`score_triples` and `backward` walk their rows in tiles of
+`tile_rows(half)` rows, each written into slices of full-size arrays, so
+the cache keeps one (N, half) array per level of the corrupted entity's
+distance chain and of the semantic residual chain, whatever the tile
+size. Tiles are whole multiples of ROW_ALIGN rows: OpenBLAS can give a
+row of a matrix product other bits when the product is split at a row
+that is not a multiple of 512, so only aligned blocks reproduce one call
+over all rows.
 
 All-candidate scoring (`score_batch`) takes its candidate chains from a
 `candidate_table`, built once per corrupted side over the candidate rows
@@ -268,10 +271,15 @@ def _space_columns(config: HieConfig):
     return {"dist": slice(0, config.half), "sem": slice(config.half, None)}
 
 
+def _live_levels(config: HieConfig):
+    """How many levels read each space, (distance, semantic): under every ablation a prefix of the levels."""
+    on = [active_spaces(config, level) for level in range(1, config.levels + 1)]
+    return sum(d for d, _ in on), sum(s for _, s in on)
+
+
 def _needed_spaces(config: HieConfig):
     """The spaces, of "dist" and "sem", that are active at one level or more."""
-    flags = [active_spaces(config, lv) for lv in range(1, config.levels + 1)]
-    return [space for k, space in enumerate(("dist", "sem")) if any(f[k] for f in flags)]
+    return [space for space, levels in zip(("dist", "sem"), _live_levels(config)) if levels]
 
 
 def _norm_rows(residual, norm_p):
@@ -325,17 +333,15 @@ def _head_term(h, r, seed, transform, out=None):
     return np.multiply(inner[:, None], r, out=out), inner
 
 
-def _new_cache(params, config, n, chain_keys):
+def _new_cache(params, config, n):
     """The blend state and empty per-level arrays of a score_triples cache over n rows.
 
-    Each space's lists hold only the levels the score reads: under every
-    ablation a prefix of the levels.
+    Each space's lists hold only the levels the score reads.
     """
     alpha, half = params.alpha, config.half
-    on = [active_spaces(config, level) for level in range(1, config.levels + 1)]
-    n_dist, n_sem = sum(d for d, _ in on), sum(s for _, s in on)
+    n_dist, n_sem = _live_levels(config)
     cache = {"alpha": alpha, "weights": level_weights(config, alpha)}
-    for key in (*chain_keys, "u_dist"):
+    for key in ("c_dist", "u_dist"):
         cache[key] = [np.empty((n, half)) for _ in range(n_dist)]
     cache["u_sem"] = [np.empty((n, half)) for _ in range(n_sem)]
     rank1 = config.transform == TRANSFORM_RANK1
@@ -355,67 +361,61 @@ def _add_totals(config, cache, totals, tile):
 def score_triples(params: HieParams, config: HieConfig, triples, positives=None):
     """Vectorized totals for a (B, 3) id batch, plus a cache for backprop.
 
-    The cache holds the bases, the per-role distance chains, the raw
-    per-level residual vectors and distances, and the blend state: enough
-    for `backward` to run without re-scoring. The semantic space keeps no
-    per-role chains: its residual is one chain of its own, v_1 = p_h*h +
-    p_r*r - p_t*t and v_j = v_{j-1} @ extract_sem[j-1] + (h + r - t),
-    cached as "u_sem". Each space's lists hold only the levels the score
-    reads. Each chain, residual and distance is one array over all B rows;
-    the rows are gathered and scored tile by tile (`tile_rows`) into
-    slices of those arrays.
+    Every row is scored against a positive it corrupts: it keeps the
+    positive's relation and one of its entities, and only its corrupted
+    entity is gathered and chained. A (B, 3) batch is first prepared as
+    its own positives (`_prepare`: ids, bases, distance chains and kept
+    operands over the B rows), and each triple is then scored as its own
+    tail-corrupted row.
 
     With positives, the cache of a call over B positive triples, triples
-    are (B, n, 3) training negatives: each keeps its positive's relation
-    and one of its entities (`corrupted_entities` checks each and names
-    its corrupted side; the baselines share it). Such a call gathers and
-    chains only the corrupted entity of each row and takes the kept
-    side's chains and bases from positives (`_score_negatives`); it
-    returns the (B*n,) totals in row order and an anchored cache, whose
-    `backward` emits one entity row per negative plus one kept head, kept
-    tail and relation row per positive.
+    are (B, n, 3) training negatives and reuse the prepared block that
+    cache holds under "positives". `corrupted_entities` checks each
+    negative and names its corrupted side; the baselines share it.
+
+    Returns the totals in row order and a cache for `backward`. The
+    semantic space keeps no per-role chains: its residual is one chain of
+    its own, v_1 = p_h*h + p_r*r - p_t*t and v_j = v_{j-1} @
+    extract_sem[j-1] + (h + r - t), cached as "u_sem". Each chain,
+    residual and distance is one array over all rows; the rows are
+    gathered and scored tile by tile (`tile_rows`) into slices of those
+    arrays.
     """
     if positives is not None:
-        return _score_negatives(params, config, triples, positives)
+        return _score_anchored(params, config, triples, positives["positives"])
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-    B = len(triples)
-    cache = _new_cache(params, config, B, ("h_dist", "r_dist", "t_dist"))
-    cache["ids"] = (triples[:, 0], triples[:, 1], triples[:, 2])
-    # the entity and relation ids of the rows `backward` emits
-    cache["row_ids"] = ((triples[:, 0], triples[:, 2]), triples[:, 1])
-    rows = tuple(np.empty((B, config.dim)) for _ in range(3))
+    return _score_anchored(params, config, triples[:, None, :], _prepare(params, config, triples))
+
+
+def _prepare(params, config, triples):
+    """The prepared positives of score_triples over the (B, 3) triples, built once over their B rows.
+
+    "h_dist", "r_dist" and "t_dist" hold each role's distance chain at the
+    levels the score reads, and "bases_dist"/"bases_sem" each role's base
+    halves. "head_term" holds, per level, the distance residual before its
+    tail is subtracted, with the rank-1 inner product in "rank1_inner": a
+    tail-corrupted row subtracts its own tail's chain from it. "sem_head"
+    and "sem_tail" hold the kept terms of the semantic residual's level 1
+    and of its base for head- and tail-corrupted rows.
+    """
+    ids = (triples[:, 0], triples[:, 1], triples[:, 2])
+    rows = (params.ent[ids[0]], params.rel[ids[1]], params.ent[ids[2]])
+    positives = {"ids": ids}
     for space, cols in _space_columns(config).items():
-        cache[f"bases_{space}"] = tuple(row[:, cols] for row in rows)
-    totals = np.zeros(B)
-    for tile in row_tiles(B, tile_rows(config.half)):
-        _score_tile(params, config, cache, rows, totals, tile)
-    return totals, cache
-
-
-def _score_tile(params, config, cache, rows, totals, tile):
-    """score_triples over the rows of one tile, written into its slices of cache and totals."""
-    tables = (params.ent, params.rel, params.ent)
-    for row, table, ids in zip(rows, tables, cache["ids"]):
-        row[tile] = table[ids[tile]]
-    if cache["u_dist"]:
-        chains = [[level[tile] for level in cache[f"{key}_dist"]] for key, _ in ROLES]
-        for k, (_, role) in enumerate(ROLES):
-            _chain(params, cache["bases_dist"][k][tile], role, "dist", len(chains[k]), out=chains[k])
-        for i, level in enumerate(cache["u_dist"]):
-            u, inner = _head_term(chains[0][i], chains[1][i], params.transform_seed[i], config.transform,
-                                  out=level[tile])
-            np.subtract(u, chains[2][i], out=u)
-            if inner is not None:
-                cache["rank1_inner"][i][tile] = inner
-            cache["d_dist"][tile, i] = _norm_rows(u, config.norm_p)
-    if cache["u_sem"]:
-        v = [level[tile] for level in cache["u_sem"]]
-        h, r, t = (base[tile] for base in cache["bases_sem"])
-        np.subtract(np.add(params.proj_head_sem * h, params.proj_rel_sem * r, out=v[0]),
-                    params.proj_tail_sem * t, out=v[0])
-        for i, level in enumerate(_lift(v, h + r - t, params.extract_sem)):
-            cache["d_sem"][tile, i] = _norm_rows(level, 2)
-    _add_totals(config, cache, totals, tile)
+        positives[f"bases_{space}"] = tuple(row[:, cols] for row in rows)
+    n_dist, n_sem = _live_levels(config)
+    for (key, role), base in zip(ROLES, positives["bases_dist"]):
+        positives[f"{key}_dist"] = _chain(params, base, role, "dist", n_dist) if n_dist else []
+    terms = [_head_term(h, r, seed, config.transform)
+             for h, r, seed in zip(positives["h_dist"], positives["r_dist"], params.transform_seed)]
+    positives["head_term"] = [term for term, _ in terms]
+    positives["rank1_inner"] = [inner for _, inner in terms if inner is not None]
+    if n_sem:
+        hb, rb, tb = positives["bases_sem"]
+        rel = params.proj_rel_sem * rb
+        positives["sem_head"] = (rel, params.proj_tail_sem * tb, rb, tb)
+        positives["sem_tail"] = (params.proj_head_sem * hb + rel, hb + rb)
+    return positives
 
 
 def corrupted_entities(negatives, positive_ids):
@@ -439,65 +439,46 @@ def corrupted_entities(negatives, positive_ids):
     return head, np.where(head, negatives[:, :, 0], negatives[:, :, 2])
 
 
-def _score_negatives(params, config, negatives, positives):
-    """score_triples of (B, n, 3) negatives against positives, the cache of their B positives.
+def _score_anchored(params, config, triples, positives):
+    """score_triples of (B, n, 3) triples against positives, the prepared block of their B positives.
 
     The rows are reordered once, head-corrupted rows first and then
     tail-corrupted ones, each in batch order, so that every row of a side
-    has the same corrupted role and the negatives of one positive are
+    has the same corrupted role and the rows of one positive are
     consecutive. Each row gathers its corrupted entity and builds that
     entity's distance chain ("c_dist"); the positive's kept chains and
-    bases enter the residuals in the order the flat residuals add them.
-    "pos" holds each row's positive and "order" each row's place in the
-    (B*n,) row order; "rank1_inner" is written for head-corrupted rows
-    only, the tail-corrupted ones take the positive's head term whole.
+    operands enter the residuals in the order `_head_term` and the
+    semantic chain add them. "pos" holds each row's positive and "order"
+    each row's place in the (B*n,) row order; "rank1_inner" is written for
+    head-corrupted rows only, the tail-corrupted ones take the positive's
+    head term whole.
     """
     h_ids, r_ids, t_ids = positives["ids"]
-    head, ent_ids = corrupted_entities(negatives, positives["ids"])
+    head, ent_ids = corrupted_entities(triples, positives["ids"])
     n = head.shape[1]
     head = head.ravel()
     order = np.concatenate([np.flatnonzero(head), np.flatnonzero(~head)])
     N, n_head = len(order), int(np.count_nonzero(head))
     ent_ids = ent_ids.ravel()[order]
-    cache = _new_cache(params, config, N, ("c_dist",))
+    cache = _new_cache(params, config, N)
     cache.update(positives=positives, order=order, pos=order // n,
                  sides=(("head", slice(0, n_head)), ("tail", slice(n_head, N))),
+                 # the entity and relation ids of the rows `backward` emits
                  row_ids=((ent_ids, h_ids, t_ids), r_ids))
     rows = np.empty((N, config.dim))
     cache["bases_dist"], cache["bases_sem"] = (rows[:, cols] for cols in _space_columns(config).values())
-    kept = _kept_operands(params, config, positives)
     totals = np.zeros(N)
     for side, block in cache["sides"]:
         for tile in row_tiles(block.stop, tile_rows(config.half), start=block.start):
             rows[tile] = params.ent[ent_ids[tile]]
-            _score_negative_tile(params, config, cache, kept, totals, side, tile)
+            _score_tile(params, config, cache, totals, side, tile)
     out = np.empty(N)
     out[order] = totals
     return out, cache
 
 
-def _kept_operands(params, config, positives):
-    """Per-positive operands of the negatives' residuals, computed once over the B positive rows.
-
-    "head_term" holds, per level, the positive's distance residual before
-    its tail is subtracted: a tail-corrupted negative subtracts its own
-    tail's chain from it. "sem_head" and "sem_tail" hold the kept terms of
-    the semantic residual's level 1 and of its base for head- and
-    tail-corrupted negatives.
-    """
-    h, r = positives["h_dist"], positives["r_dist"]
-    kept = {"head_term": [_head_term(h[i], r[i], params.transform_seed[i], config.transform)[0]
-                          for i in range(len(h))]}
-    if positives["u_sem"]:
-        hb, rb, tb = positives["bases_sem"]
-        rel = params.proj_rel_sem * rb
-        kept["sem_head"] = (rel, params.proj_tail_sem * tb, rb, tb)
-        kept["sem_tail"] = (params.proj_head_sem * hb + rel, hb + rb)
-    return kept
-
-
-def _score_negative_tile(params, config, cache, kept, totals, side, tile):
-    """_score_negatives over one tile of one side's rows, whose entities are gathered."""
+def _score_tile(params, config, cache, totals, side, tile):
+    """_score_anchored over one tile of one side's rows, whose entities are gathered."""
     positives, p = cache["positives"], cache["pos"][tile]
     if cache["u_dist"]:
         c = _chain(params, cache["bases_dist"][tile], side, "dist", len(cache["c_dist"]),
@@ -510,17 +491,17 @@ def _score_negative_tile(params, config, cache, kept, totals, side, tile):
                 if inner is not None:
                     cache["rank1_inner"][i][tile] = inner
             else:
-                u = np.subtract(kept["head_term"][i][p], c[i], out=level[tile])
+                u = np.subtract(positives["head_term"][i][p], c[i], out=level[tile])
             cache["d_dist"][tile, i] = _norm_rows(u, config.norm_p)
     if cache["u_sem"]:
         v = [level[tile] for level in cache["u_sem"]]
         e = cache["bases_sem"][tile]
         if side == "head":
-            rel, tail, rb, tb = kept["sem_head"]
+            rel, tail, rb, tb = positives["sem_head"]
             np.subtract(np.add(params.proj_head_sem * e, rel[p], out=v[0]), tail[p], out=v[0])
             base = (e + rb[p]) - tb[p]
         else:
-            head_rel, hr = kept["sem_tail"]
+            head_rel, hr = positives["sem_tail"]
             np.subtract(head_rel[p], params.proj_tail_sem * e, out=v[0])
             base = hr[p] - e
         for i, level in enumerate(_lift(v, base, params.extract_sem)):
@@ -531,31 +512,52 @@ def _score_negative_tile(params, config, cache, kept, totals, side, tile):
 def backward(params: HieParams, config: HieConfig, cache, upstream):
     """Analytic gradients of sum_b upstream[b] * total[b] for one score_triples cache.
 
-    Returns (ent_rows, rel_rows, dense): the entity-row and relation-row
-    gradients, uncoalesced, whose ids are the cache's "row_ids", and every
-    structure tensor's dense gradient by field name. A (B, 3) cache emits
-    2B entity rows, B head rows then B tail rows, and B relation rows.
-    Each distance chain is walked back once per role; the semantic
-    residual chain once for all three, since its gradient reaches head and
-    relation as is and the tail negated. Rows run in the tiles of
-    score_triples: each tile's row gradients are exactly those of one pass
-    over all rows, and each dense gradient sums its per-tile parts.
+    upstream holds one value per scored row, in row order; ValueError
+    otherwise. Returns (ent_rows, rel_rows, dense): the entity-row and
+    relation-row gradients, uncoalesced, whose ids are the cache's
+    "row_ids", and every structure tensor's dense gradient by field name.
+    A cache of N rows over B positives emits its N corrupted-entity rows,
+    then B kept-head rows and B kept-tail rows, and B relation rows.
 
-    An anchored cache (negatives scored against their positives) emits
-    its B*n corrupted-entity rows, then B kept-head rows and B kept-tail
-    rows, and B relation rows (`_backward_negatives`).
+    Every row walks back its corrupted entity's distance chain and the
+    semantic residual chain, whose gradient reaches head and relation as
+    is and the tail negated. The gradients that reach the kept side are
+    summed per positive first, over the runs of one positive's rows in
+    each tile: the distance chains' direct gradients per level, and the
+    semantic chain's (G, G_deep). Then each kept role walks back the
+    positive's chain once, over B rows. Rows run in the tiles of
+    score_triples, and each dense gradient sums its per-tile parts.
     """
     upstream = np.asarray(upstream, dtype=np.float64)
-    if "positives" in cache:
-        return _backward_negatives(params, config, cache, upstream[cache["order"]])
-    B = len(cache["ids"][0])
+    positives, order = cache["positives"], cache["order"]
+    N, B, half = len(order), len(positives["ids"][0]), config.half
+    if upstream.shape != (N,):
+        raise ValueError(f"upstream must hold one value per scored row: {N} values, "
+                         f"got shape {upstream.shape}")
+    upstream = upstream[order]
+    dist_cols, sem_cols = _space_columns(config).values()
     dense = _dense_gradients(params, config, cache, upstream)
-    ent_rows = np.zeros((2 * B, config.dim))
+    ent_rows = np.zeros((N + 2 * B, config.dim))
     rel_rows = np.zeros((B, config.dim))
-    row_blocks = (ent_rows[:B], rel_rows, ent_rows[B:])
-    for tile in row_tiles(B, tile_rows(config.half)):
-        _backward_tile(params, config, cache, upstream[tile],
-                       [block[tile] for block in row_blocks], dense, tile)
+    n_dist, n_sem = len(cache["u_dist"]), len(cache["u_sem"])
+    # per kept role (head, rel, tail) and positive: the direct gradients into its
+    # distance chain per level, and its semantic chain's (G, G_deep)
+    kept_dist = [[np.zeros((B, half)) for _ in range(n_dist)] for _ in ROLES]
+    kept_sem = [[np.zeros((B, half)), np.zeros((B, half))] for _ in ROLES]
+    for side, block in cache["sides"]:
+        for tile in row_tiles(block.stop, tile_rows(half), start=block.start):
+            _backward_tile(params, config, cache, upstream[tile], ent_rows[tile], dense,
+                           (kept_dist, kept_sem), side, tile)
+    kept_rows = (ent_rows[N:N + B], rel_rows, ent_rows[N + B:])
+    for k, ((key, role), sign) in enumerate(zip(ROLES, SEM_SIGNS)):
+        if n_dist:
+            G, G_deep = _walk_back(kept_dist[k], positives[f"{key}_dist"], params.extract_dist,
+                                   dense["extract_dist"])
+            kept_rows[k][:, dist_cols] = _base_gradient(params, "dist", role, G, G_deep,
+                                                        positives["bases_dist"][k], dense)
+        if n_sem:
+            kept_rows[k][:, sem_cols] = _base_gradient(params, "sem", role, *kept_sem[k],
+                                                       positives["bases_sem"][k], dense, sign)
     return ent_rows, rel_rows, dense
 
 
@@ -629,71 +631,8 @@ def _distance_direct(params, config, i, gu, h, r, inner, dense):
 SEM_SIGNS = (1.0, 1.0, -1.0)
 
 
-def _backward_tile(params, config, cache, upstream, row_blocks, dense, tile):
-    """backward over one tile: writes its (head, rel, tail) row gradients, adds to dense."""
-    dist_cols, sem_cols = _space_columns(config).values()
-    gu, gv = _residual_gradients(config, cache, upstream, tile)
-    # the direct (head, rel, tail) gradients into the distance chains, per level
-    direct = []
-    for i, g in enumerate(gu):
-        inner = cache["rank1_inner"][i][tile] if cache["rank1_inner"] else None
-        direct.append((*_distance_direct(params, config, i, g, cache["h_dist"][i][tile],
-                                         cache["r_dist"][i][tile], inner, dense), -g))
-    if direct:
-        for k, (key, role) in enumerate(ROLES):
-            chain = [level[tile] for level in cache[f"{key}_dist"]]
-            G, G_deep = _walk_back([level[k] for level in direct], chain, params.extract_dist,
-                                   dense["extract_dist"])
-            row_blocks[k][:, dist_cols] = _base_gradient(params, "dist", role, G, G_deep,
-                                                         cache["bases_dist"][k][tile], dense)
-    if gv:
-        G, G_deep = _walk_back(gv, [level[tile] for level in cache["u_sem"]], params.extract_sem,
-                               dense["extract_sem"])
-        for k, ((_, role), sign) in enumerate(zip(ROLES, SEM_SIGNS)):
-            row_blocks[k][:, sem_cols] = _base_gradient(params, "sem", role, G, G_deep,
-                                                        cache["bases_sem"][k][tile], dense, sign)
-
-
-def _backward_negatives(params, config, cache, upstream):
-    """backward of an anchored cache, given upstream in its rows' order.
-
-    Every row walks back its corrupted entity's distance chain and the
-    semantic residual chain. The gradients that reach the kept side are
-    summed per positive first, over the runs of one positive's rows in
-    each tile: the distance chains' direct gradients per level, and the
-    semantic chain's (G, G_deep). Then each kept role walks back the
-    positive's chain once, over B rows.
-    """
-    positives = cache["positives"]
-    N, B, half = len(cache["pos"]), len(positives["ids"][0]), config.half
-    dist_cols, sem_cols = _space_columns(config).values()
-    dense = _dense_gradients(params, config, cache, upstream)
-    ent_rows = np.zeros((N + 2 * B, config.dim))
-    rel_rows = np.zeros((B, config.dim))
-    n_dist, n_sem = len(cache["u_dist"]), len(cache["u_sem"])
-    # per kept role (head, rel, tail) and positive: the direct gradients into its
-    # distance chain per level, and its semantic chain's (G, G_deep)
-    kept_dist = [[np.zeros((B, half)) for _ in range(n_dist)] for _ in ROLES]
-    kept_sem = [[np.zeros((B, half)), np.zeros((B, half))] for _ in ROLES]
-    for side, block in cache["sides"]:
-        for tile in row_tiles(block.stop, tile_rows(half), start=block.start):
-            _backward_negative_tile(params, config, cache, upstream[tile], ent_rows[tile], dense,
-                                    (kept_dist, kept_sem), side, tile)
-    kept_rows = (ent_rows[N:N + B], rel_rows, ent_rows[N + B:])
-    for k, ((key, role), sign) in enumerate(zip(ROLES, SEM_SIGNS)):
-        if n_dist:
-            G, G_deep = _walk_back(kept_dist[k], positives[f"{key}_dist"], params.extract_dist,
-                                   dense["extract_dist"])
-            kept_rows[k][:, dist_cols] = _base_gradient(params, "dist", role, G, G_deep,
-                                                        positives["bases_dist"][k], dense)
-        if n_sem:
-            kept_rows[k][:, sem_cols] = _base_gradient(params, "sem", role, *kept_sem[k],
-                                                       positives["bases_sem"][k], dense, sign)
-    return ent_rows, rel_rows, dense
-
-
-def _backward_negative_tile(params, config, cache, upstream, rows, dense, kept, side, tile):
-    """_backward_negatives over one tile of one side's rows: writes their rows, adds to kept and dense."""
+def _backward_tile(params, config, cache, upstream, rows, dense, kept, side, tile):
+    """backward over one tile of one side's rows: writes their rows, adds to kept and dense."""
     kept_dist, kept_sem = kept
     positives, p = cache["positives"], cache["pos"][tile]
     # the tile's runs of rows of one positive, by their first row
@@ -831,8 +770,8 @@ def _slab_sums(terms, B, C):
 def _batch_terms(params, config, triples, table):
     """The `_slab_sums` terms of every live level and space of score_batch.
 
-    Per coordinate, a term's residual is the arithmetic of
-    _distance_residual and of the semantic residual (h + r) - t, except
+    Per coordinate, a term's residual is the arithmetic of `_head_term`
+    minus the tail and of the semantic residual (h + r) - t, except
     that the rank-1 inner product is summed one coordinate at a time. The
     fixed and relation chains are built over rows padded like the
     candidates', so a triple's operands do not depend on the other triples

@@ -3,15 +3,16 @@
 Each model module owns its math: `score_triples` returns scores and a
 cache, and `backward` turns that cache into per-row and dense gradients.
 This module only routes calls to the right model, coalesces the rows,
-and applies the loss and the optimiser. A training step scores its
-positives and its negatives in one `score_triples` call each, runs
-`backward` over both caches and sums all their rows in one `coalesce` per
-embedding table. Every model scores the negatives against the
-positives' cache: each negative keeps its positive's relation and one
-entity, so the call gathers only the corrupted entity (hie also chains
-only that entity), and its anchored cache's `backward` emits one entity
-row per negative plus one kept-head, kept-tail and relation row per
-positive, each summed over that positive's negatives. Adversarial
+and applies the loss and the optimiser. Every model has one kernel,
+anchored on positives: each scored row keeps its positive's relation and
+one entity, so a call gathers only the corrupted entity (hie also chains
+only that entity), and the cache's `backward` emits one entity row per
+scored row plus one kept-head, kept-tail and relation row per positive,
+each summed over that positive's rows. A training step scores its
+positives, each as its own tail-corrupted row, and then its negatives
+against the positives' prepared block, in one `score_triples` call each;
+it runs `backward` over both caches and sums all their rows in one
+`coalesce` per embedding table. Adversarial
 weights are treated as constants of the objective (no gradient flows
 through them), so the finite-difference checker freezes them before
 differencing.
@@ -199,8 +200,9 @@ def _forward_step(params, config, batch, negatives):
     """(B,) positive and (B, n) negative scores, and the caches of both forwards.
 
     Positives and negatives are scored in separate calls, in that order, so
-    a per-layer trace can tell the two apart. Every model scores the
-    negatives against the positives' cache: each keeps its positive's
+    a per-layer trace can tell the two apart. Each positive is scored as
+    its own tail-corrupted row, and the negatives reuse the positives'
+    prepared block from that call's cache: each keeps its positive's
     relation and one entity, so only the corrupted entity is gathered (and,
     for hie, chained).
     """
@@ -225,10 +227,9 @@ def backprop(params, config, parts) -> GradSet:
     """Gradients of sum_b upstream[b] * total[b], summed over (cache, upstream) parts.
 
     Each part runs the model's backward, which emits the rows its cache's
-    "row_ids" name: a (B, 3) cache one head and one tail row and one
-    relation row per triple, an anchored negative cache one row per
-    corrupted entity and one kept-head, kept-tail and relation row per
-    positive, already summed over its negatives. The rows of all parts
+    "row_ids" name: one row per scored row's corrupted entity, and one
+    kept-head, kept-tail and relation row per positive, already summed
+    over that positive's rows. The rows of all parts
     meet in one coalesce per embedding table, and the dense gradients add
     up.
     """

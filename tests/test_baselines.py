@@ -238,7 +238,11 @@ def one_side_negatives(rng, batch, n, num_entities, side):
 
 
 class TestAnchoredNegatives:
-    """score_triples(negatives, positives=cache) against the flat score_triples of the same rows."""
+    """score_triples(negatives, positives=cache) against the scalar oracles and the same rows scored alone.
+
+    Scored alone, as a flat (N, 3) batch, each row is its own positive and
+    tail-corrupted, so a head-corrupted negative takes another route there.
+    """
 
     @pytest.mark.parametrize("corrupt", ["mixed", "all_heads", "all_tails"])
     @pytest.mark.parametrize("norm_p", [1, 2])
@@ -254,6 +258,7 @@ class TestAnchoredNegatives:
         got, cache = score_triples(params, config, negs, positives=pos_cache)
         want, flat_cache = score_triples(params, config, negs.reshape(-1, 3))
         assert got.shape == (B * n,)
+        close_to(got, [ORACLES[kind](params, *row, norm_p) for row in negs.reshape(-1, 3)], 1e-12)
         close_to(got, want, 1e-14)
         if corrupt == "mixed":
             # a negative equal to its positive scores as the positive
@@ -270,6 +275,19 @@ class TestAnchoredNegatives:
         if kind == "rotate":
             # the phases live in the first d/2 columns; the rest are unused
             assert np.all(rel[:, 4:] == 0.0)
+
+    @pytest.mark.parametrize("corrupt", ["mixed", "all_heads", "all_tails"])
+    def test_distmult_negatives_score_like_the_triples_alone_bit_for_bit(self, corrupt):
+        # -sum((e * kept) * r) is -sum((h * t) * r) whichever entity a row corrupts
+        rng = np.random.default_rng(17)
+        params, config = make("distmult", rng, num_entities=12, num_relations=4, dim=64)
+        batch, negs = anchored_batch(rng, 7, 5, 12, 4)
+        if corrupt != "mixed":
+            negs = one_side_negatives(rng, batch, 5, 12, 0 if corrupt == "all_heads" else 2)
+        _, pos_cache = score_triples(params, config, batch)
+        got, _ = score_triples(params, config, negs, positives=pos_cache)
+        alone = [score_triples(params, config, [row])[0][0] for row in negs.reshape(-1, 3)]
+        assert np.array_equal(got, alone)
 
     @pytest.mark.parametrize("kind", ["transe", "distmult", "rotate"])
     def test_negative_that_changes_the_relation_or_both_entities_rejected(self, kind):

@@ -79,7 +79,7 @@ class TestInitParams:
         p = init_params(4, 2, config, seed=1)
         _, cache = score_triples(p, config, [(0, 1, 3)])
         for key, role, row in (("h", "head", p.ent[0]), ("r", "rel", p.rel[1]), ("t", "tail", p.ent[3])):
-            assert np.array_equal(cache[f"{key}_dist"][1][0], row[:4])
+            assert np.array_equal(cache["positives"][f"{key}_dist"][1][0], row[:4])
             assert np.array_equal(sem_chain(p, config, row, role)[1][0], row[4:])
 
     def test_empty_vocab_rejected(self):
@@ -116,9 +116,9 @@ class TestProjectLevel1:
         config = HieConfig(dim=6, levels=1, lambdas=(1.0,))
         p = init_params(3, 2, config, seed=0)
         _, cache = score_triples(p, config, [(1, 0, 2)])
-        assert np.array_equal(cache["h_dist"][0][0], p.ent[1, :3])
+        assert np.array_equal(cache["positives"]["h_dist"][0][0], p.ent[1, :3])
         assert np.array_equal(sem_chain(p, config, p.ent[1], "head")[0][0], p.ent[1, 3:])
-        assert np.array_equal(cache["r_dist"][0][0], p.rel[0, :3])
+        assert np.array_equal(cache["positives"]["r_dist"][0][0], p.rel[0, :3])
         assert np.array_equal(sem_chain(p, config, p.ent[2], "tail")[0][0], p.ent[2, 3:])
 
     def test_zero_embedding_projects_to_zero(self):
@@ -126,14 +126,14 @@ class TestProjectLevel1:
         p = init_params(2, 1, config, seed=0)
         p.ent[0] = 0.0
         _, cache = score_triples(p, config, [(0, 0, 1)])
-        assert np.all(cache["h_dist"][0] == 0.0)
+        assert np.all(cache["positives"]["h_dist"][0] == 0.0)
 
     def test_matches_scalar_loop(self):
         rng = np.random.default_rng(3)
         config = HieConfig(dim=8, levels=1, lambdas=(1.0,))
         p = random_hie_params(rng, 5, 3, config)
         _, cache = score_triples(p, config, [(2, 1, 4)])
-        hd, rd, td = (cache[f"{k}_dist"][0][0] for k in "hrt")
+        hd, rd, td = (cache["positives"][f"{k}_dist"][0][0] for k in "hrt")
         hs, rs, ts = (sem_chain(p, config, row, role)[0][0]
                       for row, role in ((p.ent[2], "head"), (p.rel[1], "rel"), (p.ent[4], "tail")))
         for i in range(4):
@@ -152,17 +152,18 @@ class TestLiftLevel:
         p = init_params(3, 1, config, seed=0)
         p.extract_dist[0] = np.eye(4)
         _, cache = score_triples(p, config, [(0, 0, 1)])
-        np.testing.assert_allclose(cache["h_dist"][1][0], 2.0 * p.ent[0, :4], rtol=0, atol=0)
+        np.testing.assert_allclose(cache["positives"]["h_dist"][1][0], 2.0 * p.ent[0, :4], rtol=0, atol=0)
 
     def test_matches_matvec_oracle(self):
         rng = np.random.default_rng(11)
         config = HieConfig(dim=8, levels=3, lambdas=lambdas_for(3))
         p = random_hie_params(rng, 4, 2, config)
         _, cache = score_triples(p, config, [(0, 1, 3), (2, 0, 1)])
+        positives = cache["positives"]
         for space, extract in (("dist", p.extract_dist[1]), ("sem", p.extract_sem[1])):
             for k, (key, role) in enumerate(hie_model.ROLES):
-                bases = cache[f"bases_{space}"][k]
-                chain = cache[f"{key}_dist"] if space == "dist" else hie_model._chain(
+                bases = positives[f"bases_{space}"][k]
+                chain = positives[f"{key}_dist"] if space == "dist" else hie_model._chain(
                     p, bases, role, "sem", config.levels)
                 for row in range(2):
                     x, b = chain[1][row], bases[row]
@@ -187,7 +188,7 @@ class TestSemanticResidualChain:
         read = 0 if config.disable_semantic else 1 if config.disable_semantic_deep else levels
         assert len(cache["u_sem"]) == read
         h, r, t = (hie_model._chain(p, base, role, "sem", levels)
-                   for base, (_, role) in zip(cache["bases_sem"], hie_model.ROLES))
+                   for base, (_, role) in zip(cache["positives"]["bases_sem"], hie_model.ROLES))
         for j, v in enumerate(cache["u_sem"]):
             want = h[j] + r[j] - t[j]
             np.testing.assert_allclose(v, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
@@ -504,6 +505,11 @@ def tile_config_id(config):
     return "-".join([f"dim{config.dim}", f"{config.levels}lv", f"l{config.norm_p}", config.transform, *flags])
 
 
+def chains_of(cache, key):
+    """A cache's per-level arrays of key: the prepared positives hold each role's distance chain."""
+    return cache["positives"][key] if key in ("h_dist", "r_dist", "t_dist") else cache[key]
+
+
 class TestRowTiles:
     @pytest.mark.parametrize("config", TILE_CONFIGS, ids=tile_config_id)
     def test_tiles_match_one_tile(self, monkeypatch, config):
@@ -523,11 +529,15 @@ class TestRowTiles:
         assert np.array_equal(totals, one_totals)
         for key in ("d_dist", "d_sem"):
             assert np.array_equal(cache[key], one_cache[key])
-        for key in ("h_dist", "r_dist", "t_dist", "u_dist", "u_sem"):
-            assert len(cache[key]) == len(one_cache[key])
-            for level, one_level in zip(cache[key], one_cache[key]):
+        for key in ("h_dist", "r_dist", "t_dist", "c_dist", "u_dist", "u_sem"):
+            levels, one_levels = (chains_of(c, key) for c in (cache, one_cache))
+            assert len(levels) == len(one_levels)
+            for level, one_level in zip(levels, one_levels):
                 assert level.shape == (n, config.half)
                 assert np.array_equal(level, one_level)
+        # each triple is its own tail-corrupted row: its tiled tail chain is the prepared one
+        for level, tail in zip(cache["c_dist"], cache["positives"]["t_dist"]):
+            assert np.array_equal(level, tail)
         ent, rel, dense = grads
         one_ent, one_rel, one_dense = one_grads
         assert np.array_equal(ent, one_ent) and np.array_equal(rel, one_rel)
@@ -563,7 +573,11 @@ def anchored_case(rng, config, B=7, n=5, num_entities=12, num_relations=4):
 
 
 class TestAnchoredNegatives:
-    """score_triples(negatives, positives=cache) against the flat score_triples of the same rows."""
+    """score_triples(negatives, positives=cache) against the scalar oracle and the same rows scored alone.
+
+    Scored alone, as a flat (N, 3) batch, each row is its own positive and
+    tail-corrupted, so a head-corrupted negative takes another route there.
+    """
 
     @pytest.mark.parametrize("blend_logit", [None, 40.0, -800.0], ids=["blend", "alpha1", "alpha0"])
     @pytest.mark.parametrize("tile", [None, 4], ids=["one_tile", "ragged_tiles"])
@@ -582,6 +596,7 @@ class TestAnchoredNegatives:
         got, cache = score_triples(p, config, negs, positives=pos_cache)
         want, flat_cache = score_triples(p, config, negs.reshape(-1, 3))
         assert got.shape == (B * n,)
+        close_to(got, [hie_score_oracle(p, config, *row)[2] for row in negs.reshape(-1, 3)], 1e-12)
         close_to(got, want, 1e-14)
         # a negative equal to its positive scores as the positive
         for b in (2, 3):

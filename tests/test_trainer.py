@@ -310,6 +310,28 @@ class TestGradients:
         gradients(params, config, TOY_TRAIN, batch, negs)
         assert rows == [8, 8 * 5]
 
+    @pytest.mark.parametrize("delta", [-1, 3])
+    @pytest.mark.parametrize("part", ["positives", "negatives"])
+    @pytest.mark.parametrize("config", [HieConfig(dim=8)] + BASELINE_VARIANTS,
+                             ids=lambda c: getattr(c, "kind", "hie"))
+    def test_backward_rejects_upstream_of_another_length(self, config, part, delta):
+        # indexing upstream by the cache's row order would silently drop the extra
+        # values of a longer one
+        rng = np.random.default_rng(9)
+        if isinstance(config, HieConfig):
+            params = random_hie_params(rng, 15, 4, config)
+        else:
+            params = init_baseline(15, 4, config, seed=2)
+        batch = toy_batch(rng, 15, 4, 7)
+        module = trainer.model_module(params)
+        scores, cache = module.score_triples(params, config, batch)
+        if part == "negatives":
+            negs = sample_negatives_batch(batch, 5, 15, rng)
+            scores, cache = module.score_triples(params, config, negs, positives=cache)
+        module.backward(params, config, cache, np.ones(len(scores)))
+        with pytest.raises(ValueError, match="one value per scored row"):
+            module.backward(params, config, cache, np.ones(len(scores) + delta))
+
     def test_untouched_rows_absent(self):
         rng = np.random.default_rng(2)
         config = HieConfig(dim=8)
