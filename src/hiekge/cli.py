@@ -21,9 +21,9 @@ import numpy as np
 from . import evaluator, kg_data, trainer
 from .baselines import BASELINE_KINDS, BaselineConfig
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .hie_model import HieConfig
-from .kg_data import DataError, classify_relations, dataset_stats, load_kg
-from .trainer import NumericError, TrainConfig, grad_check, init_model
+from .hie_model import TRANSFORM_DIAGONAL, TRANSFORM_RANK1, HieConfig
+from .kg_data import SPLIT_NAMES, DataError, classify_relations, dataset_stats, load_kg
+from .trainer import SIGN_LITERAL, SIGN_PLAUSIBILITY, NumericError, TrainConfig, grad_check, init_model
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -38,16 +38,30 @@ class UsageError(Exception):
     """Bad flags or config values; maps to exit code 1."""
 
 
+def _setting(default, choices=None, command=None):
+    """A RunConfig field: its default, accepted values (None: any) and its flag's one command (None: all)."""
+    return dataclasses.field(default=default, metadata={"choices": choices, "command": command})
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One run's worth of settings: model + training + data + command extras.
 
     Every field can come from a JSON config document and be overridden by
-    the command-line flag of the same name.
+    the command-line flag of the same name. A field is the only
+    declaration of its setting: `build_parser` makes it the flag
+    `--` + its name with "_" as "-", storing into the field's name. An int
+    or float field's flag parses that type, a bool field's flag is a
+    switch that stores True, and a `sweep_*` tuple's flag takes a
+    comma-separated list of the swept field's type. A field made by
+    `_setting` may list the values it accepts, which `_validate_run`
+    checks whether they came by flag or by config, and may name the one
+    command that gets its flag; every other flag goes to every command.
+    Flags default to None, so only the flags given override the config.
     """
 
     data_dir: str = None
-    model: str = "hie"
+    model: str = _setting("hie", MODEL_KINDS)
     dim: int = 64
     levels: int = 2
     lambda1: float = 0.5
@@ -57,33 +71,33 @@ class RunConfig:
     batch_size: int = 256
     steps: int = 1000
     lr: float = 1e-4
-    norm: str = "l1"
-    transform: str = "diagonal"
+    norm: str = _setting("l1", tuple(NORM_NAMES))
+    transform: str = _setting(TRANSFORM_DIAGONAL, (TRANSFORM_DIAGONAL, TRANSFORM_RANK1))
     seed: int = 0
     out: str = None
     no_distance: bool = False
     no_semantic: bool = False
     no_distance_deep: bool = False
     no_semantic_deep: bool = False
-    tie_break: str = "pessimistic"
-    adversarial_sign: str = "plausibility"
-    # command-specific
-    checkpoint: str = None
-    split: str = "test"
-    eta: float = 1.5
-    fd_step: float = 1e-6
-    tolerance: float = 1e-4
-    batches: int = 3
-    dump_dicts: bool = False
-    sweep_levels: tuple = None
-    sweep_lambda1: tuple = None
-    sweep_gamma: tuple = None
-    sweep_dim: tuple = None
-    sweep_batch_size: tuple = None
+    tie_break: str = _setting(evaluator.TIE_PESSIMISTIC, evaluator.TIE_BREAKS)
+    adversarial_sign: str = _setting(SIGN_PLAUSIBILITY, (SIGN_PLAUSIBILITY, SIGN_LITERAL))
+    checkpoint: str = _setting(None, command="eval")
+    split: str = _setting("test", SPLIT_NAMES, "eval")
+    eta: float = _setting(1.5, command="classify")
+    fd_step: float = _setting(1e-6, command="gradcheck")
+    tolerance: float = _setting(1e-4, command="gradcheck")
+    batches: int = _setting(3, command="gradcheck")
+    dump_dicts: bool = _setting(False, command="stats")
+    sweep_levels: tuple = _setting(None, command="sweep")
+    sweep_lambda1: tuple = _setting(None, command="sweep")
+    sweep_gamma: tuple = _setting(None, command="sweep")
+    sweep_dim: tuple = _setting(None, command="sweep")
+    sweep_batch_size: tuple = _setting(None, command="sweep")
 
 
 RUN_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 _JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
+_FLAG_TYPES = {"int": int, "float": float}
 
 
 def derive_lambdas(levels, lambda1):
@@ -174,38 +188,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_run_flags(parser):
-    g = parser.add_argument_group("run configuration")
-    g.add_argument("--config", metavar="JSON", help="JSON config document; flags override it")
-    g.add_argument("--data-dir", dest="data_dir")
-    g.add_argument("--model", choices=MODEL_KINDS)
-    g.add_argument("--dim", type=int)
-    g.add_argument("--levels", type=int)
-    g.add_argument("--lambda1", type=float)
-    g.add_argument("--gamma", type=float)
-    g.add_argument("--alpha-temp", dest="alpha_temp", type=float)
-    g.add_argument("--negatives", type=int)
-    g.add_argument("--batch-size", dest="batch_size", type=int)
-    g.add_argument("--steps", type=int)
-    g.add_argument("--lr", type=float)
-    g.add_argument("--norm", choices=sorted(NORM_NAMES))
-    g.add_argument("--transform", choices=("diagonal", "rank1"))
-    g.add_argument("--seed", type=int)
-    g.add_argument("--out")
-    g.add_argument("--no-distance", dest="no_distance", action="store_const", const=True)
-    g.add_argument("--no-semantic", dest="no_semantic", action="store_const", const=True)
-    g.add_argument(
-        "--no-distance-deep", dest="no_distance_deep", action="store_const", const=True
-    )
-    g.add_argument(
-        "--no-semantic-deep", dest="no_semantic_deep", action="store_const", const=True
-    )
-    g.add_argument("--tie-break", dest="tie_break", choices=("pessimistic", "strict"))
-    g.add_argument(
-        "--adversarial-sign", dest="adversarial_sign", choices=("plausibility", "literal")
-    )
-
-
 def _comma_list(kind):
     def parse(text):
         try:
@@ -216,45 +198,26 @@ def _comma_list(kind):
     return parse
 
 
+def _flag_options(field):
+    """add_argument options of a RunConfig field's flag."""
+    if field.type == "bool":
+        return {"action": "store_const", "const": True}
+    if field.type == "tuple":
+        return {"type": _comma_list(_FLAG_TYPES[RUN_FIELDS[field.name.removeprefix("sweep_")]])}
+    return {"type": _FLAG_TYPES.get(field.type), "choices": field.metadata.get("choices")}
+
+
 def build_parser() -> _Parser:
+    """One subparser per command, with a flag for every RunConfig field the command may use."""
     parser = _Parser(prog="hiekge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    p_train = sub.add_parser("train", help="train a model, write checkpoint + loss log")
-    _add_run_flags(p_train)
-
-    p_eval = sub.add_parser("eval", help="evaluate a checkpoint, write a JSON report")
-    _add_run_flags(p_eval)
-    p_eval.add_argument("--checkpoint")
-    p_eval.add_argument("--split", choices=("train", "valid", "test"))
-
-    p_classify = sub.add_parser("classify", help="relation category table (CSV)")
-    _add_run_flags(p_classify)
-    p_classify.add_argument("--eta", type=float)
-
-    p_sweep = sub.add_parser("sweep", help="grid search: one CSV row per point")
-    _add_run_flags(p_sweep)
-    p_sweep.add_argument("--sweep-levels", dest="sweep_levels", type=_comma_list(int))
-    p_sweep.add_argument("--sweep-lambda1", dest="sweep_lambda1", type=_comma_list(float))
-    p_sweep.add_argument("--sweep-gamma", dest="sweep_gamma", type=_comma_list(float))
-    p_sweep.add_argument("--sweep-dim", dest="sweep_dim", type=_comma_list(int))
-    p_sweep.add_argument(
-        "--sweep-batch-size", dest="sweep_batch_size", type=_comma_list(int)
-    )
-
-    p_grad = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    _add_run_flags(p_grad)
-    p_grad.add_argument("--fd-step", dest="fd_step", type=float)
-    p_grad.add_argument("--tolerance", type=float)
-    p_grad.add_argument("--batches", type=int)
-
-    p_ablate = sub.add_parser("ablate", help="score-space ablation comparison table")
-    _add_run_flags(p_ablate)
-
-    p_stats = sub.add_parser("stats", help="dataset summary")
-    _add_run_flags(p_stats)
-    p_stats.add_argument("--dump-dicts", dest="dump_dicts", action="store_const", const=True)
-
+    for command, (help_text, _) in COMMANDS.items():
+        group = sub.add_parser(command, help=help_text).add_argument_group("run configuration")
+        group.add_argument("--config", metavar="JSON", help="JSON config document; flags override it")
+        for field in dataclasses.fields(RunConfig):
+            if field.metadata.get("command") in (None, command):
+                flag = "--" + field.name.replace("_", "-")
+                group.add_argument(flag, dest=field.name, **_flag_options(field))
     return parser
 
 
@@ -305,14 +268,11 @@ def _check_config_type(key, value):
 
 
 def _validate_run(run: RunConfig):
-    if run.model not in MODEL_KINDS:
-        raise UsageError(f"unknown model {run.model!r}")
-    if run.norm not in NORM_NAMES:
-        raise UsageError(f"unknown norm {run.norm!r}")
-    if run.tie_break not in ("pessimistic", "strict"):
-        raise UsageError(f"unknown tie_break {run.tie_break!r}")
-    if run.split not in ("train", "valid", "test"):
-        raise UsageError(f"unknown split {run.split!r}")
+    """UsageError unless every field with listed choices holds one of them."""
+    for field in dataclasses.fields(run):
+        value, choices = getattr(run, field.name), field.metadata.get("choices")
+        if choices is not None and value not in choices:
+            raise UsageError(f"unknown {field.name} {value!r}")
 
 
 def _require(run: RunConfig, *names):
@@ -475,11 +435,12 @@ CLASSIFY_HEADER = "relation,hco,tcs,category"
 
 
 def cmd_classify(run: RunConfig) -> int:
-    kg = _load_dataset(run, "train")
     try:
-        categories = classify_relations(kg.train, eta=run.eta)
-    except ValueError as exc:  # a non-positive or non-finite --eta
+        kg_data.check_eta(run.eta)
+    except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    kg = _load_dataset(run, "train")
+    categories = classify_relations(kg.train, eta=run.eta)
     rows = (f"{kg.relation_names[rel_id]},{cat.hco:.6f},{cat.tcs:.6f},{cat.category}"
             for rel_id, cat in sorted(categories.items()))
     _write_table(CLASSIFY_HEADER, rows, None if run.out is None else _out_dir(run) / "relations.csv")
@@ -539,7 +500,7 @@ def cmd_sweep(run: RunConfig) -> int:
                 yield f"{prefix},ok,{evaluator.report_csv_row(report)}"
             except (UsageError, DataError, NumericError, ValueError) as exc:
                 _info(f"sweep point {index} failed: {exc}")
-                empty_metrics = "," * len(evaluator.CSV_HEADER.split(","))
+                empty_metrics = "," * len(evaluator.METRIC_FIELDS)
                 yield f"{prefix},error:{type(exc).__name__}{empty_metrics}"
 
     _write_table(SWEEP_HEADER, rows(), out_dir / "sweep.csv")
@@ -553,9 +514,8 @@ def cmd_gradcheck(run: RunConfig) -> int:
         raise UsageError(f"--batches must be >= 1, got {run.batches}")
     if not run.tolerance >= 0:
         raise UsageError(f"--tolerance must be >= 0, got {run.tolerance}")
+    model_config, train_config = _configs(run)
     kg = _load_dataset(run, "train")
-    model_config = model_config_from(run)
-    train_config = train_config_from(run)
     params = init_model(run.model, kg.num_entities, kg.num_relations, model_config, run.seed)
     total = sum(t.size for _, t in params.field_items())
     max_coords = None if total <= 5000 else 2000
@@ -607,10 +567,11 @@ def cmd_ablate(run: RunConfig) -> int:
 
 
 def cmd_stats(run: RunConfig) -> int:
+    if run.dump_dicts:
+        _require(run, "out")
     kg = _load_dataset(run)
     _print_json(dataset_stats(kg))
     if run.dump_dicts:
-        _require(run, "out")
         out_dir = _out_dir(run)
         kg_data.write_dictionary(out_dir / "entities.dict", kg.entity_names)
         kg_data.write_dictionary(out_dir / "relations.dict", kg.relation_names)
@@ -619,13 +580,13 @@ def cmd_stats(run: RunConfig) -> int:
 
 
 COMMANDS = {
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "classify": cmd_classify,
-    "sweep": cmd_sweep,
-    "gradcheck": cmd_gradcheck,
-    "ablate": cmd_ablate,
-    "stats": cmd_stats,
+    "train": ("train a model, write checkpoint + loss log", cmd_train),
+    "eval": ("evaluate a checkpoint, write a JSON report", cmd_eval),
+    "classify": ("relation category table (CSV)", cmd_classify),
+    "sweep": ("grid search: one CSV row per point", cmd_sweep),
+    "gradcheck": ("finite-difference gradient check", cmd_gradcheck),
+    "ablate": ("score-space ablation comparison table", cmd_ablate),
+    "stats": ("dataset summary", cmd_stats),
 }
 
 
@@ -634,7 +595,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         run = merge_run_config(args)
-        return COMMANDS[args.command](run)
+        return COMMANDS[args.command][1](run)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -17,6 +17,7 @@ ONE_TO_ONE = "1-to-1"
 ONE_TO_N = "1-to-N"
 N_TO_ONE = "N-to-1"
 N_TO_N = "N-to-N"
+SPLIT_NAMES = ("train", "valid", "test")
 
 
 @dataclass(frozen=True)
@@ -69,10 +70,9 @@ class KnowledgeGraph:
         return len(self.relation_names)
 
     def split(self, name):
-        try:
-            return {"train": self.train, "valid": self.valid, "test": self.test}[name]
-        except KeyError:
-            raise ValueError(f"unknown split {name!r}") from None
+        if name not in SPLIT_NAMES:
+            raise ValueError(f"unknown split {name!r}")
+        return getattr(self, name)
 
 
 def as_triple_array(triples) -> np.ndarray:
@@ -177,6 +177,12 @@ def dataset_stats(kg: KnowledgeGraph) -> dict:
     }
 
 
+def check_eta(eta):
+    """ValueError unless eta is a finite positive number."""
+    if not 0 < eta < np.inf:  # NaN fails too
+        raise ValueError(f"eta must be a finite positive number, got {eta}")
+
+
 def classify_relations(train, eta: float = 1.5) -> dict:
     """Bucket every relation of the train split into 1-1 / 1-N / N-1 / N-N.
 
@@ -185,8 +191,7 @@ def classify_relations(train, eta: float = 1.5) -> dict:
     whose statistic is >= eta counts as "N" (heads side for hco, tails
     side for tcs). Relations absent from train are absent from the map.
     """
-    if not 0 < eta < np.inf:  # NaN fails too
-        raise ValueError(f"eta must be a finite positive number, got {eta}")
+    check_eta(eta)
     train = as_triple_array(train)
     if len(train) == 0:
         raise DataError("cannot classify relations of an empty train split")

@@ -70,6 +70,8 @@ class TrainConfig:
             raise ValueError("steps must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.adversarial_sign not in (SIGN_PLAUSIBILITY, SIGN_LITERAL):
             raise ValueError(f"unknown adversarial_sign {self.adversarial_sign!r}")
 
@@ -192,10 +194,6 @@ def model_module(params):
     return hie_model if isinstance(params, HieParams) else baselines
 
 
-def _forward(params, config, triples):
-    return model_module(params).score_triples(params, config, triples)
-
-
 def _forward_step(params, config, batch, negatives):
     """(B,) positive and (B, n) negative scores, and the caches of both forwards.
 
@@ -206,8 +204,9 @@ def _forward_step(params, config, batch, negatives):
     relation and one entity, so only the corrupted entity is gathered (and,
     for hie, chained).
     """
-    pos, pos_cache = _forward(params, config, batch)
-    neg, neg_cache = model_module(params).score_triples(params, config, negatives, positives=pos_cache)
+    module = model_module(params)
+    pos, pos_cache = module.score_triples(params, config, batch)
+    neg, neg_cache = module.score_triples(params, config, negatives, positives=pos_cache)
     return pos, neg.reshape(len(batch), -1), (pos_cache, neg_cache)
 
 

@@ -4,6 +4,8 @@ Commands run in-process through cli.main so stdout/stderr land in capsys;
 one subprocess test checks the installed console script.
 """
 
+import argparse
+import dataclasses
 import json
 import subprocess
 from pathlib import Path
@@ -92,6 +94,128 @@ class TestParsing:
         # rejected before any output: no directory, no progress line
         assert not (tmp_path / "out").exists()
         assert "training" not in err
+
+
+    @pytest.mark.parametrize("command", ["train", "sweep", "ablate", "gradcheck"])
+    def test_negative_seed_is_usage_error_before_any_output(self, capsys, data_dir, tmp_path, command):
+        # np.random.default_rng once raised on it after --out was made: a traceback
+        # for train and gradcheck, an error row per point for sweep
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, command, "--data-dir", data_dir,
+                                    "--out", str(out), *TINY, "--seed", "-1")
+        assert code == 1
+        assert stdout == ""
+        assert err == "usage error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+
+# The parent build_parser() output, copied literally: per subcommand, each flag's
+# option strings, dest, type (its name and its parse of "1"), choices, action
+# class, const and default. Every command takes SHARED_FLAGS, then its own flags.
+HELP_FLAG = (("-h", "--help"), "help", None, None, "_HelpAction", None, "==SUPPRESS==")
+SHARED_FLAGS = [
+    HELP_FLAG,
+    (("--config",), "config", None, None, "_StoreAction", None, None),
+    (("--data-dir",), "data_dir", None, None, "_StoreAction", None, None),
+    (("--model",), "model", None, ("hie", "transe", "distmult", "rotate"), "_StoreAction", None, None),
+    (("--dim",), "dim", ("int", "1"), None, "_StoreAction", None, None),
+    (("--levels",), "levels", ("int", "1"), None, "_StoreAction", None, None),
+    (("--lambda1",), "lambda1", ("float", "1.0"), None, "_StoreAction", None, None),
+    (("--gamma",), "gamma", ("float", "1.0"), None, "_StoreAction", None, None),
+    (("--alpha-temp",), "alpha_temp", ("float", "1.0"), None, "_StoreAction", None, None),
+    (("--negatives",), "negatives", ("int", "1"), None, "_StoreAction", None, None),
+    (("--batch-size",), "batch_size", ("int", "1"), None, "_StoreAction", None, None),
+    (("--steps",), "steps", ("int", "1"), None, "_StoreAction", None, None),
+    (("--lr",), "lr", ("float", "1.0"), None, "_StoreAction", None, None),
+    (("--norm",), "norm", None, ("l1", "l2"), "_StoreAction", None, None),
+    (("--transform",), "transform", None, ("diagonal", "rank1"), "_StoreAction", None, None),
+    (("--seed",), "seed", ("int", "1"), None, "_StoreAction", None, None),
+    (("--out",), "out", None, None, "_StoreAction", None, None),
+    (("--no-distance",), "no_distance", None, None, "_StoreConstAction", True, None),
+    (("--no-semantic",), "no_semantic", None, None, "_StoreConstAction", True, None),
+    (("--no-distance-deep",), "no_distance_deep", None, None, "_StoreConstAction", True, None),
+    (("--no-semantic-deep",), "no_semantic_deep", None, None, "_StoreConstAction", True, None),
+    (("--tie-break",), "tie_break", None, ("pessimistic", "strict"), "_StoreAction", None, None),
+    (("--adversarial-sign",), "adversarial_sign", None, ("plausibility", "literal"),
+     "_StoreAction", None, None),
+]
+PARENT_PARSER_SURFACE = {
+    "train": SHARED_FLAGS,
+    "eval": SHARED_FLAGS + [
+        (("--checkpoint",), "checkpoint", None, None, "_StoreAction", None, None),
+        (("--split",), "split", None, ("train", "valid", "test"), "_StoreAction", None, None),
+    ],
+    "classify": SHARED_FLAGS + [
+        (("--eta",), "eta", ("float", "1.0"), None, "_StoreAction", None, None),
+    ],
+    "sweep": SHARED_FLAGS + [
+        (("--sweep-levels",), "sweep_levels", ("parse", "(1,)"), None, "_StoreAction", None, None),
+        (("--sweep-lambda1",), "sweep_lambda1", ("parse", "(1.0,)"), None, "_StoreAction", None, None),
+        (("--sweep-gamma",), "sweep_gamma", ("parse", "(1.0,)"), None, "_StoreAction", None, None),
+        (("--sweep-dim",), "sweep_dim", ("parse", "(1,)"), None, "_StoreAction", None, None),
+        (("--sweep-batch-size",), "sweep_batch_size", ("parse", "(1,)"), None, "_StoreAction",
+         None, None),
+    ],
+    "gradcheck": SHARED_FLAGS + [
+        (("--fd-step",), "fd_step", ("float", "1.0"), None, "_StoreAction", None, None),
+        (("--tolerance",), "tolerance", ("float", "1.0"), None, "_StoreAction", None, None),
+        (("--batches",), "batches", ("int", "1"), None, "_StoreAction", None, None),
+    ],
+    "ablate": SHARED_FLAGS,
+    "stats": SHARED_FLAGS + [
+        (("--dump-dicts",), "dump_dicts", None, None, "_StoreConstAction", True, None),
+    ],
+}
+# the RunConfig fields whose values are checked against listed choices
+CHOICE_SETTINGS = ("model", "norm", "transform", "tie_break", "adversarial_sign", "split")
+
+
+def parser_surface(parser):
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        command: [
+            (tuple(a.option_strings), a.dest,
+             None if a.type is None else (a.type.__name__, repr(a.type("1"))),
+             None if a.choices is None else tuple(a.choices),
+             type(a).__name__, a.const, a.default)
+            for a in subparser._actions
+        ]
+        for command, subparser in sub.choices.items()
+    }
+
+
+class TestSettingDeclarations:
+    def test_parser_surface_matches_the_parent(self):
+        surface = parser_surface(cli.build_parser())
+        assert list(surface) == list(PARENT_PARSER_SURFACE)
+        for command, flags in PARENT_PARSER_SURFACE.items():
+            assert surface[command] == flags, command
+
+    def test_choice_settings_are_the_declared_ones(self):
+        declared = [f.name for f in dataclasses.fields(RunConfig) if f.metadata.get("choices")]
+        assert declared == list(CHOICE_SETTINGS)
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("name", CHOICE_SETTINGS)
+    @pytest.mark.parametrize("model", ["hie", "transe"])
+    def test_bad_choice_is_usage_error_from_flag_and_config(
+            self, capsys, data_dir, tmp_path, model, name, source):
+        # {"model": "transe", "transform": "bogus"} in --config once trained and exited 0
+        doc = {"model": model}
+        extra = ["--" + name.replace("_", "-"), "bogus"] if source == "flag" else []
+        if source == "config":
+            doc[name] = "bogus"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        # split is eval's flag; an absent checkpoint would be a data error (exit 2)
+        command = ["eval", "--checkpoint", str(tmp_path / "absent.ckpt")] if name == "split" else ["train"]
+        code, stdout, err = run_cli(capsys, *command, "--config", str(cfg), "--data-dir", data_dir,
+                                    "--out", str(out), *TINY, *extra)
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("usage error:") and "'bogus'" in err
+        assert not out.exists()
 
 
 class TestDeriveLambdas:
@@ -490,6 +614,15 @@ class TestClassify:
         assert stdout == ""
         assert err.startswith("usage error:") and "eta" in err
 
+    @pytest.mark.parametrize("eta", ["0", "nan"])
+    def test_bad_eta_is_usage_error_before_data_loads(self, capsys, tmp_path, eta):
+        # a missing data directory would be a data error (exit 2) if it were read
+        code, stdout, err = run_cli(
+            capsys, "classify", "--data-dir", str(tmp_path / "absent"), "--eta", eta)
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("usage error: eta must be a finite positive number")
+
 
 class TestSweep:
     def test_no_axes_is_one_point_matching_train(self, capsys, data_dir, tmp_path):
@@ -610,6 +743,18 @@ class TestGradcheck:
         assert out == ""
         assert err.startswith("usage error:") and flag in err
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--dim", "7", "dim must be even"),
+        ("--gamma", "nan", "gamma must be a finite number"),
+    ])
+    def test_rejected_config_is_usage_error_before_data_loads(self, capsys, tmp_path, flag, value, message):
+        # the model and training configs were once built after the data loaded
+        code, out, err = run_cli(
+            capsys, "gradcheck", "--data-dir", str(tmp_path / "absent"), "--dim", "8", flag, value)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"usage error: {message}")
+
     def test_covers_baseline_models(self, capsys, data_dir):
         for model in ("transe", "distmult", "rotate"):
             code, out, _ = run_cli(
@@ -678,6 +823,13 @@ class TestStats:
         lines = (out / "entities.dict").read_text().splitlines()
         assert len(lines) == kg.num_entities
         assert lines[0].split("\t") == ["0", kg.entity_names[0]]
+
+    def test_dump_dicts_without_out_is_usage_error_before_the_summary(self, capsys, data_dir):
+        # the JSON summary was once printed before --out was found missing
+        code, out, err = run_cli(capsys, "stats", "--data-dir", data_dir, "--dump-dicts")
+        assert code == 1
+        assert out == ""
+        assert err == "usage error: --out is required for this command\n"
 
 
 def test_console_script_installed(data_dir):

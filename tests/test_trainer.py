@@ -14,7 +14,6 @@ from hiekge.trainer import (
     NumericError,
     SparseGrad,
     TrainConfig,
-    _forward,
     adam_step,
     adversarial_weights,
     backprop,
@@ -74,6 +73,12 @@ class TestTrainConfig:
             TrainConfig(adam_beta1=1.0)
         with pytest.raises(ValueError):
             TrainConfig(adversarial_sign="inverted")
+
+    def test_negative_seed_rejected(self):
+        # np.random.default_rng would raise on it only once training starts
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            TrainConfig(seed=-1)
+        assert TrainConfig(seed=0).seed == 0
 
 
 def sample_one(triple, n, num_entities, rng):
@@ -243,8 +248,9 @@ class TestCoalesce:
 def two_pass_gradients(params, config, tc, batch, negatives):
     """The loss and gradient with positives and negatives scored and backpropagated apart."""
     B = len(batch)
-    pos, pos_cache = _forward(params, config, batch)
-    neg, neg_cache = _forward(params, config, negatives.reshape(-1, 3))
+    module = trainer.model_module(params)
+    pos, pos_cache = module.score_triples(params, config, batch)
+    neg, neg_cache = module.score_triples(params, config, negatives.reshape(-1, 3))
     neg = neg.reshape(B, -1)
     weights = adversarial_weights(neg, tc.alpha_temp, tc.gamma, tc.adversarial_sign)
     g_pos = backprop(params, config, [(pos_cache, sigmoid(pos - tc.gamma) / B)])
@@ -458,16 +464,17 @@ class TestGradients:
         grads.dense["proj_head_dist"].flat[idx] *= 2.0
 
         weights = None
-        from hiekge.trainer import _forward, adversarial_weights as aw
+        from hiekge.trainer import adversarial_weights as aw
 
-        center, _ = _forward(params, config, negs.reshape(-1, 3))
+        module = trainer.model_module(params)
+        center, _ = module.score_triples(params, config, negs.reshape(-1, 3))
         weights = aw(center.reshape(len(batch), -1), TOY_TRAIN.alpha_temp, TOY_TRAIN.gamma)
 
         def loss_at():
             from hiekge.trainer import loss as loss_fn
 
-            pos, _ = _forward(params, config, batch)
-            neg, _ = _forward(params, config, negs.reshape(-1, 3))
+            pos, _ = module.score_triples(params, config, batch)
+            neg, _ = module.score_triples(params, config, negs.reshape(-1, 3))
             return loss_fn(pos, neg.reshape(len(batch), -1), weights, TOY_TRAIN.gamma)
 
         tensor = params.proj_head_dist
