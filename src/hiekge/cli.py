@@ -461,6 +461,7 @@ def _point_configs(point: RunConfig):
 def cmd_sweep(run: RunConfig) -> int:
     """One CSV row per grid point; a point whose configs are rejected gets an error row.
 
+    An empty axis (a `--config` list with no values) is a usage error.
     Every point's configs are built first: when none is accepted, a flag
     the points share is at fault, and the first point's UsageError ends
     the command before it loads data, creates --out or prints a row.
@@ -473,7 +474,10 @@ def cmd_sweep(run: RunConfig) -> int:
         ("dim", run.sweep_dim),
         ("batch_size", run.sweep_batch_size),
     ]
-    axes = [(name, values) for name, values in axes if values]
+    for name, values in axes:
+        if values is not None and not values:
+            raise UsageError(f"sweep axis {name} needs at least one value")
+    axes = [(name, values) for name, values in axes if values is not None]
     if axes:
         names = [name for name, _ in axes]
         points = [

@@ -25,7 +25,12 @@ distance chain and of the semantic residual chain, whatever the tile
 size. Tiles are whole multiples of ROW_ALIGN rows: OpenBLAS can give a
 row of a matrix product other bits when the product is split at a row
 that is not a multiple of 512, so only aligned blocks reproduce one call
-over all rows.
+over all rows. The tiles run on WORKERS threads (`map_tiles`); numpy
+releases the GIL inside their ufuncs and products. The partition never
+depends on the worker count, each tile writes only its own rows, and
+what tiles share, the dense gradients and each positive's kept-side
+sums, each tile returns as its own part, added in tile order by the
+calling thread. So any worker count gives the bits of one.
 
 All-candidate scoring (`score_batch`) takes its candidate chains from a
 `candidate_table`, built once per corrupted side over the candidate rows
@@ -35,11 +40,15 @@ row it copies. The chains are stored transposed, and each distance and
 semantic term is summed one coordinate at a time into a (B, slab) block
 with elementwise operations only: a candidate's score depends on its own
 values, never on its position, the slab size or the other triples. That
-kernel, `_slab_sums`, also ranks the translation and rotation baselines.
+kernel, `_slab_sums`, also ranks the translation and rotation baselines;
+its (row block, slab) blocks run on the same workers.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -62,6 +71,23 @@ ROW_ALIGN = 512
 # budget alone gives narrower slabs, which cost more per triple in numpy's
 # buffered broadcast
 SLAB_MIN_BLOCKS = 6
+# triples per row block of `_slab_sums`: a block of 16 (evaluate's chunk)
+# takes slabs of 5,120 candidates within SLAB_BYTES
+SLAB_ROWS = 16
+
+# threads that run the tiles of one `map_tiles` call, the calling thread
+# included; results are the same bits for any count
+WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+# the fewest tiles a training call (forward, backward, Adam) shares out. On
+# the acceptance tests' 100-entity graph at dim 32 with 16 negatives, two
+# workers made a step 7% slower than one at B = 256 (3 tiles) and 12% at
+# B = 512 (4-5 tiles), and 8% faster at B = 1,024 (8-9 tiles) and 2,048:
+# waking a worker and moving rows between the cores' caches outweigh small calls
+TRAIN_SHARED_TILES = 8
+# the helper threads of `map_tiles`, started by its first call that shares tiles out
+_POOL = ThreadPoolExecutor(max_workers=max(1, WORKERS - 1), thread_name_prefix="hiekge-tiles")
+# marks a thread while it runs tiles, so that a tile's own map_tiles runs inline
+_IN_TILES = threading.local()
 
 
 def sigmoid(x):
@@ -235,6 +261,48 @@ def slab_size(B):
 def row_tiles(stop, rows, start=0):
     """Slices covering range(start, stop) in consecutive blocks of `rows`; the last may be shorter."""
     return [slice(first, min(first + rows, stop)) for first in range(start, stop, rows)]
+
+
+def map_tiles(fn, tiles, min_tiles=2):
+    """[fn(tile) for tile in tiles], run on up to WORKERS threads; results in tile order.
+
+    The calling thread runs tiles too, each tile runs once, and a tile
+    must write nothing another tile reads or writes. A call with fewer
+    than min_tiles tiles, or one from inside a tile, runs inline. The call
+    returns only when every tile it started has finished; once a tile
+    raises, no further tile starts, and the exception of the first failed
+    tile in tile order is raised.
+    """
+    tiles = list(tiles)
+    helpers = min(WORKERS, len(tiles)) - 1
+    if helpers < 1 or len(tiles) < min_tiles or getattr(_IN_TILES, "active", False):
+        return [fn(tile) for tile in tiles]
+    results, errors = [None] * len(tiles), {}
+    lock, taken = threading.Lock(), iter(range(len(tiles)))
+
+    def run():
+        _IN_TILES.active = True
+        try:
+            while not errors:
+                with lock:
+                    i = next(taken, None)
+                if i is None:
+                    return
+                try:
+                    results[i] = fn(tiles[i])
+                except BaseException as exc:  # re-raised on the calling thread below
+                    errors[i] = exc
+        finally:
+            _IN_TILES.active = False
+
+    futures = [_POOL.submit(run) for _ in range(helpers)]
+    try:
+        run()
+    finally:
+        wait(futures)
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _padded(rows):
@@ -468,13 +536,22 @@ def _score_anchored(params, config, triples, positives):
     rows = np.empty((N, config.dim))
     cache["bases_dist"], cache["bases_sem"] = (rows[:, cols] for cols in _space_columns(config).values())
     totals = np.zeros(N)
-    for side, block in cache["sides"]:
-        for tile in row_tiles(block.stop, tile_rows(config.half), start=block.start):
-            rows[tile] = params.ent[ent_ids[tile]]
-            _score_tile(params, config, cache, totals, side, tile)
+
+    def score_tile(item):
+        side, tile = item
+        rows[tile] = params.ent[ent_ids[tile]]
+        _score_tile(params, config, cache, totals, side, tile)
+
+    map_tiles(score_tile, _side_tiles(cache, config.half), TRAIN_SHARED_TILES)
     out = np.empty(N)
     out[order] = totals
     return out, cache
+
+
+def _side_tiles(cache, half):
+    """(side, tile) of every tile of a cache's rows: each side's rows in tiles of `tile_rows(half)`."""
+    return [(side, tile) for side, block in cache["sides"]
+            for tile in row_tiles(block.stop, tile_rows(half), start=block.start)]
 
 
 def _score_tile(params, config, cache, totals, side, tile):
@@ -526,7 +603,8 @@ def backward(params: HieParams, config: HieConfig, cache, upstream):
     each tile: the distance chains' direct gradients per level, and the
     semantic chain's (G, G_deep). Then each kept role walks back the
     positive's chain once, over B rows. Rows run in the tiles of
-    score_triples, and each dense gradient sums its per-tile parts.
+    score_triples, on the workers of `map_tiles`; each tile returns its
+    dense gradients and run sums, and they are added in tile order.
     """
     upstream = np.asarray(upstream, dtype=np.float64)
     positives, order = cache["positives"], cache["order"]
@@ -536,7 +614,6 @@ def backward(params: HieParams, config: HieConfig, cache, upstream):
                          f"got shape {upstream.shape}")
     upstream = upstream[order]
     dist_cols, sem_cols = _space_columns(config).values()
-    dense = _dense_gradients(params, config, cache, upstream)
     ent_rows = np.zeros((N + 2 * B, config.dim))
     rel_rows = np.zeros((B, config.dim))
     n_dist, n_sem = len(cache["u_dist"]), len(cache["u_sem"])
@@ -544,10 +621,16 @@ def backward(params: HieParams, config: HieConfig, cache, upstream):
     # distance chain per level, and its semantic chain's (G, G_deep)
     kept_dist = [[np.zeros((B, half)) for _ in range(n_dist)] for _ in ROLES]
     kept_sem = [[np.zeros((B, half)), np.zeros((B, half))] for _ in ROLES]
-    for side, block in cache["sides"]:
-        for tile in row_tiles(block.stop, tile_rows(half), start=block.start):
-            _backward_tile(params, config, cache, upstream[tile], ent_rows[tile], dense,
-                           (kept_dist, kept_sem), side, tile)
+    dense = _zero_dense(params)
+    parts = map_tiles(lambda item: _backward_tile(params, config, cache, upstream, ent_rows, *item),
+                      _side_tiles(cache, half), TRAIN_SHARED_TILES)
+    # the tiles' parts added in tile order: one add per tile to each dense slot and kept sum
+    for tile_dense, tile_sums in parts:
+        for name, g in tile_dense.items():
+            dense[name] += g
+        for space, k, j, owners, sums in tile_sums:
+            (kept_dist, kept_sem)[space][k][j][owners] += sums
+    _blend_gradient(config, cache, upstream, dense)
     kept_rows = (ent_rows[N:N + B], rel_rows, ent_rows[N + B:])
     for k, ((key, role), sign) in enumerate(zip(ROLES, SEM_SIGNS)):
         if n_dist:
@@ -561,9 +644,13 @@ def backward(params: HieParams, config: HieConfig, cache, upstream):
     return ent_rows, rel_rows, dense
 
 
-def _dense_gradients(params, config, cache, upstream):
-    """Every structure tensor's gradient, zero but for the blend logit's, which is complete."""
-    dense = {n: np.zeros_like(t) for n, t in params.field_items() if n not in ("ent", "rel")}
+def _zero_dense(params):
+    """A zero gradient for every structure tensor, by field name."""
+    return {n: np.zeros_like(t) for n, t in params.field_items() if n not in ("ent", "rel")}
+
+
+def _blend_gradient(config, cache, upstream, dense):
+    """Sets dense's blend logit gradient; upstream is in the cache's row order."""
     # d(total)/d(alpha) collects only levels where the blend is live
     blend_slope = 0.0
     for i in range(config.levels):
@@ -572,7 +659,6 @@ def _dense_gradients(params, config, cache, upstream):
                 np.sum(upstream * (cache["d_dist"][:, i] - cache["d_sem"][:, i]))
             )
     dense["blend_logit"][...] = blend_slope * cache["alpha"] * (1.0 - cache["alpha"])
-    return dense
 
 
 def _walk_back(direct, chain, extract, g_extract):
@@ -631,13 +717,21 @@ def _distance_direct(params, config, i, gu, h, r, inner, dense):
 SEM_SIGNS = (1.0, 1.0, -1.0)
 
 
-def _backward_tile(params, config, cache, upstream, rows, dense, kept, side, tile):
-    """backward over one tile of one side's rows: writes their rows, adds to kept and dense."""
-    kept_dist, kept_sem = kept
+def _backward_tile(params, config, cache, upstream, ent_rows, side, tile):
+    """backward over one tile of one side's rows: writes their entity rows, returns what they share.
+
+    Returns the tile's own dense gradients and its run sums, each
+    (space, role, index, owners, sums): the sums of the kept role's
+    gradients over the tile's runs of rows of the positives owners, to add
+    to `backward`'s kept[space][role][index] (space 0 holds the distance
+    chains' direct gradients per level, space 1 the semantic (G, G_deep)).
+    """
     positives, p = cache["positives"], cache["pos"][tile]
+    upstream, rows, dense = upstream[tile], ent_rows[tile], _zero_dense(params)
     # the tile's runs of rows of one positive, by their first row
     starts = np.flatnonzero(np.r_[True, p[1:] != p[:-1]])
     owners = p[starts]
+    kept = []
 
     def run_sums(values):
         return np.add.reduceat(values, starts, axis=0)
@@ -651,16 +745,15 @@ def _backward_tile(params, config, cache, upstream, rows, dense, kept, side, til
             inner = positives["rank1_inner"][i][owners] if positives["rank1_inner"] else None
             g_head, g_rel = _distance_direct(params, config, i, run_sums(g), positives["h_dist"][i][owners],
                                              positives["r_dist"][i][owners], inner, dense)
-            kept_dist[0][i][owners] += g_head
-            kept_dist[1][i][owners] += g_rel
+            kept += [(0, 0, i, owners, g_head), (0, 1, i, owners, g_rel)]
             direct.append(-g)
             continue
         inner = cache["rank1_inner"][i][tile] if cache["rank1_inner"] else None
         g_head, g_rel = _distance_direct(params, config, i, g, cache["c_dist"][i][tile],
                                          positives["r_dist"][i][p], inner, dense)
         direct.append(g_head)
-        kept_dist[1][i][owners] += run_sums(g_rel)
-        kept_dist[2][i][owners] -= run_sums(g)
+        # x - s has the bits of x + (-s)
+        kept += [(0, 1, i, owners, run_sums(g_rel)), (0, 2, i, owners, np.negative(run_sums(g)))]
     if direct:
         G, G_deep = _walk_back(direct, [level[tile] for level in cache["c_dist"]], params.extract_dist,
                                dense["extract_dist"])
@@ -674,10 +767,9 @@ def _backward_tile(params, config, cache, upstream, rows, dense, kept, side, til
                                            dense, SEM_SIGNS[corrupt])
         G_sums = run_sums(G)
         G_deep_sums = run_sums(G_deep) if len(gv) > 1 else 0.0  # G_deep is 0.0 at one level
-        for k in range(3):
-            if k != corrupt:
-                kept_sem[k][0][owners] += G_sums
-                kept_sem[k][1][owners] += G_deep_sums
+        kept += [(1, k, j, owners, sums) for k in range(3) if k != corrupt
+                 for j, sums in enumerate((G_sums, G_deep_sums))]
+    return dense, kept
 
 
 @dataclass(frozen=True)
@@ -736,24 +828,28 @@ def _slab_sums(terms, B, C):
     A term is (weight, norm p, combine, first, last, cand): its residual at
     coordinate k is combine(first[k], cand[k]) - last[k] (no subtraction
     when last is None), with first and last in `_columns` form and cand the
-    (coordinates, C) candidate rows stored transposed. Each term is summed
-    one coordinate at a time into a (B, slab) block (`slab_size`) with
+    (coordinates, C) candidate rows stored transposed. The (B, C) totals
+    are split into blocks of at most SLAB_ROWS triples by `slab_size`
+    candidates, which the workers of `map_tiles` fill, so a block's
+    SLAB_BLOCKS arrays fit SLAB_BYTES however many triples a call has.
+    Each term is summed one coordinate at a time into the block with
     elementwise operations only, so a candidate's total depends only on its
-    own values: a copy of an entity ties the row it copies, and every slab
-    size gives the same bits.
+    own values and its triple's: a copy of an entity ties the row it
+    copies, and every block shape gives the same bits.
     """
-    slab = slab_size(B)
+    slab = slab_size(min(B, SLAB_ROWS))
     totals = np.zeros((B, C))
-    sum_buf, step_buf = np.empty((B, min(slab, C))), np.empty((B, min(slab, C)))
-    for cols in row_tiles(C, slab):
-        n = cols.stop - cols.start
-        block, acc, step = totals[:, cols], sum_buf[:, :n], step_buf[:, :n]
+
+    def fill(item):
+        rows, cols = item
+        block = totals[rows, cols]
+        acc, step = np.empty(block.shape), np.empty(block.shape)
         for weight, norm_p, combine, first, last, cand in terms:
             for k in range(len(cand)):
                 out = step if k else acc
-                combine(first[k], cand[k, cols], out=out)
+                combine(first[k, rows], cand[k, cols], out=out)
                 if last is not None:
-                    np.subtract(out, last[k], out=out)
+                    np.subtract(out, last[k, rows], out=out)
                 if norm_p == 1:
                     np.abs(out, out=out)
                 else:
@@ -764,6 +860,8 @@ def _slab_sums(terms, B, C):
                 np.sqrt(acc, out=acc)
             acc *= weight
             block += acc
+
+    map_tiles(fill, [(rows, cols) for cols in row_tiles(C, slab) for rows in row_tiles(B, SLAB_ROWS)])
     return totals
 
 

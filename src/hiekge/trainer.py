@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import baselines, hie_model, kg_data
-from .hie_model import HieParams, row_tiles, sigmoid
+from .hie_model import HieParams, map_tiles, row_tiles, sigmoid
 
 SIGN_PLAUSIBILITY = "plausibility"
 SIGN_LITERAL = "literal"
@@ -377,8 +377,9 @@ def adam_step(params, grads: GradSet, state: AdamState, config: TrainConfig):
     standard sparse-Adam compromise; dense tensors always update. Bias
     correction uses the global step count. The embedding rows update in
     tiles of about ADAM_TILE_BYTES per (rows, dim) block, so each tile's
-    moments and temporaries stay in cache; every row gets the bits of one
-    pass over all rows.
+    moments and temporaries stay in cache. The tiles run on the workers of
+    `hie_model.map_tiles`; a gradient's ids are unique, so no two tiles
+    touch one row, and every row gets the bits of one pass over all rows.
     """
     state.step += 1
     b1, b2 = config.adam_beta1, config.adam_beta2
@@ -386,18 +387,25 @@ def adam_step(params, grads: GradSet, state: AdamState, config: TrainConfig):
     bc1 = 1.0 - b1 ** state.step
     bc2 = 1.0 - b2 ** state.step
 
+    tiles = []
     for name, sparse in (("ent", grads.ent), ("rel", grads.rel)):
-        tensor = getattr(params, name)
-        if sparse.values.shape[1:] != tensor.shape[1:]:
+        width = getattr(params, name).shape[1:]
+        if sparse.values.shape[1:] != width:
             raise ValueError(f"gradient width mismatch for {name}")
-        m, v = state.moment1[name], state.moment2[name]
-        for tile in row_tiles(len(sparse.ids), max(1, ADAM_TILE_BYTES // (8 * tensor.shape[1]))):
-            rows, g = sparse.ids[tile], sparse.values[tile]
-            m_rows = b1 * m[rows] + (1.0 - b1) * g
-            v_rows = b2 * v[rows] + (1.0 - b2) * g**2
-            m[rows] = m_rows
-            v[rows] = v_rows
-            tensor[rows] -= lr * ((m_rows / bc1) / (np.sqrt(v_rows / bc2) + eps))
+        rows = max(1, ADAM_TILE_BYTES // (8 * width[0]))
+        tiles += [(name, sparse, tile) for tile in row_tiles(len(sparse.ids), rows)]
+
+    def update(item):
+        name, sparse, tile = item
+        tensor, m, v = getattr(params, name), state.moment1[name], state.moment2[name]
+        rows, g = sparse.ids[tile], sparse.values[tile]
+        m_rows = b1 * m[rows] + (1.0 - b1) * g
+        v_rows = b2 * v[rows] + (1.0 - b2) * g**2
+        m[rows] = m_rows
+        v[rows] = v_rows
+        tensor[rows] -= lr * ((m_rows / bc1) / (np.sqrt(v_rows / bc2) + eps))
+
+    map_tiles(update, tiles, hie_model.TRAIN_SHARED_TILES)
 
     for name, g in grads.dense.items():
         tensor = getattr(params, name)

@@ -691,6 +691,19 @@ class TestSweep:
         assert not out.exists()
         assert "sweep point" not in err
 
+    @pytest.mark.parametrize("axis", ["levels", "lambda1", "gamma", "dim", "batch_size"])
+    def test_empty_axis_from_config_is_usage_error(self, capsys, data_dir, tmp_path, axis):
+        # once read as no axis: the sweep ran its base point and exited 0
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({f"sweep_{axis}": []}))
+        out = tmp_path / "sw"
+        code, stdout, err = run_cli(
+            capsys, "sweep", "--data-dir", data_dir, "--out", str(out), "--config", str(config), *TINY)
+        assert code == 1
+        assert stdout == ""
+        assert f"usage error: sweep axis {axis} needs at least one value" in err
+        assert not out.exists()
+
     def test_base_value_an_axis_overrides_is_not_checked(self, capsys, data_dir, tmp_path):
         # --dim 7 alone is rejected, but every point takes its dim from the axis
         out = tmp_path / "sw"

@@ -305,6 +305,12 @@ SLAB_MODELS = [
 ] + [BaselineConfig(kind=kind, dim=64, norm_p=norm_p)
      for kind in ("transe", "distmult", "rotate") for norm_p in (1, 2)]
 SLAB_ENTITIES = 5120 + 1301
+# the models whose ranking runs through `_slab_sums`, at a width that keeps 512-triple calls quick
+WIDE_MODELS = [
+    HieConfig(dim=8, levels=2, lambdas=(0.5, 0.5), norm_p=norm_p, transform=transform)
+    for transform in ("diagonal", "rank1") for norm_p in (1, 2)
+] + [BaselineConfig(kind="transe", dim=8, norm_p=norm_p) for norm_p in (1, 2)] + [
+    BaselineConfig(kind="rotate", dim=8)]
 
 
 # Small tables run through BLAS's small-matrix and remainder kernels, where
@@ -372,6 +378,28 @@ class TestSlabInvariance:
         assert np.all(row[copies] == row[true])
         pess, strict = (rank_triple(row, true, frozenset(), tie) for tie in ("pessimistic", "strict"))
         assert pess - strict == len(copies)
+
+
+    @pytest.mark.parametrize("side", ["head", "tail"])
+    @pytest.mark.parametrize("config", WIDE_MODELS, ids=slab_model_id)
+    def test_wide_batch_scores_like_evaluation_chunks(self, config, side):
+        # 512 triples in one call run in row blocks of SLAB_ROWS triples; they
+        # once ran as one (512, 3,072) block per slab, at 3x the cost per triple
+        rng = np.random.default_rng(6)
+        if isinstance(config, HieConfig):
+            params = random_hie_params(rng, SLAB_ENTITIES, 5, config)
+        else:
+            params = init_baseline(SLAB_ENTITIES, 5, config, seed=6)
+        triples = np.stack([rng.integers(0, SLAB_ENTITIES, 512), rng.integers(0, 5, 512),
+                            rng.integers(0, SLAB_ENTITIES, 512)], axis=1)
+        model, candidates = model_module(params), np.arange(SLAB_ENTITIES)
+        table = model.candidate_table(params, config, candidates, side)
+        wide = model.score_batch(params, config, triples, candidates, side, table=table)
+        chunks = [model.score_batch(params, config, triples[start : start + evaluator.TRIPLE_CHUNK],
+                                    candidates, side, table=table)
+                  for start in range(0, len(triples), evaluator.TRIPLE_CHUNK)]
+        assert len(chunks) == 32
+        assert np.array_equal(wide, np.concatenate(chunks))
 
 
 @pytest.mark.parametrize("config", [

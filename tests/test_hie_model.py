@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hiekge import hie_model, trainer
+from hiekge import evaluator, hie_model, trainer
 from hiekge.hie_model import (
     HieConfig,
     active_spaces,
@@ -453,6 +453,12 @@ class TestScoreBatch:
         for B in (32, 64, 512):
             assert hie_model.slab_size(B) >= 3072
             assert hie_model.slab_size(B) % hie_model.ROW_ALIGN == 0
+
+    def test_ranking_blocks_fit_the_slab_budget(self):
+        # _slab_sums splits any batch into row blocks of SLAB_ROWS triples
+        rows = hie_model.SLAB_ROWS
+        assert rows == evaluator.TRIPLE_CHUNK
+        assert hie_model.SLAB_BLOCKS * 8 * rows * hie_model.slab_size(rows) <= hie_model.SLAB_BYTES
 
     def test_table_of_other_side_or_size_rejected(self):
         config = HieConfig(dim=4)
