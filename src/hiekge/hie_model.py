@@ -300,6 +300,8 @@ def map_tiles(fn, tiles, min_tiles=2):
         run()
     finally:
         wait(futures)
+    for future in futures:
+        future.result()
     if errors:
         raise errors[min(errors)]
     return results

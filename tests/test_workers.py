@@ -114,6 +114,54 @@ def test_runs_of_one_positive_split_across_tiles_sum_alike(monkeypatch, config):
         assert np.array_equal(dense2[name], g), name
 
 
+def run_bounded(fn, timeout=120):
+    """fn() on a daemon thread, so that a deadlock fails the test instead of hanging it."""
+    out = []
+    caller = threading.Thread(target=lambda: out.append(fn()), daemon=True)
+    caller.start()
+    caller.join(timeout=timeout)
+    assert not caller.is_alive(), "still running"
+    return out[0]
+
+
+def test_stress_more_workers_than_cores_with_a_short_switch_interval(monkeypatch):
+    # four workers on a pool of three helpers, switching threads every 10 us
+    config = HIE_CONFIGS[7]
+    monkeypatch.setattr(hie_model, "ROW_ALIGN", 1)
+    monkeypatch.setattr(hie_model, "TILE_BYTES", 3 * 8 * config.half)
+    rng = np.random.default_rng(43)
+    p = random_hie_params(rng, 30, 4, config)
+    batch, negs = anchored_batch(rng, 24, 6, 30, 4)
+    _, pos_cache = hie_model.score_triples(p, config, batch)
+    upstream = rng.normal(size=negs.shape[0] * negs.shape[1])
+
+    def work():
+        totals, cache = hie_model.score_triples(p, config, negs, positives=pos_cache)
+        ent, rel, dense = hie_model.backward(p, config, cache, upstream)
+        ranks = hie_model.score_batch(p, config, batch, np.arange(30), "tail")
+        ran = []
+        order = map_tiles(lambda i: ran.append(i) or i, range(3000))
+        return [totals, ent, rel, ranks, *dense.values()], sorted(ran), order
+
+    monkeypatch.setattr(hie_model, "slab_size", lambda B: 4)
+    monkeypatch.setattr(hie_model, "SLAB_ROWS", 5)
+    monkeypatch.setattr(hie_model, "WORKERS", 1)
+    want, _, _ = work()
+    pool = hie_model.ThreadPoolExecutor(max_workers=3)
+    monkeypatch.setattr(hie_model, "_POOL", pool)
+    monkeypatch.setattr(hie_model, "WORKERS", 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            got, ran, order = run_bounded(work)
+            assert ran == order == list(range(3000))  # every tile ran once
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    finally:
+        sys.setswitchinterval(interval)
+        pool.shutdown()
+
+
 class TestMapTiles:
     def test_results_come_back_in_tile_order(self, monkeypatch):
         monkeypatch.setattr(hie_model, "WORKERS", 2)
@@ -130,14 +178,8 @@ class TestMapTiles:
 
     def test_nested_call_runs_inline(self, monkeypatch):
         monkeypatch.setattr(hie_model, "WORKERS", 2)
-        out = []
-        # run from a daemon thread, so that a deadlock fails the test instead of hanging it
-        caller = threading.Thread(
-            target=lambda: out.append(map_tiles(lambda x: map_tiles(lambda y: x * y, [1, 2, 3]), [1, 2])),
-            daemon=True)
-        caller.start()
-        caller.join(timeout=30)
-        assert out == [[[1, 2, 3], [2, 4, 6]]]
+        nested = run_bounded(lambda: map_tiles(lambda x: map_tiles(lambda y: x * y, [1, 2, 3]), [1, 2]))
+        assert nested == [[1, 2, 3], [2, 4, 6]]
 
     def test_exception_waits_for_the_other_tiles(self, monkeypatch):
         monkeypatch.setattr(hie_model, "WORKERS", 2)
