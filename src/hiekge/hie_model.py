@@ -67,12 +67,9 @@ SLAB_BYTES = 2 * 1024 * 1024
 SLAB_BLOCKS = 3
 # tiles, slabs and padded candidate tables are whole multiples of this many rows
 ROW_ALIGN = 512
-# the fewest ROW_ALIGN blocks of candidates in a slab: for B >= 32 the byte
-# budget alone gives narrower slabs, which cost more per triple in numpy's
-# buffered broadcast
-SLAB_MIN_BLOCKS = 6
 # triples per row block of `_slab_sums`: a block of 16 (evaluate's chunk)
-# takes slabs of 5,120 candidates within SLAB_BYTES
+# takes slabs of 5,120 candidates within SLAB_BYTES; wider blocks get
+# narrower slabs, which cost more per triple in numpy's buffered broadcast
 SLAB_ROWS = 16
 
 # threads that run the tiles of one `map_tiles` call, the calling thread
@@ -250,12 +247,8 @@ def tile_rows(half):
 
 
 def slab_size(B):
-    """Candidates per slab of `_slab_sums` over B triples.
-
-    Its SLAB_BLOCKS (B, slab) blocks fit SLAB_BYTES, but a slab holds at
-    least SLAB_MIN_BLOCKS blocks of ROW_ALIGN candidates however large B is.
-    """
-    return max(SLAB_MIN_BLOCKS * ROW_ALIGN, _aligned_rows(SLAB_BYTES, 8 * SLAB_BLOCKS * max(B, 1)))
+    """Candidates per slab of `_slab_sums` over B triples: its SLAB_BLOCKS (B, slab) blocks fit SLAB_BYTES."""
+    return _aligned_rows(SLAB_BYTES, 8 * SLAB_BLOCKS * max(B, 1))
 
 
 def row_tiles(stop, rows, start=0):

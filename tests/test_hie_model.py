@@ -446,19 +446,25 @@ class TestScoreBatch:
             row = score_batch(p, config, triples[b : b + 1], candidates, side, table=table)
             assert np.array_equal(row[0], want[b])
 
-    def test_slab_size_has_a_floor_and_keeps_the_evaluation_chunk_slab(self):
+    def test_wide_batches_rank_in_evaluation_sized_blocks(self, monkeypatch):
         # evaluate scores TRIPLE_CHUNK = 16 triples per call; wider batches once got
-        # slabs of 2,560 or 1,024 candidates, which cost more per triple
+        # narrower slabs, or (B, 3,072) blocks, which cost more per triple
+        assert hie_model.SLAB_ROWS == evaluator.TRIPLE_CHUNK
         assert hie_model.slab_size(16) == 5120
-        for B in (32, 64, 512):
-            assert hie_model.slab_size(B) >= 3072
-            assert hie_model.slab_size(B) % hie_model.ROW_ALIGN == 0
-
-    def test_ranking_blocks_fit_the_slab_budget(self):
-        # _slab_sums splits any batch into row blocks of SLAB_ROWS triples
-        rows = hie_model.SLAB_ROWS
-        assert rows == evaluator.TRIPLE_CHUNK
-        assert hie_model.SLAB_BLOCKS * 8 * rows * hie_model.slab_size(rows) <= hie_model.SLAB_BYTES
+        assert hie_model.SLAB_BLOCKS * 8 * 16 * 5120 <= hie_model.SLAB_BYTES
+        blocks = []
+        map_tiles = hie_model.map_tiles
+        monkeypatch.setattr(hie_model, "map_tiles",
+                            lambda fn, items: blocks.extend(items) or map_tiles(fn, items))
+        config = HieConfig(dim=4)
+        rng = np.random.default_rng(2)
+        p = init_params(12000, 2, config, seed=0)
+        triples = np.stack([rng.integers(0, 12000, 40), rng.integers(0, 2, 40),
+                            rng.integers(0, 12000, 40)], axis=1)
+        score_batch(p, config, triples, np.arange(12000), "tail")
+        assert sorted({rows.stop - rows.start for rows, _ in blocks}) == [8, 16]
+        assert sorted({cols.stop - cols.start for _, cols in blocks}) == [12000 - 2 * 5120, 5120]
+        assert len(blocks) == 3 * 3
 
     def test_table_of_other_side_or_size_rejected(self):
         config = HieConfig(dim=4)
