@@ -48,10 +48,33 @@ def config_id(config):
     return "-".join([f"{config.levels}lv", f"l{config.norm_p}", config.transform, *flags])
 
 
+class CountingPool:
+    """The module pool, counting the calls that shared their tiles out."""
+
+    def __init__(self, pool):
+        self.pool, self.submits = pool, 0
+
+    def submit(self, *args):
+        self.submits += 1
+        return self.pool.submit(*args)
+
+
+@pytest.fixture
+def pool(monkeypatch):
+    counting = CountingPool(hie_model._POOL)
+    monkeypatch.setattr(hie_model, "_POOL", counting)
+    return counting
+
+
 @pytest.fixture(params=[None, 5], ids=["default_tiles", "ragged_tiles"])
 def tiles(request, monkeypatch):
-    """Either the default partition or ragged ones: 5-row training and Adam tiles, 3 x 7 ranking blocks."""
+    """Either the default partition, whose calls here run inline, or ragged ones.
+
+    Ragged: 5-row training and Adam tiles and 3 x 7 ranking blocks, every
+    call of two tiles or more shared out.
+    """
     if request.param is not None:
+        monkeypatch.setattr(hie_model, "TRAIN_SHARED_TILES", 2)
         monkeypatch.setattr(hie_model, "ROW_ALIGN", 1)
         monkeypatch.setattr(hie_model, "TILE_BYTES", request.param * 8 * 4)  # half 4
         monkeypatch.setattr(trainer, "ADAM_TILE_BYTES", request.param * 8 * 8)  # dim 8
@@ -73,10 +96,12 @@ def train_and_rank(kind, config, workers, monkeypatch):
 
 
 @pytest.mark.parametrize("config", HIE_CONFIGS + BASELINE_CONFIGS, ids=config_id)
-def test_training_and_ranking_are_bit_identical_at_one_and_two_workers(monkeypatch, tiles, config):
+def test_training_and_ranking_are_bit_identical_at_one_and_two_workers(monkeypatch, pool, tiles, config):
     kind = config.kind if isinstance(config, BaselineConfig) else "hie"
     one = train_and_rank(kind, config, 1, monkeypatch)
+    assert pool.submits == 0
     two = train_and_rank(kind, config, 2, monkeypatch)
+    assert (pool.submits > 0) == (tiles is not None)
     (losses, log, params, state, ranks), (losses2, log2, params2, state2, ranks2) = one, two
     assert len(losses) == TRAIN.steps
     assert repr(losses2) == repr(losses) and repr(log2) == repr(log)
@@ -89,11 +114,13 @@ def test_training_and_ranking_are_bit_identical_at_one_and_two_workers(monkeypat
 
 
 @pytest.mark.parametrize("config", HIE_CONFIGS[:12], ids=config_id)
-def test_runs_of_one_positive_split_across_tiles_sum_alike(monkeypatch, config):
+def test_runs_of_one_positive_split_across_tiles_sum_alike(monkeypatch, pool, config):
     # 5-row tiles over each positive's 4 negatives: some positive's rows of one side
     # lie in two tiles, so its kept-side sums get a part from each
+    monkeypatch.setattr(hie_model, "TRAIN_SHARED_TILES", 2)
     monkeypatch.setattr(hie_model, "ROW_ALIGN", 1)
     monkeypatch.setattr(hie_model, "TILE_BYTES", 5 * 8 * config.half)
+    monkeypatch.setattr(hie_model, "WORKERS", 1)
     rng = np.random.default_rng(41)
     p = random_hie_params(rng, 12, 4, config)
     batch, negs = anchored_batch(rng, 7, 4, 12, 4)
@@ -106,6 +133,7 @@ def test_runs_of_one_positive_split_across_tiles_sum_alike(monkeypatch, config):
         runs.append((totals, *hie_model.backward(p, config, cache, upstream)))
     tile_owners = [set(cache["pos"][tile]) for _, tile in hie_model._side_tiles(cache, config.half)]
     assert any(a & b for a, b in zip(tile_owners, tile_owners[1:]))
+    assert pool.submits == 2  # the forward and the backward at two workers
     (totals, ent, rel, dense), (totals2, ent2, rel2, dense2) = runs
     assert np.array_equal(totals2, totals)
     assert np.array_equal(ent2, ent) and np.array_equal(rel2, rel)
