@@ -475,9 +475,9 @@ def cmd_sweep(run: RunConfig) -> int:
         ("batch_size", run.sweep_batch_size),
     ]
     for name, values in axes:
-        if values is not None and not values:
+        if values == ():
             raise UsageError(f"sweep axis {name} needs at least one value")
-    axes = [(name, values) for name, values in axes if values is not None]
+    axes = [(name, values) for name, values in axes if values]
     if axes:
         names = [name for name, _ in axes]
         points = [
