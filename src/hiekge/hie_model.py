@@ -81,10 +81,20 @@ WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity"
 # B = 512 (4-5 tiles), and 8% faster at B = 1,024 (8-9 tiles) and 2,048:
 # waking a worker and moving rows between the cores' caches outweigh small calls
 TRAIN_SHARED_TILES = 8
-# the helper threads of `map_tiles`, started by its first call that shares tiles out
-_POOL = ThreadPoolExecutor(max_workers=max(1, WORKERS - 1), thread_name_prefix="hiekge-tiles")
 # marks a thread while it runs tiles, so that a tile's own map_tiles runs inline
 _IN_TILES = threading.local()
+
+
+def _new_pool():
+    """Sets the helper threads of `map_tiles`, started by its first call that shares tiles out."""
+    global _POOL
+    _POOL = ThreadPoolExecutor(max_workers=max(1, WORKERS - 1), thread_name_prefix="hiekge-tiles")
+
+
+_new_pool()
+if hasattr(os, "register_at_fork"):
+    # a forked child has none of its parent's threads, so the parent's pool would never run its tiles
+    os.register_at_fork(after_in_child=_new_pool)
 
 
 def sigmoid(x):

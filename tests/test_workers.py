@@ -6,6 +6,8 @@ threads. These tests run the same work at 1 and at 2 workers and compare
 every output bit for bit, with tiles small enough that each call has many.
 """
 
+import os
+import signal
 import subprocess
 import sys
 import threading
@@ -235,6 +237,29 @@ class TestMapTiles:
         for _ in range(3):
             with pytest.raises(KeyError, match="0"):
                 map_tiles(tile, [0, 1])
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_runs_tiles_on_a_pool_of_its_own(monkeypatch):
+    # the child inherits the parent's pool object but not its started helper thread;
+    # sharing tiles out on that pool once hung the child
+    monkeypatch.setattr(hie_model, "WORKERS", 2)
+    assert map_tiles(lambda x: x, range(4)) == [0, 1, 2, 3]
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if map_tiles(lambda x: x + 1, range(4)) == [1, 2, 3, 4] else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while not (status := os.waitpid(pid, os.WNOHANG))[0]:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child did not finish its tiles")
+        time.sleep(0.05)
+    assert os.waitstatus_to_exitcode(status[1]) == 0
 
 
 @pytest.fixture
