@@ -7,13 +7,14 @@ from typing import Optional
 
 import numpy as np
 
+from .hie_model import SLAB_ROWS
 from .trainer import NumericError, model_module
 
 TIE_PESSIMISTIC = "pessimistic"
 TIE_STRICT = "strict"
 TIE_BREAKS = (TIE_PESSIMISTIC, TIE_STRICT)
-# test triples per score_batch call of evaluate
-TRIPLE_CHUNK = 16
+# test triples per score_batch call of evaluate: one row block of the ranking kernel
+TRIPLE_CHUNK = SLAB_ROWS
 
 
 @dataclass(frozen=True)

@@ -67,20 +67,14 @@ SLAB_BYTES = 2 * 1024 * 1024
 SLAB_BLOCKS = 3
 # tiles, slabs and padded candidate tables are whole multiples of this many rows
 ROW_ALIGN = 512
-# triples per row block of `_slab_sums`: a block of 16 (evaluate's chunk)
-# takes slabs of 5,120 candidates within SLAB_BYTES; wider blocks get
+# triples per row block of `_slab_sums`, and per call of evaluate: a block
+# of 16 takes slabs of 5,120 candidates within SLAB_BYTES; wider blocks get
 # narrower slabs, which cost more per triple in numpy's buffered broadcast
 SLAB_ROWS = 16
 
 # threads that run the tiles of one `map_tiles` call, the calling thread
 # included; results are the same bits for any count
 WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
-# the fewest tiles a training call (forward, backward, Adam) shares out. On
-# the acceptance tests' 100-entity graph at dim 32 with 16 negatives, two
-# workers made a step 7% slower than one at B = 256 (3 tiles) and 12% at
-# B = 512 (4-5 tiles), and 8% faster at B = 1,024 (8-9 tiles) and 2,048:
-# waking a worker and moving rows between the cores' caches outweigh small calls
-TRAIN_SHARED_TILES = 8
 # marks a thread while it runs tiles, so that a tile's own map_tiles runs inline
 _IN_TILES = threading.local()
 
@@ -266,19 +260,19 @@ def row_tiles(stop, rows, start=0):
     return [slice(first, min(first + rows, stop)) for first in range(start, stop, rows)]
 
 
-def map_tiles(fn, tiles, min_tiles=2):
+def map_tiles(fn, tiles):
     """[fn(tile) for tile in tiles], run on up to WORKERS threads; results in tile order.
 
     The calling thread runs tiles too, each tile runs once, and a tile
-    must write nothing another tile reads or writes. A call with fewer
-    than min_tiles tiles, or one from inside a tile, runs inline. The call
-    returns only when every tile it started has finished; once a tile
-    raises, no further tile starts, and the exception of the first failed
-    tile in tile order is raised.
+    must write nothing another tile reads or writes. A call of one tile,
+    or one from inside a tile, runs inline. The call returns only when
+    every tile it started has finished; once a tile raises, no further
+    tile starts, and the exception of the first failed tile in tile order
+    is raised.
     """
     tiles = list(tiles)
     helpers = min(WORKERS, len(tiles)) - 1
-    if helpers < 1 or len(tiles) < min_tiles or getattr(_IN_TILES, "active", False):
+    if helpers < 1 or getattr(_IN_TILES, "active", False):
         return [fn(tile) for tile in tiles]
     results, errors = [None] * len(tiles), {}
     lock, taken = threading.Lock(), iter(range(len(tiles)))
@@ -547,7 +541,7 @@ def _score_anchored(params, config, triples, positives):
         rows[tile] = params.ent[ent_ids[tile]]
         _score_tile(params, config, cache, totals, side, tile)
 
-    map_tiles(score_tile, _side_tiles(cache, config.half), TRAIN_SHARED_TILES)
+    map_tiles(score_tile, _side_tiles(cache, config.half))
     out = np.empty(N)
     out[order] = totals
     return out, cache
@@ -628,7 +622,7 @@ def backward(params: HieParams, config: HieConfig, cache, upstream):
     kept_sem = [[np.zeros((B, half)), np.zeros((B, half))] for _ in ROLES]
     dense = _zero_dense(params)
     parts = map_tiles(lambda item: _backward_tile(params, config, cache, upstream, ent_rows, *item),
-                      _side_tiles(cache, half), TRAIN_SHARED_TILES)
+                      _side_tiles(cache, half))
     # the tiles' parts added in tile order: one add per tile to each dense slot and kept sum
     for tile_dense, tile_sums in parts:
         for name, g in tile_dense.items():

@@ -405,7 +405,7 @@ def adam_step(params, grads: GradSet, state: AdamState, config: TrainConfig):
         v[rows] = v_rows
         tensor[rows] -= lr * ((m_rows / bc1) / (np.sqrt(v_rows / bc2) + eps))
 
-    map_tiles(update, tiles, hie_model.TRAIN_SHARED_TILES)
+    map_tiles(update, tiles)
 
     for name, g in grads.dense.items():
         tensor = getattr(params, name)

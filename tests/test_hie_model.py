@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hiekge import evaluator, hie_model, trainer
+from hiekge import hie_model, trainer
 from hiekge.hie_model import (
     HieConfig,
     active_spaces,
@@ -447,9 +447,8 @@ class TestScoreBatch:
             assert np.array_equal(row[0], want[b])
 
     def test_wide_batches_rank_in_evaluation_sized_blocks(self, monkeypatch):
-        # evaluate scores TRIPLE_CHUNK = 16 triples per call; wider batches once got
-        # narrower slabs, or (B, 3,072) blocks, which cost more per triple
-        assert hie_model.SLAB_ROWS == evaluator.TRIPLE_CHUNK
+        # evaluate scores TRIPLE_CHUNK = SLAB_ROWS = 16 triples per call; wider batches
+        # once got narrower slabs, or (B, 3,072) blocks, which cost more per triple
         assert hie_model.slab_size(16) == 5120
         assert hie_model.SLAB_BLOCKS * 8 * 16 * 5120 <= hie_model.SLAB_BYTES
         blocks = []

@@ -70,13 +70,8 @@ def pool(monkeypatch):
 
 @pytest.fixture(params=[None, 5], ids=["default_tiles", "ragged_tiles"])
 def tiles(request, monkeypatch):
-    """Either the default partition, whose calls here run inline, or ragged ones.
-
-    Ragged: 5-row training and Adam tiles and 3 x 7 ranking blocks, every
-    call of two tiles or more shared out.
-    """
+    """Either the default partition or ragged ones: 5-row training and Adam tiles and 3 x 7 ranking blocks."""
     if request.param is not None:
-        monkeypatch.setattr(hie_model, "TRAIN_SHARED_TILES", 2)
         monkeypatch.setattr(hie_model, "ROW_ALIGN", 1)
         monkeypatch.setattr(hie_model, "TILE_BYTES", request.param * 8 * 4)  # half 4
         monkeypatch.setattr(trainer, "ADAM_TILE_BYTES", request.param * 8 * 8)  # dim 8
@@ -103,7 +98,7 @@ def test_training_and_ranking_are_bit_identical_at_one_and_two_workers(monkeypat
     one = train_and_rank(kind, config, 1, monkeypatch)
     assert pool.submits == 0
     two = train_and_rank(kind, config, 2, monkeypatch)
-    assert (pool.submits > 0) == (tiles is not None)
+    assert pool.submits > 0
     (losses, log, params, state, ranks), (losses2, log2, params2, state2, ranks2) = one, two
     assert len(losses) == TRAIN.steps
     assert repr(losses2) == repr(losses) and repr(log2) == repr(log)
@@ -119,7 +114,6 @@ def test_training_and_ranking_are_bit_identical_at_one_and_two_workers(monkeypat
 def test_runs_of_one_positive_split_across_tiles_sum_alike(monkeypatch, pool, config):
     # 5-row tiles over each positive's 4 negatives: some positive's rows of one side
     # lie in two tiles, so its kept-side sums get a part from each
-    monkeypatch.setattr(hie_model, "TRAIN_SHARED_TILES", 2)
     monkeypatch.setattr(hie_model, "ROW_ALIGN", 1)
     monkeypatch.setattr(hie_model, "TILE_BYTES", 5 * 8 * config.half)
     monkeypatch.setattr(hie_model, "WORKERS", 1)
@@ -200,11 +194,10 @@ class TestMapTiles:
             x * x for x in range(20)]
         assert map_tiles(lambda x: x, []) == []
 
-    def test_single_tile_or_fewer_than_min_tiles_run_on_the_calling_thread(self, monkeypatch):
+    def test_single_tile_runs_on_the_calling_thread(self, monkeypatch):
         monkeypatch.setattr(hie_model, "WORKERS", 2)
         here = threading.current_thread()
         assert map_tiles(lambda _: threading.current_thread(), [0]) == [here]
-        assert map_tiles(lambda _: threading.current_thread(), range(3), min_tiles=4) == [here] * 3
 
     def test_nested_call_runs_inline(self, monkeypatch):
         monkeypatch.setattr(hie_model, "WORKERS", 2)
