@@ -53,7 +53,8 @@ class RunConfig:
     `--` + its name with "_" as "-", storing into the field's name. An int
     or float field's flag parses that type, a bool field's flag is a
     switch that stores True, and a `sweep_*` tuple's flag takes a
-    comma-separated list of the swept field's type. A field made by
+    comma-separated list of the swept field's type; the sweep's axes are
+    the `sweep_*` fields, in declaration order. A field made by
     `_setting` may list the values it accepts, which `_validate_run`
     checks whether they came by flag or by config, and may name the one
     command that gets its flag; every other flag goes to every command.
@@ -325,29 +326,28 @@ def _print_json(doc):
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
+def _write_lines(path, lines):
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def _write_json(path, doc):
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_lines(path, [json.dumps(doc, indent=2, sort_keys=True)])
 
 
 def _write_loss_log(path, log):
-    lines = ["step,mean_loss,alpha"]
-    for step, loss_value, alpha in log:
-        alpha_text = "" if alpha is None else f"{alpha:.17g}"
-        lines.append(f"{step},{loss_value:.17g},{alpha_text}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(path, ["step,mean_loss,alpha"] + [
+        f"{step},{loss_value:.17g}," + ("" if alpha is None else f"{alpha:.17g}")
+        for step, loss_value, alpha in log])
 
 
 def _write_table(header, rows, path):
     """Prints a CSV header and each row as it arrives, then writes the same lines to path unless it is None."""
-    lines = [header]
-    print(header)
-    for row in rows:
-        lines.append(row)
-        print(row)
+    lines = []
+    for line in itertools.chain([header], rows):
+        print(line)
+        lines.append(line)
     if path is not None:
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_lines(path, lines)
 
 
 def _checkpoint_meta(run, kg, model_config, train_config) -> dict:
@@ -379,6 +379,12 @@ def _train_once(run: RunConfig, kg, configs, out_dir: Path, stem="model"):
     save_checkpoint(params, _checkpoint_meta(run, kg, model_config, train_config), ckpt_path)
     _write_loss_log(out_dir / f"{stem}_loss.csv", log)
     return params, model_config, log, ckpt_path
+
+
+def _metric_cells(run: RunConfig, kg, configs, out_dir: Path, stem):
+    """Shared by sweep/ablate: `_train_once`, then the validation metrics as CSV cells."""
+    params, model_config, _, _ = _train_once(run, kg, configs, out_dir, stem)
+    return evaluator.report_csv_row(_evaluation_report(params, model_config, kg, "valid", run.tie_break))
 
 
 def cmd_train(run: RunConfig) -> int:
@@ -447,7 +453,9 @@ def cmd_classify(run: RunConfig) -> int:
     return EXIT_OK
 
 
-SWEEP_HEADER = "levels,lambda1,gamma,dim,batch_size,status," + evaluator.CSV_HEADER
+# the fields that the `sweep_*` fields sweep, in declaration order: the grid's axes and the first columns
+SWEEP_AXES = tuple(name.removeprefix("sweep_") for name in RUN_FIELDS if name.startswith("sweep_"))
+SWEEP_HEADER = ",".join(SWEEP_AXES) + ",status," + evaluator.CSV_HEADER
 
 
 def _point_configs(point: RunConfig):
@@ -467,25 +475,14 @@ def cmd_sweep(run: RunConfig) -> int:
     the command before it loads data, creates --out or prints a row.
     """
     _require(run, "out")
-    axes = [
-        ("levels", run.sweep_levels),
-        ("lambda1", run.sweep_lambda1),
-        ("gamma", run.sweep_gamma),
-        ("dim", run.sweep_dim),
-        ("batch_size", run.sweep_batch_size),
-    ]
-    for name, values in axes:
+    axes = {axis: getattr(run, "sweep_" + axis) for axis in SWEEP_AXES}
+    for axis, values in axes.items():
         if values == ():
-            raise UsageError(f"sweep axis {name} needs at least one value")
-    axes = [(name, values) for name, values in axes if values]
-    if axes:
-        names = [name for name, _ in axes]
-        points = [
-            dataclasses.replace(run, **dict(zip(names, combo)))
-            for combo in itertools.product(*(values for _, values in axes))
-        ]
-    else:
-        points = [run]  # 1-point grid: the base configuration itself
+            raise UsageError(f"sweep axis {axis} needs at least one value")
+    axes = {axis: values for axis, values in axes.items() if values}
+    # with no axis, the product's one empty combination is the base configuration itself
+    points = [dataclasses.replace(run, **dict(zip(axes, combo)))
+              for combo in itertools.product(*axes.values())]
     configs = [_point_configs(point) for point in points]
     if all(isinstance(c, UsageError) for c in configs):
         raise configs[0]
@@ -494,14 +491,12 @@ def cmd_sweep(run: RunConfig) -> int:
 
     def rows():
         for index, (point, point_configs) in enumerate(zip(points, configs)):
-            prefix = f"{point.levels},{point.lambda1:g},{point.gamma:g},{point.dim},{point.batch_size}"
+            prefix = ",".join(f"{getattr(point, axis):g}" if RUN_FIELDS[axis] == "float"
+                              else str(getattr(point, axis)) for axis in SWEEP_AXES)
             try:
                 if isinstance(point_configs, UsageError):
                     raise point_configs
-                params, model_config, _, _ = _train_once(point, kg, point_configs, out_dir,
-                                                         stem=f"point_{index:03d}")
-                report = _evaluation_report(params, model_config, kg, "valid", point.tie_break)
-                yield f"{prefix},ok,{evaluator.report_csv_row(report)}"
+                yield f"{prefix},ok,{_metric_cells(point, kg, point_configs, out_dir, f'point_{index:03d}')}"
             except (UsageError, DataError, NumericError, ValueError) as exc:
                 _info(f"sweep point {index} failed: {exc}")
                 empty_metrics = "," * len(evaluator.METRIC_FIELDS)
@@ -542,13 +537,9 @@ def cmd_gradcheck(run: RunConfig) -> int:
 
 
 ABLATE_HEADER = "variant," + evaluator.CSV_HEADER
-ABLATE_VARIANTS = (
-    ("full", {}),
-    ("no_distance", {"no_distance": True}),
-    ("no_semantic", {"no_semantic": True}),
-    ("no_distance_deep", {"no_distance_deep": True}),
-    ("no_semantic_deep", {"no_semantic_deep": True}),
-)
+# the full model, then one variant per `no_*` switch of RunConfig, in declaration order
+ABLATE_VARIANTS = (("full", {}),) + tuple(
+    (name, {name: True}) for name in RUN_FIELDS if name.startswith("no_"))
 
 
 def cmd_ablate(run: RunConfig) -> int:
@@ -559,14 +550,9 @@ def cmd_ablate(run: RunConfig) -> int:
     configs = [_configs(variant) for _, variant in variants]
     kg = _load_dataset(run, "train", "valid")
     out_dir = _out_dir(run)
-
-    def rows():
-        for (name, variant), variant_configs in zip(variants, configs):
-            params, model_config, _, _ = _train_once(variant, kg, variant_configs, out_dir, stem=name)
-            report = _evaluation_report(params, model_config, kg, "valid", variant.tie_break)
-            yield f"{name},{evaluator.report_csv_row(report)}"
-
-    _write_table(ABLATE_HEADER, rows(), out_dir / "ablate.csv")
+    rows = (f"{name},{_metric_cells(variant, kg, variant_configs, out_dir, name)}"
+            for (name, variant), variant_configs in zip(variants, configs))
+    _write_table(ABLATE_HEADER, rows, out_dir / "ablate.csv")
     return EXIT_OK
 
 

@@ -431,9 +431,9 @@ def score_triples(params: HieParams, config: HieConfig, triples, positives=None)
     Every row is scored against a positive it corrupts: it keeps the
     positive's relation and one of its entities, and only its corrupted
     entity is gathered and chained. A (B, 3) batch is first prepared as
-    its own positives (`_prepare`: ids, bases, distance chains and kept
-    operands over the B rows), and each triple is then scored as its own
-    tail-corrupted row.
+    its own positives (`_prepare`: ids, bases, head and relation distance
+    chains and kept operands over the B rows), and each triple is then
+    scored as its own tail-corrupted row, whose chain is the tail's.
 
     With positives, the cache of a call over B positive triples, triples
     are (B, n, 3) training negatives and reuse the prepared block that
@@ -451,19 +451,25 @@ def score_triples(params: HieParams, config: HieConfig, triples, positives=None)
     if positives is not None:
         return _score_anchored(params, config, triples, positives["positives"])
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-    return _score_anchored(params, config, triples[:, None, :], _prepare(params, config, triples))
+    positives = _prepare(params, config, triples)
+    totals, cache = _score_anchored(params, config, triples[:, None, :], positives)
+    # every row is its positive's own tail-corrupted row, in batch order: its chain is the tail's
+    positives["t_dist"] = cache["c_dist"]
+    return totals, cache
 
 
 def _prepare(params, config, triples):
     """The prepared positives of score_triples over the (B, 3) triples, built once over their B rows.
 
-    "h_dist", "r_dist" and "t_dist" hold each role's distance chain at the
-    levels the score reads, and "bases_dist"/"bases_sem" each role's base
-    halves. "head_term" holds, per level, the distance residual before its
-    tail is subtracted, with the rank-1 inner product in "rank1_inner": a
-    tail-corrupted row subtracts its own tail's chain from it. "sem_head"
-    and "sem_tail" hold the kept terms of the semantic residual's level 1
-    and of its base for head- and tail-corrupted rows.
+    "h_dist" and "r_dist" hold the head's and the relation's distance
+    chains at the levels the score reads, and "bases_dist"/"bases_sem" each
+    role's base halves; the tail's chain, "t_dist", is the scored rows'
+    own, and score_triples stores it after the call. "head_term" holds,
+    per level, the distance residual before its tail is subtracted, with
+    the rank-1 inner product in "rank1_inner": a tail-corrupted row
+    subtracts its own tail's chain from it. "sem_head" and "sem_tail"
+    hold the kept terms of the semantic residual's level 1 and of its base
+    for head- and tail-corrupted rows.
     """
     ids = (triples[:, 0], triples[:, 1], triples[:, 2])
     rows = (params.ent[ids[0]], params.rel[ids[1]], params.ent[ids[2]])
@@ -471,7 +477,7 @@ def _prepare(params, config, triples):
     for space, cols in _space_columns(config).items():
         positives[f"bases_{space}"] = tuple(row[:, cols] for row in rows)
     n_dist, n_sem = _live_levels(config)
-    for (key, role), base in zip(ROLES, positives["bases_dist"]):
+    for (key, role), base in zip(ROLES[:2], positives["bases_dist"]):
         positives[f"{key}_dist"] = _chain(params, base, role, "dist", n_dist) if n_dist else []
     terms = [_head_term(h, r, seed, config.transform)
              for h, r, seed in zip(positives["h_dist"], positives["r_dist"], params.transform_seed)]

@@ -134,21 +134,16 @@ def load_kg(data_dir) -> KnowledgeGraph:
     data_dir = Path(data_dir)
     entity_vocab, relation_vocab = {}, {}
     splits = {}
-    for name in ("train", "valid", "test"):
+    for name in SPLIT_NAMES:
         path = data_dir / f"{name}.txt"
         splits[name], entity_vocab, relation_vocab = load_triples(
             path, entity_vocab, relation_vocab
         )
-    entity_names = [None] * len(entity_vocab)
-    for name, idx in entity_vocab.items():
-        entity_names[idx] = name
-    relation_names = [None] * len(relation_vocab)
-    for name, idx in relation_vocab.items():
-        relation_names[idx] = name
     index = build_filter_index(splits["train"], splits["valid"], splits["test"])
+    # ids are handed out in insertion order, so each vocabulary's keys are its names by id
     return KnowledgeGraph(
-        entity_names=entity_names,
-        relation_names=relation_names,
+        entity_names=list(entity_vocab),
+        relation_names=list(relation_vocab),
         train=splits["train"],
         valid=splits["valid"],
         test=splits["test"],

@@ -30,9 +30,6 @@ from .hie_model import HieParams, map_tiles, row_tiles, sigmoid
 SIGN_PLAUSIBILITY = "plausibility"
 SIGN_LITERAL = "literal"
 
-# bytes of one (rows, dim) float64 block of a sparse Adam tile
-ADAM_TILE_BYTES = 256 * 1024
-
 
 class NumericError(RuntimeError):
     """Training or ranking produced a non-finite loss or score."""
@@ -376,10 +373,11 @@ def adam_step(params, grads: GradSet, state: AdamState, config: TrainConfig):
     Untouched embedding rows keep stale moments (no decay), which is the
     standard sparse-Adam compromise; dense tensors always update. Bias
     correction uses the global step count. The embedding rows update in
-    tiles of about ADAM_TILE_BYTES per (rows, dim) block, so each tile's
-    moments and temporaries stay in cache. The tiles run on the workers of
-    `hie_model.map_tiles`; a gradient's ids are unique, so no two tiles
-    touch one row, and every row gets the bits of one pass over all rows.
+    tiles of about `hie_model.TILE_BYTES` per (rows, dim) block, so each
+    tile's moments and temporaries stay in cache. The tiles run on the
+    workers of `hie_model.map_tiles`; a gradient's ids are unique, so no
+    two tiles touch one row, and every row gets the bits of one pass over
+    all rows.
     """
     state.step += 1
     b1, b2 = config.adam_beta1, config.adam_beta2
@@ -392,7 +390,7 @@ def adam_step(params, grads: GradSet, state: AdamState, config: TrainConfig):
         width = getattr(params, name).shape[1:]
         if sparse.values.shape[1:] != width:
             raise ValueError(f"gradient width mismatch for {name}")
-        rows = max(1, ADAM_TILE_BYTES // (8 * width[0]))
+        rows = max(1, hie_model.TILE_BYTES // (8 * width[0]))
         tiles += [(name, sparse, tile) for tile in row_tiles(len(sparse.ids), rows)]
 
     def update(item):

@@ -624,7 +624,53 @@ class TestClassify:
         assert err.startswith("usage error: eta must be a finite positive number")
 
 
+METRIC_COLUMNS = "mr,mrr,hits1,hits3,hits10,count"
+
+
+class TestTableDeclarations:
+    # the tables' columns and the ablation's variants, written out: the code derives them from RunConfig
+    def test_headers_are_the_literal_columns(self):
+        assert cli.SWEEP_HEADER == "levels,lambda1,gamma,dim,batch_size,status," + METRIC_COLUMNS
+        assert cli.ABLATE_HEADER == "variant," + METRIC_COLUMNS
+
+    def test_ablate_variants_are_full_then_each_switch_in_order(self):
+        assert cli.ABLATE_VARIANTS == (
+            ("full", {}),
+            ("no_distance", {"no_distance": True}),
+            ("no_semantic", {"no_semantic": True}),
+            ("no_distance_deep", {"no_distance_deep": True}),
+            ("no_semantic_deep", {"no_semantic_deep": True}),
+        )
+
+
 class TestSweep:
+    def test_no_axes_is_the_base_point_alone(self, capsys, data_dir, tmp_path):
+        out = tmp_path / "sw"
+        code, stdout, _ = run_cli(capsys, "sweep", "--data-dir", data_dir, "--out", str(out), *TINY)
+        assert code == 0
+        rows = stdout.splitlines()[1:]
+        assert len(rows) == 1 and rows[0].startswith("2,0.5,6,8,16,ok,")
+        assert sorted(path.name for path in out.iterdir()) == [
+            "point_000.ckpt", "point_000.json", "point_000_loss.csv", "sweep.csv"]
+
+    def test_row_prefix_formats_flag_floats_with_g(self, capsys, data_dir, tmp_path):
+        code, stdout, _ = run_cli(
+            capsys, "sweep", "--data-dir", data_dir, "--out", str(tmp_path / "sw"),
+            "--sweep-lambda1", "0.3", *TINY, "--gamma", "12.5")
+        assert code == 0
+        assert [row[:row.index(",ok,")] for row in stdout.splitlines()[1:]] == ["2,0.3,12.5,8,16"]
+
+    def test_row_prefix_formats_config_ints_like_the_flags(self, capsys, data_dir, tmp_path):
+        # an int in a float field's config list is formatted with g: 10000000 reads 1e+07
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({"sweep_gamma": [3, 10000000]}))
+        code, stdout, _ = run_cli(
+            capsys, "sweep", "--data-dir", data_dir, "--out", str(tmp_path / "sw"),
+            "--config", str(config), *TINY)
+        assert code == 0
+        prefixes = [",".join(row.split(",")[:5]) for row in stdout.splitlines()[1:]]
+        assert prefixes == ["2,0.5,3,8,16", "2,0.5,1e+07,8,16"]
+
     def test_no_axes_is_one_point_matching_train(self, capsys, data_dir, tmp_path):
         sweep_out = tmp_path / "sw"
         code, sweep_stdout, _ = run_cli(

@@ -566,7 +566,7 @@ class TestAdam:
     def test_matches_textbook_update_bit_for_bit(self, monkeypatch, tile_rows):
         # 23 entity rows and 5 relation rows a step: in 4-row tiles, 6 and 2, the last ragged
         if tile_rows is not None:
-            monkeypatch.setattr(trainer, "ADAM_TILE_BYTES", tile_rows * 8 * 6)
+            monkeypatch.setattr(hie_model, "TILE_BYTES", tile_rows * 8 * 6)
         rng = np.random.default_rng(8)
         config = HieConfig(dim=6)
         params = random_hie_params(rng, 40, 7, config)

@@ -68,13 +68,16 @@ def pool(monkeypatch):
     return counting
 
 
-@pytest.fixture(params=[None, 5], ids=["default_tiles", "ragged_tiles"])
+@pytest.fixture(params=[None, 3], ids=["default_tiles", "ragged_tiles"])
 def tiles(request, monkeypatch):
-    """Either the default partition or ragged ones: 5-row training and Adam tiles and 3 x 7 ranking blocks."""
+    """Either the default partition or ragged ones: 3-row Adam tiles and 3 x 7 ranking blocks.
+
+    One tile budget sizes Adam's and training's tiles: 3 rows of dim 8 are
+    6 training rows of half 4.
+    """
     if request.param is not None:
         monkeypatch.setattr(hie_model, "ROW_ALIGN", 1)
-        monkeypatch.setattr(hie_model, "TILE_BYTES", request.param * 8 * 4)  # half 4
-        monkeypatch.setattr(trainer, "ADAM_TILE_BYTES", request.param * 8 * 8)  # dim 8
+        monkeypatch.setattr(hie_model, "TILE_BYTES", request.param * 8 * 8)  # dim 8
         monkeypatch.setattr(hie_model, "SLAB_ROWS", 3)
         monkeypatch.setattr(hie_model, "slab_size", lambda B: 7)
     return request.param
