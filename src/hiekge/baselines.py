@@ -16,6 +16,13 @@ batch is prepared as its own positives, each triple scored as its own
 tail-corrupted row. `backward` sums the anchor gradients per positive
 and side before running them back to the kept entity and the relation.
 
+The forward and the backward walk their rows, which are in (B, n)
+order, in tiles of whole positives of about `hie_model.tile_rows(dim)`
+rows (`_positive_tiles`), on the workers of `hie_model.map_tiles`. Each
+tile gathers its rows into its own slices of the cache's arrays, and
+each positive's anchor-gradient sums are one product of its own rows, so
+any worker count gives the bits of one.
+
 All-candidate ranking of the two distance models runs through hie's
 ranking kernel (`hie_model._slab_sums`) with one term each, so a copy of
 an entity ties the row it copies; DistMult, which has no norm to sum,
@@ -37,6 +44,9 @@ from .hie_model import (
     _slab_sums,
     _transposed,
     corrupted_entities,
+    map_tiles,
+    row_tiles,
+    tile_rows,
 )
 
 TRANSE = "transe"
@@ -157,6 +167,16 @@ def _anchors(params: BaselineParams, config: BaselineConfig, h, r, t):
     return anchors
 
 
+def _positive_tiles(B, n, dim):
+    """(positives, rows) of each tile of a (B, n) row block: whole positives, up to `tile_rows(dim)` rows.
+
+    Rows are in (B, n) order, so a tile's rows are one contiguous range.
+    A tile holds one positive at least, however many rows that has.
+    """
+    per = max(1, tile_rows(dim) // n)
+    return [(pos, slice(pos.start * n, pos.stop * n)) for pos in row_tiles(B, per)]
+
+
 def _score_anchored(params, config, triples, positives):
     """score_triples of (B, n, 3) triples against positives, the prepared block of their B positives.
 
@@ -164,26 +184,42 @@ def _score_anchored(params, config, triples, positives):
     mask of its head- and tail-corrupted rows, which `backward` uses to
     sum the anchor gradients of each side over one positive's rows.
     TransE and RotatE cache the residual e - a, DistMult the corrupted
-    rows and their anchors.
+    rows and their anchors. The rows run in tiles of whole positives
+    (`_positive_tiles`) on the workers of `map_tiles`; each tile gathers
+    its rows into its own slice of the cache's arrays.
     """
     h_ids, r_ids, t_ids = ids = positives["ids"]
     head, ent_ids = corrupted_entities(triples, ids)
     B, n = head.shape
+    N, dim = B * n, config.dim
     ent_ids = ent_ids.ravel()
-    # each row's anchor: its positive's, of its corrupted side
-    e = params.ent[ent_ids]
-    a = positives["anchors"].reshape(2 * B, -1)[(2 * np.arange(B)[:, None] + ~head).ravel()]
+    # each row's anchor: its positive's, of its corrupted side; in range by construction,
+    # so the tiles take them with mode="clip", which writes straight into out
+    anchor_ids = (2 * np.arange(B)[:, None] + ~head).ravel()
+    anchors = positives["anchors"].reshape(2 * B, dim)
     cache = {"positives": positives, "sides": np.stack([head, ~head], axis=1).astype(np.float64),
              "row_ids": ((ent_ids, h_ids, t_ids), r_ids)}
+    totals = cache["totals"] = np.empty(N)
     if params.kind == DISTMULT:
-        cache["ea"] = (e, a)
+        e, a = cache["ea"] = np.empty((N, dim)), np.empty((N, dim))
         r = positives["hrt"][1]
-        totals = -np.sum(((e * a).reshape(B, n, -1) * r[:, None]).reshape(B * n, -1), axis=-1)
     else:
-        u = np.subtract(e, a, out=a)
-        cache["u"] = u
-        totals = _norm_rows(u, 2 if params.kind == ROTATE else config.norm_p)
-    cache["totals"] = totals
+        u = cache["u"] = np.empty((N, dim))
+        norm_p = 2 if params.kind == ROTATE else config.norm_p
+
+    def score_tile(tile):
+        pos, rows = tile
+        if params.kind == DISTMULT:
+            np.take(params.ent, ent_ids[rows], axis=0, out=e[rows])
+            np.take(anchors, anchor_ids[rows], axis=0, out=a[rows], mode="clip")
+            products = (e[rows] * a[rows]).reshape(-1, n, dim) * r[pos, None]
+            totals[rows] = -np.sum(products.reshape(-1, dim), axis=-1)
+        else:
+            np.take(anchors, anchor_ids[rows], axis=0, out=u[rows], mode="clip")
+            np.subtract(np.take(params.ent, ent_ids[rows], axis=0), u[rows], out=u[rows])
+            totals[rows] = _norm_rows(u[rows], norm_p)
+
+    map_tiles(score_tile, _positive_tiles(B, n, dim))
     return totals, cache
 
 
@@ -198,30 +234,43 @@ def backward(params: BaselineParams, config: BaselineConfig, cache, upstream):
     gets the gradient at e. The anchor gradients are linear in it, so each
     positive's are summed per side first, straight from the (B, n, dim)
     rows under the "sides" masks, and then run back through that
-    positive's anchors over B rows.
+    positive's anchors over B rows. The N rows run in the tiles of
+    score_triples, on the workers of `map_tiles`; each positive's sums are
+    one product of its own, so any tiling gives the same bits.
     """
     upstream = np.asarray(upstream, dtype=np.float64)
     h, r, t = cache["positives"]["hrt"]
-    B, _, n = cache["sides"].shape
+    sides = cache["sides"]
+    B, _, n = sides.shape
     N, dim = B * n, config.dim
     if upstream.shape != (N,):
         raise ValueError(f"upstream must hold one value per scored row: {N} values, "
                          f"got shape {upstream.shape}")
     ent_rows = np.empty((N + 2 * B, dim))
     g_e, g_head, g_tail = ent_rows[:N], ent_rows[N:N + B], ent_rows[N + B:]
+    # per positive and side (head-corrupted, tail-corrupted): the sum of the anchor gradients
+    sums = np.empty((B, 2, dim))
+
+    def backward_tile(tile):
+        pos, rows = tile
+        if params.kind == DISTMULT:
+            e, a = (x[rows] for x in cache["ea"])
+            # the gradient at e is -upstream * (a * r)
+            np.multiply(-upstream[rows, None], (a.reshape(-1, n, dim) * r[pos, None]).reshape(-1, dim),
+                        out=g_e[rows])
+            # and at the anchor product a * r it is -upstream * e
+            sums[pos] = (sides[pos] * -upstream[rows].reshape(-1, 1, n)) @ e.reshape(-1, n, dim)
+            return
+        _norm_backward(cache["u"][rows], cache["totals"][rows], 2 if params.kind == ROTATE else config.norm_p,
+                       upstream[rows], out=g_e[rows])
+        # the gradient at a is minus that at e
+        sums[pos] = np.negative(sides[pos] @ g_e[rows].reshape(-1, n, dim))
+
+    map_tiles(backward_tile, _positive_tiles(B, n, dim))
     if params.kind == DISTMULT:
-        e, a = cache["ea"]
-        # the gradient at e is -upstream * (a * r)
-        np.multiply(-upstream[:, None], (a.reshape(B, n, dim) * r[:, None]).reshape(N, dim), out=g_e)
-        # and at the anchor product a * r it is -upstream * e
-        sums = (cache["sides"] * -upstream.reshape(B, 1, n)) @ e.reshape(B, n, dim)
         g_head[...], g_tail[...] = sums[:, 1] * r, sums[:, 0] * r
         rel_rows = sums[:, 0] * t + sums[:, 1] * h
         return ent_rows, rel_rows, {}
-    _norm_backward(cache["u"], cache["totals"], 2 if params.kind == ROTATE else config.norm_p, upstream,
-                   out=g_e)
-    # the gradient at a is minus that at e
-    sums = np.negative(cache["sides"] @ g_e.reshape(B, n, dim))
     if params.kind == TRANSE:
         g_head[...], g_tail[...] = sums[:, 1], sums[:, 0]
         return ent_rows, sums[:, 1] - sums[:, 0], {}

@@ -120,10 +120,9 @@ def model_config_from(run: RunConfig):
                 lambdas=derive_lambdas(run.levels, run.lambda1),
                 norm_p=NORM_NAMES[run.norm],
                 transform=run.transform,
-                disable_distance=run.no_distance,
-                disable_semantic=run.no_semantic,
-                disable_distance_deep=run.no_distance_deep,
-                disable_semantic_deep=run.no_semantic_deep,
+                # each ablation switch no_<part> sets HieConfig's disable_<part>
+                **{f"disable_{name.removeprefix('no_')}": getattr(run, name)
+                   for name in RUN_FIELDS if name.startswith("no_")},
             )
         return BaselineConfig(kind=run.model, dim=run.dim, norm_p=NORM_NAMES[run.norm])
     except ValueError as exc:

@@ -642,6 +642,16 @@ class TestTableDeclarations:
             ("no_semantic_deep", {"no_semantic_deep": True}),
         )
 
+    @pytest.mark.parametrize("switch", [name for name in cli.RUN_FIELDS if name.startswith("no_")])
+    def test_each_ablation_switch_reaches_hie_config(self, switch):
+        disables = {"no_distance": "disable_distance", "no_semantic": "disable_semantic",
+                    "no_distance_deep": "disable_distance_deep", "no_semantic_deep": "disable_semantic_deep"}
+        assert set(disables) == {name for name in cli.RUN_FIELDS if name.startswith("no_")}
+        config = model_config_from(RunConfig(levels=3, **{switch: True}))
+        assert {flag: getattr(config, flag) for flag in disables.values()} == {
+            flag: name == switch for name, flag in disables.items()}
+        assert model_config_from(RunConfig(levels=3)) == dataclasses.replace(config, **{disables[switch]: False})
+
 
 class TestSweep:
     def test_no_axes_is_the_base_point_alone(self, capsys, data_dir, tmp_path):

@@ -233,16 +233,58 @@ class TestCoalesce:
     def test_matches_dict_sum_oracle(self, ids, width, data):
         values = data.draw(arrays(np.float64, (len(ids), width),
                                   elements=st.floats(-1e6, 1e6, allow_nan=False)))
-        expected = {}
-        for i, row in zip(ids, values.tolist()):
-            acc = expected.setdefault(i, [0.0] * width)
-            for c, x in enumerate(row):
-                acc[c] += x
-        sparse = coalesce(np.array(ids, dtype=np.int64), values)
-        assert sparse.ids.tolist() == sorted(expected)
-        assert sparse.values.shape == (len(expected), width)
-        # each cell sums its rows in input order, so the sums match bit for bit
-        assert sparse.values.tolist() == [expected[i] for i in sorted(expected)]
+        assert_matches_dict_sums(ids, values)
+
+    def test_relation_like_rows_match_dict_sum_oracle(self):
+        # a relation table's rows: 1,000 over 11 ids, one of them 400 times, in shuffled order
+        rng = np.random.default_rng(5)
+        ids = rng.permutation(np.r_[np.full(400, 7), rng.choice([0, 1, 2, 3, 4, 5, 6, 8, 9, 10], 600)])
+        assert_matches_dict_sums(ids, rng.normal(scale=1e3, size=(1000, 64)))
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, trainer.GROUP_LEVELS, trainer.GROUP_LEVELS + 1, 60])
+    def test_deep_groups_at_width_one_match_dict_sum_oracle(self, depth):
+        # magnitudes over 16 decades, so that sums in another order round differently
+        rng = np.random.default_rng(depth)
+        ids = rng.permutation(np.r_[np.repeat(np.arange(5), depth), np.arange(5, 40)])
+        values = rng.normal(size=(len(ids), 1)) * 10.0 ** rng.integers(-8, 9, size=(len(ids), 1))
+        assert_matches_dict_sums(ids, values)
+
+    def test_negative_zero_rows_sum_to_positive_zero(self):
+        # groups of 1, 2 and 12 rows, the last deeper than the levels
+        ids = np.r_[4, 1, 4, 9, np.full(10, 4), 9]
+        assert np.count_nonzero(ids == 4) > trainer.GROUP_LEVELS
+        sparse = coalesce(ids, np.full((len(ids), 3), -0.0))
+        assert sparse.ids.tolist() == [1, 4, 9]
+        assert not np.signbit(sparse.values).any()
+        assert_matches_dict_sums(ids, np.full((len(ids), 3), -0.0))
+
+    def test_ids_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="coalesce needs ids in"):
+            coalesce(np.array([2, -1, 2]), np.ones((3, 2)))
+
+    def test_ids_whose_key_overflows_int64_are_refused(self):
+        rows = 4
+        top = (np.iinfo(np.int64).max - (rows - 1)) // rows  # the largest id whose key fits
+        sparse = coalesce(np.array([top, 0, top, 1]), np.arange(8.0).reshape(rows, 2))
+        assert sparse.ids.tolist() == [0, 1, top] and sparse.values.tolist() == [[2, 3], [6, 7], [4, 6]]
+        with pytest.raises(ValueError, match="coalesce needs ids in"):
+            coalesce(np.array([top + 1, 0, 1, 1]), np.ones((rows, 2)))
+
+
+def assert_matches_dict_sums(ids, values):
+    """coalesce(ids, values) equals, bit for bit, per-id sums from 0.0 in input order."""
+    expected = {}
+    for i, row in zip(np.asarray(ids).tolist(), values.tolist()):
+        acc = expected.setdefault(i, [0.0] * values.shape[1])
+        for c, x in enumerate(row):
+            acc[c] += x
+    sparse = coalesce(np.array(ids, dtype=np.int64), values)
+    assert sparse.ids.tolist() == sorted(expected)
+    assert sparse.values.shape == (len(expected), values.shape[1])
+    # each cell sums its rows in input order, so the sums match bit for bit
+    got = sparse.values.tolist()
+    assert got == [expected[i] for i in sorted(expected)]
+    assert np.signbit(got).tolist() == np.signbit([expected[i] for i in sorted(expected)]).tolist()
 
 
 def two_pass_gradients(params, config, tc, batch, negatives):

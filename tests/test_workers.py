@@ -1,9 +1,11 @@
 """The tile workers: any worker count gives the bits of one, and failures still surface.
 
-`hie_model.map_tiles` shares the row tiles of hie's forward and backward,
-the sparse Adam tiles and the ranking blocks out among `hie_model.WORKERS`
-threads. These tests run the same work at 1 and at 2 workers and compare
-every output bit for bit, with tiles small enough that each call has many.
+`hie_model.map_tiles` shares out among `hie_model.WORKERS` threads the
+row tiles of every model's forward and backward (hie's and the
+baselines'), the unique-row tiles of `trainer.coalesce`, the sparse Adam
+tiles and the ranking blocks. These tests run the same work at 1 and at
+2 workers and compare every output bit for bit, with tiles small enough
+that each call has many.
 """
 
 import os
@@ -18,7 +20,7 @@ import numpy as np
 import pytest
 
 import hiekge
-from hiekge import cli, evaluator, hie_model, trainer
+from hiekge import baselines, cli, evaluator, hie_model, trainer
 from hiekge.baselines import BaselineConfig
 from hiekge.hie_model import HieConfig, map_tiles
 from hiekge.trainer import NumericError, TrainConfig
@@ -141,6 +143,59 @@ def test_runs_of_one_positive_split_across_tiles_sum_alike(monkeypatch, pool, co
         assert np.array_equal(dense2[name], g), name
 
 
+@pytest.mark.parametrize("config", BASELINE_CONFIGS, ids=config_id)
+def test_baseline_tiles_of_whole_positives_are_bit_identical(monkeypatch, pool, config):
+    # a 12-row budget over 4 negatives each: tiles of 3, 3 and 1 positives out of 7
+    monkeypatch.setattr(hie_model, "ROW_ALIGN", 1)
+    monkeypatch.setattr(hie_model, "TILE_BYTES", 12 * 8 * config.dim)
+    monkeypatch.setattr(hie_model, "WORKERS", 1)
+    assert [pos.stop - pos.start for pos, _ in baselines._positive_tiles(7, 4, config.dim)] == [3, 3, 1]
+    rng = np.random.default_rng(47)
+    p = baselines.init_params(12, 4, config, seed=5)
+    batch, negs = anchored_batch(rng, 7, 4, 12, 4)
+    _, pos_cache = baselines.score_triples(p, config, batch)  # 7 rows: one tile, inline
+    upstream = rng.normal(size=negs.shape[0] * negs.shape[1])
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(hie_model, "WORKERS", workers)
+        totals, cache = baselines.score_triples(p, config, negs, positives=pos_cache)
+        runs.append((totals, *baselines.backward(p, config, cache, upstream)))
+    assert pool.submits == 2  # the forward and the backward at two workers
+    (totals, ent, rel, dense), (totals2, ent2, rel2, dense2) = runs
+    assert np.array_equal(totals2, totals)
+    assert np.array_equal(ent2, ent) and np.array_equal(rel2, rel)
+    assert dense == dense2 == {}
+
+
+class TestCoalesceTiles:
+    @pytest.fixture(autouse=True)
+    def small_tiles(self, monkeypatch):
+        # training tiles of 5 rows of width 3, so coalesce's tiles hold COALESCE_TILE_BLOCKS * 5 unique rows
+        monkeypatch.setattr(hie_model, "ROW_ALIGN", 1)
+        monkeypatch.setattr(hie_model, "TILE_BYTES", 5 * 8 * 3)
+
+    def test_unique_rows_in_tiles_are_shared_out_bit_identically(self, monkeypatch, pool):
+        rng = np.random.default_rng(53)
+        ids = rng.integers(0, 300, 2000)  # about 300 unique rows, many deeper than GROUP_LEVELS
+        assert len(np.unique(ids)) > 2 * trainer.COALESCE_TILE_BLOCKS * 5
+        assert np.bincount(ids).max() > trainer.GROUP_LEVELS
+        values = rng.normal(size=(2000, 3)) * 10.0 ** rng.integers(-6, 7, size=(2000, 1))
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(hie_model, "WORKERS", workers)
+            runs.append(trainer.coalesce(ids, values))
+        assert pool.submits == 1
+        one, two = runs
+        assert np.array_equal(one.ids, two.ids) and len(one.ids) > 10
+        assert one.values.tobytes() == two.values.tobytes()
+
+    def test_one_tile_stays_inline(self, monkeypatch, pool):
+        monkeypatch.setattr(hie_model, "WORKERS", 2)
+        sparse = trainer.coalesce(np.array([3, 1, 3, 3, 0, 1]), np.ones((6, 3)))
+        assert pool.submits == 0
+        assert sparse.ids.tolist() == [0, 1, 3] and sparse.values[:, 0].tolist() == [1, 2, 3]
+
+
 def run_bounded(fn, timeout=120):
     """fn() on a daemon thread, so that a deadlock fails the test instead of hanging it."""
     out = []
@@ -152,7 +207,8 @@ def run_bounded(fn, timeout=120):
 
 
 def test_stress_more_workers_than_cores_with_a_short_switch_interval(monkeypatch):
-    # four workers on a pool of three helpers, switching threads every 10 us
+    # four workers on a pool of three helpers, switching threads every 10 us; hie's
+    # and TransE's row tiles, coalesce's unique-row tiles and the ranking blocks
     config = HIE_CONFIGS[7]
     monkeypatch.setattr(hie_model, "ROW_ALIGN", 1)
     monkeypatch.setattr(hie_model, "TILE_BYTES", 3 * 8 * config.half)
@@ -161,14 +217,21 @@ def test_stress_more_workers_than_cores_with_a_short_switch_interval(monkeypatch
     batch, negs = anchored_batch(rng, 24, 6, 30, 4)
     _, pos_cache = hie_model.score_triples(p, config, batch)
     upstream = rng.normal(size=negs.shape[0] * negs.shape[1])
+    transe = BaselineConfig(kind="transe", dim=config.dim)
+    p_transe = baselines.init_params(30, 4, transe, seed=6)
+    _, transe_cache = baselines.score_triples(p_transe, transe, batch)
 
     def work():
         totals, cache = hie_model.score_triples(p, config, negs, positives=pos_cache)
         ent, rel, dense = hie_model.backward(p, config, cache, upstream)
         ranks = hie_model.score_batch(p, config, batch, np.arange(30), "tail")
+        transe_totals, cache = baselines.score_triples(p_transe, transe, negs, positives=transe_cache)
+        transe_ent, transe_rel, _ = baselines.backward(p_transe, transe, cache, upstream)
+        sums = trainer.coalesce(cache["row_ids"][0][0], transe_ent[: len(upstream)])
         ran = []
         order = map_tiles(lambda i: ran.append(i) or i, range(3000))
-        return [totals, ent, rel, ranks, *dense.values()], sorted(ran), order
+        return ([totals, ent, rel, ranks, transe_totals, transe_ent, transe_rel, sums.ids, sums.values,
+                 *dense.values()], sorted(ran), order)
 
     monkeypatch.setattr(hie_model, "slab_size", lambda B: 4)
     monkeypatch.setattr(hie_model, "SLAB_ROWS", 5)
