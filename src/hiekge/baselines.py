@@ -17,14 +17,14 @@ tail-corrupted row. `backward` sums the anchor gradients per positive
 and side before running them back to the kept entity and the relation.
 
 The forward and the backward walk their rows, which are in (B, n)
-order, in tiles of whole positives of about `hie_model.tile_rows(dim)`
-rows (`_positive_tiles`), on the workers of `hie_model.map_tiles`. Each
+order, in tiles of whole positives of about `kernels.tile_rows(dim)`
+rows (`_positive_tiles`), on the workers of `kernels.map_tiles`. Each
 tile gathers its rows into its own slices of the cache's arrays, and
 each positive's anchor-gradient sums are one product of its own rows, so
 any worker count gives the bits of one.
 
-All-candidate ranking of the two distance models runs through hie's
-ranking kernel (`hie_model._slab_sums`) with one term each, so a copy of
+All-candidate ranking of the two distance models runs through the shared
+ranking kernel (`kernels.slab_sums`) with one term each, so a copy of
 an entity ties the row it copies; DistMult, which has no norm to sum,
 ranks with one matrix product.
 """
@@ -35,19 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hie_model import (
-    CandidateTable,
-    _columns,
-    _norm_backward,
-    _norm_rows,
-    _padded,
-    _slab_sums,
-    _transposed,
-    corrupted_entities,
-    map_tiles,
-    row_tiles,
-    tile_rows,
-)
+from . import kernels
 
 TRANSE = "transe"
 DISTMULT = "distmult"
@@ -64,8 +52,8 @@ class BaselineConfig:
     def __post_init__(self):
         if self.kind not in BASELINE_KINDS:
             raise ValueError(f"unknown baseline kind {self.kind!r}")
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        if not kernels.is_int(self.dim) or self.dim < 1:
+            raise ValueError(f"dim must be an int >= 1, got {self.dim!r}")
         if self.kind == ROTATE and self.dim % 2 != 0:
             raise ValueError("rotation model needs an even dim")
         if self.norm_p not in (1, 2):
@@ -127,9 +115,9 @@ def score_triples(params: BaselineParams, config: BaselineConfig, triples, posit
 
     With positives, the cache of a call over B positive triples, triples
     are (B, n, 3) training negatives and reuse the prepared block that
-    cache holds under "positives" (`corrupted_entities` checks each and
-    names its corrupted side). Returns the totals in row order and a cache
-    for `backward`.
+    cache holds under "positives" (`kernels.corrupted_entities` checks
+    each and names its corrupted side). Returns the totals in row order
+    and a cache for `backward`.
     """
     if positives is not None:
         return _score_anchored(params, config, triples, positives["positives"])
@@ -173,8 +161,8 @@ def _positive_tiles(B, n, dim):
     Rows are in (B, n) order, so a tile's rows are one contiguous range.
     A tile holds one positive at least, however many rows that has.
     """
-    per = max(1, tile_rows(dim) // n)
-    return [(pos, slice(pos.start * n, pos.stop * n)) for pos in row_tiles(B, per)]
+    per = max(1, kernels.tile_rows(dim) // n)
+    return [(pos, slice(pos.start * n, pos.stop * n)) for pos in kernels.row_tiles(B, per)]
 
 
 def _score_anchored(params, config, triples, positives):
@@ -185,11 +173,11 @@ def _score_anchored(params, config, triples, positives):
     sum the anchor gradients of each side over one positive's rows.
     TransE and RotatE cache the residual e - a, DistMult the corrupted
     rows and their anchors. The rows run in tiles of whole positives
-    (`_positive_tiles`) on the workers of `map_tiles`; each tile gathers
-    its rows into its own slice of the cache's arrays.
+    (`_positive_tiles`) on the workers of `kernels.map_tiles`; each tile
+    gathers its rows into its own slice of the cache's arrays.
     """
     h_ids, r_ids, t_ids = ids = positives["ids"]
-    head, ent_ids = corrupted_entities(triples, ids)
+    head, ent_ids = kernels.corrupted_entities(triples, ids)
     B, n = head.shape
     N, dim = B * n, config.dim
     ent_ids = ent_ids.ravel()
@@ -217,9 +205,9 @@ def _score_anchored(params, config, triples, positives):
         else:
             np.take(anchors, anchor_ids[rows], axis=0, out=u[rows], mode="clip")
             np.subtract(np.take(params.ent, ent_ids[rows], axis=0), u[rows], out=u[rows])
-            totals[rows] = _norm_rows(u[rows], norm_p)
+            totals[rows] = kernels.norm_rows(u[rows], norm_p)
 
-    map_tiles(score_tile, _positive_tiles(B, n, dim))
+    kernels.map_tiles(score_tile, _positive_tiles(B, n, dim))
     return totals, cache
 
 
@@ -235,8 +223,8 @@ def backward(params: BaselineParams, config: BaselineConfig, cache, upstream):
     positive's are summed per side first, straight from the (B, n, dim)
     rows under the "sides" masks, and then run back through that
     positive's anchors over B rows. The N rows run in the tiles of
-    score_triples, on the workers of `map_tiles`; each positive's sums are
-    one product of its own, so any tiling gives the same bits.
+    score_triples, on the workers of `kernels.map_tiles`; each positive's
+    sums are one product of its own, so any tiling gives the same bits.
     """
     upstream = np.asarray(upstream, dtype=np.float64)
     h, r, t = cache["positives"]["hrt"]
@@ -261,12 +249,12 @@ def backward(params: BaselineParams, config: BaselineConfig, cache, upstream):
             # and at the anchor product a * r it is -upstream * e
             sums[pos] = (sides[pos] * -upstream[rows].reshape(-1, 1, n)) @ e.reshape(-1, n, dim)
             return
-        _norm_backward(cache["u"][rows], cache["totals"][rows], 2 if params.kind == ROTATE else config.norm_p,
-                       upstream[rows], out=g_e[rows])
+        kernels.norm_backward(cache["u"][rows], cache["totals"][rows],
+                              2 if params.kind == ROTATE else config.norm_p, upstream[rows], out=g_e[rows])
         # the gradient at a is minus that at e
         sums[pos] = np.negative(sides[pos] @ g_e[rows].reshape(-1, n, dim))
 
-    map_tiles(backward_tile, _positive_tiles(B, n, dim))
+    kernels.map_tiles(backward_tile, _positive_tiles(B, n, dim))
     if params.kind == DISTMULT:
         g_head[...], g_tail[...] = sums[:, 1] * r, sums[:, 0] * r
         rel_rows = sums[:, 0] * t + sums[:, 1] * h
@@ -286,51 +274,48 @@ def backward(params: BaselineParams, config: BaselineConfig, cache, upstream):
 
 
 def candidate_table(params: BaselineParams, config: BaselineConfig, candidates, corrupt_side):
-    """The candidate side shared by every score_batch call of one direction.
+    """The `kernels.CandidateTable` shared by every score_batch call of one direction.
 
-    TransE's is the candidate rows stored transposed, (dim, C); RotatE's
-    the same with each row's real parts first and its imaginary parts
-    after, so both are coordinates of one L2 term. Both serve either side.
-    DistMult's is hie's `CandidateTable` of its side and candidate count,
-    holding the candidate rows zero-padded to whole ROW_ALIGN blocks (see
-    score_batch), since the padding hides how many candidates there are.
+    TransE's rows are the candidate rows stored transposed, (dim, C);
+    RotatE's the same with each row's real parts first and its imaginary
+    parts after, so both are coordinates of one L2 term. DistMult's are
+    the candidate rows zero-padded to whole ROW_ALIGN blocks (see
+    score_batch).
     """
+    kernels.check_side(corrupt_side)
     candidates = np.asarray(candidates, dtype=np.int64).ravel()
     if params.kind == DISTMULT:
-        return CandidateTable(corrupt_side, len(candidates), _padded(params.ent[candidates]))
-    if params.kind == ROTATE:
+        rows = kernels.padded(params.ent[candidates])
+    elif params.kind == ROTATE:
         pair_split = np.r_[0 : config.dim : 2, 1 : config.dim : 2]
-        return _transposed(params.ent[candidates[:, None], pair_split])
-    return _transposed(params.ent[candidates])
+        rows = kernels.transposed(params.ent[candidates[:, None], pair_split])
+    else:
+        rows = kernels.transposed(params.ent[candidates])
+    return kernels.CandidateTable(corrupt_side, len(candidates), rows)
 
 
 def score_batch(params: BaselineParams, config: BaselineConfig, triples, candidates, corrupt_side, table=None):
     """(B, C) totals with one side of each triple replaced by each candidate.
 
-    table is the `candidate_table` of these candidates; it is built here
-    when not given. TransE and RotatE are one `_slab_sums` term each, so a
-    copy of an entity ties the row it copies. TransE's residual is
-    (h + r) - t per coordinate. RotatE's is the L2 norm of h o r - t over
-    the pair-split coordinates, and a candidate head uses
-    |c o r - t| = |c - t o conj(r)|, which holds because every |r_k| = 1.
-    DistMult is one matrix product with the candidates on the row axis of
-    a table padded to whole ROW_ALIGN blocks: every candidate row runs
-    through the same BLAS kernel, so a copy of an entity ties here too.
+    table is the `candidate_table` of these candidates and side; it is
+    built here when not given. TransE and RotatE are one
+    `kernels.slab_sums` term each, so a copy of an entity ties the row it
+    copies. TransE's residual is (h + r) - t per coordinate. RotatE's is
+    the L2 norm of h o r - t over the pair-split coordinates, and a
+    candidate head uses |c o r - t| = |c - t o conj(r)|, which holds
+    because every |r_k| = 1. DistMult is one matrix product with the
+    candidates on the row axis of a table padded to whole ROW_ALIGN
+    blocks: every candidate row runs through the same BLAS kernel, so a
+    copy of an entity ties here too.
     """
-    if corrupt_side not in ("head", "tail"):
-        raise ValueError(f"corrupt_side must be 'head' or 'tail', got {corrupt_side!r}")
+    if table is None:
+        table = candidate_table(params, config, candidates, corrupt_side)
+    kernels.check_table(table, candidates, corrupt_side)
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-    candidates = np.asarray(candidates, dtype=np.int64).ravel()
-    B, C = len(triples), len(candidates)
+    B, C = len(triples), table.size
     head = corrupt_side == "head"
     r = params.rel[triples[:, 1]]
     fixed = params.ent[triples[:, 2] if head else triples[:, 0]]
-    if table is None:
-        table = candidate_table(params, config, candidates, corrupt_side)
-    elif params.kind == DISTMULT and (table.side, table.size) != (corrupt_side, C):
-        raise ValueError(f"table holds {table.size} {table.side} candidates, not {C} {corrupt_side} ones")
-    elif params.kind != DISTMULT and table.shape != (config.dim, C):
-        raise ValueError(f"table holds {table.shape[-1]} candidates, not {C}")
     if params.kind == DISTMULT:
         # trilinear form is a plain inner product against the candidate
         return np.negative((table.rows @ (fixed * r).T)[:C].T, out=np.empty((B, C)))
@@ -338,9 +323,9 @@ def score_batch(params: BaselineParams, config: BaselineConfig, triples, candida
         # the fixed side rotated by r, or by its conjugate for candidate heads
         phase = r[:, : config.dim // 2]
         re, im, _ = _rotate(fixed, -phase if head else phase)
-        term = (2, np.subtract, _columns(np.concatenate([re, im], axis=1)), None)
+        term = (2, np.subtract, kernels.columns(np.concatenate([re, im], axis=1)), None)
     elif head:
-        term = (config.norm_p, np.add, _columns(r), _columns(fixed))
+        term = (config.norm_p, np.add, kernels.columns(r), kernels.columns(fixed))
     else:
-        term = (config.norm_p, np.subtract, _columns(fixed + r), None)
-    return _slab_sums([(1.0, *term, table)], B, C)
+        term = (config.norm_p, np.subtract, kernels.columns(fixed + r), None)
+    return kernels.slab_sums([(1.0, *term, table.rows)], B, C)

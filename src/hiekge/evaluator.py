@@ -7,14 +7,14 @@ from typing import Optional
 
 import numpy as np
 
-from .hie_model import SLAB_ROWS
+from . import kernels
 from .trainer import NumericError, model_module
 
 TIE_PESSIMISTIC = "pessimistic"
 TIE_STRICT = "strict"
 TIE_BREAKS = (TIE_PESSIMISTIC, TIE_STRICT)
 # test triples per score_batch call of evaluate: one row block of the ranking kernel
-TRIPLE_CHUNK = SLAB_ROWS
+TRIPLE_CHUNK = kernels.SLAB_ROWS
 
 
 @dataclass(frozen=True)

@@ -17,88 +17,33 @@ their positives' call (`score_triples(..., positives=cache)`); a plain
 own tail-corrupted row. `backward` sums the kept side's gradients per
 positive before walking the positive's chains back once, over B rows.
 
-The kernel runs over row tiles small enough for a core's L2 cache:
 `score_triples` and `backward` walk their rows in tiles of
-`tile_rows(half)` rows, each written into slices of full-size arrays, so
-the cache keeps one (N, half) array per level of the corrupted entity's
-distance chain and of the semantic residual chain, whatever the tile
-size. Tiles are whole multiples of ROW_ALIGN rows: OpenBLAS can give a
-row of a matrix product other bits when the product is split at a row
-that is not a multiple of 512, so only aligned blocks reproduce one call
-over all rows. The tiles run on WORKERS threads (`map_tiles`); numpy
-releases the GIL inside their ufuncs and products. The partition never
-depends on the worker count, each tile writes only its own rows, and
-what tiles share, the dense gradients and each positive's kept-side
-sums, each tile returns as its own part, added in tile order by the
-calling thread. So any worker count gives the bits of one.
+`kernels.tile_rows(half)` rows on the workers of `kernels.map_tiles`,
+each tile written into slices of full-size arrays, so the cache keeps one
+(N, half) array per level of the corrupted entity's distance chain and of
+the semantic residual chain, whatever the tile size. What tiles share,
+the dense gradients and each positive's kept-side sums, each tile
+returns as its own part, added in tile order by the calling thread.
 
 All-candidate scoring (`score_batch`) takes its candidate chains from a
 `candidate_table`, built once per corrupted side over the candidate rows
-zero-padded to whole ROW_ALIGN blocks, so every candidate row goes
-through the same BLAS kernel and a copy of an entity gets the bits of the
-row it copies. The chains are stored transposed, and each distance and
-semantic term is summed one coordinate at a time into a (B, slab) block
-with elementwise operations only: a candidate's score depends on its own
-values, never on its position, the slab size or the other triples. That
-kernel, `_slab_sums`, also ranks the translation and rotation baselines;
-its (row block, slab) blocks run on the same workers.
+zero-padded to whole ROW_ALIGN blocks (`kernels.padded`) and stored
+transposed. Each distance and semantic term is summed by the shared
+ranking kernel, `kernels.slab_sums`.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields
 
 import numpy as np
+
+from . import kernels
 
 TRANSFORM_DIAGONAL = "diagonal"
 TRANSFORM_RANK1 = "rank1"
 # (cache key prefix, role) of each slot of a triple
 ROLES = (("h", "head"), ("r", "rel"), ("t", "tail"))
-
-# bytes of one (rows, half) float64 block of a training tile
-TILE_BYTES = 256 * 1024
-# bytes of the working set of one ranking slab: SLAB_BLOCKS (B, slab) float64 blocks
-SLAB_BYTES = 2 * 1024 * 1024
-# (B, slab) blocks live in the ranking kernel (`_slab_sums`): the totals
-# block, one term's running sum and one coordinate's residual
-SLAB_BLOCKS = 3
-# tiles, slabs and padded candidate tables are whole multiples of this many rows
-ROW_ALIGN = 512
-# triples per row block of `_slab_sums`, and per call of evaluate: a block
-# of 16 takes slabs of 5,120 candidates within SLAB_BYTES; wider blocks get
-# narrower slabs, which cost more per triple in numpy's buffered broadcast
-SLAB_ROWS = 16
-
-# threads that run the tiles of one `map_tiles` call, the calling thread
-# included; results are the same bits for any count
-WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
-# marks a thread while it runs tiles, so that a tile's own map_tiles runs inline
-_IN_TILES = threading.local()
-
-
-def _new_pool():
-    """Sets the helper threads of `map_tiles`, started by its first call that shares tiles out."""
-    global _POOL
-    _POOL = ThreadPoolExecutor(max_workers=max(1, WORKERS - 1), thread_name_prefix="hiekge-tiles")
-
-
-_new_pool()
-if hasattr(os, "register_at_fork"):
-    # a forked child has none of its parent's threads, so the parent's pool would never run its tiles
-    os.register_at_fork(after_in_child=_new_pool)
-
-
-def sigmoid(x):
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -117,18 +62,19 @@ class HieConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
-        if self.dim < 2 or self.dim % 2 != 0:
-            raise ValueError(f"dim must be even and >= 2, got {self.dim}")
-        if self.levels < 1:
-            raise ValueError(f"levels must be >= 1, got {self.levels}")
+        # written so that NaN fails each range check
+        if not kernels.is_int(self.dim) or self.dim < 2 or self.dim % 2 != 0:
+            raise ValueError(f"dim must be even and an int >= 2, got {self.dim!r}")
+        if not kernels.is_int(self.levels) or self.levels < 1:
+            raise ValueError(f"levels must be an int >= 1, got {self.levels!r}")
         if len(self.lambdas) != self.levels:
             raise ValueError(
                 f"need one level weight per level: got {len(self.lambdas)} "
                 f"weights for {self.levels} levels"
             )
-        if any(v < 0.0 or v > 1.0 for v in self.lambdas):
+        if not all(0.0 <= v <= 1.0 for v in self.lambdas):
             raise ValueError(f"level weights must lie in [0, 1], got {self.lambdas}")
-        if abs(sum(self.lambdas) - 1.0) > 1e-9:
+        if not abs(sum(self.lambdas) - 1.0) <= 1e-9:
             raise ValueError(f"level weights must sum to 1, got {self.lambdas}")
         if self.norm_p not in (1, 2):
             raise ValueError(f"norm_p must be 1 or 2, got {self.norm_p}")
@@ -168,7 +114,7 @@ class HieParams:
 
     @property
     def alpha(self) -> float:
-        return float(sigmoid(self.blend_logit))
+        return float(kernels.sigmoid(self.blend_logit))
 
     @property
     def num_entities(self):
@@ -240,90 +186,6 @@ def level_weights(config: HieConfig, alpha: float):
     return weights
 
 
-def _aligned_rows(budget, row_bytes):
-    """Rows of row_bytes each that fit budget, as a whole multiple of ROW_ALIGN (at least one)."""
-    return max(1, budget // (row_bytes * ROW_ALIGN)) * ROW_ALIGN
-
-
-def tile_rows(half):
-    """Rows per tile of score_triples and backward."""
-    return _aligned_rows(TILE_BYTES, 8 * half)
-
-
-def slab_size(B):
-    """Candidates per slab of `_slab_sums` over B triples: its SLAB_BLOCKS (B, slab) blocks fit SLAB_BYTES."""
-    return _aligned_rows(SLAB_BYTES, 8 * SLAB_BLOCKS * max(B, 1))
-
-
-def row_tiles(stop, rows, start=0):
-    """Slices covering range(start, stop) in consecutive blocks of `rows`; the last may be shorter."""
-    return [slice(first, min(first + rows, stop)) for first in range(start, stop, rows)]
-
-
-def map_tiles(fn, tiles):
-    """[fn(tile) for tile in tiles], run on up to WORKERS threads; results in tile order.
-
-    The calling thread runs tiles too, each tile runs once, and a tile
-    must write nothing another tile reads or writes. A call of one tile,
-    or one from inside a tile, runs inline. The call returns only when
-    every tile it started has finished; once a tile raises, no further
-    tile starts, and the exception of the first failed tile in tile order
-    is raised.
-    """
-    tiles = list(tiles)
-    helpers = min(WORKERS, len(tiles)) - 1
-    if helpers < 1 or getattr(_IN_TILES, "active", False):
-        return [fn(tile) for tile in tiles]
-    results, errors = [None] * len(tiles), {}
-    lock, taken = threading.Lock(), iter(range(len(tiles)))
-
-    def run():
-        _IN_TILES.active = True
-        try:
-            while not errors:
-                with lock:
-                    i = next(taken, None)
-                if i is None:
-                    return
-                try:
-                    results[i] = fn(tiles[i])
-                except BaseException as exc:  # re-raised on the calling thread below
-                    errors[i] = exc
-        finally:
-            _IN_TILES.active = False
-
-    futures = [_POOL.submit(run) for _ in range(helpers)]
-    try:
-        run()
-    finally:
-        wait(futures)
-    for future in futures:
-        future.result()
-    if errors:
-        raise errors[min(errors)]
-    return results
-
-
-def _padded(rows):
-    """A copy of rows zero-padded to a whole multiple of ROW_ALIGN rows.
-
-    A matrix product over the padded block runs every real row through the
-    same BLAS kernel, so a row's bits depend on its values only: not on its
-    position or on how many rows share the call.
-    """
-    out = np.zeros((-(-len(rows) // ROW_ALIGN) * ROW_ALIGN,) + rows.shape[1:])
-    out[: len(rows)] = rows
-    return out
-
-
-def _transposed(rows):
-    """A C-ordered copy of rows.T, copied ROW_ALIGN rows at a time (a strided copy in one go is slower)."""
-    out = np.empty(rows.shape[::-1])
-    for tile in row_tiles(len(rows), ROW_ALIGN):
-        out[:, tile] = rows[tile].T
-    return out
-
-
 def _coordinate_dot(columns, seed):
     """sum_k columns[k] * seed[k] over a (half, n) block, added one coordinate at a time."""
     out = columns[0] * seed[0]
@@ -347,24 +209,6 @@ def _live_levels(config: HieConfig):
 def _needed_spaces(config: HieConfig):
     """The spaces, of "dist" and "sem", that are active at one level or more."""
     return [space for space, levels in zip(("dist", "sem"), _live_levels(config)) if levels]
-
-
-def _norm_rows(residual, norm_p):
-    if norm_p == 1:
-        return np.sum(np.abs(residual), axis=-1)
-    return np.sqrt(np.sum(residual * residual, axis=-1))
-
-
-def _norm_backward(u, d, norm_p, upstream, out=None):
-    """Gradient of upstream * ||u||_p w.r.t. u, row-wise, given d = ||u||_p; written into out when given.
-
-    Subgradient 0 at L1 kinks and at the L2 origin.
-    """
-    if norm_p == 1:
-        out = np.sign(u, out=out)
-        return np.multiply(out, upstream[:, None], out=out)
-    safe = np.where(d > 0.0, d, 1.0)
-    return np.multiply((upstream / safe)[:, None], np.where(d[:, None] > 0.0, u, 0.0), out=out)
 
 
 def _chain(params, base, role, space, levels, out=None):
@@ -437,16 +281,16 @@ def score_triples(params: HieParams, config: HieConfig, triples, positives=None)
 
     With positives, the cache of a call over B positive triples, triples
     are (B, n, 3) training negatives and reuse the prepared block that
-    cache holds under "positives". `corrupted_entities` checks each
-    negative and names its corrupted side; the baselines share it.
+    cache holds under "positives". `kernels.corrupted_entities` checks
+    each negative and names its corrupted side; the baselines share it.
 
     Returns the totals in row order and a cache for `backward`. The
     semantic space keeps no per-role chains: its residual is one chain of
     its own, v_1 = p_h*h + p_r*r - p_t*t and v_j = v_{j-1} @
     extract_sem[j-1] + (h + r - t), cached as "u_sem". Each chain,
     residual and distance is one array over all rows; the rows are
-    gathered and scored tile by tile (`tile_rows`) into slices of those
-    arrays.
+    gathered and scored tile by tile (`kernels.tile_rows`) into slices of
+    those arrays.
     """
     if positives is not None:
         return _score_anchored(params, config, triples, positives["positives"])
@@ -491,27 +335,6 @@ def _prepare(params, config, triples):
     return positives
 
 
-def corrupted_entities(negatives, positive_ids):
-    """(head, ids) of (B, n, 3) training negatives of B positives, each a (B, n) array.
-
-    positive_ids are the positives' (head, relation, tail) id arrays. Each
-    negative must keep its positive's relation and one of its entities,
-    and ValueError says so when one does not. head marks the negatives
-    whose head differs from their positive's, the head-corrupted ones; any
-    other is tail-corrupted, a negative equal to its positive too. ids
-    holds each negative's corrupted entity: its head or its tail.
-    """
-    h_ids, r_ids, t_ids = positive_ids
-    B = len(h_ids)
-    negatives = np.asarray(negatives, dtype=np.int64)
-    if negatives.ndim != 3 or negatives.shape[0] != B or negatives.shape[2] != 3:
-        raise ValueError(f"negatives must be (B, n, 3) for B = {B} positives, got shape {negatives.shape}")
-    head = negatives[:, :, 0] != h_ids[:, None]
-    if np.any(negatives[:, :, 1] != r_ids[:, None]) or np.any(head & (negatives[:, :, 2] != t_ids[:, None])):
-        raise ValueError("each negative must keep its positive's relation and one of its entities")
-    return head, np.where(head, negatives[:, :, 0], negatives[:, :, 2])
-
-
 def _score_anchored(params, config, triples, positives):
     """score_triples of (B, n, 3) triples against positives, the prepared block of their B positives.
 
@@ -527,7 +350,7 @@ def _score_anchored(params, config, triples, positives):
     head term whole.
     """
     h_ids, r_ids, t_ids = positives["ids"]
-    head, ent_ids = corrupted_entities(triples, positives["ids"])
+    head, ent_ids = kernels.corrupted_entities(triples, positives["ids"])
     n = head.shape[1]
     head = head.ravel()
     order = np.concatenate([np.flatnonzero(head), np.flatnonzero(~head)])
@@ -547,7 +370,7 @@ def _score_anchored(params, config, triples, positives):
         rows[tile] = params.ent[ent_ids[tile]]
         _score_tile(params, config, cache, totals, side, tile)
 
-    map_tiles(score_tile, _side_tiles(cache, config.half))
+    kernels.map_tiles(score_tile, _side_tiles(cache, config.half))
     out = np.empty(N)
     out[order] = totals
     return out, cache
@@ -556,7 +379,7 @@ def _score_anchored(params, config, triples, positives):
 def _side_tiles(cache, half):
     """(side, tile) of every tile of a cache's rows: each side's rows in tiles of `tile_rows(half)`."""
     return [(side, tile) for side, block in cache["sides"]
-            for tile in row_tiles(block.stop, tile_rows(half), start=block.start)]
+            for tile in kernels.row_tiles(block.stop, kernels.tile_rows(half), start=block.start)]
 
 
 def _score_tile(params, config, cache, totals, side, tile):
@@ -574,7 +397,7 @@ def _score_tile(params, config, cache, totals, side, tile):
                     cache["rank1_inner"][i][tile] = inner
             else:
                 u = np.subtract(positives["head_term"][i][p], c[i], out=level[tile])
-            cache["d_dist"][tile, i] = _norm_rows(u, config.norm_p)
+            cache["d_dist"][tile, i] = kernels.norm_rows(u, config.norm_p)
     if cache["u_sem"]:
         v = [level[tile] for level in cache["u_sem"]]
         e = cache["bases_sem"][tile]
@@ -587,7 +410,7 @@ def _score_tile(params, config, cache, totals, side, tile):
             np.subtract(head_rel[p], params.proj_tail_sem * e, out=v[0])
             base = hr[p] - e
         for i, level in enumerate(_lift(v, base, params.extract_sem)):
-            cache["d_sem"][tile, i] = _norm_rows(level, 2)
+            cache["d_sem"][tile, i] = kernels.norm_rows(level, 2)
     _add_totals(config, cache, totals, tile)
 
 
@@ -608,8 +431,8 @@ def backward(params: HieParams, config: HieConfig, cache, upstream):
     each tile: the distance chains' direct gradients per level, and the
     semantic chain's (G, G_deep). Then each kept role walks back the
     positive's chain once, over B rows. Rows run in the tiles of
-    score_triples, on the workers of `map_tiles`; each tile returns its
-    dense gradients and run sums, and they are added in tile order.
+    score_triples, on the workers of `kernels.map_tiles`; each tile
+    returns its dense gradients and run sums, added in tile order.
     """
     upstream = np.asarray(upstream, dtype=np.float64)
     positives, order = cache["positives"], cache["order"]
@@ -627,8 +450,8 @@ def backward(params: HieParams, config: HieConfig, cache, upstream):
     kept_dist = [[np.zeros((B, half)) for _ in range(n_dist)] for _ in ROLES]
     kept_sem = [[np.zeros((B, half)), np.zeros((B, half))] for _ in ROLES]
     dense = _zero_dense(params)
-    parts = map_tiles(lambda item: _backward_tile(params, config, cache, upstream, ent_rows, *item),
-                      _side_tiles(cache, half))
+    parts = kernels.map_tiles(lambda item: _backward_tile(params, config, cache, upstream, ent_rows, *item),
+                              _side_tiles(cache, half))
     # the tiles' parts added in tile order: one add per tile to each dense slot and kept sum
     for tile_dense, tile_sums in parts:
         for name, g in tile_dense.items():
@@ -693,11 +516,11 @@ def _base_gradient(params, space, role, G, G_deep, base, dense, sign=1.0):
 
 def _residual_gradients(config, cache, upstream, tile):
     """The gradients at each level's distance and semantic residuals over one tile."""
-    gu = [_norm_backward(u[tile], cache["d_dist"][tile, i], config.norm_p,
-                         upstream * (config.lambdas[i] * cache["weights"][i][0]))
+    gu = [kernels.norm_backward(u[tile], cache["d_dist"][tile, i], config.norm_p,
+                                upstream * (config.lambdas[i] * cache["weights"][i][0]))
           for i, u in enumerate(cache["u_dist"])]
-    gv = [_norm_backward(v[tile], cache["d_sem"][tile, i], 2,
-                         upstream * (config.lambdas[i] * cache["weights"][i][1]))
+    gv = [kernels.norm_backward(v[tile], cache["d_sem"][tile, i], 2,
+                                upstream * (config.lambdas[i] * cache["weights"][i][1]))
           for i, v in enumerate(cache["u_sem"])]
     return gu, gv
 
@@ -777,31 +600,19 @@ def _backward_tile(params, config, cache, upstream, ent_rows, side, tile):
     return dense, kept
 
 
-@dataclass(frozen=True)
-class CandidateTable:
-    """The candidate side of score_batch for one corrupted side, shared by its calls.
+def candidate_table(params: HieParams, config: HieConfig, candidates, corrupt_side):
+    """The `kernels.CandidateTable` of score_batch over `candidates` on corrupt_side.
 
-    rows maps "dist" and "sem" to one entry per level: the candidates'
+    Its rows map "dist" and "sem" to one entry per level: the candidates'
     chain at that level stored transposed, (half, C), or None where the
     level does not use the space. On the head side of the rank-1 transform
     a distance entry is the inner product cand . seed broadcast to
-    (half, C), since that is all the residual reads of a candidate.
-    """
-
-    side: str
-    size: int
-    rows: dict
-
-
-def candidate_table(params: HieParams, config: HieConfig, candidates, corrupt_side):
-    """Candidate chains of score_batch over `candidates` on corrupt_side.
-
-    The chains are built by `_chain` over the candidate rows zero-padded to
+    (half, C), since that is all the residual reads of a candidate. The
+    chains are built by `_chain` over the candidate rows zero-padded to
     whole ROW_ALIGN blocks, so a copy of an entity row gets exactly the
     chains of the row it copies.
     """
-    if corrupt_side not in ("head", "tail"):
-        raise ValueError(f"corrupt_side must be 'head' or 'tail', got {corrupt_side!r}")
+    kernels.check_side(corrupt_side)
     candidates = np.asarray(candidates, dtype=np.int64).ravel()
     C = len(candidates)
     on = [active_spaces(config, level) for level in range(1, config.levels + 1)]
@@ -811,67 +622,20 @@ def candidate_table(params: HieParams, config: HieConfig, candidates, corrupt_si
         rows[space] = [None] * config.levels
         if space not in _needed_spaces(config):
             continue
-        chain = _chain(params, _padded(params.ent[candidates, cols]), corrupt_side, space, config.levels)
+        rows_padded = kernels.padded(params.ent[candidates, cols])
+        chain = _chain(params, rows_padded, corrupt_side, space, config.levels)
         for i, level in enumerate(chain):
             if not on[i][k]:
                 continue
-            rows[space][i] = _transposed(level[:C])
+            rows[space][i] = kernels.transposed(level[:C])
             if space == "dist" and rank1_head:
                 inner = _coordinate_dot(rows[space][i], params.transform_seed[i])
                 rows[space][i] = np.broadcast_to(inner, (config.half, C))
-    return CandidateTable(corrupt_side, C, rows)
-
-
-def _columns(block):
-    """A (B, n) block of per-triple operands as the (n, B, 1) columns of a `_slab_sums` term."""
-    return np.ascontiguousarray(block.T)[:, :, None]
-
-
-def _slab_sums(terms, B, C):
-    """(B, C) totals: the weighted sum of each term's norm over the C candidates.
-
-    A term is (weight, norm p, combine, first, last, cand): its residual at
-    coordinate k is combine(first[k], cand[k]) - last[k] (no subtraction
-    when last is None), with first and last in `_columns` form and cand the
-    (coordinates, C) candidate rows stored transposed. The (B, C) totals
-    are split into blocks of at most SLAB_ROWS triples by `slab_size`
-    candidates, which the workers of `map_tiles` fill, so a block's
-    SLAB_BLOCKS arrays fit SLAB_BYTES however many triples a call has.
-    Each term is summed one coordinate at a time into the block with
-    elementwise operations only, so a candidate's total depends only on its
-    own values and its triple's: a copy of an entity ties the row it
-    copies, and every block shape gives the same bits.
-    """
-    slab = slab_size(min(B, SLAB_ROWS))
-    totals = np.zeros((B, C))
-
-    def fill(item):
-        rows, cols = item
-        block = totals[rows, cols]
-        acc, step = np.empty(block.shape), np.empty(block.shape)
-        for weight, norm_p, combine, first, last, cand in terms:
-            for k in range(len(cand)):
-                out = step if k else acc
-                combine(first[k, rows], cand[k, cols], out=out)
-                if last is not None:
-                    np.subtract(out, last[k, rows], out=out)
-                if norm_p == 1:
-                    np.abs(out, out=out)
-                else:
-                    np.multiply(out, out, out=out)
-                if k:
-                    acc += step
-            if norm_p == 2:
-                np.sqrt(acc, out=acc)
-            acc *= weight
-            block += acc
-
-    map_tiles(fill, [(rows, cols) for cols in row_tiles(C, slab) for rows in row_tiles(B, SLAB_ROWS)])
-    return totals
+    return kernels.CandidateTable(corrupt_side, C, rows)
 
 
 def _batch_terms(params, config, triples, table):
-    """The `_slab_sums` terms of every live level and space of score_batch.
+    """The `kernels.slab_sums` terms of every live level and space of score_batch.
 
     Per coordinate, a term's residual is the arithmetic of `_head_term`
     minus the tail and of the semantic residual (h + r) - t, except
@@ -885,8 +649,8 @@ def _batch_terms(params, config, triples, table):
     fixed_ids, fixed_role = (triples[:, 2], "tail") if head else (triples[:, 0], "head")
 
     chains = {
-        space: (_chain(params, _padded(params.ent[fixed_ids, cols]), fixed_role, space, levels),
-                _chain(params, _padded(params.rel[triples[:, 1], cols]), "rel", space, levels))
+        space: (_chain(params, kernels.padded(params.ent[fixed_ids, cols]), fixed_role, space, levels),
+                _chain(params, kernels.padded(params.rel[triples[:, 1], cols]), "rel", space, levels))
         for space, cols in _space_columns(config).items() if space in _needed_spaces(config)
     }
     terms = []
@@ -899,16 +663,16 @@ def _batch_terms(params, config, triples, table):
             seed = params.transform_seed[i]
             if space == "sem":
                 # (h + r) - t, with the candidate as h or as t
-                term = (np.add, _columns(rel), _columns(fixed)) if head else (
-                    np.subtract, _columns(fixed + rel), None)
+                term = (np.add, kernels.columns(rel), kernels.columns(fixed)) if head else (
+                    np.subtract, kernels.columns(fixed + rel), None)
             elif head:
                 # candidate heads: h * (seed * r) - t, or (h . seed) * r - t
                 first = seed * rel if config.transform == TRANSFORM_DIAGONAL else rel
-                term = (np.multiply, _columns(first), _columns(fixed))
+                term = (np.multiply, kernels.columns(first), kernels.columns(fixed))
             elif config.transform == TRANSFORM_DIAGONAL:
-                term = (np.subtract, _columns(fixed * (seed * rel)), None)
+                term = (np.subtract, kernels.columns(fixed * (seed * rel)), None)
             else:
-                term = (np.subtract, _columns(_coordinate_dot(fixed.T, seed)[:, None] * rel), None)
+                term = (np.subtract, kernels.columns(_coordinate_dot(fixed.T, seed)[:, None] * rel), None)
             norm_p = 2 if space == "sem" else config.norm_p
             terms.append((config.lambdas[i] * weight, norm_p, *term, cand))
     return terms
@@ -920,13 +684,11 @@ def score_batch(params: HieParams, config: HieConfig, triples, candidates, corru
     corrupt_side is "head" or "tail". table is the `candidate_table` of
     these candidates and side; it is built here when not given, and
     `evaluate` builds it once for all its calls. The terms are summed by
-    `_slab_sums`, with no BLAS call, so a candidate's score depends only on
-    its own chains: a copy of an entity ties the row it copies.
+    `kernels.slab_sums`, with no BLAS call, so a candidate's score depends
+    only on its own chains: a copy of an entity ties the row it copies.
     """
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     if table is None:
         table = candidate_table(params, config, candidates, corrupt_side)
-    elif table.side != corrupt_side or table.size != np.size(candidates):
-        raise ValueError(f"table holds {table.size} {table.side} candidates, "
-                         f"not {np.size(candidates)} {corrupt_side} ones")
-    return _slab_sums(_batch_terms(params, config, triples, table), len(triples), table.size)
+    kernels.check_table(table, candidates, corrupt_side)
+    return kernels.slab_sums(_batch_terms(params, config, triples, table), len(triples), table.size)

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import baselines, hie_model, kg_data
-from .hie_model import HieParams, map_tiles, row_tiles, sigmoid
+from . import baselines, hie_model, kernels, kg_data
+from .hie_model import HieParams
 
 SIGN_PLAUSIBILITY = "plausibility"
 SIGN_LITERAL = "literal"
@@ -102,8 +102,8 @@ def coalesce(ids, values) -> SparseGrad:
     and adds its rows in that order, so its bits are those of a running
     sum over the input (a bincount's), and rows of -0.0 alone sum to
     +0.0. The unique rows run in tiles of COALESCE_TILE_BLOCKS times
-    `hie_model.tile_rows(width)` rows on the workers of `map_tiles`; each
-    tile writes only its own rows, so any tiling gives the same bits.
+    `kernels.tile_rows(width)` rows on the workers of `kernels.map_tiles`;
+    each tile writes only its own rows, so any tiling gives the same bits.
     """
     ids = np.asarray(ids, dtype=np.int64)
     N, width = len(ids), values.shape[1]
@@ -114,8 +114,8 @@ def coalesce(ids, values) -> SparseGrad:
     first = np.flatnonzero(np.diff(sorted_ids, prepend=-1))
     counts = np.diff(np.r_[first, N])
     sums = np.empty((len(first), width))
-    map_tiles(lambda tile: _sum_groups(values, order, first[tile], counts[tile], sums[tile]),
-              row_tiles(len(first), COALESCE_TILE_BLOCKS * hie_model.tile_rows(width)))
+    kernels.map_tiles(lambda tile: _sum_groups(values, order, first[tile], counts[tile], sums[tile]),
+                      kernels.row_tiles(len(first), COALESCE_TILE_BLOCKS * kernels.tile_rows(width)))
     return SparseGrad(ids=sorted_ids[first], values=sums)
 
 
@@ -254,7 +254,7 @@ def _coalesce_blocks(id_blocks, row_blocks) -> SparseGrad:
     together, which raised the max RSS of 10 WN18RR-shaped hie steps
     (B=512, 64 negatives, dim 64) from 524 to 556 MB. The concatenation
     runs on the calling thread, and coalesce shares its unique-row tiles
-    out on `map_tiles`.
+    out on `kernels.map_tiles`.
     """
     values = np.concatenate(row_blocks)
     row_blocks.clear()
@@ -308,8 +308,8 @@ def gradients(params, model_config, train_config: TrainConfig, batch, negatives,
             neg_scores, train_config.alpha_temp, train_config.gamma, train_config.adversarial_sign
         )
     loss_value = loss(pos_scores, neg_scores, weights, train_config.gamma)
-    up_pos = sigmoid(pos_scores - train_config.gamma) / B
-    up_neg = -(weights * sigmoid(train_config.gamma - neg_scores)) / B
+    up_pos = kernels.sigmoid(pos_scores - train_config.gamma) / B
+    up_neg = -(weights * kernels.sigmoid(train_config.gamma - neg_scores)) / B
     return loss_value, backprop(params, model_config, zip(caches, (up_pos, up_neg.reshape(-1))))
 
 
@@ -415,9 +415,10 @@ def adam_step(params, grads: GradSet, state: AdamState, config: TrainConfig):
     Untouched embedding rows keep stale moments (no decay), which is the
     standard sparse-Adam compromise; dense tensors always update. Bias
     correction uses the global step count. The embedding rows update in
-    tiles of about `hie_model.TILE_BYTES` per (rows, dim) block, so each
-    tile's moments and temporaries stay in cache. The tiles run on the
-    workers of `hie_model.map_tiles`; a gradient's ids are unique, so no
+    training tiles of `kernels.tile_rows(dim)` rows, so each tile's
+    moments and temporaries stay in cache, and each dense tensor, by the
+    same update, as the one row of a view of its own. The tiles run on
+    the workers of `kernels.map_tiles`; a gradient's ids are unique, so no
     two tiles touch one row, and every row gets the bits of one pass over
     all rows.
     """
@@ -427,18 +428,24 @@ def adam_step(params, grads: GradSet, state: AdamState, config: TrainConfig):
     bc1 = 1.0 - b1 ** state.step
     bc2 = 1.0 - b2 ** state.step
 
+    def arrays(name):
+        return getattr(params, name), state.moment1[name], state.moment2[name]
+
     tiles = []
     for name, sparse in (("ent", grads.ent), ("rel", grads.rel)):
         width = getattr(params, name).shape[1:]
         if sparse.values.shape[1:] != width:
             raise ValueError(f"gradient width mismatch for {name}")
-        rows = max(1, hie_model.TILE_BYTES // (8 * width[0]))
-        tiles += [(name, sparse, tile) for tile in row_tiles(len(sparse.ids), rows)]
+        tiles += [(arrays(name), sparse.ids[tile], sparse.values[tile])
+                  for tile in kernels.row_tiles(len(sparse.ids), kernels.tile_rows(width[0]))]
+    for name, g in grads.dense.items():
+        if g.shape != getattr(params, name).shape:
+            raise ValueError(f"gradient shape mismatch for {name}")
+        # row 0 of views with a length-1 axis in front, which write through to the tensors
+        tiles.append(([x[None] for x in arrays(name)], [0], g[None]))
 
     def update(item):
-        name, sparse, tile = item
-        tensor, m, v = getattr(params, name), state.moment1[name], state.moment2[name]
-        rows, g = sparse.ids[tile], sparse.values[tile]
+        (tensor, m, v), rows, g = item
         # the textbook update's operations, in its order, on the tile's own copies of the rows
         m_rows, v_rows, step = m[rows], v[rows], np.empty_like(g)
         m_rows *= b1
@@ -453,19 +460,7 @@ def adam_step(params, grads: GradSet, state: AdamState, config: TrainConfig):
         step *= lr
         tensor[rows] -= step
 
-    map_tiles(update, tiles)
-
-    for name, g in grads.dense.items():
-        tensor = getattr(params, name)
-        if g.shape != tensor.shape:
-            raise ValueError(f"gradient shape mismatch for {name}")
-        m = state.moment1[name]
-        v = state.moment2[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g**2
-        tensor -= lr * ((m / bc1) / (np.sqrt(v / bc2) + eps))
+    kernels.map_tiles(update, tiles)
     return params, state
 
 

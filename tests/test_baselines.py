@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hiekge import hie_model
+from hiekge import kernels
 from hiekge.baselines import (
     BaselineConfig,
     BaselineParams,
@@ -44,6 +44,11 @@ class TestConfig:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             BaselineConfig(kind="complEx", dim=4)
+
+    @pytest.mark.parametrize("dim", [8.0, True, float("nan"), 0])
+    def test_dim_must_be_a_positive_int(self, dim):
+        with pytest.raises(ValueError, match="dim must be an int"):
+            BaselineConfig(kind="transe", dim=dim)
 
 
 class TestInit:
@@ -182,7 +187,7 @@ class TestVectorizedPaths:
     @pytest.mark.parametrize("dim", [6, 64])
     def test_score_batch_matches_score_triples(self, kind, side, dim, monkeypatch):
         # slabs of 4 over 6 candidates: one whole slab and one ragged one
-        monkeypatch.setattr(hie_model, "slab_size", lambda B: 4)
+        monkeypatch.setattr(kernels, "slab_size", lambda B: 4)
         rng = np.random.default_rng(8)
         params, config = make(kind, rng, dim=dim, norm_p=2)
         triples = np.stack(
@@ -213,11 +218,12 @@ class TestVectorizedPaths:
         triples = np.stack([rng.integers(0, 6, 4), rng.integers(0, 3, 4), rng.integers(0, 6, 4)], axis=1)
         candidates = np.array([5, 0, 3, 3, 1])
         table = candidate_table(params, config, candidates, side)
+        assert (table.side, table.size) == (side, 5)
         # the candidate rows, transposed; rotation rows as [real parts | imaginary parts]
         rows = params.ent[candidates]
         if kind == "rotate":
             rows = np.concatenate([rows[:, 0::2], rows[:, 1::2]], axis=1)
-        assert np.array_equal(table, rows.T)
+        assert np.array_equal(table.rows, rows.T)
         got = score_batch(params, config, triples, candidates, side, table=table)
         assert np.array_equal(got, score_batch(params, config, triples, candidates, side))
 
@@ -228,6 +234,20 @@ class TestVectorizedPaths:
         for candidates in (np.arange(5), np.array([5, 4])):
             with pytest.raises(ValueError, match="table"):
                 score_batch(params, config, [(0, 0, 1)], candidates, "tail", table=table)
+        # a table built for one side is refused for the other
+        for side in ("head", "tail"):
+            other = "tail" if side == "head" else "head"
+            table = candidate_table(params, config, np.arange(6), side)
+            with pytest.raises(ValueError, match="table"):
+                score_batch(params, config, [(0, 0, 1)], np.arange(6), other, table=table)
+
+    @pytest.mark.parametrize("kind", ["transe", "distmult", "rotate"])
+    def test_bad_side_rejected(self, kind):
+        params, config = make(kind, np.random.default_rng(9), dim=6)
+        with pytest.raises(ValueError, match="corrupt_side"):
+            candidate_table(params, config, np.arange(6), "both")
+        with pytest.raises(ValueError, match="corrupt_side"):
+            score_batch(params, config, [(0, 0, 1)], np.arange(6), "both")
 
 
 def one_side_negatives(rng, batch, n, num_entities, side):

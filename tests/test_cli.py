@@ -7,6 +7,7 @@ one subprocess test checks the installed console script.
 import argparse
 import dataclasses
 import json
+import math
 import subprocess
 from pathlib import Path
 
@@ -509,6 +510,9 @@ class TestEvalBadCheckpoint:
             "config_not_an_object",
             "config_dim_disagrees",
             "config_levels_disagree",
+            "float_dim",
+            "float_levels",
+            "nan_lambdas",
         ],
     )
     def test_bad_sidecar_is_data_error(self, capsys, data_dir, trained, tmp_path, case):
@@ -530,6 +534,14 @@ class TestEvalBadCheckpoint:
         elif case == "config_dim_disagrees":
             # rebuilds as a valid config, but the tensors are dim 8
             edit_sidecar(sidecar, lambda doc: doc["model_config"].update(dim=4))
+        elif case == "float_dim":
+            # once a TypeError traceback from the tensor shapes
+            edit_sidecar(sidecar, lambda doc: doc["model_config"].update(dim=8.0))
+        elif case == "float_levels":
+            edit_sidecar(sidecar, lambda doc: doc["model_config"].update(levels=2.0))
+        elif case == "nan_lambdas":
+            # once passed the config's checks and exited numeric on NaN scores
+            edit_sidecar(sidecar, lambda doc: doc["model_config"].update(lambdas=[math.nan, math.nan]))
         else:
             edit_sidecar(
                 sidecar,
@@ -538,7 +550,19 @@ class TestEvalBadCheckpoint:
             capsys, "eval", "--data-dir", data_dir, "--checkpoint", str(ckpt))
         assert code == 2
         assert out == ""
-        assert err.startswith("data error:")
+        assert err.startswith("data error:") and "Traceback" not in err
+
+    def test_baseline_float_dim_is_data_error(self, capsys, data_dir, tmp_path):
+        out = tmp_path / "run"
+        assert cli.main(["train", "--data-dir", data_dir, "--out", str(out),
+                         "--model", "transe", *TINY]) == 0
+        capsys.readouterr()
+        edit_sidecar(out / "model.json", lambda doc: doc["model_config"].update(dim=8.0))
+        code, stdout, err = run_cli(
+            capsys, "eval", "--data-dir", data_dir, "--checkpoint", str(out / "model.ckpt"))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("data error:") and "dim must be an int" in err
 
     def test_baseline_config_kind_differs_from_model_kind(self, capsys, data_dir, tmp_path):
         out = tmp_path / "run"

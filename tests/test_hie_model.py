@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hiekge import hie_model, trainer
+from hiekge import hie_model, kernels, trainer
 from hiekge.hie_model import (
     HieConfig,
     active_spaces,
@@ -11,8 +11,8 @@ from hiekge.hie_model import (
     level_weights,
     score_batch,
     score_triples,
-    sigmoid,
 )
+from hiekge.kernels import sigmoid
 
 from helpers import (
     ABLATION_COMBOS,
@@ -31,6 +31,23 @@ class TestConfigValidation:
     def test_odd_dim_rejected(self):
         with pytest.raises(ValueError, match="even"):
             HieConfig(dim=7, levels=1, lambdas=(1.0,))
+
+    @pytest.mark.parametrize("dim", [8.0, True, float("nan")])
+    def test_dim_must_be_an_int(self, dim):
+        with pytest.raises(ValueError, match="dim must be even and an int"):
+            HieConfig(dim=dim, levels=1, lambdas=(1.0,))
+
+    @pytest.mark.parametrize("levels,lambdas", [(2.0, (0.5, 0.5)), (True, (1.0,)), (float("nan"), (1.0,))])
+    def test_levels_must_be_an_int(self, levels, lambdas):
+        with pytest.raises(ValueError, match="levels must be an int"):
+            HieConfig(dim=4, levels=levels, lambdas=lambdas)
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_non_finite_level_weight_rejected(self, weight):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            HieConfig(dim=4, levels=1, lambdas=(weight,))
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            HieConfig(dim=4, levels=2, lambdas=(weight, weight))
 
     def test_lambda_count_must_match_levels(self):
         with pytest.raises(ValueError, match="level weight"):
@@ -391,7 +408,7 @@ class TestScoreTriples:
 class TestScoreBatch:
     def test_matches_score_triples_both_sides(self, monkeypatch):
         rng = np.random.default_rng(31)
-        monkeypatch.setattr(hie_model, "slab_size", lambda B: 3)
+        monkeypatch.setattr(kernels, "slab_size", lambda B: 3)
         for config in config_grid(levels_list=(1, 2, 3), dims=(8, 50), ablations=ABLATION_COMBOS):
             p = random_hie_params(rng, 7, 3, config)
             triples = np.stack(
@@ -449,11 +466,11 @@ class TestScoreBatch:
     def test_wide_batches_rank_in_evaluation_sized_blocks(self, monkeypatch):
         # evaluate scores TRIPLE_CHUNK = SLAB_ROWS = 16 triples per call; wider batches
         # once got narrower slabs, or (B, 3,072) blocks, which cost more per triple
-        assert hie_model.slab_size(16) == 5120
-        assert hie_model.SLAB_BLOCKS * 8 * 16 * 5120 <= hie_model.SLAB_BYTES
+        assert kernels.slab_size(16) == 5120
+        assert kernels.SLAB_BLOCKS * 8 * 16 * 5120 <= kernels.SLAB_BYTES
         blocks = []
-        map_tiles = hie_model.map_tiles
-        monkeypatch.setattr(hie_model, "map_tiles",
+        map_tiles = kernels.map_tiles
+        monkeypatch.setattr(kernels, "map_tiles",
                             lambda fn, items: blocks.extend(items) or map_tiles(fn, items))
         config = HieConfig(dim=4)
         rng = np.random.default_rng(2)
@@ -527,15 +544,15 @@ class TestRowTiles:
         # three whole tiles of ROW_ALIGN rows and a ragged fourth
         rng = np.random.default_rng(17)
         p = random_hie_params(rng, 50, 4, config)
-        n = 3 * hie_model.ROW_ALIGN + 77
+        n = 3 * kernels.ROW_ALIGN + 77
         triples = np.stack([rng.integers(0, 50, n), rng.integers(0, 4, n), rng.integers(0, 50, n)], axis=1)
         upstream = rng.normal(size=n)
         runs = []
-        for budget in (2**40, hie_model.ROW_ALIGN * 8 * config.half):
-            monkeypatch.setattr(hie_model, "TILE_BYTES", budget)
+        for budget in (2**40, kernels.ROW_ALIGN * 8 * config.half):
+            monkeypatch.setattr(kernels, "TILE_BYTES", budget)
             totals, cache = score_triples(p, config, triples)
             runs.append((totals, cache, hie_model.backward(p, config, cache, upstream)))
-        assert hie_model.tile_rows(config.half) == hie_model.ROW_ALIGN
+        assert kernels.tile_rows(config.half) == kernels.ROW_ALIGN
         (one_totals, one_cache, one_grads), (totals, cache, grads) = runs
         assert np.array_equal(totals, one_totals)
         for key in ("d_dist", "d_sem"):
@@ -600,8 +617,8 @@ class TestAnchoredNegatives:
     def test_matches_flat_scores_and_gradients(self, monkeypatch, config, tile, blend_logit):
         if tile is not None:
             # 4-row tiles over 35 rows: the runs of one positive's rows span tiles
-            monkeypatch.setattr(hie_model, "ROW_ALIGN", 1)
-            monkeypatch.setattr(hie_model, "TILE_BYTES", tile * 8 * config.half)
+            monkeypatch.setattr(kernels, "ROW_ALIGN", 1)
+            monkeypatch.setattr(kernels, "TILE_BYTES", tile * 8 * config.half)
         rng = np.random.default_rng(config.levels * 10 + config.norm_p)
         p, batch, negs = anchored_case(rng, config)
         if blend_logit is not None:

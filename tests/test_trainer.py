@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hiekge import hie_model, trainer
+from hiekge import kernels, trainer
 from hiekge.baselines import BaselineConfig
 from hiekge.baselines import init_params as init_baseline
-from hiekge.hie_model import HieConfig, init_params, score_triples, sigmoid
+from hiekge.hie_model import HieConfig, init_params, score_triples
+from hiekge.kernels import sigmoid
 from hiekge.trainer import (
     AdamState,
     GradSet,
@@ -465,15 +466,15 @@ class TestGradients:
 
     def test_finite_difference_agreement_across_row_tiles(self, monkeypatch):
         # 5-row tiles: the 8 positives take two, the last ragged; each side's negatives take several
-        monkeypatch.setattr(hie_model, "ROW_ALIGN", 1)
+        monkeypatch.setattr(kernels, "ROW_ALIGN", 1)
         rng = np.random.default_rng(29)
         tc = TrainConfig(gamma=3.0, alpha_temp=0.0, num_negatives=4, batch_size=8, steps=5, seed=0)
         for transform in ("diagonal", "rank1"):
             for norm_p in (1, 2):
                 config = HieConfig(dim=8, levels=2, lambdas=(0.5, 0.5), norm_p=norm_p,
                                    transform=transform)
-                monkeypatch.setattr(hie_model, "TILE_BYTES", 5 * 8 * config.half)
-                assert hie_model.tile_rows(config.half) == 5
+                monkeypatch.setattr(kernels, "TILE_BYTES", 5 * 8 * config.half)
+                assert kernels.tile_rows(config.half) == 5
                 params = fd_friendly_hie_params(rng, 12, 4, config)
                 batch = toy_batch(rng, 12, 4, 8)
                 err = grad_check(params, config, tc, batch, fd_step=1e-6, rng=rng, floor=None)
@@ -608,7 +609,9 @@ class TestAdam:
     def test_matches_textbook_update_bit_for_bit(self, monkeypatch, tile_rows):
         # 23 entity rows and 5 relation rows a step: in 4-row tiles, 6 and 2, the last ragged
         if tile_rows is not None:
-            monkeypatch.setattr(hie_model, "TILE_BYTES", tile_rows * 8 * 6)
+            monkeypatch.setattr(kernels, "ROW_ALIGN", 1)
+            monkeypatch.setattr(kernels, "TILE_BYTES", tile_rows * 8 * 6)
+            assert kernels.tile_rows(6) == tile_rows
         rng = np.random.default_rng(8)
         config = HieConfig(dim=6)
         params = random_hie_params(rng, 40, 7, config)
@@ -623,14 +626,16 @@ class TestAdam:
             grads = GradSet(
                 ent=SparseGrad(ent_rows, rng.normal(size=(23, 6))),
                 rel=SparseGrad(rel_rows, rng.normal(size=(5, 6))),
-                dense={"transform_seed": rng.normal(size=params.transform_seed.shape)},
+                # a 2-D, a 0-d and a 3-D dense tensor
+                dense={name: rng.normal(size=getattr(params, name).shape)
+                       for name in ("transform_seed", "blend_logit", "extract_dist")},
             )
             adam_step(params, grads, state, tc)
             b1, b2 = tc.adam_beta1, tc.adam_beta2
             bc1, bc2 = 1.0 - b1**step, 1.0 - b2**step
             for name, rows, g in (("ent", ent_rows, grads.ent.values),
                                   ("rel", rel_rows, grads.rel.values),
-                                  ("transform_seed", slice(None), grads.dense["transform_seed"])):
+                                  *((name, ..., g) for name, g in grads.dense.items())):
                 m[name][rows] = b1 * m[name][rows] + (1.0 - b1) * g
                 v[name][rows] = b2 * v[name][rows] + (1.0 - b2) * (g * g)
                 want[name][rows] -= tc.learning_rate * (

@@ -1,6 +1,6 @@
 """The tile workers: any worker count gives the bits of one, and failures still surface.
 
-`hie_model.map_tiles` shares out among `hie_model.WORKERS` threads the
+`kernels.map_tiles` shares out among `kernels.WORKERS` threads the
 row tiles of every model's forward and backward (hie's and the
 baselines'), the unique-row tiles of `trainer.coalesce`, the sparse Adam
 tiles and the ranking blocks. These tests run the same work at 1 and at
@@ -20,9 +20,10 @@ import numpy as np
 import pytest
 
 import hiekge
-from hiekge import baselines, cli, evaluator, hie_model, trainer
+from hiekge import baselines, cli, evaluator, hie_model, kernels, trainer
 from hiekge.baselines import BaselineConfig
-from hiekge.hie_model import HieConfig, map_tiles
+from hiekge.hie_model import HieConfig
+from hiekge.kernels import map_tiles
 from hiekge.trainer import NumericError, TrainConfig
 
 from helpers import ABLATION_COMBOS, anchored_batch, lambdas_for, random_hie_params
@@ -65,8 +66,8 @@ class CountingPool:
 
 @pytest.fixture
 def pool(monkeypatch):
-    counting = CountingPool(hie_model._POOL)
-    monkeypatch.setattr(hie_model, "_POOL", counting)
+    counting = CountingPool(kernels._POOL)
+    monkeypatch.setattr(kernels, "_POOL", counting)
     return counting
 
 
@@ -78,16 +79,16 @@ def tiles(request, monkeypatch):
     6 training rows of half 4.
     """
     if request.param is not None:
-        monkeypatch.setattr(hie_model, "ROW_ALIGN", 1)
-        monkeypatch.setattr(hie_model, "TILE_BYTES", request.param * 8 * 8)  # dim 8
-        monkeypatch.setattr(hie_model, "SLAB_ROWS", 3)
-        monkeypatch.setattr(hie_model, "slab_size", lambda B: 7)
+        monkeypatch.setattr(kernels, "ROW_ALIGN", 1)
+        monkeypatch.setattr(kernels, "TILE_BYTES", request.param * 8 * 8)  # dim 8
+        monkeypatch.setattr(kernels, "SLAB_ROWS", 3)
+        monkeypatch.setattr(kernels, "slab_size", lambda B: 7)
     return request.param
 
 
 def train_and_rank(kind, config, workers, monkeypatch):
     """Per-step losses, parameters, Adam moments and test ranks of TRAIN on the 40-entity graph."""
-    monkeypatch.setattr(hie_model, "WORKERS", workers)
+    monkeypatch.setattr(kernels, "WORKERS", workers)
     states, losses = [], []
     monkeypatch.setattr(trainer, "init_adam", lambda p: states.append(INIT_ADAM(p)) or states[-1])
     monkeypatch.setattr(trainer, "loss", lambda *a: losses.append(LOSS(*a)) or losses[-1])
@@ -119,9 +120,9 @@ def test_training_and_ranking_are_bit_identical_at_one_and_two_workers(monkeypat
 def test_runs_of_one_positive_split_across_tiles_sum_alike(monkeypatch, pool, config):
     # 5-row tiles over each positive's 4 negatives: some positive's rows of one side
     # lie in two tiles, so its kept-side sums get a part from each
-    monkeypatch.setattr(hie_model, "ROW_ALIGN", 1)
-    monkeypatch.setattr(hie_model, "TILE_BYTES", 5 * 8 * config.half)
-    monkeypatch.setattr(hie_model, "WORKERS", 1)
+    monkeypatch.setattr(kernels, "ROW_ALIGN", 1)
+    monkeypatch.setattr(kernels, "TILE_BYTES", 5 * 8 * config.half)
+    monkeypatch.setattr(kernels, "WORKERS", 1)
     rng = np.random.default_rng(41)
     p = random_hie_params(rng, 12, 4, config)
     batch, negs = anchored_batch(rng, 7, 4, 12, 4)
@@ -129,7 +130,7 @@ def test_runs_of_one_positive_split_across_tiles_sum_alike(monkeypatch, pool, co
     upstream = rng.normal(size=negs.shape[0] * negs.shape[1])
     runs = []
     for workers in (1, 2):
-        monkeypatch.setattr(hie_model, "WORKERS", workers)
+        monkeypatch.setattr(kernels, "WORKERS", workers)
         totals, cache = hie_model.score_triples(p, config, negs, positives=pos_cache)
         runs.append((totals, *hie_model.backward(p, config, cache, upstream)))
     tile_owners = [set(cache["pos"][tile]) for _, tile in hie_model._side_tiles(cache, config.half)]
@@ -146,9 +147,9 @@ def test_runs_of_one_positive_split_across_tiles_sum_alike(monkeypatch, pool, co
 @pytest.mark.parametrize("config", BASELINE_CONFIGS, ids=config_id)
 def test_baseline_tiles_of_whole_positives_are_bit_identical(monkeypatch, pool, config):
     # a 12-row budget over 4 negatives each: tiles of 3, 3 and 1 positives out of 7
-    monkeypatch.setattr(hie_model, "ROW_ALIGN", 1)
-    monkeypatch.setattr(hie_model, "TILE_BYTES", 12 * 8 * config.dim)
-    monkeypatch.setattr(hie_model, "WORKERS", 1)
+    monkeypatch.setattr(kernels, "ROW_ALIGN", 1)
+    monkeypatch.setattr(kernels, "TILE_BYTES", 12 * 8 * config.dim)
+    monkeypatch.setattr(kernels, "WORKERS", 1)
     assert [pos.stop - pos.start for pos, _ in baselines._positive_tiles(7, 4, config.dim)] == [3, 3, 1]
     rng = np.random.default_rng(47)
     p = baselines.init_params(12, 4, config, seed=5)
@@ -157,7 +158,7 @@ def test_baseline_tiles_of_whole_positives_are_bit_identical(monkeypatch, pool, 
     upstream = rng.normal(size=negs.shape[0] * negs.shape[1])
     runs = []
     for workers in (1, 2):
-        monkeypatch.setattr(hie_model, "WORKERS", workers)
+        monkeypatch.setattr(kernels, "WORKERS", workers)
         totals, cache = baselines.score_triples(p, config, negs, positives=pos_cache)
         runs.append((totals, *baselines.backward(p, config, cache, upstream)))
     assert pool.submits == 2  # the forward and the backward at two workers
@@ -171,8 +172,8 @@ class TestCoalesceTiles:
     @pytest.fixture(autouse=True)
     def small_tiles(self, monkeypatch):
         # training tiles of 5 rows of width 3, so coalesce's tiles hold COALESCE_TILE_BLOCKS * 5 unique rows
-        monkeypatch.setattr(hie_model, "ROW_ALIGN", 1)
-        monkeypatch.setattr(hie_model, "TILE_BYTES", 5 * 8 * 3)
+        monkeypatch.setattr(kernels, "ROW_ALIGN", 1)
+        monkeypatch.setattr(kernels, "TILE_BYTES", 5 * 8 * 3)
 
     def test_unique_rows_in_tiles_are_shared_out_bit_identically(self, monkeypatch, pool):
         rng = np.random.default_rng(53)
@@ -182,7 +183,7 @@ class TestCoalesceTiles:
         values = rng.normal(size=(2000, 3)) * 10.0 ** rng.integers(-6, 7, size=(2000, 1))
         runs = []
         for workers in (1, 2):
-            monkeypatch.setattr(hie_model, "WORKERS", workers)
+            monkeypatch.setattr(kernels, "WORKERS", workers)
             runs.append(trainer.coalesce(ids, values))
         assert pool.submits == 1
         one, two = runs
@@ -190,7 +191,7 @@ class TestCoalesceTiles:
         assert one.values.tobytes() == two.values.tobytes()
 
     def test_one_tile_stays_inline(self, monkeypatch, pool):
-        monkeypatch.setattr(hie_model, "WORKERS", 2)
+        monkeypatch.setattr(kernels, "WORKERS", 2)
         sparse = trainer.coalesce(np.array([3, 1, 3, 3, 0, 1]), np.ones((6, 3)))
         assert pool.submits == 0
         assert sparse.ids.tolist() == [0, 1, 3] and sparse.values[:, 0].tolist() == [1, 2, 3]
@@ -210,8 +211,8 @@ def test_stress_more_workers_than_cores_with_a_short_switch_interval(monkeypatch
     # four workers on a pool of three helpers, switching threads every 10 us; hie's
     # and TransE's row tiles, coalesce's unique-row tiles and the ranking blocks
     config = HIE_CONFIGS[7]
-    monkeypatch.setattr(hie_model, "ROW_ALIGN", 1)
-    monkeypatch.setattr(hie_model, "TILE_BYTES", 3 * 8 * config.half)
+    monkeypatch.setattr(kernels, "ROW_ALIGN", 1)
+    monkeypatch.setattr(kernels, "TILE_BYTES", 3 * 8 * config.half)
     rng = np.random.default_rng(43)
     p = random_hie_params(rng, 30, 4, config)
     batch, negs = anchored_batch(rng, 24, 6, 30, 4)
@@ -233,13 +234,13 @@ def test_stress_more_workers_than_cores_with_a_short_switch_interval(monkeypatch
         return ([totals, ent, rel, ranks, transe_totals, transe_ent, transe_rel, sums.ids, sums.values,
                  *dense.values()], sorted(ran), order)
 
-    monkeypatch.setattr(hie_model, "slab_size", lambda B: 4)
-    monkeypatch.setattr(hie_model, "SLAB_ROWS", 5)
-    monkeypatch.setattr(hie_model, "WORKERS", 1)
+    monkeypatch.setattr(kernels, "slab_size", lambda B: 4)
+    monkeypatch.setattr(kernels, "SLAB_ROWS", 5)
+    monkeypatch.setattr(kernels, "WORKERS", 1)
     want, _, _ = work()
-    pool = hie_model.ThreadPoolExecutor(max_workers=3)
-    monkeypatch.setattr(hie_model, "_POOL", pool)
-    monkeypatch.setattr(hie_model, "WORKERS", 4)
+    pool = kernels.ThreadPoolExecutor(max_workers=3)
+    monkeypatch.setattr(kernels, "_POOL", pool)
+    monkeypatch.setattr(kernels, "WORKERS", 4)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -254,24 +255,24 @@ def test_stress_more_workers_than_cores_with_a_short_switch_interval(monkeypatch
 
 class TestMapTiles:
     def test_results_come_back_in_tile_order(self, monkeypatch):
-        monkeypatch.setattr(hie_model, "WORKERS", 2)
+        monkeypatch.setattr(kernels, "WORKERS", 2)
         # earlier tiles take longer, so they finish after later ones
         assert map_tiles(lambda x: time.sleep(0.002 * (20 - x)) or x * x, range(20)) == [
             x * x for x in range(20)]
         assert map_tiles(lambda x: x, []) == []
 
     def test_single_tile_runs_on_the_calling_thread(self, monkeypatch):
-        monkeypatch.setattr(hie_model, "WORKERS", 2)
+        monkeypatch.setattr(kernels, "WORKERS", 2)
         here = threading.current_thread()
         assert map_tiles(lambda _: threading.current_thread(), [0]) == [here]
 
     def test_nested_call_runs_inline(self, monkeypatch):
-        monkeypatch.setattr(hie_model, "WORKERS", 2)
+        monkeypatch.setattr(kernels, "WORKERS", 2)
         nested = run_bounded(lambda: map_tiles(lambda x: map_tiles(lambda y: x * y, [1, 2, 3]), [1, 2]))
         assert nested == [[1, 2, 3], [2, 4, 6]]
 
     def test_exception_waits_for_the_other_tiles(self, monkeypatch):
-        monkeypatch.setattr(hie_model, "WORKERS", 2)
+        monkeypatch.setattr(kernels, "WORKERS", 2)
         done = []
 
         def tile(i):
@@ -286,7 +287,7 @@ class TestMapTiles:
         assert done == [0]
 
     def test_first_failed_tile_in_tile_order_is_raised(self, monkeypatch):
-        monkeypatch.setattr(hie_model, "WORKERS", 2)
+        monkeypatch.setattr(kernels, "WORKERS", 2)
 
         def tile(i):
             if i == 0:
@@ -302,7 +303,7 @@ class TestMapTiles:
 def test_forked_child_runs_tiles_on_a_pool_of_its_own(monkeypatch):
     # the child inherits the parent's pool object but not its started helper thread;
     # sharing tiles out on that pool once hung the child
-    monkeypatch.setattr(hie_model, "WORKERS", 2)
+    monkeypatch.setattr(kernels, "WORKERS", 2)
     assert map_tiles(lambda x: x, range(4)) == [0, 1, 2, 3]
     pid = os.fork()
     if pid == 0:
@@ -338,9 +339,9 @@ def poisoned_init(monkeypatch):
 class TestNumericFailureAtTwoWorkers:
     @pytest.fixture(autouse=True)
     def two_workers_many_tiles(self, monkeypatch):
-        monkeypatch.setattr(hie_model, "WORKERS", 2)
-        monkeypatch.setattr(hie_model, "ROW_ALIGN", 1)
-        monkeypatch.setattr(hie_model, "TILE_BYTES", 5 * 8 * 4)
+        monkeypatch.setattr(kernels, "WORKERS", 2)
+        monkeypatch.setattr(kernels, "ROW_ALIGN", 1)
+        monkeypatch.setattr(kernels, "TILE_BYTES", 5 * 8 * 4)
 
     def test_train_raises_numeric_error(self, poisoned_init):
         kg = build_synth_kg(num_entities=20, seed=4)
@@ -364,8 +365,8 @@ def test_cli_train_subprocess_exits_promptly(tmp_path):
     write_synth_kg(data, build_synth_kg(num_entities=24, seed=0))
     script = (
         "import sys, threading\n"
-        "from hiekge import cli, hie_model\n"
-        "hie_model.WORKERS, hie_model.ROW_ALIGN, hie_model.TILE_BYTES = 2, 1, 5 * 8 * 4\n"
+        "from hiekge import cli, kernels\n"
+        "kernels.WORKERS, kernels.ROW_ALIGN, kernels.TILE_BYTES = 2, 1, 5 * 8 * 4\n"
         "code = cli.main(sys.argv[1:])\n"
         "print('threads', sorted(t.name.split('_')[0] for t in threading.enumerate()), file=sys.stderr)\n"
         "sys.exit(code)\n"
