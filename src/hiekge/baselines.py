@@ -31,7 +31,7 @@ ranks with one matrix product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 
 import numpy as np
 
@@ -45,19 +45,16 @@ BASELINE_KINDS = (TRANSE, DISTMULT, ROTATE)
 
 @dataclass(frozen=True)
 class BaselineConfig:
-    kind: str
+    kind: str = kernels.setting(MISSING, BASELINE_KINDS)
     dim: int = 64
-    norm_p: int = 1
+    norm_p: int = kernels.setting(1, (1, 2))
 
     def __post_init__(self):
-        if self.kind not in BASELINE_KINDS:
-            raise ValueError(f"unknown baseline kind {self.kind!r}")
-        if not kernels.is_int(self.dim) or self.dim < 1:
+        kernels.check_fields(self)
+        if self.dim < 1:
             raise ValueError(f"dim must be an int >= 1, got {self.dim!r}")
         if self.kind == ROTATE and self.dim % 2 != 0:
             raise ValueError("rotation model needs an even dim")
-        if self.norm_p not in (1, 2):
-            raise ValueError(f"norm_p must be 1 or 2, got {self.norm_p}")
 
 
 @dataclass

@@ -18,12 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import evaluator, kg_data, trainer
+from . import evaluator, kernels, kg_data, trainer
 from .baselines import BASELINE_KINDS, BaselineConfig
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .hie_model import TRANSFORM_DIAGONAL, TRANSFORM_RANK1, HieConfig
+from .hie_model import TRANSFORM_DIAGONAL, TRANSFORMS, HieConfig
 from .kg_data import SPLIT_NAMES, DataError, classify_relations, dataset_stats, load_kg
-from .trainer import SIGN_LITERAL, SIGN_PLAUSIBILITY, NumericError, TrainConfig, grad_check, init_model
+from .trainer import ADVERSARIAL_SIGNS, SIGN_PLAUSIBILITY, NumericError, TrainConfig, grad_check, init_model
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -38,11 +38,6 @@ class UsageError(Exception):
     """Bad flags or config values; maps to exit code 1."""
 
 
-def _setting(default, choices=None, command=None):
-    """A RunConfig field: its default, accepted values (None: any) and its flag's one command (None: all)."""
-    return dataclasses.field(default=default, metadata={"choices": choices, "command": command})
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """One run's worth of settings: model + training + data + command extras.
@@ -55,14 +50,15 @@ class RunConfig:
     switch that stores True, and a `sweep_*` tuple's flag takes a
     comma-separated list of the swept field's type; the sweep's axes are
     the `sweep_*` fields, in declaration order. A field made by
-    `_setting` may list the values it accepts, which `_validate_run`
-    checks whether they came by flag or by config, and may name the one
+    `kernels.setting` may list the values it accepts and may name the one
     command that gets its flag; every other flag goes to every command.
-    Flags default to None, so only the flags given override the config.
+    `kernels.check_fields` holds every field to its type and choices,
+    whether the value came by flag or by config. Flags default to None,
+    so only the flags given override the config.
     """
 
     data_dir: str = None
-    model: str = _setting("hie", MODEL_KINDS)
+    model: str = kernels.setting("hie", MODEL_KINDS)
     dim: int = 64
     levels: int = 2
     lambda1: float = 0.5
@@ -72,32 +68,36 @@ class RunConfig:
     batch_size: int = 256
     steps: int = 1000
     lr: float = 1e-4
-    norm: str = _setting("l1", tuple(NORM_NAMES))
-    transform: str = _setting(TRANSFORM_DIAGONAL, (TRANSFORM_DIAGONAL, TRANSFORM_RANK1))
+    norm: str = kernels.setting("l1", tuple(NORM_NAMES))
+    transform: str = kernels.setting(TRANSFORM_DIAGONAL, TRANSFORMS)
     seed: int = 0
     out: str = None
     no_distance: bool = False
     no_semantic: bool = False
     no_distance_deep: bool = False
     no_semantic_deep: bool = False
-    tie_break: str = _setting(evaluator.TIE_PESSIMISTIC, evaluator.TIE_BREAKS)
-    adversarial_sign: str = _setting(SIGN_PLAUSIBILITY, (SIGN_PLAUSIBILITY, SIGN_LITERAL))
-    checkpoint: str = _setting(None, command="eval")
-    split: str = _setting("test", SPLIT_NAMES, "eval")
-    eta: float = _setting(1.5, command="classify")
-    fd_step: float = _setting(1e-6, command="gradcheck")
-    tolerance: float = _setting(1e-4, command="gradcheck")
-    batches: int = _setting(3, command="gradcheck")
-    dump_dicts: bool = _setting(False, command="stats")
-    sweep_levels: tuple = _setting(None, command="sweep")
-    sweep_lambda1: tuple = _setting(None, command="sweep")
-    sweep_gamma: tuple = _setting(None, command="sweep")
-    sweep_dim: tuple = _setting(None, command="sweep")
-    sweep_batch_size: tuple = _setting(None, command="sweep")
+    tie_break: str = kernels.setting(evaluator.TIE_PESSIMISTIC, evaluator.TIE_BREAKS)
+    adversarial_sign: str = kernels.setting(SIGN_PLAUSIBILITY, ADVERSARIAL_SIGNS)
+    checkpoint: str = kernels.setting(None, command="eval")
+    split: str = kernels.setting("test", SPLIT_NAMES, command="eval")
+    eta: float = kernels.setting(1.5, command="classify")
+    fd_step: float = kernels.setting(1e-6, command="gradcheck")
+    tolerance: float = kernels.setting(1e-4, command="gradcheck")
+    batches: int = kernels.setting(3, command="gradcheck")
+    dump_dicts: bool = kernels.setting(False, command="stats")
+    sweep_levels: tuple = kernels.setting(None, command="sweep")
+    sweep_lambda1: tuple = kernels.setting(None, command="sweep")
+    sweep_gamma: tuple = kernels.setting(None, command="sweep")
+    sweep_dim: tuple = kernels.setting(None, command="sweep")
+    sweep_batch_size: tuple = kernels.setting(None, command="sweep")
+
+    def __post_init__(self):
+        kernels.check_fields(self, SWEEP_ITEMS)
 
 
 RUN_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
+# the type of a `sweep_*` field's items: the type of the field it sweeps
+SWEEP_ITEMS = {name: RUN_FIELDS[name.removeprefix("sweep_")] for name in RUN_FIELDS if name.startswith("sweep_")}
 _FLAG_TYPES = {"int": int, "float": float}
 
 
@@ -154,12 +154,8 @@ def _config_as_doc(config) -> dict:
 
 def _model_config_from_doc(kind, doc):
     try:
-        if kind == "hie":
-            doc = dict(doc)
-            doc["lambdas"] = tuple(doc["lambdas"])
-            return HieConfig(**doc)
-        return BaselineConfig(**doc)
-    except (TypeError, ValueError, KeyError) as exc:
+        return HieConfig(**doc) if kind == "hie" else BaselineConfig(**doc)
+    except (TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint model_config does not rebuild: {exc}") from exc
 
 
@@ -203,7 +199,7 @@ def _flag_options(field):
     if field.type == "bool":
         return {"action": "store_const", "const": True}
     if field.type == "tuple":
-        return {"type": _comma_list(_FLAG_TYPES[RUN_FIELDS[field.name.removeprefix("sweep_")]])}
+        return {"type": _comma_list(_FLAG_TYPES[SWEEP_ITEMS[field.name]])}
     return {"type": _FLAG_TYPES.get(field.type), "choices": field.metadata.get("choices")}
 
 
@@ -222,7 +218,11 @@ def build_parser() -> _Parser:
 
 
 def merge_run_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, then the JSON config document, then explicit flags."""
+    """Defaults, then the JSON config document, then explicit flags; UsageError if a value is rejected.
+
+    The document's values are checked on their own, then again with the
+    flags over them.
+    """
     merged = {}
     config_path = getattr(args, "config", None)
     if config_path is not None:
@@ -238,41 +238,13 @@ def merge_run_config(args: argparse.Namespace) -> RunConfig:
         for key, value in doc.items():
             if key not in RUN_FIELDS:
                 raise UsageError(f"unknown config field {key!r}")
-            _check_config_type(key, value)
-            if key.startswith("sweep_") and value is not None:
-                value = tuple(value)
-            merged[key] = value
-    for key, value in vars(args).items():
-        if key in RUN_FIELDS and value is not None:
-            merged[key] = value
-    run = RunConfig(**merged)
-    _validate_run(run)
-    return run
-
-
-def _check_config_type(key, value):
-    """UsageError unless a JSON config value fits the type of its RunConfig field.
-
-    An int passes for a float, a bool only for a bool, null only where the
-    default is null, and a sweep list's items must fit the swept field.
-    """
-    if value is None and getattr(RunConfig, key) is None:
-        return
-    field_type, items = RUN_FIELDS[key], [value]
-    if field_type == "tuple" and isinstance(value, list):
-        field_type, items = RUN_FIELDS[key.removeprefix("sweep_")], value
-    accepted = _JSON_TYPES.get(field_type, ())
-    for item in items:
-        if not isinstance(item, accepted) or isinstance(item, bool) != (field_type == "bool"):
-            raise UsageError(f"config field {key!r} expects {field_type} values, got {item!r}")
-
-
-def _validate_run(run: RunConfig):
-    """UsageError unless every field with listed choices holds one of them."""
-    for field in dataclasses.fields(run):
-        value, choices = getattr(run, field.name), field.metadata.get("choices")
-        if choices is not None and value not in choices:
-            raise UsageError(f"unknown {field.name} {value!r}")
+            # JSON has no tuples: a list is a sweep field's values
+            merged[key] = tuple(value) if isinstance(value, list) else value
+    flags = {key: value for key, value in vars(args).items() if key in RUN_FIELDS and value is not None}
+    try:
+        return dataclasses.replace(RunConfig(**merged), **flags)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _require(run: RunConfig, *names):

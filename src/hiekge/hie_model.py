@@ -42,6 +42,7 @@ from . import kernels
 
 TRANSFORM_DIAGONAL = "diagonal"
 TRANSFORM_RANK1 = "rank1"
+TRANSFORMS = (TRANSFORM_DIAGONAL, TRANSFORM_RANK1)
 # (cache key prefix, role) of each slot of a triple
 ROLES = (("h", "head"), ("r", "rel"), ("t", "tail"))
 
@@ -53,19 +54,22 @@ class HieConfig:
     dim: int = 64
     levels: int = 2
     lambdas: tuple = (0.5, 0.5)
-    norm_p: int = 1
-    transform: str = TRANSFORM_DIAGONAL
+    norm_p: int = kernels.setting(1, (1, 2))
+    transform: str = kernels.setting(TRANSFORM_DIAGONAL, TRANSFORMS)
     disable_distance: bool = False
     disable_semantic: bool = False
     disable_distance_deep: bool = False
     disable_semantic_deep: bool = False
 
     def __post_init__(self):
+        if isinstance(self.lambdas, list):  # as a JSON document holds them
+            object.__setattr__(self, "lambdas", tuple(self.lambdas))
+        kernels.check_fields(self, {"lambdas": "float"})
         object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
         # written so that NaN fails each range check
-        if not kernels.is_int(self.dim) or self.dim < 2 or self.dim % 2 != 0:
+        if self.dim < 2 or self.dim % 2 != 0:
             raise ValueError(f"dim must be even and an int >= 2, got {self.dim!r}")
-        if not kernels.is_int(self.levels) or self.levels < 1:
+        if self.levels < 1:
             raise ValueError(f"levels must be an int >= 1, got {self.levels!r}")
         if len(self.lambdas) != self.levels:
             raise ValueError(
@@ -76,10 +80,6 @@ class HieConfig:
             raise ValueError(f"level weights must lie in [0, 1], got {self.lambdas}")
         if not abs(sum(self.lambdas) - 1.0) <= 1e-9:
             raise ValueError(f"level weights must sum to 1, got {self.lambdas}")
-        if self.norm_p not in (1, 2):
-            raise ValueError(f"norm_p must be 1 or 2, got {self.norm_p}")
-        if self.transform not in (TRANSFORM_DIAGONAL, TRANSFORM_RANK1):
-            raise ValueError(f"unknown transform {self.transform!r}")
         if self.disable_distance and self.disable_semantic:
             raise ValueError("cannot disable both measurement spaces")
 

@@ -1,4 +1,5 @@
-"""Machinery every model shares: the worker pool, the tiling rules, the ranking kernel and row helpers.
+"""Machinery every model shares: the worker pool, the tiling rules, the ranking kernel, row helpers
+and the check of config fields.
 
 Training tiles: the models' forward and backward walk their rows in tiles
 of `tile_rows(width)` rows, small enough for a core's L2 cache
@@ -17,12 +18,20 @@ bits of one.
 The ranking kernel: all-candidate scoring takes its candidates from a
 `CandidateTable`, built once per corrupted side; the distance models
 store its rows transposed. `slab_sums` sums each term's residual one
-coordinate at a time into a (B, slab) block with elementwise operations only, so a
-candidate's score depends on its own values, never on its position, the
-slab size or the other triples; its (row block, slab) blocks run on the
-same workers. Rows that go through a matrix product first are zero-padded
-to whole ROW_ALIGN blocks (`padded`), so every row runs through the same
-BLAS kernel and a copy of an entity gets the bits of the row it copies.
+coordinate at a time into blocks of SLAB_ROWS triples by SLAB candidates
+with elementwise operations only, so a candidate's score depends on its
+own values, never on its position, the block shape or the other triples;
+its blocks run on the same workers. Rows that go through a matrix product
+first are zero-padded to whole ROW_ALIGN blocks (`padded`), so every row
+runs through the same BLAS kernel and a copy of an entity gets the bits
+of the row it copies.
+
+Config fields: each field of a config dataclass (`HieConfig`,
+`BaselineConfig`, `TrainConfig`, the CLI's `RunConfig`) declares the
+values it accepts once, by its annotation and, through `setting`, its
+choices. `check_fields`, called first by each config's `__post_init__`,
+holds every field to that declaration, whether the value came from code,
+a flag, a JSON config or a checkpoint sidecar.
 """
 
 from __future__ import annotations
@@ -30,23 +39,22 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 # bytes of one (rows, width) float64 block of a training tile
 TILE_BYTES = 256 * 1024
-# bytes of the working set of one ranking slab: SLAB_BLOCKS (B, slab) float64 blocks
-SLAB_BYTES = 2 * 1024 * 1024
-# (B, slab) blocks live in the ranking kernel (`slab_sums`): the totals
-# block, one term's running sum and one coordinate's residual
-SLAB_BLOCKS = 3
 # tiles, slabs and padded candidate tables are whole multiples of this many rows
 ROW_ALIGN = 512
-# triples per row block of `slab_sums`, and per call of evaluate: a block
-# of 16 takes slabs of 5,120 candidates within SLAB_BYTES; wider blocks get
-# narrower slabs, which cost more per triple in numpy's buffered broadcast
+# triples per row block of `slab_sums`, and per call of evaluate; wider
+# blocks would need narrower slabs, which cost more per triple in numpy's
+# buffered broadcast
 SLAB_ROWS = 16
+# candidates per slab of `slab_sums`: a block's three (SLAB_ROWS, SLAB)
+# float64 arrays (the totals, one term's running sum and one coordinate's
+# residual) take 1.9 MB, a working set within 2 MiB
+SLAB = 5120
 
 # threads that run the tiles of one `map_tiles` call, the calling thread
 # included; results are the same bits for any count
@@ -77,24 +85,9 @@ def sigmoid(x):
     return out if out.ndim else float(out)
 
 
-def is_int(value):
-    """Whether value is an int and not a bool: a config's sizes refuse 8.0 and True."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _aligned_rows(budget, row_bytes):
-    """Rows of row_bytes each that fit budget, as a whole multiple of ROW_ALIGN (at least one)."""
-    return max(1, budget // (row_bytes * ROW_ALIGN)) * ROW_ALIGN
-
-
 def tile_rows(width):
-    """Rows of `width` float64 values per training tile: a (rows, width) block fits TILE_BYTES."""
-    return _aligned_rows(TILE_BYTES, 8 * width)
-
-
-def slab_size(B):
-    """Candidates per slab of `slab_sums` over B triples: its SLAB_BLOCKS (B, slab) blocks fit SLAB_BYTES."""
-    return _aligned_rows(SLAB_BYTES, 8 * SLAB_BLOCKS * max(B, 1))
+    """Rows of `width` float64 values per training tile: whole ROW_ALIGN blocks (at least one) within TILE_BYTES."""
+    return max(1, TILE_BYTES // (8 * width * ROW_ALIGN)) * ROW_ALIGN
 
 
 def row_tiles(stop, rows, start=0):
@@ -243,15 +236,14 @@ def slab_sums(terms, B, C):
     coordinate k is combine(first[k], cand[k]) - last[k] (no subtraction
     when last is None), with first and last in `columns` form and cand the
     (coordinates, C) candidate rows stored transposed. The (B, C) totals
-    are split into blocks of at most SLAB_ROWS triples by `slab_size`
-    candidates, which the workers of `map_tiles` fill, so a block's
-    SLAB_BLOCKS arrays fit SLAB_BYTES however many triples a call has.
+    are split into blocks of at most SLAB_ROWS triples by SLAB candidates,
+    which the workers of `map_tiles` fill, so a block's working set stays
+    the same however many triples a call has.
     Each term is summed one coordinate at a time into the block with
     elementwise operations only, so a candidate's total depends only on its
     own values and its triple's: a copy of an entity ties the row it
     copies, and every block shape gives the same bits.
     """
-    slab = slab_size(min(B, SLAB_ROWS))
     totals = np.zeros((B, C))
 
     def fill(item):
@@ -275,5 +267,50 @@ def slab_sums(terms, B, C):
             acc *= weight
             block += acc
 
-    map_tiles(fill, [(rows, cols) for cols in row_tiles(C, slab) for rows in row_tiles(B, SLAB_ROWS)])
+    map_tiles(fill, [(rows, cols) for cols in row_tiles(C, SLAB) for rows in row_tiles(B, SLAB_ROWS)])
     return totals
+
+
+# what a field of each annotation accepts, and how a message names it
+_ACCEPTS = {"int": (int, "an int"), "float": ((int, float), "a number"), "bool": (bool, "a bool"),
+            "str": (str, "a str")}
+
+
+def setting(default, choices=None, **metadata):
+    """A config field: its default and the values it accepts (None: any of its type); metadata rides along."""
+    return field(default=default, metadata={"choices": choices, **metadata})
+
+
+def _fits(value, annotation):
+    """Whether value has the type annotation names: a bool only for "bool", an int also for "float"."""
+    return isinstance(value, _ACCEPTS[annotation][0]) and isinstance(value, bool) == (annotation == "bool")
+
+
+def check_fields(config, items=None):
+    """ValueError unless every field of a config dataclass holds a value its declaration accepts.
+
+    A field annotated int takes an int but not a bool, float an int or a
+    float, bool only a bool and str a str; tuple takes a tuple whose items
+    have the type that items (field name: annotation) names for it. None
+    passes only where the default is None, and a field declared by
+    `setting` with choices takes only one of them. Any other annotation,
+    or a tuple field that items does not name, raises TypeError, so no
+    field goes unchecked.
+    """
+    for f in fields(config):
+        annotation = (items or {}).get(f.name) if f.type == "tuple" else f.type
+        if annotation not in _ACCEPTS:
+            raise TypeError(f"check_fields knows no type for field {f.name} ({f.type})")
+        value = getattr(config, f.name)
+        if value is None and f.default is None:
+            continue
+        if f.type == "tuple":
+            fits = isinstance(value, tuple) and all(_fits(item, annotation) for item in value)
+            kind = f"a tuple of {annotation}s"
+        else:
+            fits, kind = _fits(value, annotation), _ACCEPTS[annotation][1]
+        if not fits:
+            raise ValueError(f"{f.name} must be {kind}, got {value!r}")
+        choices = f.metadata.get("choices")
+        if choices is not None and value not in choices:
+            raise ValueError(f"{f.name} must be one of {choices}, got {value!r}")

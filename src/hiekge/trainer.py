@@ -29,6 +29,7 @@ from .hie_model import HieParams
 
 SIGN_PLAUSIBILITY = "plausibility"
 SIGN_LITERAL = "literal"
+ADVERSARIAL_SIGNS = (SIGN_PLAUSIBILITY, SIGN_LITERAL)
 
 
 class NumericError(RuntimeError):
@@ -47,9 +48,10 @@ class TrainConfig:
     steps: int = 1000
     batch_size: int = 256
     seed: int = 0
-    adversarial_sign: str = SIGN_PLAUSIBILITY
+    adversarial_sign: str = kernels.setting(SIGN_PLAUSIBILITY, ADVERSARIAL_SIGNS)
 
     def __post_init__(self):
+        kernels.check_fields(self)
         # written so that NaN fails each range check
         if not 0 < self.gamma < np.inf:
             raise ValueError(f"gamma must be a finite number > 0, got {self.gamma}")
@@ -69,8 +71,6 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.adversarial_sign not in (SIGN_PLAUSIBILITY, SIGN_LITERAL):
-            raise ValueError(f"unknown adversarial_sign {self.adversarial_sign!r}")
 
 
 @dataclass

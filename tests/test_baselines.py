@@ -187,7 +187,7 @@ class TestVectorizedPaths:
     @pytest.mark.parametrize("dim", [6, 64])
     def test_score_batch_matches_score_triples(self, kind, side, dim, monkeypatch):
         # slabs of 4 over 6 candidates: one whole slab and one ragged one
-        monkeypatch.setattr(kernels, "slab_size", lambda B: 4)
+        monkeypatch.setattr(kernels, "SLAB", 4)
         rng = np.random.default_rng(8)
         params, config = make(kind, rng, dim=dim, norm_p=2)
         triples = np.stack(

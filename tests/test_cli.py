@@ -291,7 +291,7 @@ class TestConfigFile:
         code, out, err = run_cli(capsys, "stats", "--config", str(cfg), "--data-dir", data_dir)
         assert code == 1
         assert out == ""
-        assert err.startswith("usage error:") and repr(next(iter(doc))) in err
+        assert err.startswith(f"usage error: {next(iter(doc))} must be ")
 
     def test_int_for_float_and_null_for_optional_accepted(self, capsys, data_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -497,6 +497,15 @@ def edit_sidecar(sidecar, change):
     sidecar.write_text(json.dumps(doc))
 
 
+def eval_edited_transe(capsys, data_dir, tmp_path, **model_config):
+    """(exit code, stdout, stderr) of eval on a TransE checkpoint whose sidecar model_config is updated."""
+    out = tmp_path / "run"
+    assert cli.main(["train", "--data-dir", data_dir, "--out", str(out), "--model", "transe", *TINY]) == 0
+    capsys.readouterr()
+    edit_sidecar(out / "model.json", lambda doc: doc["model_config"].update(model_config))
+    return run_cli(capsys, "eval", "--data-dir", data_dir, "--checkpoint", str(out / "model.ckpt"))
+
+
 class TestEvalBadCheckpoint:
     @pytest.mark.parametrize(
         "case",
@@ -552,26 +561,36 @@ class TestEvalBadCheckpoint:
         assert out == ""
         assert err.startswith("data error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("field,value", [("disable_distance", "false"), ("disable_semantic_deep", "no"),
+                                             ("norm_p", True), ("lambdas", ["0.5", "0.5"])])
+    def test_wrongly_typed_config_value_is_data_error(
+            self, capsys, data_dir, trained, tmp_path, field, value):
+        # each once rebuilt a model and exited 0: "false" as a set ablation
+        # switch, true as norm 1 and "0.5" as the weight 0.5
+        ckpt, sidecar = copy_checkpoint(trained, tmp_path / "ckpt")
+        edit_sidecar(sidecar, lambda doc: doc["model_config"].update({field: value}))
+        code, out, err = run_cli(
+            capsys, "eval", "--data-dir", data_dir, "--checkpoint", str(ckpt))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("data error: checkpoint model_config does not rebuild: ")
+        assert f"{field} must be " in err and "Traceback" not in err
+
     def test_baseline_float_dim_is_data_error(self, capsys, data_dir, tmp_path):
-        out = tmp_path / "run"
-        assert cli.main(["train", "--data-dir", data_dir, "--out", str(out),
-                         "--model", "transe", *TINY]) == 0
-        capsys.readouterr()
-        edit_sidecar(out / "model.json", lambda doc: doc["model_config"].update(dim=8.0))
-        code, stdout, err = run_cli(
-            capsys, "eval", "--data-dir", data_dir, "--checkpoint", str(out / "model.ckpt"))
+        code, stdout, err = eval_edited_transe(capsys, data_dir, tmp_path, dim=8.0)
         assert code == 2
         assert stdout == ""
         assert err.startswith("data error:") and "dim must be an int" in err
 
+    def test_baseline_float_norm_is_data_error(self, capsys, data_dir, tmp_path):
+        # 1.0 once passed as norm 1
+        code, stdout, err = eval_edited_transe(capsys, data_dir, tmp_path, norm_p=1.0)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("data error:") and "norm_p must be an int" in err and "Traceback" not in err
+
     def test_baseline_config_kind_differs_from_model_kind(self, capsys, data_dir, tmp_path):
-        out = tmp_path / "run"
-        assert cli.main(["train", "--data-dir", data_dir, "--out", str(out),
-                         "--model", "transe", *TINY]) == 0
-        capsys.readouterr()
-        edit_sidecar(out / "model.json", lambda doc: doc["model_config"].update(kind="distmult"))
-        code, stdout, err = run_cli(
-            capsys, "eval", "--data-dir", data_dir, "--checkpoint", str(out / "model.ckpt"))
+        code, stdout, err = eval_edited_transe(capsys, data_dir, tmp_path, kind="distmult")
         assert code == 2
         assert stdout == ""
         assert err.startswith("data error:") and "'distmult'" in err and "'transe'" in err

@@ -179,7 +179,7 @@ class TestEvaluateAgainstOracle:
         config = HieConfig(dim=4)
         params = random_hie_params(np.random.default_rng(7), kg.num_entities, 4, config)
         monkeypatch.setattr(evaluator, "TRIPLE_CHUNK", 5)
-        monkeypatch.setattr(kernels, "slab_size", lambda B: 7)
+        monkeypatch.setattr(kernels, "SLAB", 7)
         results = evaluate(params, config, kg)
         expected = rescoring_oracle_ranks(params, config, kg, hie_scalar, True)
         got = [(res.head_rank, res.tail_rank) for res in results]
@@ -322,7 +322,7 @@ TIE_ENTITIES = (15, 61, 301, SLAB_ENTITIES)
 def slab_case(config, seed, entities=SLAB_ENTITIES):
     """Parameters over `entities` entities and 16 test triples for one SLAB_MODELS entry."""
     rng = np.random.default_rng(seed)
-    assert kernels.slab_size(16) < SLAB_ENTITIES
+    assert kernels.SLAB < SLAB_ENTITIES
     if isinstance(config, HieConfig):
         params = random_hie_params(rng, entities, 5, config)
     else:
@@ -335,7 +335,7 @@ def slab_case(config, seed, entities=SLAB_ENTITIES):
 def one_slab_scores(monkeypatch, params, config, *args):
     """score_batch of params' model with every candidate in one slab."""
     with monkeypatch.context() as patch:
-        patch.setattr(kernels, "slab_size", lambda B: SLAB_ENTITIES)
+        patch.setattr(kernels, "SLAB", SLAB_ENTITIES)
         return model_module(params).score_batch(params, config, *args)
 
 

@@ -34,7 +34,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("dim", [8.0, True, float("nan")])
     def test_dim_must_be_an_int(self, dim):
-        with pytest.raises(ValueError, match="dim must be even and an int"):
+        with pytest.raises(ValueError, match="dim must be an int"):
             HieConfig(dim=dim, levels=1, lambdas=(1.0,))
 
     @pytest.mark.parametrize("levels,lambdas", [(2.0, (0.5, 0.5)), (True, (1.0,)), (float("nan"), (1.0,))])
@@ -408,7 +408,7 @@ class TestScoreTriples:
 class TestScoreBatch:
     def test_matches_score_triples_both_sides(self, monkeypatch):
         rng = np.random.default_rng(31)
-        monkeypatch.setattr(kernels, "slab_size", lambda B: 3)
+        monkeypatch.setattr(kernels, "SLAB", 3)
         for config in config_grid(levels_list=(1, 2, 3), dims=(8, 50), ablations=ABLATION_COMBOS):
             p = random_hie_params(rng, 7, 3, config)
             triples = np.stack(
@@ -466,8 +466,9 @@ class TestScoreBatch:
     def test_wide_batches_rank_in_evaluation_sized_blocks(self, monkeypatch):
         # evaluate scores TRIPLE_CHUNK = SLAB_ROWS = 16 triples per call; wider batches
         # once got narrower slabs, or (B, 3,072) blocks, which cost more per triple
-        assert kernels.slab_size(16) == 5120
-        assert kernels.SLAB_BLOCKS * 8 * 16 * 5120 <= kernels.SLAB_BYTES
+        assert kernels.SLAB == 5120
+        # a block's three (SLAB_ROWS, SLAB) float64 arrays stay within 2 MiB
+        assert 3 * 8 * kernels.SLAB_ROWS * kernels.SLAB <= 2 * 1024 * 1024
         blocks = []
         map_tiles = kernels.map_tiles
         monkeypatch.setattr(kernels, "map_tiles",

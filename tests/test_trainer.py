@@ -75,6 +75,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(adversarial_sign="inverted")
 
+    @pytest.mark.parametrize("field,value", [("steps", 2.5), ("batch_size", True), ("gamma", True)])
+    def test_wrongly_typed_values_rejected(self, field, value):
+        # a float step count or a bool size once passed the range checks
+        with pytest.raises(ValueError, match=f"{field} must be "):
+            TrainConfig(**{field: value})
+
     def test_negative_seed_rejected(self):
         # np.random.default_rng would raise on it only once training starts
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):

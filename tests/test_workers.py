@@ -82,7 +82,7 @@ def tiles(request, monkeypatch):
         monkeypatch.setattr(kernels, "ROW_ALIGN", 1)
         monkeypatch.setattr(kernels, "TILE_BYTES", request.param * 8 * 8)  # dim 8
         monkeypatch.setattr(kernels, "SLAB_ROWS", 3)
-        monkeypatch.setattr(kernels, "slab_size", lambda B: 7)
+        monkeypatch.setattr(kernels, "SLAB", 7)
     return request.param
 
 
@@ -234,7 +234,7 @@ def test_stress_more_workers_than_cores_with_a_short_switch_interval(monkeypatch
         return ([totals, ent, rel, ranks, transe_totals, transe_ent, transe_rel, sums.ids, sums.values,
                  *dense.values()], sorted(ran), order)
 
-    monkeypatch.setattr(kernels, "slab_size", lambda B: 4)
+    monkeypatch.setattr(kernels, "SLAB", 4)
     monkeypatch.setattr(kernels, "SLAB_ROWS", 5)
     monkeypatch.setattr(kernels, "WORKERS", 1)
     want, _, _ = work()

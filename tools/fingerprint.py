@@ -1,0 +1,90 @@
+"""Fingerprint what training and ranking compute: one SHA-256 per model configuration.
+
+Usage: python tools/fingerprint.py [--workers 1|2]
+
+For each configuration (hie at levels 1-3 x L1/L2 x diagonal/rank-1
+transform, TransE L1/L2, RotatE and DistMult) on each graph (the tests'
+100-entity graph and the benchmark's WN18RR-shaped graph, seed 3), it
+trains 3 steps at batch 512 with 64 negatives, ranks the first 16 test
+triples, and prints
+
+    graph/config sha256
+
+where the hash covers the loss log, every trained parameter tensor and
+the ranks. `--workers` sets `kernels.WORKERS`. Two trees, or two worker
+counts, compute the same bits when their outputs are equal:
+
+    python tools/fingerprint.py --workers 1 > a.txt
+    python tools/fingerprint.py --workers 2 > b.txt
+    diff a.txt b.txt
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "bench")]
+
+import graphs  # noqa: E402
+from hiekge import evaluator, kernels, kg_data, trainer  # noqa: E402
+from hiekge.baselines import BaselineConfig  # noqa: E402
+from hiekge.hie_model import HieConfig  # noqa: E402
+from synthkg import build_synth_kg  # noqa: E402
+
+DIM = 32
+LAMBDAS = {1: (1.0,), 2: (0.5, 0.5), 3: (0.5, 0.25, 0.25)}
+TRAIN = trainer.TrainConfig(num_negatives=64, batch_size=512, steps=3, learning_rate=1e-3, seed=0)
+RANKED = 16
+
+
+def configurations():
+    """(name, model kind, model config) of every fingerprinted configuration."""
+    for levels in (1, 2, 3):
+        for norm_p in (1, 2):
+            for transform in ("diagonal", "rank1"):
+                config = HieConfig(dim=DIM, levels=levels, lambdas=LAMBDAS[levels], norm_p=norm_p,
+                                   transform=transform)
+                yield f"hie-levels{levels}-l{norm_p}-{transform}", "hie", config
+    for norm_p in (1, 2):
+        yield f"transe-l{norm_p}", "transe", BaselineConfig(kind="transe", dim=DIM, norm_p=norm_p)
+    yield "rotate", "rotate", BaselineConfig(kind="rotate", dim=DIM)
+    yield "distmult", "distmult", BaselineConfig(kind="distmult", dim=DIM)
+
+
+def wn18rr_kg():
+    """The benchmark's WN18RR-shaped graph (seed 3), written out and loaded as the benchmark loads it."""
+    with tempfile.TemporaryDirectory() as data_dir:
+        graphs.wn18rr_like(3).write(data_dir)
+        return kg_data.load_kg(data_dir)
+
+
+def fingerprint(kg, kind, config):
+    """SHA-256 over the loss log, the trained parameters and the ranks of the first test triples."""
+    params, log = trainer.train(kg, kind, config, TRAIN)
+    ranks = evaluator.evaluate(params, config, kg, split=kg.test[:RANKED])
+    digest = hashlib.sha256(repr(log).encode())
+    for name, tensor in params.field_items():
+        digest.update(f"{name}{tensor.shape}{tensor.dtype}".encode())
+        digest.update(np.ascontiguousarray(tensor).tobytes())
+    digest.update(repr([(r.head_rank, r.tail_rank) for r in ranks]).encode())
+    return digest.hexdigest()
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workers", type=int, choices=(1, 2), default=kernels.WORKERS)
+    kernels.WORKERS = parser.parse_args(argv).workers
+    for graph, kg in (("synth100", build_synth_kg()), ("wn18rr", wn18rr_kg())):
+        for name, kind, config in configurations():
+            print(f"{graph}/{name} {fingerprint(kg, kind, config)}", flush=True)
+
+
+if __name__ == "__main__":
+    main()
