@@ -58,21 +58,11 @@ class BaselineConfig:
 
 
 @dataclass
-class BaselineParams:
-    kind: str
+class BaselineParams(kernels.Params):
+    """Entity and relation rows; which score they serve is the config's kind."""
+
     ent: np.ndarray
     rel: np.ndarray
-
-    @property
-    def num_entities(self):
-        return self.ent.shape[0]
-
-    @property
-    def num_relations(self):
-        return self.rel.shape[0]
-
-    def field_items(self):
-        return [("ent", self.ent), ("rel", self.rel)]
 
 
 def init_params(num_entities, num_relations, config: BaselineConfig, seed) -> BaselineParams:
@@ -86,18 +76,18 @@ def init_params(num_entities, num_relations, config: BaselineConfig, seed) -> Ba
         rel = rng.uniform(-np.pi, np.pi, size=(num_relations, config.dim))
     else:
         rel = rng.uniform(-bound, bound, size=(num_relations, config.dim))
-    return BaselineParams(kind=config.kind, ent=ent, rel=rel)
+    return BaselineParams(ent=ent, rel=rel)
 
 
 def _rotate(x, phase):
-    """Real and imaginary parts of x o e^(i phase), plus (xr, xi, cos, sin) for backprop.
+    """Real and imaginary parts of x o e^(i phase).
 
     Consecutive coordinates of x are complex pairs; phase holds one angle
     per pair.
     """
     xr, xi = x[..., 0::2], x[..., 1::2]
     cos, sin = np.cos(phase), np.sin(phase)
-    return xr * cos - xi * sin, xr * sin + xi * cos, (xr, xi, cos, sin)
+    return xr * cos - xi * sin, xr * sin + xi * cos
 
 
 def score_triples(params: BaselineParams, config: BaselineConfig, triples, positives=None):
@@ -126,10 +116,10 @@ def _prepare(params, config, triples):
     """The prepared positives of score_triples over the (B, 3) triples: ids, (h, r, t) rows and anchors."""
     ids = (triples[:, 0], triples[:, 1], triples[:, 2])
     hrt = (params.ent[ids[0]], params.rel[ids[1]], params.ent[ids[2]])
-    return {"ids": ids, "hrt": hrt, "anchors": _anchors(params, config, *hrt)}
+    return {"ids": ids, "hrt": hrt, "anchors": _anchors(config, *hrt)}
 
 
-def _anchors(params: BaselineParams, config: BaselineConfig, h, r, t):
+def _anchors(config: BaselineConfig, h, r, t):
     """(B, 2, dim) anchors of B positives' rows: [:, 0] serves head-corrupted rows, [:, 1] the rest.
 
     A row scores its corrupted entity e against its positive's anchor a
@@ -140,15 +130,15 @@ def _anchors(params: BaselineParams, config: BaselineConfig, h, r, t):
     whichever entity it corrupts.
     """
     anchors = np.empty((len(h), 2, config.dim))
-    if params.kind == TRANSE:
+    if config.kind == TRANSE:
         np.subtract(t, r, out=anchors[:, 0])
         np.add(h, r, out=anchors[:, 1])
-    elif params.kind == DISTMULT:
+    elif config.kind == DISTMULT:
         anchors[:, 0], anchors[:, 1] = t, h
     else:
         phase = r[:, : config.dim // 2]
         for k, (kept, sign) in enumerate(((t, -1.0), (h, 1.0))):
-            anchors[:, k, 0::2], anchors[:, k, 1::2], _ = _rotate(kept, sign * phase)
+            anchors[:, k, 0::2], anchors[:, k, 1::2] = _rotate(kept, sign * phase)
     return anchors
 
 
@@ -185,16 +175,16 @@ def _score_anchored(params, config, triples, positives):
     cache = {"positives": positives, "sides": np.stack([head, ~head], axis=1).astype(np.float64),
              "row_ids": ((ent_ids, h_ids, t_ids), r_ids)}
     totals = cache["totals"] = np.empty(N)
-    if params.kind == DISTMULT:
+    if config.kind == DISTMULT:
         e, a = cache["ea"] = np.empty((N, dim)), np.empty((N, dim))
         r = positives["hrt"][1]
     else:
         u = cache["u"] = np.empty((N, dim))
-        norm_p = 2 if params.kind == ROTATE else config.norm_p
+        norm_p = 2 if config.kind == ROTATE else config.norm_p
 
     def score_tile(tile):
         pos, rows = tile
-        if params.kind == DISTMULT:
+        if config.kind == DISTMULT:
             np.take(params.ent, ent_ids[rows], axis=0, out=e[rows])
             np.take(anchors, anchor_ids[rows], axis=0, out=a[rows], mode="clip")
             products = (e[rows] * a[rows]).reshape(-1, n, dim) * r[pos, None]
@@ -238,7 +228,7 @@ def backward(params: BaselineParams, config: BaselineConfig, cache, upstream):
 
     def backward_tile(tile):
         pos, rows = tile
-        if params.kind == DISTMULT:
+        if config.kind == DISTMULT:
             e, a = (x[rows] for x in cache["ea"])
             # the gradient at e is -upstream * (a * r)
             np.multiply(-upstream[rows, None], (a.reshape(-1, n, dim) * r[pos, None]).reshape(-1, dim),
@@ -247,16 +237,16 @@ def backward(params: BaselineParams, config: BaselineConfig, cache, upstream):
             sums[pos] = (sides[pos] * -upstream[rows].reshape(-1, 1, n)) @ e.reshape(-1, n, dim)
             return
         kernels.norm_backward(cache["u"][rows], cache["totals"][rows],
-                              2 if params.kind == ROTATE else config.norm_p, upstream[rows], out=g_e[rows])
+                              2 if config.kind == ROTATE else config.norm_p, upstream[rows], out=g_e[rows])
         # the gradient at a is minus that at e
         sums[pos] = np.negative(sides[pos] @ g_e[rows].reshape(-1, n, dim))
 
     kernels.map_tiles(backward_tile, _positive_tiles(B, n, dim))
-    if params.kind == DISTMULT:
+    if config.kind == DISTMULT:
         g_head[...], g_tail[...] = sums[:, 1] * r, sums[:, 0] * r
         rel_rows = sums[:, 0] * t + sums[:, 1] * h
         return ent_rows, rel_rows, {}
-    if params.kind == TRANSE:
+    if config.kind == TRANSE:
         g_head[...], g_tail[...] = sums[:, 1], sums[:, 0]
         return ent_rows, sums[:, 1] - sums[:, 0], {}
     # a = x o e^(i psi) sends x the gradient rotated by -psi, and psi
@@ -265,7 +255,7 @@ def backward(params: BaselineParams, config: BaselineConfig, cache, upstream):
     rel_rows = np.zeros((B, dim))
     for k, (kept, sign) in enumerate(((g_tail, -1.0), (g_head, 1.0))):
         G, a = sums[:, k], cache["positives"]["anchors"][:, k]
-        kept[:, 0::2], kept[:, 1::2], _ = _rotate(G, -sign * phase)
+        kept[:, 0::2], kept[:, 1::2] = _rotate(G, -sign * phase)
         rel_rows[:, : dim // 2] += sign * (G[:, 1::2] * a[:, 0::2] - G[:, 0::2] * a[:, 1::2])
     return ent_rows, rel_rows, {}
 
@@ -281,9 +271,9 @@ def candidate_table(params: BaselineParams, config: BaselineConfig, candidates, 
     """
     kernels.check_side(corrupt_side)
     candidates = np.asarray(candidates, dtype=np.int64).ravel()
-    if params.kind == DISTMULT:
+    if config.kind == DISTMULT:
         rows = kernels.padded(params.ent[candidates])
-    elif params.kind == ROTATE:
+    elif config.kind == ROTATE:
         pair_split = np.r_[0 : config.dim : 2, 1 : config.dim : 2]
         rows = kernels.transposed(params.ent[candidates[:, None], pair_split])
     else:
@@ -313,13 +303,13 @@ def score_batch(params: BaselineParams, config: BaselineConfig, triples, candida
     head = corrupt_side == "head"
     r = params.rel[triples[:, 1]]
     fixed = params.ent[triples[:, 2] if head else triples[:, 0]]
-    if params.kind == DISTMULT:
+    if config.kind == DISTMULT:
         # trilinear form is a plain inner product against the candidate
         return np.negative((table.rows @ (fixed * r).T)[:C].T, out=np.empty((B, C)))
-    if params.kind == ROTATE:
+    if config.kind == ROTATE:
         # the fixed side rotated by r, or by its conjugate for candidate heads
         phase = r[:, : config.dim // 2]
-        re, im, _ = _rotate(fixed, -phase if head else phase)
+        re, im = _rotate(fixed, -phase if head else phase)
         term = (2, np.subtract, kernels.columns(np.concatenate([re, im], axis=1)), None)
     elif head:
         term = (config.norm_p, np.add, kernels.columns(r), kernels.columns(fixed))

@@ -2,10 +2,12 @@
 
 Layout: 8-byte magic "HIEKGE01", little-endian u32 tensor count, then per
 tensor a u32 rank, rank u32 dims, and the row-major float64 payload.
-The sidecar (same stem, .json extension) records the model kind, config,
-vocabulary sizes, training step, seed, an optional metric snapshot, and
-the tensor name/shape table. Nothing time- or host-dependent is written,
-so identical params and metadata give identical bytes.
+The sidecar (same stem, .json extension) holds the caller's metadata (the
+CLI writes the model kind, the vocabulary sizes, the training step, the
+seed and both configs) and the tensor name/shape table. Nothing time- or
+host-dependent is written, so identical params and metadata give
+identical bytes. Loading rebuilds the params class of the sidecar's
+model kind from the tensors named like its fields.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from .baselines import BASELINE_KINDS, BaselineParams
 from .hie_model import HieParams
 
 MAGIC = b"HIEKGE01"
-
-HIE_FIELDS = tuple(f.name for f in fields(HieParams))
 
 
 class CheckpointError(Exception):
@@ -138,15 +138,13 @@ def load_checkpoint(path) -> Checkpoint:
         named[entry["name"]] = arr
 
     kind = meta.get("model_kind")
-    if kind == "hie":
-        missing = [n for n in HIE_FIELDS if n not in named]
-        if missing:
-            raise ShapeMismatchError(f"{path}: missing tensors {missing}")
-        params = HieParams(**{n: named[n] for n in HIE_FIELDS})
-    elif kind in BASELINE_KINDS:
-        if "ent" not in named or "rel" not in named:
-            raise ShapeMismatchError(f"{path}: baseline checkpoint needs ent and rel")
-        params = BaselineParams(kind=kind, ent=named["ent"], rel=named["rel"])
-    else:
+    classes = {"hie": HieParams, **dict.fromkeys(BASELINE_KINDS, BaselineParams)}
+    # a JSON list or object is unhashable, so only a str is looked up
+    params_class = classes.get(kind) if isinstance(kind, str) else None
+    if params_class is None:
         raise CheckpointError(f"{path}: unknown model kind {kind!r}")
-    return Checkpoint(params=params, meta=meta)
+    names = [f.name for f in fields(params_class)]
+    missing = [n for n in names if n not in named]
+    if missing:
+        raise ShapeMismatchError(f"{path}: missing tensors {missing}")
+    return Checkpoint(params=params_class(**{n: named[n] for n in names}), meta=meta)

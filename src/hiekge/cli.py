@@ -145,13 +145,6 @@ def train_config_from(run: RunConfig) -> TrainConfig:
         raise UsageError(str(exc)) from exc
 
 
-def _config_as_doc(config) -> dict:
-    doc = dataclasses.asdict(config)
-    if "lambdas" in doc:
-        doc["lambdas"] = list(doc["lambdas"])
-    return doc
-
-
 def _model_config_from_doc(kind, doc):
     try:
         return HieConfig(**doc) if kind == "hie" else BaselineConfig(**doc)
@@ -163,20 +156,29 @@ def _check_config_fits(params, kind, model_config):
     """CheckpointError unless model_config implies the checkpoint's tensor shapes.
 
     The shapes come from a one-entity, one-relation initialization; only
-    the vocabulary axis of ent and rel is taken from the checkpoint.
+    the vocabulary axis of ent and rel is taken from the checkpoint. The
+    config values that size it are held to the tensors first (dim to
+    ent's width and, for hie, levels to transform_seed's rows), so every
+    dimension of that template is one of the checkpoint's own.
     """
     if getattr(model_config, "kind", kind) != kind:
         raise CheckpointError(
             f"model_config kind {model_config.kind!r} differs from model_kind {kind!r}"
         )
+
+    def expect(name, expected):
+        shape = getattr(params, name).shape
+        if shape != expected:
+            raise CheckpointError(
+                f"checkpoint tensor {name} is {list(shape)} but the model config implies {list(expected)}"
+            )
+
+    expect("ent", params.ent.shape[:1] + (model_config.dim,))
+    if kind == "hie":
+        expect("transform_seed", (model_config.levels,) + params.transform_seed.shape[1:])
     template = init_model(kind, 1, 1, model_config, seed=0)
     for (name, tensor), (_, fresh) in zip(params.field_items(), template.field_items()):
-        expected = tensor.shape[:1] + fresh.shape[1:] if name in ("ent", "rel") else fresh.shape
-        if tensor.shape != expected:
-            raise CheckpointError(
-                f"checkpoint tensor {name} is {list(tensor.shape)} but the model config "
-                f"implies {list(expected)}"
-            )
+        expect(name, tensor.shape[:1] + fresh.shape[1:] if name in ("ent", "rel") else fresh.shape)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -328,8 +330,9 @@ def _checkpoint_meta(run, kg, model_config, train_config) -> dict:
         "num_relations": kg.num_relations,
         "step": train_config.steps,
         "seed": train_config.seed,
-        "model_config": _config_as_doc(model_config),
-        "train_config": _config_as_doc(train_config),
+        # json writes a tuple as a list
+        "model_config": dataclasses.asdict(model_config),
+        "train_config": dataclasses.asdict(train_config),
     }
 
 

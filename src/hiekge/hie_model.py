@@ -34,7 +34,7 @@ ranking kernel, `kernels.slab_sums`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,7 +89,7 @@ class HieConfig:
 
 
 @dataclass
-class HieParams:
+class HieParams(kernels.Params):
     """All trainable tensors, float64 throughout.
 
     ent/rel rows are [geometric half | semantic half]. The six projection
@@ -115,18 +115,6 @@ class HieParams:
     @property
     def alpha(self) -> float:
         return float(kernels.sigmoid(self.blend_logit))
-
-    @property
-    def num_entities(self):
-        return self.ent.shape[0]
-
-    @property
-    def num_relations(self):
-        return self.rel.shape[0]
-
-    def field_items(self):
-        """(name, tensor) pairs in the canonical serialization order: declaration order."""
-        return [(f.name, getattr(self, f.name)) for f in fields(self)]
 
 
 def init_params(num_entities, num_relations, config: HieConfig, seed) -> HieParams:

@@ -1,5 +1,11 @@
-"""Machinery every model shares: the worker pool, the tiling rules, the ranking kernel, row helpers
-and the check of config fields.
+"""Machinery every model shares: the params protocol, the worker pool, the tiling rules, the
+ranking kernel, row helpers and the check of config fields.
+
+Params: each model's parameters are a dataclass of tensors and nothing
+else; what the tensors mean (levels, transform, a baseline's kind) is
+its config. `Params` gives every one the vocabulary sizes and
+`field_items`, the tensors in declaration order, which is the order of
+checkpoints and of Adam's moments.
 
 Training tiles: the models' forward and backward walk their rows in tiles
 of `tile_rows(width)` rows, small enough for a core's L2 cache
@@ -83,6 +89,22 @@ def sigmoid(x):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out if out.ndim else float(out)
+
+
+class Params:
+    """Base of every model's params dataclass: rows of ent are entities, rows of rel relations."""
+
+    @property
+    def num_entities(self):
+        return self.ent.shape[0]
+
+    @property
+    def num_relations(self):
+        return self.rel.shape[0]
+
+    def field_items(self):
+        """(name, tensor) pairs in the canonical serialization order: declaration order."""
+        return [(f.name, getattr(self, f.name)) for f in fields(self)]
 
 
 def tile_rows(width):

@@ -16,9 +16,9 @@ from helpers import anchored_batch, close_to, row_sums
 from oracles import distmult_oracle, rotate_oracle, transe_oracle
 
 
-def score_of(params, h, r, t, norm_p=1):
-    """One triple's score through the batch kernel."""
-    config = BaselineConfig(kind=params.kind, dim=params.ent.shape[1], norm_p=norm_p)
+def score_of(kind, params, h, r, t, norm_p=1):
+    """One triple's score under the given kind, through the batch kernel."""
+    config = BaselineConfig(kind=kind, dim=params.ent.shape[1], norm_p=norm_p)
     return score_triples(params, config, [(h, r, t)])[0][0]
 
 
@@ -64,22 +64,37 @@ class TestInit:
         assert np.array_equal(a.ent, b.ent) and np.array_equal(a.rel, b.rel)
 
 
+class TestKindIsConfig:
+    def test_one_params_scores_as_the_configs_kind(self):
+        # the params hold no kind: the same tensors score as whichever kind the config names
+        rng = np.random.default_rng(11)
+        params = BaselineParams(ent=rng.normal(size=(5, 6)), rel=rng.uniform(-np.pi, np.pi, size=(2, 6)))
+        triples = [(0, 1, 3), (4, 0, 2), (2, 1, 2)]
+        scores = {}
+        for kind, oracle in ORACLES.items():
+            config = BaselineConfig(kind=kind, dim=6)
+            scores[kind] = score_triples(params, config, triples)[0]
+            expected = [oracle(params, h, r, t, config.norm_p) for h, r, t in triples]
+            np.testing.assert_allclose(scores[kind], expected, rtol=1e-12, atol=1e-14)
+        assert not np.allclose(scores["transe"], scores["distmult"])
+        assert not np.allclose(scores["transe"], scores["rotate"])
+        assert not np.allclose(scores["distmult"], scores["rotate"])
+
+
 class TestTransE:
     def test_translation_identity_scores_zero(self):
         params = BaselineParams(
-            kind="transe",
             ent=np.array([[1.0, 2.0], [3.0, 1.0]]),
             rel=np.array([[2.0, -1.0]]),
         )
-        assert score_of(params, 0, 0, 1, norm_p=1) == 0.0
+        assert score_of("transe", params, 0, 0, 1, norm_p=1) == 0.0
 
     def test_forced_l1(self):
         params = BaselineParams(
-            kind="transe",
             ent=np.array([[1.0, 0.0], [0.0, 0.0]]),
             rel=np.array([[0.0, 1.0]]),
         )
-        assert score_of(params, 0, 0, 1, norm_p=1) == 2.0
+        assert score_of("transe", params, 0, 0, 1, norm_p=1) == 2.0
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(1)
@@ -87,7 +102,7 @@ class TestTransE:
         for _ in range(20):
             h, r, t = rng.integers(0, 6), rng.integers(0, 3), rng.integers(0, 6)
             for p in (1, 2):
-                assert score_of(params, h, r, t, p) == pytest.approx(
+                assert score_of("transe", params, h, r, t, p) == pytest.approx(
                     transe_oracle(params, h, r, t, p), rel=1e-12
                 )
 
@@ -95,39 +110,35 @@ class TestTransE:
         rng = np.random.default_rng(2)
         params, config = make("transe", rng)
         shift = rng.normal(size=params.ent.shape[1])
-        shifted = BaselineParams(kind="transe", ent=params.ent + shift, rel=params.rel)
+        shifted = BaselineParams(ent=params.ent + shift, rel=params.rel)
         for p in (1, 2):
-            assert score_of(shifted, 0, 1, 3, p) == pytest.approx(
-                score_of(params, 0, 1, 3, p), rel=1e-9
+            assert score_of("transe", shifted, 0, 1, 3, p) == pytest.approx(
+                score_of("transe", params, 0, 1, 3, p), rel=1e-9
             )
 
 
 class TestDistMult:
     def test_zero_factor_scores_zero(self):
-        params = BaselineParams(
-            kind="distmult", ent=np.array([[0.0, 0.0], [1.0, 2.0]]), rel=np.array([[3.0, 4.0]])
-        )
-        assert score_of(params, 0, 0, 1) == 0.0
+        params = BaselineParams(ent=np.array([[0.0, 0.0], [1.0, 2.0]]), rel=np.array([[3.0, 4.0]]))
+        assert score_of("distmult", params, 0, 0, 1) == 0.0
 
     def test_forced_value(self):
-        params = BaselineParams(
-            kind="distmult", ent=np.array([[1.0, 1.0]]), rel=np.array([[1.0, 1.0]])
-        )
-        assert score_of(params, 0, 0, 0) == -2.0
+        params = BaselineParams(ent=np.array([[1.0, 1.0]]), rel=np.array([[1.0, 1.0]]))
+        assert score_of("distmult", params, 0, 0, 0) == -2.0
 
     def test_head_tail_symmetry_exact(self):
         rng = np.random.default_rng(3)
         params, _ = make("distmult", rng)
         for _ in range(20):
             h, r, t = rng.integers(0, 6), rng.integers(0, 3), rng.integers(0, 6)
-            assert score_of(params, h, r, t) == score_of(params, t, r, h)
+            assert score_of("distmult", params, h, r, t) == score_of("distmult", params, t, r, h)
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(4)
         params, _ = make("distmult", rng)
         for _ in range(20):
             h, r, t = rng.integers(0, 6), rng.integers(0, 3), rng.integers(0, 6)
-            assert score_of(params, h, r, t) == pytest.approx(
+            assert score_of("distmult", params, h, r, t) == pytest.approx(
                 distmult_oracle(params, h, r, t), rel=1e-12, abs=1e-14
             )
 
@@ -136,22 +147,22 @@ class TestRotatE:
     def test_identity_rotation_fixed_point(self):
         ent = np.array([[0.5, -1.0, 2.0, 0.25], [0.5, -1.0, 2.0, 0.25]])
         rel = np.zeros((1, 4))
-        params = BaselineParams(kind="rotate", ent=ent, rel=rel)
-        assert score_of(params, 0, 0, 1) == 0.0
+        params = BaselineParams(ent=ent, rel=rel)
+        assert score_of("rotate", params, 0, 0, 1) == 0.0
 
     def test_quarter_turn(self):
         # 1+0i rotated by pi/2 lands on 0+1i
         ent = np.array([[1.0, 0.0], [0.0, 1.0]])
         rel = np.array([[np.pi / 2, 0.0]])
-        params = BaselineParams(kind="rotate", ent=ent, rel=rel)
-        assert score_of(params, 0, 0, 1) == pytest.approx(0.0, abs=1e-15)
+        params = BaselineParams(ent=ent, rel=rel)
+        assert score_of("rotate", params, 0, 0, 1) == pytest.approx(0.0, abs=1e-15)
 
     def test_matches_complex_oracle(self):
         rng = np.random.default_rng(5)
         params, _ = make("rotate", rng, dim=6)
         for _ in range(20):
             h, r, t = rng.integers(0, 6), rng.integers(0, 3), rng.integers(0, 6)
-            assert score_of(params, h, r, t) == pytest.approx(
+            assert score_of("rotate", params, h, r, t) == pytest.approx(
                 rotate_oracle(params, h, r, t), rel=1e-12, abs=1e-14
             )
 

@@ -1,12 +1,13 @@
 import json
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hiekge.baselines import BaselineConfig
+from hiekge.baselines import BaselineConfig, BaselineParams
 from hiekge.baselines import init_params as init_baseline
 from hiekge.checkpoint import (
     MAGIC,
@@ -50,7 +51,9 @@ class TestRoundTrip:
         path = tmp_path / "model.ckpt"
         save_checkpoint(params, {"model_kind": kind}, path)
         loaded = load_checkpoint(path)
-        assert loaded.params.kind == kind
+        # the kind rides in the sidecar; the params are the baseline class's two tables
+        assert loaded.meta["model_kind"] == kind
+        assert type(loaded.params) is BaselineParams
         assert np.array_equal(loaded.params.ent, params.ent)
         assert np.array_equal(loaded.params.rel, params.rel)
 
@@ -224,7 +227,22 @@ class TestCorruption:
         with pytest.raises(CheckpointError, match="malformed tensor entry"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("kind", ["bogus", None, 3])
+    @pytest.mark.parametrize("kind", ["hie", "transe", "distmult", "rotate"])
+    def test_tensor_missing_from_blob_and_sidecar_is_named(self, tmp_path, kind):
+        # the blob and the sidecar agree with each other, but the kind's params class needs the tensor
+        if kind == "hie":
+            params, meta = hie_fixture()
+        else:
+            params, meta = init_baseline(5, 2, BaselineConfig(kind=kind, dim=4), seed=0), {"model_kind": kind}
+        path = tmp_path / "model.ckpt"
+        for dropped, _ in params.field_items():
+            kept = [(n, t) for n, t in params.field_items() if n != dropped]
+            # save_checkpoint writes whatever tensors field_items lists, to the blob and the sidecar
+            save_checkpoint(SimpleNamespace(field_items=lambda: kept), meta, path)
+            with pytest.raises(ShapeMismatchError, match=rf"missing tensors \['{dropped}'\]"):
+                load_checkpoint(path)
+
+    @pytest.mark.parametrize("kind", ["bogus", None, 3, ["hie"]])
     def test_unknown_model_kind(self, tmp_path, kind):
         config = BaselineConfig(kind="transe", dim=4)
         params = init_baseline(5, 2, config, seed=0)

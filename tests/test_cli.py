@@ -522,6 +522,9 @@ class TestEvalBadCheckpoint:
             "float_dim",
             "float_levels",
             "nan_lambdas",
+            "unhashable_model_kind",
+            "absurd_dim",
+            "absurd_dim_two_levels",
         ],
     )
     def test_bad_sidecar_is_data_error(self, capsys, data_dir, trained, tmp_path, case):
@@ -551,6 +554,14 @@ class TestEvalBadCheckpoint:
         elif case == "nan_lambdas":
             # once passed the config's checks and exited numeric on NaN scores
             edit_sidecar(sidecar, lambda doc: doc["model_config"].update(lambdas=[math.nan, math.nan]))
+        elif case == "unhashable_model_kind":
+            edit_sidecar(sidecar, lambda doc: doc.update(model_kind=["hie"]))
+        elif case == "absurd_dim":
+            # each absurd size once built an (unallocatable) template model and ended in a
+            # MemoryError traceback; these are sizes numpy refuses at once
+            edit_sidecar(sidecar, lambda doc: doc["model_config"].update(dim=10**12))
+        elif case == "absurd_dim_two_levels":
+            edit_sidecar(sidecar, lambda doc: doc["model_config"].update(dim=10**6, levels=2, lambdas=[0.5, 0.5]))
         else:
             edit_sidecar(
                 sidecar,
@@ -588,6 +599,13 @@ class TestEvalBadCheckpoint:
         assert code == 2
         assert stdout == ""
         assert err.startswith("data error:") and "norm_p must be an int" in err and "Traceback" not in err
+
+    def test_baseline_absurd_dim_is_data_error(self, capsys, data_dir, tmp_path):
+        # once a MemoryError traceback from the template model; numpy refuses this size at once
+        code, stdout, err = eval_edited_transe(capsys, data_dir, tmp_path, dim=10**12)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("data error:") and "model config implies" in err and "Traceback" not in err
 
     def test_baseline_config_kind_differs_from_model_kind(self, capsys, data_dir, tmp_path):
         code, stdout, err = eval_edited_transe(capsys, data_dir, tmp_path, kind="distmult")

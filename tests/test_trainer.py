@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hiekge import kernels, trainer
-from hiekge.baselines import BaselineConfig
+from hiekge.baselines import BaselineConfig, BaselineParams
 from hiekge.baselines import init_params as init_baseline
 from hiekge.hie_model import HieConfig, init_params, score_triples
 from hiekge.kernels import sigmoid
@@ -701,7 +701,10 @@ class TestTrain:
         config = BaselineConfig(kind="transe", dim=8, norm_p=1)
         tc = TrainConfig(steps=30, batch_size=16, num_negatives=2, seed=1)
         params, log = train(kg, "transe", config, tc)
-        assert params.kind == "transe"
+        # a baseline's params are its two tables, sized by the graph and the config's dim
+        assert isinstance(params, BaselineParams)
+        assert [(name, t.shape) for name, t in params.field_items()] == [
+            ("ent", (kg.num_entities, 8)), ("rel", (kg.num_relations, 8))]
         assert log[-1][2] is None  # no blend to report
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")

@@ -2,17 +2,21 @@
 
 Usage: python tools/fingerprint.py [--workers 1|2]
 
-For each configuration (hie at levels 1-3 x L1/L2 x diagonal/rank-1
-transform, TransE L1/L2, RotatE and DistMult) on each graph (the tests'
-100-entity graph and the benchmark's WN18RR-shaped graph, seed 3), it
-trains 3 steps at batch 512 with 64 negatives, ranks the first 16 test
-triples, and prints
+For each configuration on each graph (the tests' 100-entity graph and the
+benchmark's WN18RR-shaped graph, seed 3), it trains 3 steps at batch 512
+with 64 negatives, ranks the first 16 test triples, and prints
 
     graph/config sha256
 
 where the hash covers the loss log, every trained parameter tensor and
-the ranks. `--workers` sets `kernels.WORKERS`. Two trees, or two worker
-counts, compute the same bits when their outputs are equal:
+the ranks. The configurations are hie at levels 1-3 x L1/L2 x
+diagonal/rank-1 transform from its identity-like init; hie at levels 2-3
+x L1/L2 x both transforms from perturbed structure tensors
+(`helpers.random_hie_params`, whose deep levels differ from the raw
+halves); each of hie's four `disable_*` switches at 2 levels, also
+perturbed; TransE L1/L2, RotatE and DistMult. About 20 s on 2 CPUs.
+`--workers` sets `kernels.WORKERS`. Two trees, or two worker counts,
+compute the same bits when their outputs are equal:
 
     python tools/fingerprint.py --workers 1 > a.txt
     python tools/fingerprint.py --workers 2 > b.txt
@@ -33,6 +37,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "bench")]
 
 import graphs  # noqa: E402
+from helpers import random_hie_params  # noqa: E402
 from hiekge import evaluator, kernels, kg_data, trainer  # noqa: E402
 from hiekge.baselines import BaselineConfig  # noqa: E402
 from hiekge.hie_model import HieConfig  # noqa: E402
@@ -45,17 +50,26 @@ RANKED = 16
 
 
 def configurations():
-    """(name, model kind, model config) of every fingerprinted configuration."""
+    """(name, model kind, model config, perturbed) of every fingerprinted configuration.
+
+    perturbed: training starts from `random_hie_params` rather than the
+    model's own init.
+    """
     for levels in (1, 2, 3):
         for norm_p in (1, 2):
             for transform in ("diagonal", "rank1"):
                 config = HieConfig(dim=DIM, levels=levels, lambdas=LAMBDAS[levels], norm_p=norm_p,
                                    transform=transform)
-                yield f"hie-levels{levels}-l{norm_p}-{transform}", "hie", config
+                yield f"hie-levels{levels}-l{norm_p}-{transform}", "hie", config, False
+                if levels > 1:
+                    yield f"hie-perturbed-levels{levels}-l{norm_p}-{transform}", "hie", config, True
+    for switch in ("distance", "semantic", "distance_deep", "semantic_deep"):
+        config = HieConfig(dim=DIM, levels=2, lambdas=LAMBDAS[2], **{f"disable_{switch}": True})
+        yield f"hie-perturbed-no-{switch}", "hie", config, True
     for norm_p in (1, 2):
-        yield f"transe-l{norm_p}", "transe", BaselineConfig(kind="transe", dim=DIM, norm_p=norm_p)
-    yield "rotate", "rotate", BaselineConfig(kind="rotate", dim=DIM)
-    yield "distmult", "distmult", BaselineConfig(kind="distmult", dim=DIM)
+        yield f"transe-l{norm_p}", "transe", BaselineConfig(kind="transe", dim=DIM, norm_p=norm_p), False
+    yield "rotate", "rotate", BaselineConfig(kind="rotate", dim=DIM), False
+    yield "distmult", "distmult", BaselineConfig(kind="distmult", dim=DIM), False
 
 
 def wn18rr_kg():
@@ -65,9 +79,12 @@ def wn18rr_kg():
         return kg_data.load_kg(data_dir)
 
 
-def fingerprint(kg, kind, config):
+def fingerprint(kg, kind, config, perturbed):
     """SHA-256 over the loss log, the trained parameters and the ranks of the first test triples."""
-    params, log = trainer.train(kg, kind, config, TRAIN)
+    start = None
+    if perturbed:
+        start = random_hie_params(np.random.default_rng(0), kg.num_entities, kg.num_relations, config)
+    params, log = trainer.train(kg, kind, config, TRAIN, params=start)
     ranks = evaluator.evaluate(params, config, kg, split=kg.test[:RANKED])
     digest = hashlib.sha256(repr(log).encode())
     for name, tensor in params.field_items():
@@ -82,8 +99,8 @@ def main(argv=None):
     parser.add_argument("--workers", type=int, choices=(1, 2), default=kernels.WORKERS)
     kernels.WORKERS = parser.parse_args(argv).workers
     for graph, kg in (("synth100", build_synth_kg()), ("wn18rr", wn18rr_kg())):
-        for name, kind, config in configurations():
-            print(f"{graph}/{name} {fingerprint(kg, kind, config)}", flush=True)
+        for name, kind, *model in configurations():
+            print(f"{graph}/{name} {fingerprint(kg, kind, *model)}", flush=True)
 
 
 if __name__ == "__main__":
