@@ -1,6 +1,7 @@
 """Command-line entry point: train, eval, classify, sweep, gradcheck, ablate.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage error (also a run too large for memory),
+2 data error, 3 numeric failure.
 Progress and diagnostics go to stderr; machine-readable output (JSON
 reports, CSV tables) goes to stdout and, when --out is given, to files.
 """
@@ -471,7 +472,7 @@ def cmd_sweep(run: RunConfig) -> int:
                 if isinstance(point_configs, UsageError):
                     raise point_configs
                 yield f"{prefix},ok,{_metric_cells(point, kg, point_configs, out_dir, f'point_{index:03d}')}"
-            except (UsageError, DataError, NumericError, ValueError) as exc:
+            except (UsageError, DataError, NumericError, ValueError, MemoryError) as exc:
                 _info(f"sweep point {index} failed: {exc}")
                 empty_metrics = "," * len(evaluator.METRIC_FIELDS)
                 yield f"{prefix},error:{type(exc).__name__}{empty_metrics}"
@@ -562,6 +563,9 @@ def main(argv=None) -> int:
         return COMMANDS[args.command][1](run)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"usage error: not enough memory for this run: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DataError, CheckpointError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -28,8 +28,14 @@ returns as its own part, added in tile order by the calling thread.
 All-candidate scoring (`score_batch`) takes its candidate chains from a
 `candidate_table`, built once per corrupted side over the candidate rows
 zero-padded to whole ROW_ALIGN blocks (`kernels.padded`) and stored
-transposed. Each distance and semantic term is summed by the shared
-ranking kernel, `kernels.slab_sums`.
+transposed, one entry per live level. Each distance and semantic term is
+summed by the shared ranking kernel, `kernels.slab_sums`.
+
+`_live_levels` is the one reader of the four `disable_*` switches: it
+gives how many levels the score reads of each space (0, 1 or all, always
+a prefix). A level's active spaces and blend weights follow from it, and
+training and ranking alike build each space's chains over its live levels
+only.
 """
 
 from __future__ import annotations
@@ -80,7 +86,7 @@ class HieConfig:
             raise ValueError(f"level weights must lie in [0, 1], got {self.lambdas}")
         if not abs(sum(self.lambdas) - 1.0) <= 1e-9:
             raise ValueError(f"level weights must sum to 1, got {self.lambdas}")
-        if self.disable_distance and self.disable_semantic:
+        if not any(_live_levels(self)):
             raise ValueError("cannot disable both measurement spaces")
 
     @property
@@ -147,10 +153,7 @@ def init_params(num_entities, num_relations, config: HieConfig, seed) -> HiePara
 
 def active_spaces(config: HieConfig, level: int):
     """(distance_on, semantic_on) at a 1-based level under the ablation flags."""
-    deep = level >= 2
-    dist_on = not config.disable_distance and not (deep and config.disable_distance_deep)
-    sem_on = not config.disable_semantic and not (deep and config.disable_semantic_deep)
-    return dist_on, sem_on
+    return tuple(level <= live for live in _live_levels(config))
 
 
 def level_weights(config: HieConfig, alpha: float):
@@ -163,14 +166,7 @@ def level_weights(config: HieConfig, alpha: float):
     weights = []
     for level in range(1, config.levels + 1):
         dist_on, sem_on = active_spaces(config, level)
-        if dist_on and sem_on:
-            weights.append((alpha, 1.0 - alpha))
-        elif dist_on:
-            weights.append((1.0, 0.0))
-        elif sem_on:
-            weights.append((0.0, 1.0))
-        else:
-            weights.append((0.0, 0.0))
+        weights.append((alpha, 1.0 - alpha) if dist_on and sem_on else (float(dist_on), float(sem_on)))
     return weights
 
 
@@ -189,14 +185,16 @@ def _space_columns(config: HieConfig):
 
 
 def _live_levels(config: HieConfig):
-    """How many levels read each space, (distance, semantic): under every ablation a prefix of the levels."""
-    on = [active_spaces(config, level) for level in range(1, config.levels + 1)]
-    return sum(d for d, _ in on), sum(s for _, s in on)
+    """How many levels the score reads of each space, (distance, semantic): always a prefix of the levels.
 
+    The only reader of the four ablation switches: a disabled space is read
+    at no level, a deep-disabled one at level 1 only, any other at all.
+    """
+    def live(off, off_deep):
+        return 0 if off else 1 if off_deep else config.levels
 
-def _needed_spaces(config: HieConfig):
-    """The spaces, of "dist" and "sem", that are active at one level or more."""
-    return [space for space, levels in zip(("dist", "sem"), _live_levels(config)) if levels]
+    return (live(config.disable_distance, config.disable_distance_deep),
+            live(config.disable_semantic, config.disable_semantic_deep))
 
 
 def _chain(params, base, role, space, levels, out=None):
@@ -469,11 +467,10 @@ def _blend_gradient(config, cache, upstream, dense):
     """Sets dense's blend logit gradient; upstream is in the cache's row order."""
     # d(total)/d(alpha) collects only levels where the blend is live
     blend_slope = 0.0
-    for i in range(config.levels):
-        if all(active_spaces(config, i + 1)):
-            blend_slope += config.lambdas[i] * float(
-                np.sum(upstream * (cache["d_dist"][:, i] - cache["d_sem"][:, i]))
-            )
+    for i in range(min(_live_levels(config))):
+        blend_slope += config.lambdas[i] * float(
+            np.sum(upstream * (cache["d_dist"][:, i] - cache["d_sem"][:, i]))
+        )
     dense["blend_logit"][...] = blend_slope * cache["alpha"] * (1.0 - cache["alpha"])
 
 
@@ -591,34 +588,30 @@ def _backward_tile(params, config, cache, upstream, ent_rows, side, tile):
 def candidate_table(params: HieParams, config: HieConfig, candidates, corrupt_side):
     """The `kernels.CandidateTable` of score_batch over `candidates` on corrupt_side.
 
-    Its rows map "dist" and "sem" to one entry per level: the candidates'
-    chain at that level stored transposed, (half, C), or None where the
-    level does not use the space. On the head side of the rank-1 transform
-    a distance entry is the inner product cand . seed broadcast to
-    (half, C), since that is all the residual reads of a candidate. The
-    chains are built by `_chain` over the candidate rows zero-padded to
-    whole ROW_ALIGN blocks, so a copy of an entity row gets exactly the
-    chains of the row it copies.
+    Its rows map "dist" and "sem" to one entry per live level, the levels
+    the score reads of the space (`_live_levels`): the candidates' chain at
+    that level stored transposed, (half, C). On the head side of the
+    rank-1 transform a distance entry is the inner product cand . seed
+    broadcast to (half, C), since that is all the residual reads of a
+    candidate. The chains are built by `_chain` over the candidate rows
+    zero-padded to whole ROW_ALIGN blocks, so a copy of an entity row gets
+    exactly the chains of the row it copies.
     """
     kernels.check_side(corrupt_side)
     candidates = np.asarray(candidates, dtype=np.int64).ravel()
     C = len(candidates)
-    on = [active_spaces(config, level) for level in range(1, config.levels + 1)]
     rank1_head = corrupt_side == "head" and config.transform == TRANSFORM_RANK1
     rows = {}
-    for k, (space, cols) in enumerate(_space_columns(config).items()):
-        rows[space] = [None] * config.levels
-        if space not in _needed_spaces(config):
+    for (space, cols), levels in zip(_space_columns(config).items(), _live_levels(config)):
+        rows[space] = []
+        if not levels:
             continue
-        rows_padded = kernels.padded(params.ent[candidates, cols])
-        chain = _chain(params, rows_padded, corrupt_side, space, config.levels)
-        for i, level in enumerate(chain):
-            if not on[i][k]:
-                continue
-            rows[space][i] = kernels.transposed(level[:C])
+        chain = _chain(params, kernels.padded(params.ent[candidates, cols]), corrupt_side, space, levels)
+        for level, seed in zip(chain, params.transform_seed):
+            cand = kernels.transposed(level[:C])
             if space == "dist" and rank1_head:
-                inner = _coordinate_dot(rows[space][i], params.transform_seed[i])
-                rows[space][i] = np.broadcast_to(inner, (config.half, C))
+                cand = np.broadcast_to(_coordinate_dot(cand, seed), (config.half, C))
+            rows[space].append(cand)
     return kernels.CandidateTable(corrupt_side, C, rows)
 
 
@@ -628,24 +621,24 @@ def _batch_terms(params, config, triples, table):
     Per coordinate, a term's residual is the arithmetic of `_head_term`
     minus the tail and of the semantic residual (h + r) - t, except
     that the rank-1 inner product is summed one coordinate at a time. The
-    fixed and relation chains are built over rows padded like the
-    candidates', so a triple's operands do not depend on the other triples
-    of the call.
+    fixed and relation chains are built over each space's live levels
+    only, over rows padded like the candidates', so a triple's operands do
+    not depend on the other triples of the call. A term is skipped when its
+    blend weight is 0, as it is at every level the score does not read.
     """
-    B, levels = len(triples), config.levels
+    B = len(triples)
     head = table.side == "head"
     fixed_ids, fixed_role = (triples[:, 2], "tail") if head else (triples[:, 0], "head")
 
     chains = {
         space: (_chain(params, kernels.padded(params.ent[fixed_ids, cols]), fixed_role, space, levels),
                 _chain(params, kernels.padded(params.rel[triples[:, 1], cols]), "rel", space, levels))
-        for space, cols in _space_columns(config).items() if space in _needed_spaces(config)
+        for (space, cols), levels in zip(_space_columns(config).items(), _live_levels(config)) if levels
     }
     terms = []
     for i, weights in enumerate(level_weights(config, params.alpha)):
         for space, weight in zip(("dist", "sem"), weights):
-            cand = table.rows[space][i]
-            if cand is None or weight == 0.0:
+            if weight == 0.0:
                 continue
             fixed, rel = (chain[i][:B] for chain in chains[space])
             seed = params.transform_seed[i]
@@ -662,7 +655,7 @@ def _batch_terms(params, config, triples, table):
             else:
                 term = (np.subtract, kernels.columns(_coordinate_dot(fixed.T, seed)[:, None] * rel), None)
             norm_p = 2 if space == "sem" else config.norm_p
-            terms.append((config.lambdas[i] * weight, norm_p, *term, cand))
+            terms.append((config.lambdas[i] * weight, norm_p, *term, table.rows[space][i]))
     return terms
 
 

@@ -333,7 +333,9 @@ def grad_check(params, model_config, train_config, batch, fd_step=1e-6, max_coor
     The adversarial weights are frozen at their center-point values before
     differencing, since the objective treats them as constants. Checks
     every coordinate unless max_coords caps the count, in which case a
-    random subset (at least 500 when available) is drawn.
+    random subset (at least 500 when available) is drawn. A coordinate
+    whose relative error is not finite (a NaN or infinite gradient or
+    loss) raises NumericError naming the tensor and the coordinate.
 
     floor is the denominator floor of the relative error. floor=None scales
     it to 0.1% of the largest analytic gradient coordinate: adversarial
@@ -390,6 +392,10 @@ def grad_check(params, model_config, train_config, batch, fd_step=1e-6, max_coor
         fd = (up - down) / (2.0 * fd_step)
         analytic = grad_dense(grads, params, name).flat[local]
         err = abs(analytic - fd) / max(abs(analytic), abs(fd), floor)
+        if not np.isfinite(err):
+            coord = ", ".join(map(str, np.unravel_index(local, tensor.shape)))
+            raise NumericError(f"gradient check: non-finite relative error at {name}[{coord}] "
+                               f"(analytic {analytic}, finite difference {fd})")
         max_err = max(max_err, err)
     return max_err
 

@@ -39,6 +39,19 @@ def other_data_dir(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def synth100_dir(tmp_path_factory):
+    """The tests' 100-entity graph."""
+    path = tmp_path_factory.mktemp("kg100") / "data"
+    write_synth_kg(path, build_synth_kg())
+    return str(path)
+
+
+# each asks for more than 2**47 bytes on the 100-entity graph, a size every host refuses at once
+TOO_LARGE = [("--dim", "1000000000000"), ("--negatives", "10000000000000"),
+             ("--batch-size", "100000000000000")]
+
+
 def run_cli(capsys, *args):
     code = cli.main(list(args))
     captured = capsys.readouterr()
@@ -378,6 +391,15 @@ class TestTrain:
             "--checkpoint", str(out / "model.ckpt"), "--split", "valid")
         assert code == 0
         assert eval_out == train_out
+
+    @pytest.mark.parametrize("flag,value", TOO_LARGE)
+    def test_run_too_large_for_memory_is_usage_error(self, capsys, synth100_dir, tmp_path, flag, value):
+        # numpy's MemoryError once ended the command in a traceback
+        code, out, err = run_cli(
+            capsys, "train", "--data-dir", synth100_dir, "--out", str(tmp_path / "run"), "--steps", "2", flag, value)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[-1].startswith("usage error: not enough memory") and "Traceback" not in err
 
 
 @pytest.fixture(scope="module")
@@ -843,8 +865,28 @@ class TestSweep:
         grid = {(row.split(",")[0], row.split(",")[2]) for row in rows}
         assert grid == {("1", "3"), ("1", "6"), ("2", "3"), ("2", "6")}
 
+    def test_point_too_large_for_memory_gets_an_error_row(self, capsys, synth100_dir, tmp_path):
+        # its MemoryError once ended the sweep in a traceback after the first row
+        code, stdout, err = run_cli(
+            capsys, "sweep", "--data-dir", synth100_dir, "--out", str(tmp_path / "sw"),
+            "--steps", "2", "--sweep-dim", "8,1000000000000")
+        assert code == 0
+        rows = [row.split(",") for row in stdout.splitlines()[1:]]
+        assert [(row[3], row[5]) for row in rows] == [("8", "ok"), ("1000000000000", "error:MemoryError")]
+        assert "sweep point 1 failed" in err and "Traceback" not in err
+
 
 class TestGradcheck:
+    @pytest.mark.parametrize("flag", ["--alpha-temp", "--gamma"])
+    def test_non_finite_gradients_exit_numeric(self, capsys, data_dir, flag):
+        # max() once dropped each NaN error: every gradient NaN, and the check passed with 0
+        with np.errstate(all="ignore"):
+            code, out, err = run_cli(
+                capsys, "gradcheck", "--data-dir", data_dir, "--dim", "8", "--batches", "1", flag, "1e308")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numeric failure:") and "ent[0, 0]" in err and "Traceback" not in err
+
     def test_reports_error_and_passes_default_tolerance(self, capsys, data_dir):
         code, out, err = run_cli(
             capsys, "gradcheck", "--data-dir", data_dir, "--dim", "8", "--batches", "2")

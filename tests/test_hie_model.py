@@ -508,15 +508,23 @@ class TestCandidateTable:
                     assert level.shape == (config.half, C)
                     assert np.array_equal(level[:, copies], np.repeat(level[:, :1], 3, axis=1)), C
 
-    def test_levels_without_the_space_hold_none(self):
-        config = HieConfig(dim=8, levels=3, lambdas=lambdas_for(3), disable_semantic_deep=True)
-        p = random_hie_params(np.random.default_rng(2), 5, 2, config)
-        rows = hie_model.candidate_table(p, config, np.arange(5), "tail").rows
-        assert [level is None for level in rows["sem"]] == [False, True, True]
-        assert all(level is not None for level in rows["dist"])
-        only_dist = HieConfig(dim=8, levels=3, lambdas=lambdas_for(3), disable_semantic=True)
-        rows = hie_model.candidate_table(p, only_dist, np.arange(5), "head").rows
-        assert rows["sem"] == [None] * 3 and all(level is not None for level in rows["dist"])
+    # (distance, semantic) entries at 3 levels under each of ABLATION_COMBOS, in its order
+    LIVE_ENTRIES = [(3, 3), (0, 3), (3, 0), (1, 3), (3, 1), (0, 1), (1, 0), (1, 1)]
+
+    @pytest.mark.parametrize("transform", ["diagonal", "rank1"])
+    @pytest.mark.parametrize("side", ["head", "tail"])
+    @pytest.mark.parametrize("flags,entries", [pytest.param(flags, entries, id="-".join(flags) or "full")
+                                               for flags, entries in zip(ABLATION_COMBOS, LIVE_ENTRIES)])
+    def test_tables_hold_the_live_levels_only(self, flags, entries, side, transform):
+        # each space holds one entry per level the score reads, each the un-ablated table's at that level
+        full = HieConfig(dim=8, levels=3, lambdas=lambdas_for(3), transform=transform)
+        p = random_hie_params(np.random.default_rng(2), 5, 2, full)
+        want = hie_model.candidate_table(p, full, np.arange(5), side).rows
+        rows = hie_model.candidate_table(p, HieConfig(**{**vars(full), **flags}), np.arange(5), side).rows
+        assert (len(rows["dist"]), len(rows["sem"])) == entries
+        for space in ("dist", "sem"):
+            for level, full_level in zip(rows[space], want[space]):
+                assert level is not None and np.array_equal(level, full_level)
 
 
 TILE_CONFIGS = [
@@ -580,14 +588,21 @@ class TestRowTiles:
                 dense[name], want, rtol=0, atol=1e-12 * np.max(np.abs(want), initial=0.0))
 
 
-def test_active_spaces_deep_flags_only_bite_below_level_one():
-    config = HieConfig(dim=4, levels=3, lambdas=lambdas_for(3), disable_semantic_deep=True)
-    assert active_spaces(config, 1) == (True, True)
-    assert active_spaces(config, 2) == (True, False)
-    assert active_spaces(config, 3) == (True, False)
+@pytest.mark.parametrize("levels", [1, 2, 3])
+@pytest.mark.parametrize("flags", ABLATION_COMBOS, ids=lambda flags: "-".join(flags) or "full")
+def test_active_spaces_deep_flags_only_bite_below_level_one(flags, levels):
+    config = HieConfig(dim=4, levels=levels, lambdas=lambdas_for(levels), **flags)
+    # (distance, semantic) weights at alpha 0.25: both on blend, one on takes all, neither gets none
+    want = {(True, True): (0.25, 0.75), (True, False): (1.0, 0.0), (False, True): (0.0, 1.0),
+            (False, False): (0.0, 0.0)}
     weights = level_weights(config, 0.25)
-    assert weights[0] == (0.25, 0.75)
-    assert weights[1] == (1.0, 0.0)
+    assert len(weights) == levels
+    for level in range(1, levels + 1):
+        # a space is on unless it is disabled, or deep-disabled and the level is deeper than level 1
+        dist_on = not flags.get("disable_distance") and not (level > 1 and flags.get("disable_distance_deep"))
+        sem_on = not flags.get("disable_semantic") and not (level > 1 and flags.get("disable_semantic_deep"))
+        assert active_spaces(config, level) == (dist_on, sem_on)
+        assert weights[level - 1] == want[dist_on, sem_on]
 
 
 ANCHOR_CONFIGS = [

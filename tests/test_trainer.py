@@ -538,6 +538,18 @@ class TestGradients:
         err = abs(doubled - fd) / max(abs(doubled), abs(fd), 1e-8)
         assert err > 0.4
 
+    # every adversarial logit overflows to inf, so the weights are NaN; or the loss overflows
+    @pytest.mark.parametrize("flags", [{"alpha_temp": 1e308, "gamma": 100.0}, {"gamma": 1e308}])
+    def test_non_finite_error_raises_naming_the_coordinate(self, flags):
+        # max() once dropped a NaN error, so a check of NaN gradients returned 0.0
+        rng = np.random.default_rng(6)
+        config = HieConfig(dim=8)
+        params = random_hie_params(rng, 10, 3, config)
+        batch = toy_batch(rng, 10, 3, 4)
+        tc = TrainConfig(**{**vars(FD_TRAIN), **flags})
+        with np.errstate(all="ignore"), pytest.raises(NumericError, match=r"non-finite .* at ent\[0, 0\]"):
+            grad_check(params, config, tc, batch, fd_step=1e-6, rng=rng)
+
     def test_analytically_zero_coordinates_have_zero_error(self):
         # a relation absent from the batch: gradient 0, finite difference 0
         rng = np.random.default_rng(7)

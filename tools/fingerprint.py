@@ -13,8 +13,10 @@ the ranks. The configurations are hie at levels 1-3 x L1/L2 x
 diagonal/rank-1 transform from its identity-like init; hie at levels 2-3
 x L1/L2 x both transforms from perturbed structure tensors
 (`helpers.random_hie_params`, whose deep levels differ from the raw
-halves); each of hie's four `disable_*` switches at 2 levels, also
-perturbed; TransE L1/L2, RotatE and DistMult. About 20 s on 2 CPUs.
+halves); each of hie's four `disable_*` switches at 2 levels, and the
+two `disable_*_deep` switches at 3 levels, where a space is read at
+level 1 of 3, also perturbed; TransE L1/L2, RotatE and DistMult. About
+25 s on 2 CPUs.
 `--workers` sets `kernels.WORKERS`. Two trees, or two worker counts,
 compute the same bits when their outputs are equal:
 
@@ -66,6 +68,9 @@ def configurations():
     for switch in ("distance", "semantic", "distance_deep", "semantic_deep"):
         config = HieConfig(dim=DIM, levels=2, lambdas=LAMBDAS[2], **{f"disable_{switch}": True})
         yield f"hie-perturbed-no-{switch}", "hie", config, True
+    for switch in ("distance_deep", "semantic_deep"):
+        config = HieConfig(dim=DIM, levels=3, lambdas=LAMBDAS[3], **{f"disable_{switch}": True})
+        yield f"hie-perturbed-levels3-no-{switch}", "hie", config, True
     for norm_p in (1, 2):
         yield f"transe-l{norm_p}", "transe", BaselineConfig(kind="transe", dim=DIM, norm_p=norm_p), False
     yield "rotate", "rotate", BaselineConfig(kind="rotate", dim=DIM), False
