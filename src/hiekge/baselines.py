@@ -65,6 +65,10 @@ class BaselineParams(kernels.Params):
     rel: np.ndarray
 
 
+# the model table's names for this module's classes (`trainer.MODELS`)
+Config, Params = BaselineConfig, BaselineParams
+
+
 def init_params(num_entities, num_relations, config: BaselineConfig, seed) -> BaselineParams:
     """Uniform embeddings; rotation relations start as uniform phases in [-pi, pi)."""
     if num_entities < 1 or num_relations < 1:

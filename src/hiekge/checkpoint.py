@@ -7,7 +7,9 @@ CLI writes the model kind, the vocabulary sizes, the training step, the
 seed and both configs) and the tensor name/shape table. Nothing time- or
 host-dependent is written, so identical params and metadata give
 identical bytes. Loading rebuilds the params class of the sidecar's
-model kind from the tensors named like its fields.
+model kind (`trainer.MODELS[kind].Params`) from the tensors named like
+its fields; a declared tensor that class lacks is an error, so one
+model's tensors never load as another's.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import BASELINE_KINDS, BaselineParams
-from .hie_model import HieParams
+from .trainer import MODELS
 
 MAGIC = b"HIEKGE01"
 
@@ -138,13 +139,14 @@ def load_checkpoint(path) -> Checkpoint:
         named[entry["name"]] = arr
 
     kind = meta.get("model_kind")
-    classes = {"hie": HieParams, **dict.fromkeys(BASELINE_KINDS, BaselineParams)}
     # a JSON list or object is unhashable, so only a str is looked up
-    params_class = classes.get(kind) if isinstance(kind, str) else None
-    if params_class is None:
+    if not (isinstance(kind, str) and kind in MODELS):
         raise CheckpointError(f"{path}: unknown model kind {kind!r}")
-    names = [f.name for f in fields(params_class)]
+    names = [f.name for f in fields(MODELS[kind].Params)]
     missing = [n for n in names if n not in named]
     if missing:
         raise ShapeMismatchError(f"{path}: missing tensors {missing}")
-    return Checkpoint(params=params_class(**{n: named[n] for n in names}), meta=meta)
+    extra = [n for n in named if n not in names]
+    if extra:
+        raise ShapeMismatchError(f"{path}: tensors {extra} are not parameters of model kind {kind!r}")
+    return Checkpoint(params=MODELS[kind].Params(**named), meta=meta)

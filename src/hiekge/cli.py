@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluator, kernels, kg_data, trainer
-from .baselines import BASELINE_KINDS, BaselineConfig
+from .baselines import BaselineConfig
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .hie_model import TRANSFORM_DIAGONAL, TRANSFORMS, HieConfig
 from .kg_data import SPLIT_NAMES, DataError, classify_relations, dataset_stats, load_kg
@@ -31,7 +31,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-MODEL_KINDS = ("hie",) + BASELINE_KINDS
 NORM_NAMES = {"l1": 1, "l2": 2}
 
 
@@ -59,7 +58,7 @@ class RunConfig:
     """
 
     data_dir: str = None
-    model: str = kernels.setting("hie", MODEL_KINDS)
+    model: str = kernels.setting("hie", tuple(trainer.MODELS))
     dim: int = 64
     levels: int = 2
     lambda1: float = 0.5
@@ -114,7 +113,7 @@ def derive_lambdas(levels, lambda1):
 
 def model_config_from(run: RunConfig):
     try:
-        if run.model == "hie":
+        if run.model == HieConfig.kind:
             return HieConfig(
                 dim=run.dim,
                 levels=run.levels,
@@ -148,7 +147,7 @@ def train_config_from(run: RunConfig) -> TrainConfig:
 
 def _model_config_from_doc(kind, doc):
     try:
-        return HieConfig(**doc) if kind == "hie" else BaselineConfig(**doc)
+        return trainer.MODELS[kind].Config(**doc)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint model_config does not rebuild: {exc}") from exc
 
@@ -162,7 +161,7 @@ def _check_config_fits(params, kind, model_config):
     ent's width and, for hie, levels to transform_seed's rows), so every
     dimension of that template is one of the checkpoint's own.
     """
-    if getattr(model_config, "kind", kind) != kind:
+    if model_config.kind != kind:
         raise CheckpointError(
             f"model_config kind {model_config.kind!r} differs from model_kind {kind!r}"
         )
@@ -175,7 +174,7 @@ def _check_config_fits(params, kind, model_config):
             )
 
     expect("ent", params.ent.shape[:1] + (model_config.dim,))
-    if kind == "hie":
+    if kind == HieConfig.kind:
         expect("transform_seed", (model_config.levels,) + params.transform_seed.shape[1:])
     template = init_model(kind, 1, 1, model_config, seed=0)
     for (name, tensor), (_, fresh) in zip(params.field_items(), template.field_items()):
@@ -346,19 +345,23 @@ def _configs(run: RunConfig):
     return model_config_from(run), train_config_from(run)
 
 
-def _train_once(run: RunConfig, kg, configs, out_dir: Path, stem="model"):
-    """Shared by train/sweep/ablate: fit with the run's `_configs`, checkpoint, return artifacts."""
+def _train_once(run: RunConfig, kg, configs, stem="model"):
+    """Shared by train/sweep/ablate: fit with the run's `_configs`, checkpoint, return artifacts.
+
+    --out is created only once training has succeeded: a run that fails
+    in training creates no directory and leaves an existing one as it was.
+    """
     model_config, train_config = configs
     params, log = trainer.train(kg, run.model, model_config, train_config)
-    ckpt_path = out_dir / f"{stem}.ckpt"
+    ckpt_path = _out_dir(run) / f"{stem}.ckpt"
     save_checkpoint(params, _checkpoint_meta(run, kg, model_config, train_config), ckpt_path)
-    _write_loss_log(out_dir / f"{stem}_loss.csv", log)
+    _write_loss_log(ckpt_path.parent / f"{stem}_loss.csv", log)
     return params, model_config, log, ckpt_path
 
 
-def _metric_cells(run: RunConfig, kg, configs, out_dir: Path, stem):
+def _metric_cells(run: RunConfig, kg, configs, stem):
     """Shared by sweep/ablate: `_train_once`, then the validation metrics as CSV cells."""
-    params, model_config, _, _ = _train_once(run, kg, configs, out_dir, stem)
+    params, model_config, _, _ = _train_once(run, kg, configs, stem)
     return evaluator.report_csv_row(_evaluation_report(params, model_config, kg, "valid", run.tie_break))
 
 
@@ -366,19 +369,18 @@ def cmd_train(run: RunConfig) -> int:
     _require(run, "out")
     configs = _configs(run)
     kg = _load_dataset(run, "train", "valid")
-    out_dir = _out_dir(run)
     _info(
         f"training {run.model} on {run.data_dir} "
         f"({kg.num_entities} entities, {kg.num_relations} relations, "
         f"{len(kg.train)} train triples)"
     )
-    params, model_config, log, ckpt_path = _train_once(run, kg, configs, out_dir)
+    params, model_config, log, ckpt_path = _train_once(run, kg, configs)
     if log:
         _info(f"final training loss {log[-1][1]:.6f} at step {log[-1][0]}")
     _info(f"checkpoint written to {ckpt_path}")
     doc = _evaluation_doc(params, model_config, kg, "valid", run.tie_break)
     _print_json(doc)
-    _write_json(out_dir / "validation.json", doc)
+    _write_json(ckpt_path.parent / "validation.json", doc)
     return EXIT_OK
 
 
@@ -462,7 +464,6 @@ def cmd_sweep(run: RunConfig) -> int:
     if all(isinstance(c, UsageError) for c in configs):
         raise configs[0]
     kg = _load_dataset(run, "train", "valid")
-    out_dir = _out_dir(run)
 
     def rows():
         for index, (point, point_configs) in enumerate(zip(points, configs)):
@@ -471,13 +472,14 @@ def cmd_sweep(run: RunConfig) -> int:
             try:
                 if isinstance(point_configs, UsageError):
                     raise point_configs
-                yield f"{prefix},ok,{_metric_cells(point, kg, point_configs, out_dir, f'point_{index:03d}')}"
+                yield f"{prefix},ok,{_metric_cells(point, kg, point_configs, f'point_{index:03d}')}"
             except (UsageError, DataError, NumericError, ValueError, MemoryError) as exc:
                 _info(f"sweep point {index} failed: {exc}")
                 empty_metrics = "," * len(evaluator.METRIC_FIELDS)
                 yield f"{prefix},error:{type(exc).__name__}{empty_metrics}"
 
-    _write_table(SWEEP_HEADER, rows(), out_dir / "sweep.csv")
+    # --out is created before the first point, since every point gets a row, failed or not
+    _write_table(SWEEP_HEADER, rows(), _out_dir(run) / "sweep.csv")
     return EXIT_OK
 
 
@@ -518,16 +520,16 @@ ABLATE_VARIANTS = (("full", {}),) + tuple(
 
 
 def cmd_ablate(run: RunConfig) -> int:
-    if run.model != "hie":
-        raise UsageError("ablate only applies to the hie model")
+    if run.model != HieConfig.kind:
+        raise UsageError(f"ablate only applies to the {HieConfig.kind} model")
     _require(run, "out")
     variants = [(name, dataclasses.replace(run, **overrides)) for name, overrides in ABLATE_VARIANTS]
     configs = [_configs(variant) for _, variant in variants]
     kg = _load_dataset(run, "train", "valid")
-    out_dir = _out_dir(run)
-    rows = (f"{name},{_metric_cells(variant, kg, variant_configs, out_dir, name)}"
+    rows = (f"{name},{_metric_cells(variant, kg, variant_configs, name)}"
             for (name, variant), variant_configs in zip(variants, configs))
-    _write_table(ABLATE_HEADER, rows, out_dir / "ablate.csv")
+    # the first variant's `_train_once` creates --out
+    _write_table(ABLATE_HEADER, rows, Path(run.out) / "ablate.csv")
     return EXIT_OK
 
 

@@ -8,7 +8,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .trainer import NumericError, model_module
+from .trainer import MODELS, NumericError
 
 TIE_PESSIMISTIC = "pessimistic"
 TIE_STRICT = "strict"
@@ -83,7 +83,7 @@ def evaluate(params, config, kg, split="test", tie_break=TIE_PESSIMISTIC, filter
     triples = kg.split(split) if isinstance(split, str) else np.asarray(split, dtype=np.int64)
     if len(triples) == 0:
         raise ValueError("cannot evaluate an empty split")
-    model = model_module(params)
+    model = MODELS[config.kind]
     candidates = np.arange(params.num_entities, dtype=np.int64)
     index = kg.filter_index
     ranks = {}

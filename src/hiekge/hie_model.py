@@ -55,8 +55,13 @@ ROLES = (("h", "head"), ("r", "rel"), ("t", "tail"))
 
 @dataclass(frozen=True)
 class HieConfig:
-    """Scoring-time hyperparameters. Vocabulary sizes live in the params."""
+    """Scoring-time hyperparameters. Vocabulary sizes live in the params.
 
+    `kind` is a plain class attribute, not a field, so a config document
+    (`dataclasses.asdict`) does not hold it.
+    """
+
+    kind = "hie"
     dim: int = 64
     levels: int = 2
     lambdas: tuple = (0.5, 0.5)
@@ -121,6 +126,10 @@ class HieParams(kernels.Params):
     @property
     def alpha(self) -> float:
         return float(kernels.sigmoid(self.blend_logit))
+
+
+# the model table's names for this module's classes (`trainer.MODELS`)
+Config, Params = HieConfig, HieParams
 
 
 def init_params(num_entities, num_relations, config: HieConfig, seed) -> HieParams:

@@ -2,9 +2,12 @@
 
 Each model module owns its math: `score_triples` returns scores and a
 cache, and `backward` turns that cache into per-row and dense gradients.
-This module only routes calls to the right model, coalesces the rows,
-and applies the loss and the optimiser. Every model has one kernel,
-anchored on positives: each scored row keeps its positive's relation and
+This module only routes calls to the right model, through `MODELS`,
+coalesces the rows, and applies the loss and the optimiser. `MODELS` is
+the one table from a model kind (a config's `kind`) to the module that
+serves it, and every site in the package that picks a model's code or
+classes reads it when it runs. Every model has one kernel, anchored on
+positives: each scored row keeps its positive's relation and
 one entity, so a call gathers only the corrupted entity (hie also chains
 only that entity), and the cache's `backward` emits one entity row per
 scored row plus one kept-head, kept-tail and relation row per positive,
@@ -25,11 +28,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import baselines, hie_model, kernels, kg_data
-from .hie_model import HieParams
 
 SIGN_PLAUSIBILITY = "plausibility"
 SIGN_LITERAL = "literal"
 ADVERSARIAL_SIGNS = (SIGN_PLAUSIBILITY, SIGN_LITERAL)
+# model kind -> its module, which exposes Config, Params, init_params,
+# score_triples, backward, candidate_table and score_batch. It holds modules,
+# so a call looks the function up when it runs, on whatever the module holds then
+MODELS = {hie_model.Config.kind: hie_model, **dict.fromkeys(baselines.BASELINE_KINDS, baselines)}
 
 
 class NumericError(RuntimeError):
@@ -226,11 +232,6 @@ def loss(pos_scores, neg_scores, weights, gamma):
     return float(np.mean(per_example))
 
 
-def model_module(params):
-    """The module holding the forward and backward kernels of params' model."""
-    return hie_model if isinstance(params, HieParams) else baselines
-
-
 def _forward_step(params, config, batch, negatives):
     """(B,) positive and (B, n) negative scores, and the caches of both forwards.
 
@@ -241,7 +242,7 @@ def _forward_step(params, config, batch, negatives):
     relation and one entity, so only the corrupted entity is gathered (and,
     for hie, chained).
     """
-    module = model_module(params)
+    module = MODELS[config.kind]
     pos, pos_cache = module.score_triples(params, config, batch)
     neg, neg_cache = module.score_triples(params, config, negatives, positives=pos_cache)
     return pos, neg.reshape(len(batch), -1), (pos_cache, neg_cache)
@@ -271,7 +272,7 @@ def backprop(params, config, parts) -> GradSet:
     meet in one coalesce per embedding table, and the dense gradients add
     up.
     """
-    backward = model_module(params).backward
+    backward = MODELS[config.kind].backward
     ent_ids, ent_rows, rel_ids, rel_rows, dense = [], [], [], [], {}
     for cache, upstream in parts:
         ent_block_ids, rel_block_ids = cache["row_ids"]
@@ -471,15 +472,15 @@ def adam_step(params, grads: GradSet, state: AdamState, config: TrainConfig):
 
 
 def init_model(model_kind, num_entities, num_relations, model_config, seed):
-    module = hie_model if model_kind == "hie" else baselines
-    return module.init_params(num_entities, num_relations, model_config, seed)
+    return MODELS[model_kind].init_params(num_entities, num_relations, model_config, seed)
 
 
 def train(kg, model_kind, model_config, train_config: TrainConfig, params=None):
     """Full training loop; returns (params, loss_log).
 
-    loss_log rows are (step, mean_loss, alpha_value); alpha_value is None
-    for baseline models. Raises NumericError on a non-finite loss.
+    loss_log rows are (step, mean_loss, alpha_value); alpha_value is the
+    params' `alpha`, None for a model whose params have none (the
+    baselines). Raises NumericError on a non-finite loss.
     """
     if params is None:
         params = init_model(
@@ -499,6 +500,5 @@ def train(kg, model_kind, model_config, train_config: TrainConfig, params=None):
             raise NumericError(f"non-finite loss at step {step}")
         adam_step(params, grads, state, train_config)
         if step == 1 or step % 100 == 0 or step == train_config.steps:
-            alpha = params.alpha if isinstance(params, HieParams) else None
-            log.append((step, loss_value, alpha))
+            log.append((step, loss_value, getattr(params, "alpha", None)))
     return params, log

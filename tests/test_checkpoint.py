@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 from types import SimpleNamespace
 
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hiekge.baselines import BaselineConfig, BaselineParams
+from hiekge import trainer
+from hiekge.baselines import BASELINE_KINDS, BaselineConfig, BaselineParams
 from hiekge.baselines import init_params as init_baseline
 from hiekge.checkpoint import (
     MAGIC,
@@ -31,7 +33,23 @@ def hie_fixture(seed=0):
     return params, meta
 
 
+def model_config(kind, dim=8):
+    """A config of the model kind at dim."""
+    return HieConfig(dim=dim) if kind == HieConfig.kind else BaselineConfig(kind=kind, dim=dim)
+
+
 class TestRoundTrip:
+    @pytest.mark.parametrize("kind", list(trainer.MODELS))
+    def test_every_model_kind_round_trips(self, tmp_path, kind):
+        params = trainer.init_model(kind, 7, 3, model_config(kind), seed=1)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, {"model_kind": kind}, path)
+        loaded = load_checkpoint(path)
+        assert type(loaded.params) is trainer.MODELS[kind].Params
+        assert [name for name, _ in loaded.params.field_items()] == [name for name, _ in params.field_items()]
+        for (name, a), (_, b) in zip(params.field_items(), loaded.params.field_items()):
+            assert np.array_equal(a, b), name
+
     def test_hie_round_trip_bit_exact(self, tmp_path):
         params, meta = hie_fixture()
         path = tmp_path / "model.ckpt"
@@ -241,6 +259,27 @@ class TestCorruption:
             save_checkpoint(SimpleNamespace(field_items=lambda: kept), meta, path)
             with pytest.raises(ShapeMismatchError, match=rf"missing tensors \['{dropped}'\]"):
                 load_checkpoint(path)
+
+    @pytest.mark.parametrize("kind", BASELINE_KINDS)
+    def test_hie_tensors_under_a_baseline_kind_are_named(self, tmp_path, kind):
+        # ent and rel fit a baseline's params; the other ten tensors were once dropped without a word
+        params, meta = hie_fixture()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, dict(meta, model_kind=kind), path)
+        extra = [name for name, _ in params.field_items() if name not in ("ent", "rel")]
+        assert len(extra) == 10
+        with pytest.raises(ShapeMismatchError, match=re.escape(f"tensors {extra} are not parameters of model kind '{kind}'")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("kind", list(trainer.MODELS))
+    def test_tensor_the_kind_lacks_is_named(self, tmp_path, kind):
+        params = trainer.init_model(kind, 5, 2, model_config(kind, dim=4), seed=0)
+        path = tmp_path / "model.ckpt"
+        # save_checkpoint writes whatever tensors field_items lists, to the blob and the sidecar
+        extended = params.field_items() + [("mystery", np.zeros(3))]
+        save_checkpoint(SimpleNamespace(field_items=lambda: extended), {"model_kind": kind}, path)
+        with pytest.raises(ShapeMismatchError, match=r"tensors \['mystery'\] are not parameters"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("kind", ["bogus", None, 3, ["hie"]])
     def test_unknown_model_kind(self, tmp_path, kind):

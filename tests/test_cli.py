@@ -392,6 +392,28 @@ class TestTrain:
         assert code == 0
         assert eval_out == train_out
 
+    # each once left an empty --out behind
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("flag,value,code", [("--lr", "1e308", 3), ("--gamma", "1e308", 3),
+                                                 ("--alpha-temp", "1e308", 3), ("--dim", "1000000000000", 1)])
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_run_leaves_out_as_it_was(self, capsys, data_dir, tmp_path, flag, value, code, existing):
+        out = tmp_path / "run"
+        if existing:
+            out.mkdir()
+            (out / "notes.txt").write_text("kept\n")
+        # a later flag overrides an earlier one, so --dim may come twice
+        got, stdout, err = run_cli(capsys, "train", "--data-dir", data_dir, "--out", str(out),
+                                   "--dim", "8", "--steps", "3", flag, value)
+        assert got == code
+        assert stdout == ""
+        assert "Traceback" not in err
+        if existing:
+            assert [p.name for p in out.iterdir()] == ["notes.txt"]
+            assert (out / "notes.txt").read_text() == "kept\n"
+        else:
+            assert not out.exists()
+
     @pytest.mark.parametrize("flag,value", TOO_LARGE)
     def test_run_too_large_for_memory_is_usage_error(self, capsys, synth100_dir, tmp_path, flag, value):
         # numpy's MemoryError once ended the command in a traceback
@@ -628,6 +650,16 @@ class TestEvalBadCheckpoint:
         assert code == 2
         assert stdout == ""
         assert err.startswith("data error:") and "model config implies" in err and "Traceback" not in err
+
+    def test_hie_checkpoint_under_a_baseline_kind_is_data_error(self, capsys, data_dir, trained, tmp_path):
+        # once loaded ent and rel as TransE, dropped the other ten tensors and exited 0 with a TransE report
+        ckpt, sidecar = copy_checkpoint(trained, tmp_path / "ckpt")
+        edit_sidecar(sidecar, lambda doc: doc.update(
+            model_kind="transe", model_config={"kind": "transe", "dim": 8, "norm_p": 1}))
+        code, stdout, err = run_cli(capsys, "eval", "--data-dir", data_dir, "--checkpoint", str(ckpt))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("data error:") and "'proj_head_dist'" in err and "Traceback" not in err
 
     def test_baseline_config_kind_differs_from_model_kind(self, capsys, data_dir, tmp_path):
         code, stdout, err = eval_edited_transe(capsys, data_dir, tmp_path, kind="distmult")

@@ -28,7 +28,7 @@ from hiekge.kg_data import (
     classify_relations,
 )
 
-from hiekge.trainer import NumericError, model_module
+from hiekge.trainer import MODELS, NumericError
 
 from helpers import random_hie_params
 from oracles import metrics_oracle, rank_oracle
@@ -336,7 +336,7 @@ def one_slab_scores(monkeypatch, params, config, *args):
     """score_batch of params' model with every candidate in one slab."""
     with monkeypatch.context() as patch:
         patch.setattr(kernels, "SLAB", SLAB_ENTITIES)
-        return model_module(params).score_batch(params, config, *args)
+        return MODELS[config.kind].score_batch(params, config, *args)
 
 
 def slab_model_id(config):
@@ -351,7 +351,7 @@ class TestSlabInvariance:
     def test_default_slabs_score_like_one_slab(self, config, side, monkeypatch):
         params, triples = slab_case(config, 3)
         candidates = np.arange(SLAB_ENTITIES)
-        got = model_module(params).score_batch(params, config, triples, candidates, side)
+        got = MODELS[config.kind].score_batch(params, config, triples, candidates, side)
         want = one_slab_scores(monkeypatch, params, config, triples, candidates, side)
         assert np.array_equal(got, want)
 
@@ -368,7 +368,7 @@ class TestSlabInvariance:
         copies = sorted({1, entities // 2, entities - 2, entities - 1} - {true})
         params.ent[copies] = params.ent[true]
         candidates = np.arange(entities)
-        by_slab = [model_module(params).score_batch(params, config, triples, candidates, side),
+        by_slab = [MODELS[config.kind].score_batch(params, config, triples, candidates, side),
                    one_slab_scores(monkeypatch, params, config, triples, candidates, side)]
         for b in range(len(triples)):
             for tie in ("pessimistic", "strict"):
@@ -392,7 +392,7 @@ class TestSlabInvariance:
             params = init_baseline(SLAB_ENTITIES, 5, config, seed=6)
         triples = np.stack([rng.integers(0, SLAB_ENTITIES, 512), rng.integers(0, 5, 512),
                             rng.integers(0, SLAB_ENTITIES, 512)], axis=1)
-        model, candidates = model_module(params), np.arange(SLAB_ENTITIES)
+        model, candidates = MODELS[config.kind], np.arange(SLAB_ENTITIES)
         table = model.candidate_table(params, config, candidates, side)
         wide = model.score_batch(params, config, triples, candidates, side, table=table)
         chunks = [model.score_batch(params, config, triples[start : start + evaluator.TRIPLE_CHUNK],

@@ -1,10 +1,13 @@
+import dataclasses
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hiekge import kernels, trainer
+from hiekge import cli, kernels, trainer
 from hiekge.baselines import BaselineConfig, BaselineParams
 from hiekge.baselines import init_params as init_baseline
 from hiekge.hie_model import HieConfig, init_params, score_triples
@@ -297,7 +300,7 @@ def assert_matches_dict_sums(ids, values):
 def two_pass_gradients(params, config, tc, batch, negatives):
     """The loss and gradient with positives and negatives scored and backpropagated apart."""
     B = len(batch)
-    module = trainer.model_module(params)
+    module = trainer.MODELS[config.kind]
     pos, pos_cache = module.score_triples(params, config, batch)
     neg, neg_cache = module.score_triples(params, config, negatives.reshape(-1, 3))
     neg = neg.reshape(B, -1)
@@ -353,7 +356,7 @@ class TestGradients:
             params = init_baseline(15, 4, config, seed=2)
         batch = toy_batch(rng, 15, 4, 8)
         negs = sample_negatives_batch(batch, 5, 15, rng)
-        module = trainer.model_module(params)
+        module = trainer.MODELS[config.kind]
         rows, original = [], module.score_triples
 
         def recorder(*args, **kwargs):
@@ -378,7 +381,7 @@ class TestGradients:
         else:
             params = init_baseline(15, 4, config, seed=2)
         batch = toy_batch(rng, 15, 4, 7)
-        module = trainer.model_module(params)
+        module = trainer.MODELS[config.kind]
         scores, cache = module.score_triples(params, config, batch)
         if part == "negatives":
             negs = sample_negatives_batch(batch, 5, 15, rng)
@@ -515,7 +518,7 @@ class TestGradients:
         weights = None
         from hiekge.trainer import adversarial_weights as aw
 
-        module = trainer.model_module(params)
+        module = trainer.MODELS[config.kind]
         center, _ = module.score_triples(params, config, negs.reshape(-1, 3))
         weights = aw(center.reshape(len(batch), -1), TOY_TRAIN.alpha_temp, TOY_TRAIN.gamma)
 
@@ -728,3 +731,37 @@ class TestTrain:
         tc = TrainConfig(steps=5, batch_size=4, num_negatives=2, seed=0)
         with pytest.raises(NumericError, match="step 1"):
             train(kg, "hie", config, tc, params=params)
+
+
+# what a model module exposes to the trainer, the evaluator, the checkpoint and the CLI
+MODEL_INTERFACE = ("Config", "Params", "init_params", "score_triples", "backward", "candidate_table",
+                   "score_batch")
+
+
+class TestModelTable:
+    """`trainer.MODELS` is the one map from a model kind to the code that serves it."""
+
+    def test_kinds_are_the_cli_model_choices(self):
+        model = next(f for f in dataclasses.fields(cli.RunConfig) if f.name == "model")
+        assert tuple(trainer.MODELS) == model.metadata["choices"] == ("hie", "transe", "distmult", "rotate")
+
+    def test_holds_modules_so_calls_see_patched_attributes(self):
+        assert all(isinstance(module, types.ModuleType) for module in trainer.MODELS.values())
+
+    @pytest.mark.parametrize("kind", list(trainer.MODELS))
+    def test_each_kind_is_its_configs_kind(self, kind):
+        module = trainer.MODELS[kind]
+        config = cli.model_config_from(cli.RunConfig(model=kind, dim=8))
+        assert type(config) is module.Config
+        assert config.kind == kind
+        # hie's kind is a class attribute, not a field, so its config document does not hold it
+        assert ("kind" in dataclasses.asdict(config)) == (kind != "hie")
+
+    @pytest.mark.parametrize("kind", list(trainer.MODELS))
+    def test_each_module_exposes_the_model_interface(self, kind):
+        module = trainer.MODELS[kind]
+        for name in MODEL_INTERFACE:
+            assert callable(getattr(module, name, None)), name
+        config = cli.model_config_from(cli.RunConfig(model=kind, dim=8))
+        params = trainer.init_model(kind, 5, 2, config, 0)
+        assert type(params) is module.Params and isinstance(params, kernels.Params)
