@@ -1,9 +1,24 @@
-"""Benchmark triple ingestion, vocabularies, filter index and relation categories."""
+r"""Benchmark triple ingestion, vocabularies, filter index and relation categories.
+
+A triple file is UTF-8 text, one head<TAB>relation<TAB>tail line per
+triple, read whole. A line ends at "\n", "\r\n" or a lone "\r" and
+nowhere else, so a name may hold any other character, "\x85", "\u2028",
+"\v", "\f" and spaces included. The last line needs no terminator.
+Every line, a blank one too, must have exactly three tab-separated
+fields.
+
+The filter index is six int64 arrays, three per direction: the sorted
+distinct keys of the (head, rel) or (rel, tail) pairs, where each key's
+group starts, and every group's distinct members in ascending order.
+For the 93,003 triples of a WN18RR-sized graph that is 3.5 MB. A lookup
+is one binary search over the keys.
+"""
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import count, filterfalse, repeat
 from pathlib import Path
 
 import numpy as np
@@ -34,22 +49,69 @@ class RelationCategory:
     tcs: float
 
 
-@dataclass
-class FilterIndex:
-    """All known-true completions, for filtered ranking.
+def _first_rows(*columns):
+    """True at each row of lexicographically sorted columns that differs from the row above."""
+    first = np.zeros(len(columns[0]), dtype=bool)
+    first[:1] = True
+    for column in columns:
+        first[1:] |= column[1:] != column[:-1]
+    return first
 
-    tails_of maps (head, rel) to the set of true tails, heads_of maps
-    (rel, tail) to the set of true heads, over train+valid+test.
+
+@dataclass(frozen=True)
+class _Groups:
+    """Distinct int64 values grouped under sorted distinct int64 keys.
+
+    The values under keys[i] are values[bounds[i]:bounds[i + 1]], ascending.
     """
 
-    tails_of: dict
-    heads_of: dict
+    keys: np.ndarray
+    bounds: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def of(cls, keys, values):
+        """Group values by key, each (key, value) pair once."""
+        order = np.lexsort((values, keys))
+        keys, values = keys[order], values[order]
+        distinct = _first_rows(keys, values)
+        keys, values = keys[distinct], values[distinct]
+        starts = np.flatnonzero(_first_rows(keys))
+        return cls(keys=keys[starts], bounds=np.append(starts, len(keys)), values=values)
+
+    def get(self, key):
+        """The values under key as a frozenset of ints, empty if the key is absent."""
+        i = int(np.searchsorted(self.keys, key))
+        if i < len(self.keys) and self.keys[i] == key:
+            return frozenset(self.values[self.bounds[i] : self.bounds[i + 1]].tolist())
+        return frozenset()
+
+
+@dataclass(frozen=True)
+class FilterIndex:
+    """All known-true completions over train+valid+test, for filtered ranking.
+
+    Every entity id in the index is below entity_bound and every relation
+    id below relation_bound. tails groups the true tails under the key
+    head * relation_bound + rel, heads the true heads under
+    rel * entity_bound + tail. The bounds are checked before a key is
+    formed, so an out-of-range or negative id never aliases another pair.
+    """
+
+    entity_bound: int
+    relation_bound: int
+    tails: _Groups
+    heads: _Groups
 
     def true_tails(self, head, rel):
-        return self.tails_of.get((head, rel), frozenset())
+        if 0 <= head < self.entity_bound and 0 <= rel < self.relation_bound:
+            return self.tails.get(head * self.relation_bound + rel)
+        return frozenset()
 
     def true_heads(self, rel, tail):
-        return self.heads_of.get((rel, tail), frozenset())
+        if 0 <= rel < self.relation_bound and 0 <= tail < self.entity_bound:
+            return self.heads.get(rel * self.entity_bound + tail)
+        return frozenset()
 
 
 @dataclass
@@ -85,44 +147,57 @@ def as_triple_array(triples) -> np.ndarray:
     return arr
 
 
+def _grow(vocab, names):
+    """Give each name that vocab lacks the next free id, in first-seen order."""
+    fresh = list(filterfalse(vocab.__contains__, dict.fromkeys(names)))
+    vocab.update(zip(fresh, count(len(vocab))))
+
+
 def load_triples(path, entity_vocab=None, relation_vocab=None):
     """Read one head<TAB>relation<TAB>tail triple per line.
 
-    Unknown names are assigned dense ids in first-seen order, growing the
-    given vocabularies in place. Returns (triples, entity_vocab,
-    relation_vocab) with triples as an int64 (N,3) array in file order.
-    Exact duplicate triples within the file are dropped with a warning;
-    a line without exactly three tab-separated fields, or a file that is
-    not UTF-8 text, raises DataError.
+    Unknown names are assigned dense ids in first-seen order (a line's
+    head before its tail), growing the given vocabularies in place.
+    Returns (triples, entity_vocab, relation_vocab) with triples as an
+    int64 (N,3) array in file order. Exact duplicate triples within the
+    file are dropped with a warning. A file that is not UTF-8 text raises
+    DataError before any line is checked, and a line without exactly
+    three tab-separated fields raises DataError naming the first such
+    line; neither vocabulary grows then.
     """
     entity_vocab = {} if entity_vocab is None else entity_vocab
     relation_vocab = {} if relation_vocab is None else relation_vocab
-    triples = []
-    seen = set()
-    dupes = 0
     try:
-        with open(path, encoding="utf-8", newline="") as f:
-            for lineno, line in enumerate(f, start=1):
-                line = line.rstrip("\r\n")
-                fields = line.split("\t")
-                if len(fields) != 3:
-                    raise DataError(
-                        f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
-                    )
-                h_name, r_name, t_name = fields
-                h = entity_vocab.setdefault(h_name, len(entity_vocab))
-                r = relation_vocab.setdefault(r_name, len(relation_vocab))
-                t = entity_vocab.setdefault(t_name, len(entity_vocab))
-                if (h, r, t) in seen:
-                    dupes += 1
-                    continue
-                seen.add((h, r, t))
-                triples.append((h, r, t))
+        # newline=None turns "\r\n" and a lone "\r" into "\n", and nothing else
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().split("\n")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-    if dupes:
-        warnings.warn(f"{path}: dropped {dupes} duplicate triple line(s)")
-    return as_triple_array(triples), entity_vocab, relation_vocab
+    if lines[-1] == "":
+        lines.pop()  # what follows the last terminator, or an empty file
+    # names hold no tab, so two lines are the same triple exactly when they are equal
+    distinct = list(dict.fromkeys(lines))
+    tabs = np.fromiter(map(str.count, distinct, repeat("\t")), np.int64, len(distinct))
+    bad = np.flatnonzero(tabs != 2)
+    if len(bad):
+        # distinct keeps first-seen order, so its first bad line is the file's
+        lineno = lines.index(distinct[bad[0]]) + 1
+        raise DataError(
+            f"{path}:{lineno}: expected 3 tab-separated fields, got {tabs[bad[0]] + 1}"
+        )
+    fields = "\t".join(distinct).split("\t") if distinct else []
+    heads, rels, tails = fields[0::3], fields[1::3], fields[2::3]
+    entities = [None] * (2 * len(heads))
+    entities[0::2], entities[1::2] = heads, tails
+    _grow(entity_vocab, entities)
+    _grow(relation_vocab, rels)
+    triples = np.empty((len(distinct), 3), dtype=np.int64)
+    for column, vocab, names in ((0, entity_vocab, heads), (1, relation_vocab, rels),
+                                 (2, entity_vocab, tails)):
+        triples[:, column] = np.fromiter(map(vocab.__getitem__, names), np.int64, len(names))
+    if len(distinct) < len(lines):
+        warnings.warn(f"{path}: dropped {len(lines) - len(distinct)} duplicate triple line(s)")
+    return triples, entity_vocab, relation_vocab
 
 
 def load_kg(data_dir) -> KnowledgeGraph:
@@ -153,13 +228,18 @@ def load_kg(data_dir) -> KnowledgeGraph:
 
 def build_filter_index(train, valid, test) -> FilterIndex:
     """Index every true triple of the three splits for filtered evaluation."""
-    tails_of = {}
-    heads_of = {}
-    for split in (train, valid, test):
-        for h, r, t in as_triple_array(split):
-            tails_of.setdefault((int(h), int(r)), set()).add(int(t))
-            heads_of.setdefault((int(r), int(t)), set()).add(int(h))
-    return FilterIndex(tails_of=tails_of, heads_of=heads_of)
+    triples = np.concatenate([as_triple_array(split) for split in (train, valid, test)])
+    if (triples < 0).any():
+        raise ValueError("triple ids must be non-negative")
+    heads, rels, tails = triples.T
+    entity_bound = int(max(heads.max(initial=-1), tails.max(initial=-1))) + 1
+    relation_bound = int(rels.max(initial=-1)) + 1
+    return FilterIndex(
+        entity_bound=entity_bound,
+        relation_bound=relation_bound,
+        tails=_Groups.of(heads * relation_bound + rels, tails),
+        heads=_Groups.of(rels * entity_bound + tails, heads),
+    )
 
 
 def dataset_stats(kg: KnowledgeGraph) -> dict:
@@ -184,22 +264,22 @@ def classify_relations(train, eta: float = 1.5) -> dict:
     hco_r = (#train triples with r) / (#distinct tails under r) and
     tcs_r = (#train triples with r) / (#distinct heads under r); a side
     whose statistic is >= eta counts as "N" (heads side for hco, tails
-    side for tcs). Relations absent from train are absent from the map.
+    side for tcs). The map is keyed by relation id in ascending order;
+    relations absent from train are absent from it.
     """
     check_eta(eta)
     train = as_triple_array(train)
     if len(train) == 0:
         raise DataError("cannot classify relations of an empty train split")
-    counts, heads, tails = {}, {}, {}
-    for h, r, t in train:
-        r = int(r)
-        counts[r] = counts.get(r, 0) + 1
-        heads.setdefault(r, set()).add(int(h))
-        tails.setdefault(r, set()).add(int(t))
+    heads, rels, tails = train.T
+    rel_ids, triple_counts = np.unique(rels, return_counts=True)
+    head_counts = np.diff(_Groups.of(rels, heads).bounds)
+    tail_counts = np.diff(_Groups.of(rels, tails).bounds)
     categories = {}
-    for r, n in counts.items():
-        hco = n / len(tails[r])
-        tcs = n / len(heads[r])
+    for r, n, n_heads, n_tails in zip(rel_ids.tolist(), triple_counts.tolist(),
+                                      head_counts.tolist(), tail_counts.tolist()):
+        hco = n / n_tails
+        tcs = n / n_heads
         if hco < eta and tcs < eta:
             cat = ONE_TO_ONE
         elif hco < eta:

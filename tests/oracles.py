@@ -7,6 +7,7 @@ on purpose; meant for tiny inputs.
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 
@@ -161,3 +162,67 @@ def metrics_oracle(rank_pairs):
         "hits3": sum(1 for x in ranks if x <= 3) / n,
         "hits10": sum(1 for x in ranks if x <= 10) / n,
     }
+
+
+def load_triples_oracle(path, entity_vocab, relation_vocab):
+    """Line-by-line triple reader: (triples, entity_vocab, relation_vocab).
+
+    Iterates the file in text mode with newline="", so a line ends at
+    LF, CRLF or a lone CR. Grows the vocabularies in place as
+    it reads, drops repeated triples with one warning, and raises
+    ValueError with the loader's message on the first malformed line or
+    on text that is not UTF-8.
+    """
+    triples = []
+    seen = set()
+    dupes = 0
+    try:
+        with open(path, encoding="utf-8", newline="") as f:
+            for lineno, line in enumerate(f, start=1):
+                fields = line.rstrip("\r\n").split("\t")
+                if len(fields) != 3:
+                    raise ValueError(
+                        f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
+                    )
+                h_name, r_name, t_name = fields
+                h = entity_vocab.setdefault(h_name, len(entity_vocab))
+                r = relation_vocab.setdefault(r_name, len(relation_vocab))
+                t = entity_vocab.setdefault(t_name, len(entity_vocab))
+                if (h, r, t) in seen:
+                    dupes += 1
+                    continue
+                seen.add((h, r, t))
+                triples.append((h, r, t))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    if dupes:
+        warnings.warn(f"{path}: dropped {dupes} duplicate triple line(s)")
+    return np.array(triples, dtype=np.int64).reshape(-1, 3), entity_vocab, relation_vocab
+
+
+def filter_index_oracle(*splits):
+    """(tails_of, heads_of): (head, rel) -> set of tails and (rel, tail) -> set of heads."""
+    tails_of, heads_of = {}, {}
+    for split in splits:
+        for h, r, t in split:
+            tails_of.setdefault((int(h), int(r)), set()).add(int(t))
+            heads_of.setdefault((int(r), int(t)), set()).add(int(h))
+    return tails_of, heads_of
+
+
+def classify_relations_oracle(train, eta):
+    """rel -> (category, hco, tcs), counted one triple at a time."""
+    counts, heads, tails = {}, {}, {}
+    for h, r, t in train:
+        r = int(r)
+        counts[r] = counts.get(r, 0) + 1
+        heads.setdefault(r, set()).add(int(h))
+        tails.setdefault(r, set()).add(int(t))
+    categories = {}
+    for r, n in counts.items():
+        hco = n / len(tails[r])
+        tcs = n / len(heads[r])
+        head_side = "N" if hco >= eta else "1"
+        tail_side = "N" if tcs >= eta else "1"
+        categories[r] = (f"{head_side}-to-{tail_side}", hco, tcs)
+    return categories

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from hiekge.kg_data import (
     write_dictionary,
 )
 
+from oracles import classify_relations_oracle, filter_index_oracle, load_triples_oracle
 from synthkg import GROUP, NEXT, PAIR, build_synth_kg
 
 
@@ -86,6 +89,124 @@ class TestLoadTriples:
             load_triples(tmp_path / "nope.txt")
 
 
+def load_outcome(load, path, entity_vocab, relation_vocab):
+    """What one loader does with a file: its result or error, and its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            triples, ents, rels = load(path, entity_vocab, relation_vocab)
+        except ValueError as exc:  # DataError is a ValueError; the oracle raises the base class
+            outcome = ("error", str(exc))
+        else:
+            outcome = ("ok", triples.dtype, triples.shape, triples.tolist(),
+                       list(ents.items()), list(rels.items()))
+    return outcome, [(w.category, str(w.message)) for w in caught]
+
+
+def assert_loader_matches_oracle(path, entity_vocab=(), relation_vocab=()):
+    entity_vocab, relation_vocab = dict(entity_vocab), dict(relation_vocab)
+    ents, rels = dict(entity_vocab), dict(relation_vocab)
+    got = load_outcome(load_triples, path, ents, rels)
+    want = load_outcome(load_triples_oracle, path, dict(entity_vocab), dict(relation_vocab))
+    try:
+        path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The loader decodes the whole file before it checks a line. The oracle
+        # checks each line as its read chunk decodes, so a malformed line can come
+        # first: one before the bad bytes' chunk, or before a truncated end.
+        want = (("error", f"{path}: not UTF-8 text ({exc.reason})"), [])
+    assert got == want
+    if got[0][0] == "error":
+        with pytest.raises(DataError):
+            load_triples(path)
+        # the loader checks the whole file before either vocabulary grows
+        assert list(ents.items()) == list(entity_vocab.items())
+        assert list(rels.items()) == list(relation_vocab.items())
+
+
+# characters that str.splitlines would break a line at, plus spaces
+SPLITLINES_CHARS = ["\x85", "\u2028", "\u2029", "\v", "\f", "\x1c", "\x1d", "\x1e", " "]
+NAME = st.text(
+    alphabet=st.sampled_from(SPLITLINES_CHARS + ["a", "b", "\xe9"])
+    | st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",)),
+    max_size=4,
+)
+TERMINATOR = st.sampled_from(["\n", "\r\n", "\r"])
+NOT_UTF8 = st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80"])
+
+
+@st.composite
+def triple_files(draw):
+    """(file bytes, names for pre-filled vocabularies) of one triple file."""
+    pool = draw(st.lists(NAME, min_size=1, max_size=6, unique=True))
+    name = st.sampled_from(pool)
+    lines = ["\t".join(row) for row in draw(st.lists(st.tuples(name, name, name), max_size=16))]
+    if lines and draw(st.booleans()):  # repeated lines, anywhere
+        lines = draw(st.permutations(lines + draw(st.lists(st.sampled_from(lines), max_size=6))))
+    if draw(st.integers(0, 3)) == 0:  # one malformed line; a blank one has one empty field
+        fields = draw(st.lists(name, min_size=1, max_size=5).filter(lambda f: len(f) != 3))
+        bad = draw(st.sampled_from(["", "\t".join(fields)]))
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    ends = [draw(TERMINATOR) for _ in lines]
+    if lines and draw(st.booleans()):
+        ends[-1] = ""  # no final terminator
+    data = "".join(line + end for line, end in zip(lines, ends)).encode("utf-8")
+    if draw(st.integers(0, 5)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(NOT_UTF8) + data[at:]
+    known = draw(st.lists(st.sampled_from(pool), max_size=3, unique=True))
+    return data, known
+
+
+class TestLoaderMatchesOracle:
+    """load_triples against the line-by-line reader in tests/oracles.py."""
+
+    @given(case=triple_files(), prefill=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_property(self, tmp_path_factory, case, prefill):
+        data, known = case
+        path = tmp_path_factory.mktemp("hyp") / "t.txt"
+        path.write_bytes(data)
+        ents = {name: i for i, name in enumerate(known)} if prefill else {}
+        rels = {name: i for i, name in enumerate(reversed(known))} if prefill else {}
+        assert_loader_matches_oracle(path, ents, rels)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"a\tr\tb\na\tr\tb\nb\tr\ta\na\tr\tb\n",  # duplicates
+            b"a\tr\tb\r\nc\tr\td\r\n",  # CRLF
+            b"a\tr\tb\rc\tr\td\r",  # lone CR
+            b"a\tr\tb\r\nc\tq\td\re\tr\tf\ng\tr\th\r",  # mixed
+            b"a\tr\tb\nc\tr\td",  # no final newline
+            b"a\tr\tb\n\nc\tr\td\n",  # blank middle line
+            b"a\tr\tb\r\r\nc\tr\td\n",  # CR then CRLF: a blank line
+            b"a\tr\tb\n\n",  # blank last line
+            b"\n",
+            b"",
+            b"\t\t\n\t\t\n",  # empty names
+            b"a\tr\tb\nonly\ttwo\na\tr\n",  # first malformed line wins
+            b"a b\tr s\tc d\n",  # spaces
+            "a\x85b\tr\u2028s\tc\x0bd\ne\x0cf\tr\u2028s\ta\x85b\n".encode(),  # splitlines breaks
+            b"a\tr\tb\nca\xf1on\tr\tb\n",  # not UTF-8
+            b"a\tr\tb\n\xe2\x82",  # truncated at the end
+            b"only\ttwo\n\xc3",  # a malformed line and a truncated end: not UTF-8
+        ],
+    )
+    def test_examples(self, tmp_path, data):
+        path = tmp_path / "t.txt"
+        path.write_bytes(data)
+        assert_loader_matches_oracle(path)
+
+    def test_prefilled_vocabularies_keep_order(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"z\tq\ta\nb\tr\tz\n")
+        assert_loader_matches_oracle(path, {"a": 0, "y": 1}, {"r": 0})
+        _, ents, rels = load_triples(path, {"a": 0, "y": 1}, {"r": 0})
+        assert list(ents.items()) == [("a", 0), ("y", 1), ("z", 2), ("b", 3)]
+        assert list(rels.items()) == [("r", 0), ("q", 1)]
+
+
 @st.composite
 def name_triples(draw):
     name = st.text(
@@ -102,8 +223,6 @@ class TestVocabRoundtrip:
     def test_ids_dense_and_names_recoverable(self, tmp_path_factory, rows):
         path = tmp_path_factory.mktemp("hyp") / "t.txt"
         write_tsv(path, rows)
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # duplicate rows are fine here
             triples, ents, rels = load_triples(path)
@@ -149,10 +268,14 @@ class TestLoadKg:
             for split in (kg.train, kg.valid, kg.test)
             for h, r, t in split
         }
-        from_index = {
-            (h, r, t) for (h, r), ts in kg.filter_index.tails_of.items() for t in ts
-        }
-        assert from_index == everything
+        # every id pair in a window one wider than the id space on each side
+        entities = range(-1, kg.num_entities + 1)
+        relations = range(-1, kg.num_relations + 1)
+        index = kg.filter_index
+        from_tails = {(h, r, t) for h in entities for r in relations for t in index.true_tails(h, r)}
+        from_heads = {(h, r, t) for r in relations for t in entities for h in index.true_heads(r, t)}
+        assert from_tails == everything
+        assert from_heads == everything
 
 
 class TestFilterIndex:
@@ -163,7 +286,10 @@ class TestFilterIndex:
 
     def test_empty_splits_give_empty_index(self):
         index = build_filter_index([], [], [])
-        assert index.tails_of == {} and index.heads_of == {}
+        for a in range(-1, 5):
+            for b in range(-1, 5):
+                assert index.true_tails(a, b) == frozenset()
+                assert index.true_heads(a, b) == frozenset()
         assert index.true_tails(3, 1) == frozenset()
 
     def test_matches_linear_scan_oracle(self):
@@ -180,6 +306,41 @@ class TestFilterIndex:
                     expected = any(x == (h, r, t) for x in flat)
                     assert (t in index.true_tails(h, r)) == expected
                     assert (h in index.true_heads(r, t)) == expected
+
+
+    def test_out_of_range_ids_find_nothing(self):
+        # with two relations, head 0 under relation 3 would share the key of (1, 1)
+        index = build_filter_index([(1, 1, 7), (0, 0, 2)], [], [])
+        assert index.true_tails(1, 1) == {7}
+        for head, rel in [(0, 3), (-1, 1), (1, -1), (8, 0), (2**70, 0), (0, 2**70)]:
+            assert index.true_tails(head, rel) == frozenset()
+        for rel, tail in [(1, -1), (-1, 7), (2, 7), (0, 8), (0, 2**70), (2**70, 2)]:
+            assert index.true_heads(rel, tail) == frozenset()
+        assert index.true_tails(np.int64(1), np.int64(1)) == {7}
+
+    def test_negative_ids_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            build_filter_index([(0, 0, -1)], [], [])
+
+    @given(
+        st.lists(
+            st.lists(st.tuples(st.integers(0, 6), st.integers(0, 3), st.integers(0, 6)), max_size=25),
+            min_size=3,
+            max_size=3,
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_lookups_match_oracle(self, splits):
+        index = build_filter_index(*splits)
+        tails_of, heads_of = filter_index_oracle(*splits)
+        for a in range(-2, 10):
+            for b in range(-2, 10):
+                tails = index.true_tails(a, b)
+                heads = index.true_heads(a, b)
+                assert type(tails) is frozenset and type(heads) is frozenset
+                assert tails == tails_of.get((a, b), set())
+                assert heads == heads_of.get((a, b), set())
+                assert all(type(x) is int for x in tails | heads)
 
 
 class TestClassifyRelations:
@@ -250,6 +411,23 @@ class TestClassifyRelations:
                 (True, True): N_TO_N,
             }[(head_n, tail_n)]
             assert cat.category == expected
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 4), st.sampled_from([0, 1, 7, 2**38]), st.integers(0, 6)),
+            min_size=1,
+            max_size=60,
+        ),
+        st.floats(min_value=0.5, max_value=4.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_loop_oracle(self, triples, eta):
+        cats = classify_relations(triples, eta=eta)
+        assert {r: (c.category, c.hco, c.tcs) for r, c in cats.items()} == (
+            classify_relations_oracle(triples, eta)
+        )
+        assert list(cats) == sorted(cats)
+        assert all(type(c.hco) is float and type(c.tcs) is float for c in cats.values())
 
 
 class TestSampleBatch:

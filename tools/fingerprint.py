@@ -1,10 +1,18 @@
-"""Fingerprint what training and ranking compute: one SHA-256 per model configuration.
+"""Fingerprint what loading, training and ranking compute: one SHA-256 per line.
 
 Usage: python tools/fingerprint.py [--workers 1|2]
 
-For each configuration on each graph (the tests' 100-entity graph and the
-benchmark's WN18RR-shaped graph, seed 3), it trains 3 steps at batch 512
-with 64 negatives, ranks the first 16 test triples, and prints
+For each graph (the tests' 100-entity graph and the benchmark's
+WN18RR-shaped graph, seed 3), it first prints
+
+    graph/load_kg sha256
+
+where the hash covers what `kg_data.load_kg` makes of the graph's triple
+files: the entity and relation names, the three split arrays, and the
+filter index's `true_tails` and `true_heads` for every distinct
+(head, rel) and (rel, tail) of the splits. Then, for each configuration,
+it trains 3 steps at batch 512 with 64 negatives, ranks the first 16 test
+triples, and prints
 
     graph/config sha256
 
@@ -43,7 +51,7 @@ from helpers import random_hie_params  # noqa: E402
 from hiekge import evaluator, kernels, kg_data, trainer  # noqa: E402
 from hiekge.baselines import BaselineConfig  # noqa: E402
 from hiekge.hie_model import HieConfig  # noqa: E402
-from synthkg import build_synth_kg  # noqa: E402
+from synthkg import build_synth_kg, write_synth_kg  # noqa: E402
 
 DIM = 32
 LAMBDAS = {1: (1.0,), 2: (0.5, 0.5), 3: (0.5, 0.25, 0.25)}
@@ -84,6 +92,29 @@ def wn18rr_kg():
         return kg_data.load_kg(data_dir)
 
 
+def synth100_loaded(kg):
+    """The tests' 100-entity graph, written out as triple files and loaded back."""
+    with tempfile.TemporaryDirectory() as data_dir:
+        write_synth_kg(Path(data_dir), kg)
+        return kg_data.load_kg(data_dir)
+
+
+def load_fingerprint(kg):
+    """SHA-256 over the names, the split arrays and the filter lookups of every pair in the splits."""
+    digest = hashlib.sha256(repr((kg.entity_names, kg.relation_names)).encode())
+    for name in kg_data.SPLIT_NAMES:
+        split = kg.split(name)
+        digest.update(f"{name}{split.shape}{split.dtype}".encode())
+        digest.update(np.ascontiguousarray(split).tobytes())
+    triples = np.concatenate([kg.split(name) for name in kg_data.SPLIT_NAMES]).tolist()
+    index = kg.filter_index
+    for h, r in sorted({(h, r) for h, r, _ in triples}):
+        digest.update(repr((h, r, sorted(index.true_tails(h, r)))).encode())
+    for r, t in sorted({(r, t) for _, r, t in triples}):
+        digest.update(repr((r, t, sorted(index.true_heads(r, t)))).encode())
+    return digest.hexdigest()
+
+
 def fingerprint(kg, kind, config, perturbed):
     """SHA-256 over the loss log, the trained parameters and the ranks of the first test triples."""
     start = None
@@ -103,7 +134,9 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workers", type=int, choices=(1, 2), default=kernels.WORKERS)
     kernels.WORKERS = parser.parse_args(argv).workers
-    for graph, kg in (("synth100", build_synth_kg()), ("wn18rr", wn18rr_kg())):
+    synth, wn18rr = build_synth_kg(), wn18rr_kg()
+    for graph, kg, loaded in (("synth100", synth, synth100_loaded(synth)), ("wn18rr", wn18rr, wn18rr)):
+        print(f"{graph}/load_kg {load_fingerprint(loaded)}", flush=True)
         for name, kind, *model in configurations():
             print(f"{graph}/{name} {fingerprint(kg, kind, *model)}", flush=True)
 
