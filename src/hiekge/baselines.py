@@ -23,10 +23,10 @@ tile gathers its rows into its own slices of the cache's arrays, and
 each positive's anchor-gradient sums are one product of its own rows, so
 any worker count gives the bits of one.
 
-All-candidate ranking of the two distance models runs through the shared
-ranking kernel (`kernels.slab_sums`) with one term each, so a copy of
-an entity ties the row it copies; DistMult, which has no norm to sum,
-ranks with one matrix product.
+All-candidate ranking of every model runs through the shared ranking
+kernel (`kernels.slab_sums`) with one term each, so a copy of an entity
+ties the row it copies; DistMult's term is a signed sum of products,
+with no norm.
 """
 
 from __future__ import annotations
@@ -46,13 +46,11 @@ BASELINE_KINDS = (TRANSE, DISTMULT, ROTATE)
 @dataclass(frozen=True)
 class BaselineConfig:
     kind: str = kernels.setting(MISSING, BASELINE_KINDS)
-    dim: int = 64
+    dim: int = kernels.setting(64, within="[1, inf)")
     norm_p: int = kernels.setting(1, (1, 2))
 
     def __post_init__(self):
         kernels.check_fields(self)
-        if self.dim < 1:
-            raise ValueError(f"dim must be an int >= 1, got {self.dim!r}")
         if self.kind == ROTATE and self.dim % 2 != 0:
             raise ValueError("rotation model needs an even dim")
 
@@ -267,17 +265,13 @@ def backward(params: BaselineParams, config: BaselineConfig, cache, upstream):
 def candidate_table(params: BaselineParams, config: BaselineConfig, candidates, corrupt_side):
     """The `kernels.CandidateTable` shared by every score_batch call of one direction.
 
-    TransE's rows are the candidate rows stored transposed, (dim, C);
-    RotatE's the same with each row's real parts first and its imaginary
-    parts after, so both are coordinates of one L2 term. DistMult's are
-    the candidate rows zero-padded to whole ROW_ALIGN blocks (see
-    score_batch).
+    TransE's and DistMult's rows are the candidate rows stored transposed,
+    (dim, C); RotatE's the same with each row's real parts first and its
+    imaginary parts after, so both are coordinates of one L2 term.
     """
     kernels.check_side(corrupt_side)
     candidates = np.asarray(candidates, dtype=np.int64).ravel()
-    if config.kind == DISTMULT:
-        rows = kernels.padded(params.ent[candidates])
-    elif config.kind == ROTATE:
+    if config.kind == ROTATE:
         pair_split = np.r_[0 : config.dim : 2, 1 : config.dim : 2]
         rows = kernels.transposed(params.ent[candidates[:, None], pair_split])
     else:
@@ -289,15 +283,13 @@ def score_batch(params: BaselineParams, config: BaselineConfig, triples, candida
     """(B, C) totals with one side of each triple replaced by each candidate.
 
     table is the `candidate_table` of these candidates and side; it is
-    built here when not given. TransE and RotatE are one
-    `kernels.slab_sums` term each, so a copy of an entity ties the row it
-    copies. TransE's residual is (h + r) - t per coordinate. RotatE's is
-    the L2 norm of h o r - t over the pair-split coordinates, and a
-    candidate head uses |c o r - t| = |c - t o conj(r)|, which holds
-    because every |r_k| = 1. DistMult is one matrix product with the
-    candidates on the row axis of a table padded to whole ROW_ALIGN
-    blocks: every candidate row runs through the same BLAS kernel, so a
-    copy of an entity ties here too.
+    built here when not given. Each model is one `kernels.slab_sums`
+    term, so a copy of an entity ties the row it copies. TransE's
+    residual is (h + r) - t per coordinate. RotatE's is the L2 norm of
+    h o r - t over the pair-split coordinates, and a candidate head uses
+    |c o r - t| = |c - t o conj(r)|, which holds because every |r_k| = 1.
+    DistMult's is the product (fixed * r) * c per coordinate, summed with
+    its sign and no norm, and weighted -1.
     """
     if table is None:
         table = candidate_table(params, config, candidates, corrupt_side)
@@ -308,15 +300,15 @@ def score_batch(params: BaselineParams, config: BaselineConfig, triples, candida
     r = params.rel[triples[:, 1]]
     fixed = params.ent[triples[:, 2] if head else triples[:, 0]]
     if config.kind == DISTMULT:
-        # trilinear form is a plain inner product against the candidate
-        return np.negative((table.rows @ (fixed * r).T)[:C].T, out=np.empty((B, C)))
-    if config.kind == ROTATE:
+        # the trilinear form is an inner product of the candidate with fixed * r
+        term = (-1.0, None, np.multiply, kernels.columns(fixed * r), None)
+    elif config.kind == ROTATE:
         # the fixed side rotated by r, or by its conjugate for candidate heads
         phase = r[:, : config.dim // 2]
         re, im = _rotate(fixed, -phase if head else phase)
-        term = (2, np.subtract, kernels.columns(np.concatenate([re, im], axis=1)), None)
+        term = (1.0, 2, np.subtract, kernels.columns(np.concatenate([re, im], axis=1)), None)
     elif head:
-        term = (config.norm_p, np.add, kernels.columns(r), kernels.columns(fixed))
+        term = (1.0, config.norm_p, np.add, kernels.columns(r), kernels.columns(fixed))
     else:
-        term = (config.norm_p, np.subtract, kernels.columns(fixed + r), None)
-    return kernels.slab_sums([(1.0, *term, table.rows)], B, C)
+        term = (1.0, config.norm_p, np.subtract, kernels.columns(fixed + r), None)
+    return kernels.slab_sums([(*term, table.rows)], B, C)

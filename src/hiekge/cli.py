@@ -4,6 +4,8 @@ Exit codes: 0 success, 1 usage error (also a run too large for memory),
 2 data error, 3 numeric failure.
 Progress and diagnostics go to stderr; machine-readable output (JSON
 reports, CSV tables) goes to stdout and, when --out is given, to files.
+A command runs with numpy's floating-point warnings off: a non-finite
+loss, score or gradient is reported once, as a numeric failure.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import argparse
 import dataclasses
 import itertools
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,18 +51,21 @@ class RunConfig:
     switch that stores True, and a `sweep_*` tuple's flag takes a
     comma-separated list of the swept field's type; the sweep's axes are
     the `sweep_*` fields, in declaration order. A field made by
-    `kernels.setting` may list the values it accepts and may name the one
-    command that gets its flag; every other flag goes to every command.
-    `kernels.check_fields` holds every field to its type and choices,
-    whether the value came by flag or by config. Flags default to None,
-    so only the flags given override the config.
+    `kernels.setting` may list the values it accepts or the interval they
+    lie in, and may name the one command that gets its flag; every other
+    flag goes to every command. `kernels.check_fields` holds every field
+    to its type, choices and interval, whether the value came by flag or
+    by config, and for every command. A `sweep_*` field's items have no
+    interval, so a point the grid makes out of range gets its own error
+    row. Flags default to None, so only the flags given override the
+    config.
     """
 
     data_dir: str = None
     model: str = kernels.setting("hie", tuple(trainer.MODELS))
     dim: int = 64
     levels: int = 2
-    lambda1: float = 0.5
+    lambda1: float = kernels.setting(0.5, within="[0, 1]")
     gamma: float = 6.0
     alpha_temp: float = 1.0
     negatives: int = 16
@@ -81,9 +85,9 @@ class RunConfig:
     checkpoint: str = kernels.setting(None, command="eval")
     split: str = kernels.setting("test", SPLIT_NAMES, command="eval")
     eta: float = kernels.setting(1.5, command="classify")
-    fd_step: float = kernels.setting(1e-6, command="gradcheck")
-    tolerance: float = kernels.setting(1e-4, command="gradcheck")
-    batches: int = kernels.setting(3, command="gradcheck")
+    fd_step: float = kernels.setting(1e-6, within="(0, inf)", command="gradcheck")
+    tolerance: float = kernels.setting(1e-4, within="[0, inf]", command="gradcheck")
+    batches: int = kernels.setting(3, within="[1, inf)", command="gradcheck")
     dump_dicts: bool = kernels.setting(False, command="stats")
     sweep_levels: tuple = kernels.setting(None, command="sweep")
     sweep_lambda1: tuple = kernels.setting(None, command="sweep")
@@ -102,11 +106,9 @@ _FLAG_TYPES = {"int": int, "float": float}
 
 
 def derive_lambdas(levels, lambda1):
-    """Level weights (lambda1, rest sharing 1 - lambda1 equally)."""
+    """Level weights (lambda1, rest sharing 1 - lambda1 equally); one level weighs 1."""
     if levels == 1:
         return (1.0,)
-    if not 0.0 <= lambda1 <= 1.0:
-        raise UsageError(f"lambda1 must lie in [0, 1], got {lambda1}")
     rest = (1.0 - lambda1) / (levels - 1)
     return (lambda1,) + (rest,) * (levels - 1)
 
@@ -314,9 +316,14 @@ def _write_loss_log(path, log):
 
 
 def _write_table(header, rows, path):
-    """Prints a CSV header and each row as it arrives, then writes the same lines to path unless it is None."""
+    """Prints a CSV header and each row of the iterator rows as it arrives, then writes the lines to path.
+
+    The lines are written unless path is None. The first row is made
+    before the header prints, so a command that fails on it prints nothing.
+    """
+    first = list(itertools.islice(rows, 1))
     lines = []
-    for line in itertools.chain([header], rows):
+    for line in itertools.chain([header], first, rows):
         print(line)
         lines.append(line)
     if path is not None:
@@ -435,12 +442,16 @@ SWEEP_AXES = tuple(name.removeprefix("sweep_") for name in RUN_FIELDS if name.st
 SWEEP_HEADER = ",".join(SWEEP_AXES) + ",status," + evaluator.CSV_HEADER
 
 
-def _point_configs(point: RunConfig):
-    """`_configs` of one sweep point, or the UsageError that rejects it."""
+def _sweep_point(run: RunConfig, values):
+    """(RunConfig, `_configs`) of the point that sets the axes in values, or a UsageError that rejects it.
+
+    RunConfig itself rejects a value outside its field's interval, such as a lambda1 of 1.5.
+    """
     try:
-        return _configs(point)
-    except UsageError as exc:
-        return exc
+        point = dataclasses.replace(run, **values)
+        return point, _configs(point)
+    except (UsageError, ValueError) as exc:
+        return UsageError(str(exc))
 
 
 def cmd_sweep(run: RunConfig) -> int:
@@ -458,21 +469,22 @@ def cmd_sweep(run: RunConfig) -> int:
             raise UsageError(f"sweep axis {axis} needs at least one value")
     axes = {axis: values for axis, values in axes.items() if values}
     # with no axis, the product's one empty combination is the base configuration itself
-    points = [dataclasses.replace(run, **dict(zip(axes, combo)))
-              for combo in itertools.product(*axes.values())]
-    configs = [_point_configs(point) for point in points]
-    if all(isinstance(c, UsageError) for c in configs):
-        raise configs[0]
+    grid = [{axis: getattr(run, axis) for axis in SWEEP_AXES} | dict(zip(axes, combo))
+            for combo in itertools.product(*axes.values())]
+    points = [_sweep_point(run, values) for values in grid]
+    if all(isinstance(point, UsageError) for point in points):
+        raise points[0]
     kg = _load_dataset(run, "train", "valid")
 
     def rows():
-        for index, (point, point_configs) in enumerate(zip(points, configs)):
-            prefix = ",".join(f"{getattr(point, axis):g}" if RUN_FIELDS[axis] == "float"
-                              else str(getattr(point, axis)) for axis in SWEEP_AXES)
+        for index, (values, point) in enumerate(zip(grid, points)):
+            prefix = ",".join(f"{values[axis]:g}" if RUN_FIELDS[axis] == "float"
+                              else str(values[axis]) for axis in SWEEP_AXES)
             try:
-                if isinstance(point_configs, UsageError):
-                    raise point_configs
-                yield f"{prefix},ok,{_metric_cells(point, kg, point_configs, f'point_{index:03d}')}"
+                if isinstance(point, UsageError):
+                    raise point
+                point_run, point_configs = point
+                yield f"{prefix},ok,{_metric_cells(point_run, kg, point_configs, f'point_{index:03d}')}"
             except (UsageError, DataError, NumericError, ValueError, MemoryError) as exc:
                 _info(f"sweep point {index} failed: {exc}")
                 empty_metrics = "," * len(evaluator.METRIC_FIELDS)
@@ -484,12 +496,6 @@ def cmd_sweep(run: RunConfig) -> int:
 
 
 def cmd_gradcheck(run: RunConfig) -> int:
-    if not (math.isfinite(run.fd_step) and run.fd_step > 0):
-        raise UsageError(f"--fd-step must be a finite number > 0, got {run.fd_step}")
-    if run.batches < 1:
-        raise UsageError(f"--batches must be >= 1, got {run.batches}")
-    if not run.tolerance >= 0:
-        raise UsageError(f"--tolerance must be >= 0, got {run.tolerance}")
     model_config, train_config = _configs(run)
     kg = _load_dataset(run, "train")
     params = init_model(run.model, kg.num_entities, kg.num_relations, model_config, run.seed)
@@ -562,7 +568,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         run = merge_run_config(args)
-        return COMMANDS[args.command][1](run)
+        # a non-finite loss, score or gradient ends in NumericError, so numpy's warnings would only precede it
+        with np.errstate(all="ignore"):
+            return COMMANDS[args.command][1](run)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -62,9 +62,9 @@ class HieConfig:
     """
 
     kind = "hie"
-    dim: int = 64
-    levels: int = 2
-    lambdas: tuple = (0.5, 0.5)
+    dim: int = kernels.setting(64, within="[2, inf)")
+    levels: int = kernels.setting(2, within="[1, inf)")
+    lambdas: tuple = kernels.setting((0.5, 0.5), within="[0, 1]")
     norm_p: int = kernels.setting(1, (1, 2))
     transform: str = kernels.setting(TRANSFORM_DIAGONAL, TRANSFORMS)
     disable_distance: bool = False
@@ -77,18 +77,13 @@ class HieConfig:
             object.__setattr__(self, "lambdas", tuple(self.lambdas))
         kernels.check_fields(self, {"lambdas": "float"})
         object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
-        # written so that NaN fails each range check
-        if self.dim < 2 or self.dim % 2 != 0:
-            raise ValueError(f"dim must be even and an int >= 2, got {self.dim!r}")
-        if self.levels < 1:
-            raise ValueError(f"levels must be an int >= 1, got {self.levels!r}")
+        if self.dim % 2 != 0:
+            raise ValueError(f"dim must be even, got {self.dim!r}")
         if len(self.lambdas) != self.levels:
             raise ValueError(
                 f"need one level weight per level: got {len(self.lambdas)} "
                 f"weights for {self.levels} levels"
             )
-        if not all(0.0 <= v <= 1.0 for v in self.lambdas):
-            raise ValueError(f"level weights must lie in [0, 1], got {self.lambdas}")
         if not abs(sum(self.lambdas) - 1.0) <= 1e-9:
             raise ValueError(f"level weights must sum to 1, got {self.lambdas}")
         if not any(_live_levels(self)):

@@ -19,25 +19,30 @@ calling thread included; numpy releases the GIL inside its ufuncs and
 products. The partition never depends on the worker count and each tile
 writes only its own rows; what tiles share, each returns as its own part,
 added in tile order by the calling thread. So any worker count gives the
-bits of one.
+bits of one. Every tile runs under the caller's numpy floating-point
+error state, whichever thread takes it.
 
 The ranking kernel: all-candidate scoring takes its candidates from a
-`CandidateTable`, built once per corrupted side; the distance models
-store its rows transposed. `slab_sums` sums each term's residual one
-coordinate at a time into blocks of SLAB_ROWS triples by SLAB candidates
-with elementwise operations only, so a candidate's score depends on its
-own values, never on its position, the block shape or the other triples;
-its blocks run on the same workers. Rows that go through a matrix product
-first are zero-padded to whole ROW_ALIGN blocks (`padded`), so every row
-runs through the same BLAS kernel and a copy of an entity gets the bits
-of the row it copies.
+`CandidateTable`, built once per corrupted side; every model stores its
+rows transposed. `slab_sums` sums each term one coordinate at a time
+into blocks of SLAB_ROWS triples by SLAB candidates with elementwise
+operations only, so a candidate's score depends on its own values, never
+on its position, the block shape or the other triples; its blocks run on
+the same workers. A term is a weighted L1 or L2 norm of a residual, or
+(DistMult's) the signed sum of a product. hie's rows go through a matrix
+product first, over rows zero-padded to whole ROW_ALIGN blocks
+(`padded`), so every row runs through the same BLAS kernel and a copy of
+an entity gets the bits of the row it copies.
 
 Config fields: each field of a config dataclass (`HieConfig`,
 `BaselineConfig`, `TrainConfig`, the CLI's `RunConfig`) declares the
 values it accepts once, by its annotation and, through `setting`, its
-choices. `check_fields`, called first by each config's `__post_init__`,
-holds every field to that declaration, whether the value came from code,
-a flag, a JSON config or a checkpoint sidecar.
+choices or the interval it lies in, such as "(0, inf)". `check_fields`,
+called first by each config's `__post_init__`, holds every field to that
+declaration, whether the value came from code, a flag, a JSON config or
+a checkpoint sidecar, and words every refusal from it. What is left to a
+`__post_init__` is a rule that one field's interval cannot state: an
+even dim, or level weights that match the levels and sum to 1.
 """
 
 from __future__ import annotations
@@ -125,7 +130,7 @@ def map_tiles(fn, tiles):
     or one from inside a tile, runs inline. The call returns only when
     every tile it started has finished; once a tile raises, no further
     tile starts, and the exception of the first failed tile in tile order
-    is raised.
+    is raised. Every tile runs under the caller's `np.geterr()` state.
     """
     tiles = list(tiles)
     helpers = min(WORKERS, len(tiles)) - 1
@@ -133,19 +138,22 @@ def map_tiles(fn, tiles):
         return [fn(tile) for tile in tiles]
     results, errors = [None] * len(tiles), {}
     lock, taken = threading.Lock(), iter(range(len(tiles)))
+    # numpy's floating-point error handling is per thread: the helpers take the caller's
+    state = np.geterr()
 
     def run():
         _IN_TILES.active = True
         try:
-            while not errors:
-                with lock:
-                    i = next(taken, None)
-                if i is None:
-                    return
-                try:
-                    results[i] = fn(tiles[i])
-                except BaseException as exc:  # re-raised on the calling thread below
-                    errors[i] = exc
+            with np.errstate(**state):
+                while not errors:
+                    with lock:
+                        i = next(taken, None)
+                    if i is None:
+                        return
+                    try:
+                        results[i] = fn(tiles[i])
+                    except BaseException as exc:  # re-raised on the calling thread below
+                        errors[i] = exc
         finally:
             _IN_TILES.active = False
 
@@ -257,10 +265,11 @@ def slab_sums(terms, B, C):
     A term is (weight, norm p, combine, first, last, cand): its residual at
     coordinate k is combine(first[k], cand[k]) - last[k] (no subtraction
     when last is None), with first and last in `columns` form and cand the
-    (coordinates, C) candidate rows stored transposed. The (B, C) totals
-    are split into blocks of at most SLAB_ROWS triples by SLAB candidates,
-    which the workers of `map_tiles` fill, so a block's working set stays
-    the same however many triples a call has.
+    (coordinates, C) candidate rows stored transposed. Norm p 1 or 2 sums
+    the residuals' L1 or L2 norm, and None their plain, signed sum. The
+    (B, C) totals are split into blocks of at most SLAB_ROWS triples by
+    SLAB candidates, which the workers of `map_tiles` fill, so a block's
+    working set stays the same however many triples a call has.
     Each term is summed one coordinate at a time into the block with
     elementwise operations only, so a candidate's total depends only on its
     own values and its triple's: a copy of an entity ties the row it
@@ -280,7 +289,7 @@ def slab_sums(terms, B, C):
                     np.subtract(out, last[k, rows], out=out)
                 if norm_p == 1:
                     np.abs(out, out=out)
-                else:
+                elif norm_p == 2:
                     np.multiply(out, out, out=out)
                 if k:
                     acc += step
@@ -298,9 +307,46 @@ _ACCEPTS = {"int": (int, "an int"), "float": ((int, float), "a number"), "bool":
             "str": (str, "a str")}
 
 
-def setting(default, choices=None, **metadata):
-    """A config field: its default and the values it accepts (None: any of its type); metadata rides along."""
-    return field(default=default, metadata={"choices": choices, **metadata})
+@dataclass(frozen=True)
+class Interval:
+    """The values from low to high; an end is in when it is closed. NaN is in no interval."""
+
+    low: float
+    high: float
+    closed_low: bool
+    closed_high: bool
+
+    @classmethod
+    def parse(cls, text):
+        """The interval written as text: "[0, 1)", "(0, inf)", "[0, inf]"; "[" and "]" close an end."""
+        low, high = (float(end) for end in text[1:-1].split(","))
+        if text[0] not in "[(" or text[-1] not in "])" or not low <= high:
+            raise ValueError(f"not an interval: {text!r}")
+        return cls(low, high, text[0] == "[", text[-1] == "]")
+
+    def __contains__(self, value):
+        return ((self.low < value or self.closed_low and value == self.low)
+                and (value < self.high or self.closed_high and value == self.high))
+
+    def name(self, kind):
+        """How a message names the values of kind inside: "a finite number > 0", "an int >= 1"."""
+        if kind == "a number" and np.inf not in self and -np.inf not in self:
+            kind = "a finite number"
+        if self.high == np.inf:
+            return f"{kind} {'>=' if self.closed_low else '>'} {self.low:g}"
+        left, right = "[" if self.closed_low else "(", "]" if self.closed_high else ")"
+        return f"{kind} in {left}{self.low:g}, {self.high:g}{right}"
+
+
+def setting(default, choices=None, within=None, **metadata):
+    """A config field: its default and the values it accepts; metadata rides along.
+
+    choices lists the values the field accepts (None: any of its type),
+    and within is the `Interval` its value, or each item of a tuple, lies
+    in, written as `Interval.parse` reads it.
+    """
+    interval = None if within is None else Interval.parse(within)
+    return field(default=default, metadata={"choices": choices, "within": interval, **metadata})
 
 
 def _fits(value, annotation):
@@ -314,10 +360,12 @@ def check_fields(config, items=None):
     A field annotated int takes an int but not a bool, float an int or a
     float, bool only a bool and str a str; tuple takes a tuple whose items
     have the type that items (field name: annotation) names for it. None
-    passes only where the default is None, and a field declared by
-    `setting` with choices takes only one of them. Any other annotation,
-    or a tuple field that items does not name, raises TypeError, so no
-    field goes unchecked.
+    passes only where the default is None. A field declared by `setting`
+    with an interval takes only values inside it (for a tuple, items),
+    and one with choices only one of them. The message names what the
+    field accepts: "gamma must be a finite number > 0, got nan". Any other
+    annotation, or a tuple field that items does not name, raises
+    TypeError, so no field goes unchecked.
     """
     for f in fields(config):
         annotation = (items or {}).get(f.name) if f.type == "tuple" else f.type
@@ -326,12 +374,13 @@ def check_fields(config, items=None):
         value = getattr(config, f.name)
         if value is None and f.default is None:
             continue
-        if f.type == "tuple":
-            fits = isinstance(value, tuple) and all(_fits(item, annotation) for item in value)
-            kind = f"a tuple of {annotation}s"
-        else:
-            fits, kind = _fits(value, annotation), _ACCEPTS[annotation][1]
-        if not fits:
+        interval = f.metadata.get("within")
+        kind = f"a tuple of {annotation}s" if f.type == "tuple" else _ACCEPTS[annotation][1]
+        if interval is not None:
+            kind = interval.name(kind)
+        values = value if f.type == "tuple" else (value,)
+        if not (isinstance(values, tuple) and all(
+                _fits(item, annotation) and (interval is None or item in interval) for item in values)):
             raise ValueError(f"{f.name} must be {kind}, got {value!r}")
         choices = f.metadata.get("choices")
         if choices is not None and value not in choices:

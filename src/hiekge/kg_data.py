@@ -1,11 +1,12 @@
 r"""Benchmark triple ingestion, vocabularies, filter index and relation categories.
 
 A triple file is UTF-8 text, one head<TAB>relation<TAB>tail line per
-triple, read whole. A line ends at "\n", "\r\n" or a lone "\r" and
-nowhere else, so a name may hold any other character, "\x85", "\u2028",
-"\v", "\f" and spaces included. The last line needs no terminator.
-Every line, a blank one too, must have exactly three tab-separated
-fields.
+triple, read whole; a byte-order mark at its start is not part of the
+first name. A line ends at "\n", "\r\n" or a lone "\r" and nowhere
+else, so a name may hold any other character, "\x85", "\u2028", "\v",
+"\f", spaces and a later "\ufeff" included. The last line needs no
+terminator. Every line, a blank one too, must have exactly three
+tab-separated fields, and none of them empty.
 
 The filter index is six int64 arrays, three per direction: the sorted
 distinct keys of the (head, rel) or (rel, tail) pairs, where each key's
@@ -162,14 +163,15 @@ def load_triples(path, entity_vocab=None, relation_vocab=None):
     int64 (N,3) array in file order. Exact duplicate triples within the
     file are dropped with a warning. A file that is not UTF-8 text raises
     DataError before any line is checked, and a line without exactly
-    three tab-separated fields raises DataError naming the first such
-    line; neither vocabulary grows then.
+    three tab-separated fields, or with an empty one, raises DataError
+    naming the first such line; neither vocabulary grows then.
     """
     entity_vocab = {} if entity_vocab is None else entity_vocab
     relation_vocab = {} if relation_vocab is None else relation_vocab
     try:
-        # newline=None turns "\r\n" and a lone "\r" into "\n", and nothing else
-        with open(path, encoding="utf-8") as f:
+        # newline=None turns "\r\n" and a lone "\r" into "\n", and nothing else;
+        # "utf-8-sig" drops a byte-order mark at the start of the file only
+        with open(path, encoding="utf-8-sig") as f:
             lines = f.read().split("\n")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
@@ -178,14 +180,16 @@ def load_triples(path, entity_vocab=None, relation_vocab=None):
     # names hold no tab, so two lines are the same triple exactly when they are equal
     distinct = list(dict.fromkeys(lines))
     tabs = np.fromiter(map(str.count, distinct, repeat("\t")), np.int64, len(distinct))
-    bad = np.flatnonzero(tabs != 2)
-    if len(bad):
-        # distinct keeps first-seen order, so its first bad line is the file's
-        lineno = lines.index(distinct[bad[0]]) + 1
-        raise DataError(
-            f"{path}:{lineno}: expected 3 tab-separated fields, got {tabs[bad[0]] + 1}"
-        )
+    # joined by tabs, the lines split into their fields one after another
     fields = "\t".join(distinct).split("\t") if distinct else []
+    if np.any(tabs != 2) or "" in fields:
+        for lineno, line in enumerate(lines, start=1):  # the first bad line in file order
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}")
+            if "" in parts:
+                role = ("head", "relation", "tail")[parts.index("")]
+                raise DataError(f"{path}:{lineno}: empty {role} name")
     heads, rels, tails = fields[0::3], fields[1::3], fields[2::3]
     entities = [None] * (2 * len(heads))
     entities[0::2], entities[1::2] = heads, tails

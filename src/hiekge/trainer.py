@@ -44,39 +44,20 @@ class NumericError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    gamma: float = 6.0
-    alpha_temp: float = 1.0
-    num_negatives: int = 16
-    learning_rate: float = 1e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    steps: int = 1000
-    batch_size: int = 256
-    seed: int = 0
+    gamma: float = kernels.setting(6.0, within="(0, inf)")
+    alpha_temp: float = kernels.setting(1.0, within="[0, inf)")
+    num_negatives: int = kernels.setting(16, within="[1, inf)")
+    learning_rate: float = kernels.setting(1e-4, within="(0, inf)")
+    adam_beta1: float = kernels.setting(0.9, within="[0, 1)")
+    adam_beta2: float = kernels.setting(0.999, within="[0, 1)")
+    adam_eps: float = kernels.setting(1e-8, within="(0, inf)")
+    steps: int = kernels.setting(1000, within="[0, inf)")
+    batch_size: int = kernels.setting(256, within="[1, inf)")
+    seed: int = kernels.setting(0, within="[0, inf)")
     adversarial_sign: str = kernels.setting(SIGN_PLAUSIBILITY, ADVERSARIAL_SIGNS)
 
     def __post_init__(self):
         kernels.check_fields(self)
-        # written so that NaN fails each range check
-        if not 0 < self.gamma < np.inf:
-            raise ValueError(f"gamma must be a finite number > 0, got {self.gamma}")
-        if not 0 <= self.alpha_temp < np.inf:
-            raise ValueError(f"alpha_temp must be a finite number >= 0, got {self.alpha_temp}")
-        if self.num_negatives < 1:
-            raise ValueError("num_negatives must be >= 1")
-        if not 0 < self.learning_rate < np.inf:
-            raise ValueError(f"learning_rate must be a finite number > 0, got {self.learning_rate}")
-        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
-            raise ValueError("adam betas must lie in [0, 1)")
-        if not 0 < self.adam_eps < np.inf:
-            raise ValueError(f"adam_eps must be a finite number > 0, got {self.adam_eps}")
-        if self.steps < 0:
-            raise ValueError("steps must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -168,22 +168,26 @@ def load_triples_oracle(path, entity_vocab, relation_vocab):
     """Line-by-line triple reader: (triples, entity_vocab, relation_vocab).
 
     Iterates the file in text mode with newline="", so a line ends at
-    LF, CRLF or a lone CR. Grows the vocabularies in place as
-    it reads, drops repeated triples with one warning, and raises
-    ValueError with the loader's message on the first malformed line or
-    on text that is not UTF-8.
+    LF, CRLF or a lone CR, and with encoding "utf-8-sig", so a byte-order
+    mark that starts the file is dropped. Grows the vocabularies in place
+    as it reads, drops repeated triples with one warning, and raises
+    ValueError with the loader's message on the first malformed line (a
+    wrong field count or an empty name) or on text that is not UTF-8.
     """
     triples = []
     seen = set()
     dupes = 0
     try:
-        with open(path, encoding="utf-8", newline="") as f:
+        with open(path, encoding="utf-8-sig", newline="") as f:
             for lineno, line in enumerate(f, start=1):
                 fields = line.rstrip("\r\n").split("\t")
                 if len(fields) != 3:
                     raise ValueError(
                         f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
                     )
+                for role, name in zip(("head", "relation", "tail"), fields):
+                    if name == "":
+                        raise ValueError(f"{path}:{lineno}: empty {role} name")
                 h_name, r_name, t_name = fields
                 h = entity_vocab.setdefault(h_name, len(entity_vocab))
                 r = relation_vocab.setdefault(r_name, len(relation_vocab))

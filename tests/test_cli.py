@@ -5,14 +5,19 @@ one subprocess test checks the installed console script.
 """
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import subprocess
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hiekge import cli, trainer
 from hiekge.checkpoint import load_checkpoint, save_checkpoint
@@ -83,10 +88,24 @@ class TestParsing:
         assert code == 2
         assert "data error" in err
 
-    def test_bad_lambda1_is_usage_error(self, capsys, data_dir, tmp_path):
-        code, _, _ = run_cli(capsys, "train", "--data-dir", data_dir,
-                             "--out", str(tmp_path / "out"), "--lambda1", "1.5")
+    @pytest.mark.parametrize("levels", ["1", "2"])
+    def test_bad_lambda1_is_usage_error(self, capsys, data_dir, tmp_path, levels):
+        # one level reads no lambda1, and once took any value there
+        code, _, err = run_cli(capsys, "train", "--data-dir", data_dir, "--out", str(tmp_path / "out"),
+                               "--levels", levels, "--lambda1", "1.5")
         assert code == 1
+        assert err == "usage error: lambda1 must be a finite number in [0, 1], got 1.5\n"
+
+    @pytest.mark.parametrize("command", ["train", "eval", "classify", "stats"])
+    def test_config_value_of_another_commands_field_is_checked(self, capsys, data_dir, tmp_path, command):
+        # gradcheck's fd_step from a --config document once passed every other command unchecked
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"fd_step": -1.0}))
+        code, out, err = run_cli(capsys, command, "--data-dir", data_dir, "--config", str(config),
+                                 "--out", str(tmp_path / "out"))
+        assert (code, out) == (1, "")
+        assert err == "usage error: fd_step must be a finite number > 0, got -1.0\n"
+        assert not (tmp_path / "out").exists()
 
     def test_odd_dim_is_usage_error(self, capsys, data_dir, tmp_path):
         code, _, err = run_cli(capsys, "train", "--data-dir", data_dir,
@@ -110,6 +129,20 @@ class TestParsing:
         assert "training" not in err
 
 
+    @pytest.mark.parametrize("flag", ["--lr", "--gamma", "--alpha-temp"])
+    def test_non_finite_loss_prints_no_numpy_warning(self, capsys, data_dir, tmp_path, flag):
+        # numpy once printed a RuntimeWarning block per overflow, with its source line, before the error
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "train", "--data-dir", data_dir, "--out", str(tmp_path / "out"),
+                                     *TINY, flag, "1e308")
+        assert [str(w.message) for w in caught] == []
+        assert code == 3
+        assert out == ""
+        assert err.startswith("training ") and "numeric failure: non-finite loss" in err
+        assert "Warning" not in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["train", "sweep", "ablate", "gradcheck"])
     def test_negative_seed_is_usage_error_before_any_output(self, capsys, data_dir, tmp_path, command):
         # np.random.default_rng once raised on it after --out was made: a traceback
@@ -119,7 +152,7 @@ class TestParsing:
                                     "--out", str(out), *TINY, "--seed", "-1")
         assert code == 1
         assert stdout == ""
-        assert err == "usage error: seed must be >= 0, got -1\n"
+        assert err == "usage error: seed must be an int >= 0, got -1\n"
         assert not out.exists()
 
 
@@ -243,9 +276,11 @@ class TestDeriveLambdas:
         for levels in range(1, 6):
             assert sum(derive_lambdas(levels, 0.7)) == pytest.approx(1.0)
 
-    def test_out_of_range_rejected(self):
-        with pytest.raises(cli.UsageError):
-            derive_lambdas(2, -0.1)
+    @pytest.mark.parametrize("lambda1", [-0.1, 1.5, float("nan")])
+    def test_out_of_range_rejected(self, lambda1):
+        # RunConfig's lambda1 declares the range; derive_lambdas is arithmetic only
+        with pytest.raises(ValueError, match=r"^lambda1 must be a finite number in \[0, 1\], got "):
+            RunConfig(lambda1=lambda1)
 
 
 class TestConfigFile:
@@ -844,6 +879,17 @@ class TestSweep:
         assert status == "error:UsageError"
         assert rows[1].split(",")[6:] == [""] * 6  # metrics stay blank
 
+    def test_point_out_of_run_config_range_gets_error_row(self, capsys, data_dir, tmp_path):
+        # RunConfig refuses lambda1 = 1.5 itself, so building the point must not escape the grid
+        code, stdout, err = run_cli(
+            capsys, "sweep", "--data-dir", data_dir, "--out", str(tmp_path / "sw"),
+            "--sweep-lambda1", "0.3,1.5", *TINY)
+        assert code == 0
+        rows = [row.split(",") for row in stdout.splitlines()[1:]]
+        assert [(row[1], row[5]) for row in rows] == [("0.3", "ok"), ("1.5", "error:UsageError")]
+        assert "sweep point 1 failed: lambda1 must be a finite number in [0, 1], got 1.5" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("flag,value,message", [
         ("--gamma", "nan", "gamma must be a finite number"),
         ("--lr", "inf", "learning_rate must be a finite number"),
@@ -945,7 +991,8 @@ class TestGradcheck:
             capsys, "gradcheck", "--data-dir", str(tmp_path / "absent"), "--dim", "8", flag, value)
         assert code == 1
         assert out == ""
-        assert err.startswith("usage error:") and flag in err
+        # the message names the RunConfig field the flag sets
+        assert err.startswith(f"usage error: {flag[2:].replace('-', '_')} must be ")
 
     @pytest.mark.parametrize("flag,value,message", [
         ("--dim", "7", "dim must be even"),
@@ -990,6 +1037,16 @@ class TestAblate:
             capsys, "ablate", "--data-dir", data_dir, "--out", str(tmp_path / "ab"), *TINY, *flags)
         assert code == 1
         assert out == "" and "usage error" in err
+        assert not (tmp_path / "ab").exists()
+
+    @pytest.mark.parametrize("flag,value", TOO_LARGE)
+    def test_run_too_large_for_memory_prints_nothing(self, capsys, synth100_dir, tmp_path, flag, value):
+        # the CSV header was once printed before the first variant ran out of memory
+        code, out, err = run_cli(capsys, "ablate", "--data-dir", synth100_dir, "--out", str(tmp_path / "ab"),
+                                 "--steps", "2", flag, value)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: not enough memory") and "Traceback" not in err
         assert not (tmp_path / "ab").exists()
 
     def test_rejects_baseline_models(self, capsys, data_dir, tmp_path):
@@ -1042,3 +1099,136 @@ def test_console_script_installed(data_dir):
         capture_output=True, text=True)
     assert result.returncode == 0
     assert result.stdout.startswith("relation,hco,tcs,category")
+
+
+# The exit-code contract, over every command: exit 0, 1, 2 or 3 and never an
+# uncaught exception; a usage error prints nothing on stdout; a run that exits
+# 1 or 2 leaves --out as it found it, and a train, sweep or ablate that exits 0
+# has made it. Sizes stay small or ask for far more than 2**47 bytes, which the
+# allocator refuses at once, so no example allocates much memory.
+HUGE = 10**15
+SIZES = ("dim", "levels", "negatives", "batch_size")
+RUN_DECLARATIONS = {f.name: f for f in dataclasses.fields(RunConfig)}
+# the fields the property test draws; data_dir, out and checkpoint it sets itself
+DRAWN = tuple(name for name, f in RUN_DECLARATIONS.items() if name not in ("data_dir", "out", "checkpoint"))
+# every command's config: small sizes, which a drawn value overrides
+BASE_DOC = {"dim": 8, "steps": 2, "batch_size": 8, "negatives": 2}
+NUMBERS = (0, -1, 0.0, -1.0, 5e-324, -5e-324, 0.5, 0.9999999999999999, 1.0, 1.0000000000000002,
+           1e308, math.nan, math.inf, -math.inf)
+WRONG_JSON = ("8", [], [1], {}, {"a": 1}, None, True)
+
+
+def field_values(f):
+    """Values for one RunConfig field: from its annotation, its declared interval and hostile ones."""
+    if f.type == "tuple":  # a sweep axis: up to two values of the field it sweeps
+        return st.lists(field_values(RUN_DECLARATIONS[f.name.removeprefix("sweep_")]), max_size=2).map(tuple)
+    if f.type == "bool":
+        return st.booleans()
+    if f.metadata.get("choices"):
+        return st.sampled_from(f.metadata["choices"] + ("bogus",))
+    interval = f.metadata.get("within")
+    ends = () if interval is None else [end for end in (interval.low, interval.high) if math.isfinite(end)]
+    if f.type == "float":
+        past = [float(np.nextafter(end, way)) for end in ends for way in (-math.inf, math.inf)]
+        return st.sampled_from(NUMBERS + tuple(ends) + tuple(past))
+    ints = [-1, 0, 1, 2, 3] + [int(end) + step for end in ends for step in (-1, 0)]
+    if f.name in SIZES or f.name == "seed":
+        ints.append(HUGE)
+    return st.sampled_from(ints) | st.sampled_from(NUMBERS)
+
+
+def as_flag(name, value):
+    """argv words that set a field to value: a switch, or --flag=value ("-inf" would read as a flag)."""
+    flag = "--" + name.replace("_", "-")
+    if isinstance(value, bool):
+        return [flag] if value else []
+    if isinstance(value, tuple):
+        value = ",".join(map(repr, value))
+    return [f"{flag}={value!r}" if isinstance(value, float) else f"{flag}={value}"]
+
+
+def json_leaves(doc, path=()):
+    """Every path from doc's root to a leaf or an empty container."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    paths = [path]
+    for key, value in items:
+        paths += json_leaves(value, path + (key,))
+    return paths
+
+
+def edited_checkpoint(data, trained, dest):
+    """The trained checkpoint, or a copy with one sidecar field or one stretch of blob bytes edited."""
+    edit = data.draw(st.sampled_from(["none", "sidecar", "blob"]), label="edit")
+    if edit == "none":
+        return trained / "model.ckpt"
+    ckpt, sidecar = copy_checkpoint(trained, dest)
+    if edit == "sidecar":
+        doc = json.loads(sidecar.read_text())
+        path = data.draw(st.sampled_from(json_leaves(doc)[1:]), label="sidecar path")
+        value = data.draw(st.sampled_from(("delete", *NUMBERS, 2, HUGE, *WRONG_JSON, "hie", "transe")),
+                          label="to")
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        sidecar.write_text(json.dumps(doc))
+    else:
+        blob = bytearray(ckpt.read_bytes())
+        at = data.draw(st.integers(0, 40) | st.integers(0, len(blob)), label="offset")
+        how = data.draw(st.sampled_from(["byte", "ones", "truncate", "append"]), label="how")
+        if how == "truncate":
+            del blob[at:]
+        elif how == "append":
+            blob += bytes(at % 9)
+        else:
+            stretch = bytes([data.draw(st.integers(0, 255), label="byte")]) if how == "byte" else b"\xff" * 4
+            blob[at : at + len(stretch)] = stretch
+        ckpt.write_bytes(bytes(blob))
+    return ckpt
+
+
+def listing(path):
+    return sorted(p.name for p in path.iterdir()) if path.exists() else None
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_exit_code_contract(data, data_dir, trained, tmp_path_factory):
+    command = data.draw(st.sampled_from(sorted(cli.COMMANDS)), label="command")
+    tmp = tmp_path_factory.mktemp("contract")
+    doc, flags = dict(BASE_DOC), []
+    for name in data.draw(st.lists(st.sampled_from(DRAWN), max_size=3, unique=True), label="fields"):
+        f = RUN_DECLARATIONS[name]
+        has_flag = f.metadata.get("command") in (None, command)
+        if has_flag and data.draw(st.booleans(), label=f"{name} by flag"):
+            flags += as_flag(name, data.draw(field_values(f), label=name))
+        elif data.draw(st.integers(0, 5), label=f"{name} type") == 0:
+            doc[name] = data.draw(st.sampled_from(WRONG_JSON), label=name)
+        else:
+            doc[name] = data.draw(field_values(f), label=name)
+    config = tmp / "run.json"
+    config.write_text(data.draw(st.sampled_from([json.dumps(doc)] * 17 + ["[1]", "{", '{"bogus": 1}']),
+                                label="config text"))
+    out = tmp / "out"
+    if data.draw(st.booleans(), label="out exists"):
+        out.mkdir()
+        (out / "kept.txt").write_text("kept")
+    before = listing(out)
+    argv = [command, "--config", str(config), "--data-dir", data_dir, "--out", str(out), *flags]
+    if command == "eval":
+        argv += ["--checkpoint", str(edited_checkpoint(data, trained, tmp / "ckpt"))]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in stderr.getvalue()
+    if code == 1:
+        assert stdout.getvalue() == ""
+    if code in (1, 2):
+        assert listing(out) == before
+    if code == 0 and command in ("train", "sweep", "ablate"):
+        assert out.is_dir()

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import json
+import math
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
-from hiekge import kernels
+from hiekge import cli, kernels
 from hiekge.baselines import BaselineConfig
 from hiekge.cli import RunConfig
 from hiekge.hie_model import HieConfig
@@ -74,3 +77,106 @@ def test_undeclared_values_rejected(field, value):
 def test_setting_keeps_extra_metadata():
     field = next(f for f in dataclasses.fields(RunConfig) if f.name == "split")
     assert field.default == "test" and field.metadata["command"] == "eval" and "valid" in field.metadata["choices"]
+
+
+@pytest.mark.parametrize("config", CONFIGS[:3], ids=lambda c: type(c).__name__)
+def test_every_number_field_declares_its_range(config):
+    # a count, a size or a rate with no declared range would take 0, a negative or NaN unchecked
+    for f in dataclasses.fields(config):
+        if f.type in ("int", "float"):
+            assert f.metadata.get("within") or f.metadata.get("choices"), f.name
+
+
+@pytest.mark.parametrize("text,inside,outside", [
+    ("[0, 1)", [0, 0.5, np.nextafter(1, 0)], [1, -1e-300, math.nan, math.inf]),
+    ("(0, inf)", [5e-324, 1e308], [0, -0.0, math.inf, math.nan]),
+    ("[0, inf]", [0, math.inf], [-5e-324, -math.inf, math.nan]),
+    ("(-inf, 2]", [-1e308, 2], [-math.inf, 2.0000000000000004, math.nan]),
+])
+def test_interval_holds_its_ends_as_written_and_never_nan(text, inside, outside):
+    interval = kernels.Interval.parse(text)
+    assert all(value in interval for value in inside)
+    assert not any(value in interval for value in outside)
+
+
+@pytest.mark.parametrize("text", ["0, 1", "[1, 0]", "{0, 1}", "[0; 1]"])
+def test_malformed_interval_fails_at_declaration(text):
+    with pytest.raises(ValueError):
+        kernels.setting(0, within=text)
+
+
+# The accepted values of each ranged field: (low, low closed, high, high closed).
+# Written out here, not read from the declarations, so that the table holds any
+# tree to the same sets.
+INF = math.inf
+RANGES = {
+    (TrainConfig, "gamma"): (0, False, INF, False),
+    (TrainConfig, "alpha_temp"): (0, True, INF, False),
+    (TrainConfig, "num_negatives"): (1, True, INF, False),
+    (TrainConfig, "learning_rate"): (0, False, INF, False),
+    (TrainConfig, "adam_beta1"): (0, True, 1, False),
+    (TrainConfig, "adam_beta2"): (0, True, 1, False),
+    (TrainConfig, "adam_eps"): (0, False, INF, False),
+    (TrainConfig, "steps"): (0, True, INF, False),
+    (TrainConfig, "batch_size"): (1, True, INF, False),
+    (TrainConfig, "seed"): (0, True, INF, False),
+    (HieConfig, "dim"): (2, True, INF, False),
+    (HieConfig, "levels"): (1, True, INF, False),
+    (HieConfig, "lambdas"): (0, True, 1, True),
+    (BaselineConfig, "dim"): (1, True, INF, False),
+    (RunConfig, "lambda1"): (0, True, 1, True),
+    (RunConfig, "fd_step"): (0, False, INF, False),
+    (RunConfig, "tolerance"): (0, True, INF, True),
+    (RunConfig, "batches"): (1, True, INF, False),
+}
+INT_FIELDS = {"num_negatives", "steps", "batch_size", "seed", "dim", "levels", "batches"}
+
+
+def boundary_cases():
+    """(config, field, value, accepted): each bound, one step past and inside it, NaN, ±inf and a bool."""
+    for (config, name), (low, closed_low, high, closed_high) in RANGES.items():
+        if name in INT_FIELDS:
+            step = 2 if (config, name) == (HieConfig, "dim") else 1  # hie's dim is even
+            values = [low - step, low, low + step]
+        else:
+            ends = [low, high] if high < INF else [low]
+            values = [float(np.nextafter(end, way)) for end in ends for way in (-INF, INF)] + ends + [1e308]
+        for value in values + [math.nan, INF, -INF, True]:
+            is_number = not isinstance(value, bool) and (name not in INT_FIELDS or isinstance(value, int))
+            inside = ((low < value or closed_low and value == low)
+                      and (value < high or closed_high and value == high))
+            yield pytest.param(config, name, value, is_number and inside,
+                               id=f"{config.__name__}.{name}={value!r}")
+
+
+def build(config, name, value, tmp_path):
+    """Whether the value is accepted for the field: by the config itself, or, for RunConfig, by the CLI."""
+    if config is RunConfig:
+        # gradcheck checks its flags and builds both configs before it reads data, so an
+        # accepted value gets as far as the absent data directory (exit 2)
+        doc = tmp_path / "run.json"
+        doc.write_text(json.dumps({name: value}))
+        code = cli.main(["gradcheck", "--data-dir", str(tmp_path / "absent"), "--config", str(doc),
+                         "--dim", "8", "--levels", "2"])
+        assert code in (1, 2)
+        return code == 2
+    if name == "lambdas":
+        kwargs = {"levels": 2, "lambdas": (value, 1 - value)}
+    elif config is HieConfig and name == "levels":
+        kwargs = {"levels": value, "lambdas": (1.0 / value,) * value if isinstance(value, int) and value > 0
+                  else (1.0,)}
+    else:
+        kwargs = {name: value}
+    if config is BaselineConfig:
+        kwargs["kind"] = "transe"
+    try:
+        config(**kwargs)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("config,name,value,accepted", boundary_cases())
+def test_boundary_table(tmp_path, capsys, config, name, value, accepted):
+    assert build(config, name, value, tmp_path) == accepted
+    assert "Traceback" not in capsys.readouterr().err

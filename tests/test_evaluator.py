@@ -309,13 +309,14 @@ SLAB_ENTITIES = 5120 + 1301
 WIDE_MODELS = [
     HieConfig(dim=8, levels=2, lambdas=(0.5, 0.5), norm_p=norm_p, transform=transform)
     for transform in ("diagonal", "rank1") for norm_p in (1, 2)
-] + [BaselineConfig(kind="transe", dim=8, norm_p=norm_p) for norm_p in (1, 2)] + [
-    BaselineConfig(kind="rotate", dim=8)]
+] + [BaselineConfig(kind=kind, dim=8, norm_p=norm_p)
+     for kind in ("transe", "distmult") for norm_p in (1, 2)] + [BaselineConfig(kind="rotate", dim=8)]
 
 
 # Small tables run through BLAS's small-matrix and remainder kernels, where
 # unpadded products gave a copy of a row other bits (see CHANGES.md): at 15
-# entities the three-level lift, at 301 DistMult and the rank-1 head product.
+# entities the three-level lift, at 301 the rank-1 head product (and, while
+# it ranked with a matrix product, DistMult).
 TIE_ENTITIES = (15, 61, 301, SLAB_ENTITIES)
 
 
@@ -345,6 +346,28 @@ def slab_model_id(config):
     return f"{config.kind}-l{config.norm_p}"
 
 
+def assert_copies_tie(config, side, entities, monkeypatch):
+    """Copies of the first triple's true entity rank alike in any slab, and tie it."""
+    # the copies sit in the first row, the middle and the last two rows; at
+    # SLAB_ENTITIES those are the first and last default slabs
+    params, triples = slab_case(config, 4, entities)
+    col = 0 if side == "head" else 2
+    true = int(triples[0, col])
+    copies = sorted({1, entities // 2, entities - 2, entities - 1} - {true})
+    params.ent[copies] = params.ent[true]
+    candidates = np.arange(entities)
+    by_slab = [MODELS[config.kind].score_batch(params, config, triples, candidates, side),
+               one_slab_scores(monkeypatch, params, config, triples, candidates, side)]
+    for b in range(len(triples)):
+        for tie in ("pessimistic", "strict"):
+            ranks = [rank_triple(s[b], int(triples[b, col]), frozenset(), tie) for s in by_slab]
+            assert ranks[0] == ranks[1], (b, tie)
+    row = by_slab[0][0]
+    assert np.all(row[copies] == row[true])
+    pess, strict = (rank_triple(row, true, frozenset(), tie) for tie in ("pessimistic", "strict"))
+    assert pess - strict == len(copies)
+
+
 class TestSlabInvariance:
     @pytest.mark.parametrize("side", ["head", "tail"])
     @pytest.mark.parametrize("config", SLAB_MODELS, ids=slab_model_id)
@@ -359,26 +382,14 @@ class TestSlabInvariance:
     @pytest.mark.parametrize("side", ["head", "tail"])
     @pytest.mark.parametrize("config", SLAB_MODELS, ids=slab_model_id)
     def test_tied_candidates_rank_alike_in_any_slab(self, config, side, entities, monkeypatch):
-        # copies of the first triple's true entity in the first row, the
-        # middle and the last two rows; at SLAB_ENTITIES those are the first
-        # and last default slabs
-        params, triples = slab_case(config, 4, entities)
-        col = 0 if side == "head" else 2
-        true = int(triples[0, col])
-        copies = sorted({1, entities // 2, entities - 2, entities - 1} - {true})
-        params.ent[copies] = params.ent[true]
-        candidates = np.arange(entities)
-        by_slab = [MODELS[config.kind].score_batch(params, config, triples, candidates, side),
-                   one_slab_scores(monkeypatch, params, config, triples, candidates, side)]
-        for b in range(len(triples)):
-            for tie in ("pessimistic", "strict"):
-                ranks = [rank_triple(s[b], int(triples[b, col]), frozenset(), tie) for s in by_slab]
-                assert ranks[0] == ranks[1], (b, tie)
-        row = by_slab[0][0]
-        assert np.all(row[copies] == row[true])
-        pess, strict = (rank_triple(row, true, frozenset(), tie) for tie in ("pessimistic", "strict"))
-        assert pess - strict == len(copies)
+        assert_copies_tie(config, side, entities, monkeypatch)
 
+    @pytest.mark.parametrize("entities", TIE_ENTITIES)
+    @pytest.mark.parametrize("side", ["head", "tail"])
+    def test_distmult_ties_without_padding(self, side, entities, monkeypatch):
+        # DistMult ranks with elementwise sums only, so its copies tie without padded rows
+        monkeypatch.setattr(kernels, "ROW_ALIGN", 1)
+        assert_copies_tie(BaselineConfig(kind="distmult", dim=64), side, entities, monkeypatch)
 
     @pytest.mark.parametrize("side", ["head", "tail"])
     @pytest.mark.parametrize("config", WIDE_MODELS, ids=slab_model_id)

@@ -127,10 +127,12 @@ def assert_loader_matches_oracle(path, entity_vocab=(), relation_vocab=()):
 # characters that str.splitlines would break a line at, plus spaces
 SPLITLINES_CHARS = ["\x85", "\u2028", "\u2029", "\v", "\f", "\x1c", "\x1d", "\x1e", " "]
 NAME = st.text(
-    alphabet=st.sampled_from(SPLITLINES_CHARS + ["a", "b", "\xe9"])
+    alphabet=st.sampled_from(SPLITLINES_CHARS + ["a", "b", "\xe9", "\ufeff"])
     | st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",)),
+    min_size=1,
     max_size=4,
 )
+BOM = "\ufeff".encode("utf-8")
 TERMINATOR = st.sampled_from(["\n", "\r\n", "\r"])
 NOT_UTF8 = st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80"])
 
@@ -145,12 +147,15 @@ def triple_files(draw):
         lines = draw(st.permutations(lines + draw(st.lists(st.sampled_from(lines), max_size=6))))
     if draw(st.integers(0, 3)) == 0:  # one malformed line; a blank one has one empty field
         fields = draw(st.lists(name, min_size=1, max_size=5).filter(lambda f: len(f) != 3))
-        bad = draw(st.sampled_from(["", "\t".join(fields)]))
+        empty_name = draw(st.lists(name | st.just(""), min_size=3, max_size=3).filter(lambda f: "" in f))
+        bad = draw(st.sampled_from(["", "\t".join(fields), "\t".join(empty_name)]))
         lines.insert(draw(st.integers(0, len(lines))), bad)
     ends = [draw(TERMINATOR) for _ in lines]
     if lines and draw(st.booleans()):
         ends[-1] = ""  # no final terminator
     data = "".join(line + end for line, end in zip(lines, ends)).encode("utf-8")
+    if draw(st.integers(0, 3)) == 0:
+        data = BOM + data
     if draw(st.integers(0, 5)) == 0:
         at = draw(st.integers(0, len(data)))
         data = data[:at] + draw(NOT_UTF8) + data[at:]
@@ -185,6 +190,13 @@ class TestLoaderMatchesOracle:
             b"\n",
             b"",
             b"\t\t\n\t\t\n",  # empty names
+            b"a\t\tb\n",  # an empty relation
+            b"a\tr\tb\nc\tr\t\nonly\ttwo\n",  # an empty tail before a wrong field count
+            b"a\tr\tb\nonly\ttwo\n\tr\tb\n",  # a wrong field count before an empty head
+            b"\xef\xbb\xbfa\tr\tb\n",  # a byte-order mark
+            b"\xef\xbb\xbf",
+            b"\xef\xbb\xbf\xef\xbb\xbfa\tr\tb\n",  # only the first mark is one
+            "a\tr\tb\n\ufeffa\tr\u2028\ufeff\tb\ufeff\n".encode(),  # later ones are characters
             b"a\tr\tb\nonly\ttwo\na\tr\n",  # first malformed line wins
             b"a b\tr s\tc d\n",  # spaces
             "a\x85b\tr\u2028s\tc\x0bd\ne\x0cf\tr\u2028s\ta\x85b\n".encode(),  # splitlines breaks
@@ -198,6 +210,29 @@ class TestLoaderMatchesOracle:
         path.write_bytes(data)
         assert_loader_matches_oracle(path)
 
+    def test_byte_order_mark_is_not_part_of_a_name(self, tmp_path):
+        # "\ufeffa" was once an entity of its own, which "a" in another split never matched
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_bytes(b"a\tr\tb\nb\tr\t\xef\xbb\xbfa\n")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        got, want = load_triples(marked), load_triples(plain)
+        assert got[0].tolist() == want[0].tolist() == [[0, 0, 1], [1, 0, 2]]
+        assert got[1:] == want[1:] == ({"a": 0, "b": 1, "\ufeffa": 2}, {"r": 0})
+
+    @pytest.mark.parametrize("data,message", [
+        (b"a\t\tb\n", ":1: empty relation name"),
+        (b"a\tr\tb\n\tr\tb\n", ":2: empty head name"),
+        (b"a\tr\tb\nc\tr\t\r\n", ":2: empty tail name"),
+        (b"a\tr\tb\nonly\ttwo\n\tr\tb\n", ":2: expected 3 tab-separated fields, got 2"),
+        (b"a\tr\t\nonly\ttwo\n", ":1: empty tail name"),
+    ])
+    def test_first_line_with_an_empty_name_or_wrong_fields_is_named(self, tmp_path, data, message):
+        # an empty name once loaded as the entity or relation ""
+        path = tmp_path / "t.txt"
+        path.write_bytes(data)
+        with pytest.raises(DataError, match=f"t.txt{message}$"):
+            load_triples(path)
+
     def test_prefilled_vocabularies_keep_order(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_bytes(b"z\tq\ta\nb\tr\tz\n")
@@ -209,8 +244,9 @@ class TestLoaderMatchesOracle:
 
 @st.composite
 def name_triples(draw):
+    # a file whose first name starts with "\ufeff" starts with a byte-order mark, which is no name's
     name = st.text(
-        alphabet=st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",)),
+        alphabet=st.characters(blacklist_characters="\t\n\r\ufeff", blacklist_categories=("Cs",)),
         min_size=1,
         max_size=8,
     )

@@ -86,7 +86,7 @@ class TestTrainConfig:
 
     def test_negative_seed_rejected(self):
         # np.random.default_rng would raise on it only once training starts
-        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        with pytest.raises(ValueError, match="seed must be an int >= 0, got -1"):
             TrainConfig(seed=-1)
         assert TrainConfig(seed=0).seed == 0
 

@@ -286,6 +286,23 @@ class TestMapTiles:
         # tile 0 ran beside the failing tile and had finished; no tile started after the failure
         assert done == [0]
 
+    def test_every_tile_runs_under_the_callers_floating_point_state(self, monkeypatch):
+        # a helper thread once ran its tiles under numpy's default state, so under
+        # over="raise" an overflow raised only in the tiles the calling thread took
+        monkeypatch.setattr(kernels, "WORKERS", 2)
+
+        def tile(_):
+            time.sleep(0.02)  # long enough that both threads take tiles
+            return threading.current_thread(), np.geterr()
+
+        with np.errstate(over="raise", divide="ignore", invalid="warn", under="print"):
+            caller = np.geterr()
+            ran = map_tiles(tile, range(8))
+            with pytest.raises(FloatingPointError):
+                map_tiles(lambda _: time.sleep(0.02) or np.float64(1e308) * 10, range(4))
+        assert len({thread for thread, _ in ran}) == 2
+        assert [state for _, state in ran] == [caller] * 8
+
     def test_first_failed_tile_in_tile_order_is_raised(self, monkeypatch):
         monkeypatch.setattr(kernels, "WORKERS", 2)
 
