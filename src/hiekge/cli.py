@@ -23,9 +23,9 @@ import numpy as np
 from . import evaluator, kernels, kg_data, trainer
 from .baselines import BaselineConfig
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .hie_model import TRANSFORM_DIAGONAL, TRANSFORMS, HieConfig
+from .hie_model import HieConfig
 from .kg_data import SPLIT_NAMES, DataError, classify_relations, dataset_stats, load_kg
-from .trainer import ADVERSARIAL_SIGNS, SIGN_PLAUSIBILITY, NumericError, TrainConfig, grad_check, init_model
+from .trainer import NumericError, TrainConfig, grad_check, init_model
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -53,38 +53,44 @@ class RunConfig:
     the `sweep_*` fields, in declaration order. A field made by
     `kernels.setting` may list the values it accepts or the interval they
     lie in, and may name the one command that gets its flag; every other
-    flag goes to every command. `kernels.check_fields` holds every field
-    to its type, choices and interval, whether the value came by flag or
-    by config, and for every command. A `sweep_*` field's items have no
-    interval, so a point the grid makes out of range gets its own error
-    row. Flags default to None, so only the flags given override the
-    config.
+    flag goes to every command. A model or training setting is made by
+    `kernels.setting_of` from the field of `TrainConfig`, `HieConfig` or
+    `BaselineConfig` it sets (`lr` sets `learning_rate`, `no_distance`
+    `disable_distance`), and takes that field's default, choices and
+    interval; `model_config_from` and `train_config_from` pass it on to
+    every config with a field of that name, and map only `norm`,
+    `lambda1` and the baseline's kind by hand. `kernels.check_fields`
+    holds every field to its type, choices and interval, whether the
+    value came by flag or by config, and for every command. A `sweep_*`
+    field's items have no interval, so a point the grid makes out of
+    range gets its own error row. Flags default to None, so only the
+    flags given override the config.
     """
 
     data_dir: str = None
     model: str = kernels.setting("hie", tuple(trainer.MODELS))
-    dim: int = 64
-    levels: int = 2
+    dim: int = kernels.setting_of(BaselineConfig, "dim")
+    levels: int = kernels.setting_of(HieConfig, "levels")
     lambda1: float = kernels.setting(0.5, within="[0, 1]")
-    gamma: float = 6.0
-    alpha_temp: float = 1.0
-    negatives: int = 16
-    batch_size: int = 256
-    steps: int = 1000
-    lr: float = 1e-4
+    gamma: float = kernels.setting_of(TrainConfig, "gamma")
+    alpha_temp: float = kernels.setting_of(TrainConfig, "alpha_temp")
+    negatives: int = kernels.setting_of(TrainConfig, "num_negatives")
+    batch_size: int = kernels.setting_of(TrainConfig, "batch_size")
+    steps: int = kernels.setting_of(TrainConfig, "steps")
+    lr: float = kernels.setting_of(TrainConfig, "learning_rate")
     norm: str = kernels.setting("l1", tuple(NORM_NAMES))
-    transform: str = kernels.setting(TRANSFORM_DIAGONAL, TRANSFORMS)
-    seed: int = 0
+    transform: str = kernels.setting_of(HieConfig, "transform")
+    seed: int = kernels.setting_of(TrainConfig, "seed")
     out: str = None
-    no_distance: bool = False
-    no_semantic: bool = False
-    no_distance_deep: bool = False
-    no_semantic_deep: bool = False
+    no_distance: bool = kernels.setting_of(HieConfig, "disable_distance")
+    no_semantic: bool = kernels.setting_of(HieConfig, "disable_semantic")
+    no_distance_deep: bool = kernels.setting_of(HieConfig, "disable_distance_deep")
+    no_semantic_deep: bool = kernels.setting_of(HieConfig, "disable_semantic_deep")
     tie_break: str = kernels.setting(evaluator.TIE_PESSIMISTIC, evaluator.TIE_BREAKS)
-    adversarial_sign: str = kernels.setting(SIGN_PLAUSIBILITY, ADVERSARIAL_SIGNS)
+    adversarial_sign: str = kernels.setting_of(TrainConfig, "adversarial_sign")
     checkpoint: str = kernels.setting(None, command="eval")
     split: str = kernels.setting("test", SPLIT_NAMES, command="eval")
-    eta: float = kernels.setting(1.5, command="classify")
+    eta: float = kernels.setting(1.5, within="(0, inf)", command="classify")
     fd_step: float = kernels.setting(1e-6, within="(0, inf)", command="gradcheck")
     tolerance: float = kernels.setting(1e-4, within="[0, inf]", command="gradcheck")
     batches: int = kernels.setting(3, within="[1, inf)", command="gradcheck")
@@ -113,41 +119,32 @@ def derive_lambdas(levels, lambda1):
     return (lambda1,) + (rest,) * (levels - 1)
 
 
-def model_config_from(run: RunConfig):
+def _config_from(Config, run: RunConfig, **by_hand):
+    """Config from by_hand and each run value whose field sets one of Config's; UsageError if it rejects one."""
+    names = {f.name for f in dataclasses.fields(Config)}
+    values = {f.metadata["sets"]: getattr(run, f.name) for f in dataclasses.fields(RunConfig)
+              if f.metadata.get("sets") in names}
     try:
-        if run.model == HieConfig.kind:
-            return HieConfig(
-                dim=run.dim,
-                levels=run.levels,
-                lambdas=derive_lambdas(run.levels, run.lambda1),
-                norm_p=NORM_NAMES[run.norm],
-                transform=run.transform,
-                # each ablation switch no_<part> sets HieConfig's disable_<part>
-                **{f"disable_{name.removeprefix('no_')}": getattr(run, name)
-                   for name in RUN_FIELDS if name.startswith("no_")},
-            )
-        return BaselineConfig(kind=run.model, dim=run.dim, norm_p=NORM_NAMES[run.norm])
+        return Config(**values, **by_hand)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+
+
+def model_config_from(run: RunConfig):
+    if run.model == HieConfig.kind:
+        by_hand = {"lambdas": derive_lambdas(run.levels, run.lambda1)}
+    else:
+        by_hand = {"kind": run.model}
+    return _config_from(trainer.MODELS[run.model].Config, run, norm_p=NORM_NAMES[run.norm], **by_hand)
 
 
 def train_config_from(run: RunConfig) -> TrainConfig:
-    try:
-        return TrainConfig(
-            gamma=run.gamma,
-            alpha_temp=run.alpha_temp,
-            num_negatives=run.negatives,
-            learning_rate=run.lr,
-            steps=run.steps,
-            batch_size=run.batch_size,
-            seed=run.seed,
-            adversarial_sign=run.adversarial_sign,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return _config_from(TrainConfig, run)
 
 
 def _model_config_from_doc(kind, doc):
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"checkpoint model_config must be a JSON object, got {json.dumps(doc)}")
     try:
         return trainer.MODELS[kind].Config(**doc)
     except (TypeError, ValueError) as exc:
@@ -425,10 +422,6 @@ CLASSIFY_HEADER = "relation,hco,tcs,category"
 
 
 def cmd_classify(run: RunConfig) -> int:
-    try:
-        kg_data.check_eta(run.eta)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     kg = _load_dataset(run, "train")
     categories = classify_relations(kg.train, eta=run.eta)
     rows = (f"{kg.relation_names[rel_id]},{cat.hco:.6f},{cat.tcs:.6f},{cat.category}"

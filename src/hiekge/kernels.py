@@ -37,8 +37,12 @@ an entity gets the bits of the row it copies.
 Config fields: each field of a config dataclass (`HieConfig`,
 `BaselineConfig`, `TrainConfig`, the CLI's `RunConfig`) declares the
 values it accepts once, by its annotation and, through `setting`, its
-choices or the interval it lies in, such as "(0, inf)". `check_fields`,
-called first by each config's `__post_init__`, holds every field to that
+choices or the interval it lies in, such as "(0, inf)". A field that
+passes its value on to another config's field (`RunConfig.lr` to
+`TrainConfig.learning_rate`) takes that field's declaration through
+`setting_of`, which records the name of the field it sets, so a setting
+is declared once however many configs carry it. `check_fields`, called
+first by each config's `__post_init__`, holds every field to its
 declaration, whether the value came from code, a flag, a JSON config or
 a checkpoint sidecar, and words every refusal from it. What is left to a
 `__post_init__` is a rule that one field's interval cannot state: an
@@ -347,6 +351,16 @@ def setting(default, choices=None, within=None, **metadata):
     """
     interval = None if within is None else Interval.parse(within)
     return field(default=default, metadata={"choices": choices, "within": interval, **metadata})
+
+
+def setting_of(config, name):
+    """A field declared as field name of the config dataclass config: its default, choices and interval.
+
+    Its metadata names that field as "sets": the value it holds is the one that field is built with.
+    """
+    source = {f.name: f for f in fields(config)}[name]
+    return field(default=source.default, metadata={"choices": source.metadata.get("choices"),
+                                                    "within": source.metadata.get("within"), "sets": name})
 
 
 def _fits(value, annotation):

@@ -256,12 +256,6 @@ def dataset_stats(kg: KnowledgeGraph) -> dict:
     }
 
 
-def check_eta(eta):
-    """ValueError unless eta is a finite positive number."""
-    if not 0 < eta < np.inf:  # NaN fails too
-        raise ValueError(f"eta must be a finite positive number, got {eta}")
-
-
 def classify_relations(train, eta: float = 1.5) -> dict:
     """Bucket every relation of the train split into 1-1 / 1-N / N-1 / N-N.
 
@@ -269,9 +263,11 @@ def classify_relations(train, eta: float = 1.5) -> dict:
     tcs_r = (#train triples with r) / (#distinct heads under r); a side
     whose statistic is >= eta counts as "N" (heads side for hco, tails
     side for tcs). The map is keyed by relation id in ascending order;
-    relations absent from train are absent from it.
+    relations absent from train are absent from it. ValueError unless
+    eta is a finite number > 0.
     """
-    check_eta(eta)
+    if not 0 < eta < np.inf:  # NaN fails too
+        raise ValueError(f"eta must be a finite number > 0, got {eta}")
     train = as_triple_array(train)
     if len(train) == 0:
         raise DataError("cannot classify relations of an empty train split")

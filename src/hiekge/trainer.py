@@ -325,8 +325,8 @@ def grad_check(params, model_config, train_config, batch, fd_step=1e-6, max_coor
     differences resolve in float64, and those coordinates would otherwise
     dominate the verdict with pure measurement noise.
     """
-    if fd_step <= 0:
-        raise ValueError("fd_step must be > 0")
+    if not fd_step > 0:  # NaN fails too
+        raise ValueError(f"fd_step must be > 0, got {fd_step}")
     rng = np.random.default_rng(0) if rng is None else rng
     batch = np.asarray(batch, dtype=np.int64).reshape(-1, 3)
     negatives = sample_negatives_batch(batch, train_config.num_negatives, params.num_entities, rng)

@@ -20,13 +20,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hiekge import cli, trainer
+from hiekge.baselines import BaselineConfig
 from hiekge.checkpoint import load_checkpoint, save_checkpoint
 from hiekge.cli import RunConfig, derive_lambdas, model_config_from
+from hiekge.hie_model import HieConfig
 from hiekge.kg_data import load_kg
+from hiekge.trainer import TrainConfig
 
 from synthkg import build_synth_kg, write_synth_kg
 
 TINY = ["--dim", "8", "--steps", "5", "--batch-size", "16", "--negatives", "2"]
+RUN_DECLARATIONS = {f.name: f for f in dataclasses.fields(RunConfig)}
+# each model or training setting of RunConfig: the name of the config field it sets
+SETS = {name: f.metadata["sets"] for name, f in RUN_DECLARATIONS.items() if "sets" in f.metadata}
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +120,7 @@ class TestParsing:
         assert "dim" in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("flag,name", [("--gamma", "gamma"), ("--lr", "learning_rate"),
+    @pytest.mark.parametrize("flag,name", [("--gamma", "gamma"), ("--lr", "lr"),
                                            ("--alpha-temp", "alpha_temp")])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_training_flag_is_usage_error(self, capsys, data_dir, tmp_path, flag, name, value):
@@ -128,6 +134,19 @@ class TestParsing:
         assert not (tmp_path / "out").exists()
         assert "training" not in err
 
+
+    @pytest.mark.parametrize("flag,value", [("--gamma", "nan"), ("--lr", "-1"), ("--negatives", "0"),
+                                            ("--steps", "-5"), ("--levels", "0"), ("--seed", "-3"),
+                                            ("--dim", "0")])
+    @pytest.mark.parametrize("command", ["classify", "stats"])
+    def test_shared_flag_outside_its_interval_is_usage_error_for_every_command(
+            self, capsys, tmp_path, command, flag, value):
+        # commands that build no model or training config once ran with these and exited 0;
+        # a missing data directory would be a data error (exit 2) if it were read
+        code, out, err = run_cli(capsys, command, "--data-dir", str(tmp_path / "absent"), flag, value)
+        assert (code, out) == (1, "")
+        parsed = {"int": int, "float": float}[RUN_DECLARATIONS[flag[2:]].type](value)
+        assert err.startswith(f"usage error: {flag[2:]} must be ") and err.endswith(f", got {parsed!r}\n")
 
     @pytest.mark.parametrize("flag", ["--lr", "--gamma", "--alpha-temp"])
     def test_non_finite_loss_prints_no_numpy_warning(self, capsys, data_dir, tmp_path, flag):
@@ -666,6 +685,15 @@ class TestEvalBadCheckpoint:
         assert err.startswith("data error: checkpoint model_config does not rebuild: ")
         assert f"{field} must be " in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("value", [3, [1], "hie", True])
+    def test_config_that_is_not_an_object_is_data_error(self, capsys, data_dir, trained, tmp_path, value):
+        # once "HieConfig() argument after ** must be a mapping, not int"
+        ckpt, sidecar = copy_checkpoint(trained, tmp_path / "ckpt")
+        edit_sidecar(sidecar, lambda doc: doc.update(model_config=value))
+        code, out, err = run_cli(capsys, "eval", "--data-dir", data_dir, "--checkpoint", str(ckpt))
+        assert (code, out) == (2, "")
+        assert err == f"data error: checkpoint model_config must be a JSON object, got {json.dumps(value)}\n"
+
     def test_baseline_float_dim_is_data_error(self, capsys, data_dir, tmp_path):
         code, stdout, err = eval_edited_transe(capsys, data_dir, tmp_path, dim=8.0)
         assert code == 2
@@ -771,7 +799,7 @@ class TestClassify:
             capsys, "classify", "--data-dir", str(tmp_path / "absent"), "--eta", eta)
         assert code == 1
         assert stdout == ""
-        assert err.startswith("usage error: eta must be a finite positive number")
+        assert err == f"usage error: eta must be a finite number > 0, got {float(eta)!r}\n"
 
 
 METRIC_COLUMNS = "mr,mrr,hits1,hits3,hits10,count"
@@ -792,15 +820,47 @@ class TestTableDeclarations:
             ("no_semantic_deep", {"no_semantic_deep": True}),
         )
 
-    @pytest.mark.parametrize("switch", [name for name in cli.RUN_FIELDS if name.startswith("no_")])
-    def test_each_ablation_switch_reaches_hie_config(self, switch):
-        disables = {"no_distance": "disable_distance", "no_semantic": "disable_semantic",
-                    "no_distance_deep": "disable_distance_deep", "no_semantic_deep": "disable_semantic_deep"}
-        assert set(disables) == {name for name in cli.RUN_FIELDS if name.startswith("no_")}
-        config = model_config_from(RunConfig(levels=3, **{switch: True}))
-        assert {flag: getattr(config, flag) for flag in disables.values()} == {
-            flag: name == switch for name, flag in disables.items()}
-        assert model_config_from(RunConfig(levels=3)) == dataclasses.replace(config, **{disables[switch]: False})
+    def test_settings_name_the_fields_they_set(self):
+        assert SETS == {
+            "dim": "dim", "levels": "levels", "gamma": "gamma", "alpha_temp": "alpha_temp",
+            "negatives": "num_negatives", "batch_size": "batch_size", "steps": "steps",
+            "lr": "learning_rate", "transform": "transform", "seed": "seed",
+            "no_distance": "disable_distance", "no_semantic": "disable_semantic",
+            "no_distance_deep": "disable_distance_deep", "no_semantic_deep": "disable_semantic_deep",
+            "adversarial_sign": "adversarial_sign",
+        }
+
+    @pytest.mark.parametrize("model", ["hie", "transe"])
+    @pytest.mark.parametrize("name", SETS)
+    def test_each_setting_reaches_the_field_it_sets(self, name, model):
+        f = RUN_DECLARATIONS[name]
+        target = SETS[name]
+        if f.type == "str":
+            value = next(choice for choice in f.metadata["choices"] if choice != f.default)
+        else:
+            value = {"bool": True, "int": f.default + 2, "float": f.default * 2}[f.type]
+        base = RunConfig(model=model, levels=3)
+        run = dataclasses.replace(base, **{name: value})
+        reached = 0
+        for build in (model_config_from, cli.train_config_from):
+            config, expected = build(run), build(base)
+            if target in {g.name for g in dataclasses.fields(config)}:
+                # hie's level weights follow its levels
+                extra = {"lambdas": derive_lambdas(value, run.lambda1)} if target == "levels" else {}
+                expected = dataclasses.replace(expected, **{target: value}, **extra)
+                reached += 1
+            assert config == expected
+        # levels, transform and the ablation switches set no field of a baseline's config
+        assert reached == (model == "hie" or name not in ("levels", "transform") and not name.startswith("no_"))
+
+    @pytest.mark.parametrize("name", SETS)
+    def test_each_setting_is_declared_as_the_field_it_sets(self, name):
+        f = RUN_DECLARATIONS[name]
+        targets = [g for config in (HieConfig, BaselineConfig, TrainConfig) for g in dataclasses.fields(config)
+                   if g.name == SETS[name]]
+        assert targets
+        for g in targets:
+            assert (f.type, f.default, f.metadata["choices"]) == (g.type, g.default, g.metadata.get("choices"))
 
 
 class TestSweep:
@@ -892,7 +952,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("flag,value,message", [
         ("--gamma", "nan", "gamma must be a finite number"),
-        ("--lr", "inf", "learning_rate must be a finite number"),
+        ("--lr", "inf", "lr must be a finite number"),
         ("--dim", "7", "dim must be even"),
     ])
     def test_flag_every_point_rejects_is_usage_error(self, capsys, data_dir, tmp_path, flag, value, message):
@@ -1108,7 +1168,6 @@ def test_console_script_installed(data_dir):
 # allocator refuses at once, so no example allocates much memory.
 HUGE = 10**15
 SIZES = ("dim", "levels", "negatives", "batch_size")
-RUN_DECLARATIONS = {f.name: f for f in dataclasses.fields(RunConfig)}
 # the fields the property test draws; data_dir, out and checkpoint it sets itself
 DRAWN = tuple(name for name, f in RUN_DECLARATIONS.items() if name not in ("data_dir", "out", "checkpoint"))
 # every command's config: small sizes, which a drawn value overrides

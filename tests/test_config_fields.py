@@ -79,7 +79,7 @@ def test_setting_keeps_extra_metadata():
     assert field.default == "test" and field.metadata["command"] == "eval" and "valid" in field.metadata["choices"]
 
 
-@pytest.mark.parametrize("config", CONFIGS[:3], ids=lambda c: type(c).__name__)
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: type(c).__name__)
 def test_every_number_field_declares_its_range(config):
     # a count, a size or a rate with no declared range would take 0, a negative or NaN unchecked
     for f in dataclasses.fields(config):
@@ -124,12 +124,22 @@ RANGES = {
     (HieConfig, "levels"): (1, True, INF, False),
     (HieConfig, "lambdas"): (0, True, 1, True),
     (BaselineConfig, "dim"): (1, True, INF, False),
+    (RunConfig, "dim"): (1, True, INF, False),
+    (RunConfig, "levels"): (1, True, INF, False),
     (RunConfig, "lambda1"): (0, True, 1, True),
+    (RunConfig, "gamma"): (0, False, INF, False),
+    (RunConfig, "alpha_temp"): (0, True, INF, False),
+    (RunConfig, "negatives"): (1, True, INF, False),
+    (RunConfig, "batch_size"): (1, True, INF, False),
+    (RunConfig, "steps"): (0, True, INF, False),
+    (RunConfig, "lr"): (0, False, INF, False),
+    (RunConfig, "seed"): (0, True, INF, False),
+    (RunConfig, "eta"): (0, False, INF, False),
     (RunConfig, "fd_step"): (0, False, INF, False),
     (RunConfig, "tolerance"): (0, True, INF, True),
     (RunConfig, "batches"): (1, True, INF, False),
 }
-INT_FIELDS = {"num_negatives", "steps", "batch_size", "seed", "dim", "levels", "batches"}
+INT_FIELDS = {"num_negatives", "negatives", "steps", "batch_size", "seed", "dim", "levels", "batches"}
 
 
 def boundary_cases():

@@ -553,6 +553,15 @@ class TestGradients:
         with np.errstate(all="ignore"), pytest.raises(NumericError, match=r"non-finite .* at ent\[0, 0\]"):
             grad_check(params, config, tc, batch, fd_step=1e-6, rng=rng)
 
+    @pytest.mark.parametrize("fd_step", [0.0, -1e-6, float("nan")])
+    def test_step_that_is_not_positive_is_rejected(self, fd_step):
+        # a NaN step once passed the check and ended in a NumericError at ent[0, 0]
+        rng = np.random.default_rng(6)
+        config = HieConfig(dim=8)
+        params = random_hie_params(rng, 10, 3, config)
+        with pytest.raises(ValueError, match=f"^fd_step must be > 0, got {fd_step}$"):
+            grad_check(params, config, FD_TRAIN, toy_batch(rng, 10, 3, 4), fd_step=fd_step, rng=rng)
+
     def test_analytically_zero_coordinates_have_zero_error(self):
         # a relation absent from the batch: gradient 0, finite difference 0
         rng = np.random.default_rng(7)

@@ -23,8 +23,17 @@ x L1/L2 x both transforms from perturbed structure tensors
 (`helpers.random_hie_params`, whose deep levels differ from the raw
 halves); each of hie's four `disable_*` switches at 2 levels, and the
 two `disable_*_deep` switches at 3 levels, where a space is read at
-level 1 of 3, also perturbed; TransE L1/L2, RotatE and DistMult. About
-25 s on 2 CPUs.
+level 1 of 3, also perturbed; TransE L1/L2, RotatE and DistMult.
+
+Last, it runs the `hiekge` commands in-process on the tests' 24-entity
+graph at `--dim 8 --steps 5` and prints
+
+    cli/command sha256
+
+where the hash covers the command's exit code, its stdout and the name
+and bytes of every file it wrote under `--out`: `train` and `eval` of hie
+and of TransE, `sweep` over two levels, `ablate`, `classify` and `stats`
+with `--dump-dicts`. About 25 s on 2 CPUs.
 `--workers` sets `kernels.WORKERS`. Two trees, or two worker counts,
 compute the same bits when their outputs are equal:
 
@@ -36,7 +45,9 @@ compute the same bits when their outputs are equal:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import sys
 import tempfile
 from pathlib import Path
@@ -48,7 +59,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "bench")]
 
 import graphs  # noqa: E402
 from helpers import random_hie_params  # noqa: E402
-from hiekge import evaluator, kernels, kg_data, trainer  # noqa: E402
+from hiekge import cli, evaluator, kernels, kg_data, trainer  # noqa: E402
 from hiekge.baselines import BaselineConfig  # noqa: E402
 from hiekge.hie_model import HieConfig  # noqa: E402
 from synthkg import build_synth_kg, write_synth_kg  # noqa: E402
@@ -57,6 +68,18 @@ DIM = 32
 LAMBDAS = {1: (1.0,), 2: (0.5, 0.5), 3: (0.5, 0.25, 0.25)}
 TRAIN = trainer.TrainConfig(num_negatives=64, batch_size=512, steps=3, learning_rate=1e-3, seed=0)
 RANKED = 16
+# (line name, command, its flags) of each CLI run, in order; "{out}" is a fresh directory, "{ckpt}"
+# the checkpoint of the latest train
+CLI_RUNS = [
+    ("train-hie", "train", ["--out", "{out}"]),
+    ("eval-hie", "eval", ["--checkpoint", "{ckpt}", "--out", "{out}"]),
+    ("train-transe", "train", ["--model", "transe", "--out", "{out}"]),
+    ("eval-transe", "eval", ["--checkpoint", "{ckpt}", "--out", "{out}"]),
+    ("sweep", "sweep", ["--sweep-levels", "1,2", "--out", "{out}"]),
+    ("ablate", "ablate", ["--out", "{out}"]),
+    ("classify", "classify", ["--out", "{out}"]),
+    ("stats", "stats", ["--dump-dicts", "--out", "{out}"]),
+]
 
 
 def configurations():
@@ -130,6 +153,29 @@ def fingerprint(kg, kind, config, perturbed):
     return digest.hexdigest()
 
 
+def cli_fingerprints():
+    """(name, SHA-256 over exit code, stdout and every written file) of each of CLI_RUNS."""
+    with tempfile.TemporaryDirectory() as tmp:
+        data_dir = Path(tmp) / "data"
+        write_synth_kg(data_dir, build_synth_kg(num_entities=24, seed=0))
+        ckpt = None
+        for index, (name, command, flags) in enumerate(CLI_RUNS):
+            out = Path(tmp) / f"out{index}"
+            argv = [command, "--data-dir", str(data_dir), "--dim", "8", "--steps", "5",
+                    *(flag.format(out=out, ckpt=ckpt) for flag in flags)]
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(argv)
+            digest = hashlib.sha256(f"{code}\n{stdout.getvalue()}".encode())
+            for path in sorted(out.rglob("*")):
+                if path.is_file():
+                    digest.update(f"{path.relative_to(out)}{path.stat().st_size}".encode())
+                    digest.update(path.read_bytes())
+            if command == "train":
+                ckpt = out / "model.ckpt"
+            yield name, digest.hexdigest()
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workers", type=int, choices=(1, 2), default=kernels.WORKERS)
@@ -139,6 +185,8 @@ def main(argv=None):
         print(f"{graph}/load_kg {load_fingerprint(loaded)}", flush=True)
         for name, kind, *model in configurations():
             print(f"{graph}/{name} {fingerprint(kg, kind, *model)}", flush=True)
+    for name, digest in cli_fingerprints():
+        print(f"cli/{name} {digest}", flush=True)
 
 
 if __name__ == "__main__":
