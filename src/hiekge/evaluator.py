@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import kernels
+from . import kernels, kg_data
 from .trainer import MODELS, NumericError
 
 TIE_PESSIMISTIC = "pessimistic"
@@ -106,51 +106,42 @@ def evaluate(params, config, kg, split="test", tie_break=TIE_PESSIMISTIC, filter
     ]
 
 
-def _bundle(ranks) -> MetricsReport:
-    ranks = np.asarray(ranks, dtype=np.float64)
+def aggregate_metrics(results) -> MetricsReport:
+    """MR, MRR and Hits@k over both ranks of every result (2G terms)."""
+    if not results:
+        raise ValueError("cannot aggregate an empty result list")
+    ranks = np.array([x for res in results for x in (res.head_rank, res.tail_rank)], dtype=np.float64)
     return MetricsReport(
         mr=float(np.mean(ranks)),
         mrr=float(np.mean(1.0 / ranks)),
         hits1=float(np.mean(ranks <= 1)),
         hits3=float(np.mean(ranks <= 3)),
         hits10=float(np.mean(ranks <= 10)),
-        count=len(ranks) // 2,
+        count=len(results),
     )
 
 
-def aggregate_metrics(results) -> MetricsReport:
-    """MR, MRR and Hits@k over both ranks of every result (2G terms)."""
-    if not results:
-        raise ValueError("cannot aggregate an empty result list")
-    ranks = [x for res in results for x in (res.head_rank, res.tail_rank)]
-    return _bundle(ranks)
-
-
-def per_relation_metrics(results, categories):
-    """Metric bundles grouped by relation id and by relation category."""
-    by_rel = {}
-    for res in results:
-        by_rel.setdefault(res.triple[1], []).append(res)
-    per_relation = {}
-    per_category_groups = {}
-    for rel_id in sorted(by_rel):
-        if rel_id not in categories:
-            raise ValueError(f"no category known for relation {rel_id}")
-        per_relation[rel_id] = aggregate_metrics(by_rel[rel_id])
-        per_category_groups.setdefault(categories[rel_id].category, []).extend(by_rel[rel_id])
-    per_category = {
-        name: aggregate_metrics(group) for name, group in sorted(per_category_groups.items())
-    }
-    return per_relation, per_category
-
-
 def full_report(results, categories=None) -> MetricsReport:
-    """Global bundle, with per-relation/per-category breakdowns when categories given."""
+    """Global bundle, with per-relation and per-category bundles when categories are given.
+
+    per_relation is keyed by relation id, ascending; per_category by
+    category name, sorted, each category's results in ascending relation
+    order. DataError at the lowest relation id that categories lacks: a
+    relation of the ranked split that never appears in train has none.
+    """
     top = aggregate_metrics(results)
     if categories is None:
         return top
-    per_relation, per_category = per_relation_metrics(results, categories)
-    return replace(top, per_relation=per_relation, per_category=per_category)
+    by_rel, by_cat = {}, {}
+    for res in results:
+        by_rel.setdefault(res.triple[1], []).append(res)
+    by_rel = dict(sorted(by_rel.items()))
+    for rel_id, group in by_rel.items():
+        if rel_id not in categories:
+            raise kg_data.DataError(f"no category known for relation {rel_id}")
+        by_cat.setdefault(categories[rel_id].category, []).extend(group)
+    return replace(top, per_relation={rel_id: aggregate_metrics(group) for rel_id, group in by_rel.items()},
+                   per_category={name: aggregate_metrics(group) for name, group in sorted(by_cat.items())})
 
 
 def _bundle_dict(report: MetricsReport) -> dict:
@@ -160,16 +151,9 @@ def _bundle_dict(report: MetricsReport) -> dict:
 def report_to_dict(report: MetricsReport, conventions=None) -> dict:
     """JSON-ready document; nested bundles keyed by relation id / category name."""
     doc = _bundle_dict(report)
-    doc["per_relation"] = (
-        {str(rid): _bundle_dict(b) for rid, b in report.per_relation.items()}
-        if report.per_relation is not None
-        else None
-    )
-    doc["per_category"] = (
-        {name: _bundle_dict(b) for name, b in report.per_category.items()}
-        if report.per_category is not None
-        else None
-    )
+    for name in ("per_relation", "per_category"):
+        nested = getattr(report, name)
+        doc[name] = None if nested is None else {str(key): _bundle_dict(b) for key, b in nested.items()}
     if conventions is not None:
         doc["conventions"] = dict(conventions)
     return doc

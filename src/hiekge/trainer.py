@@ -325,8 +325,8 @@ def grad_check(params, model_config, train_config, batch, fd_step=1e-6, max_coor
     differences resolve in float64, and those coordinates would otherwise
     dominate the verdict with pure measurement noise.
     """
-    if not fd_step > 0:  # NaN fails too
-        raise ValueError(f"fd_step must be > 0, got {fd_step}")
+    if not 0 < fd_step < np.inf:  # NaN fails too
+        raise ValueError(f"fd_step must be a finite number > 0, got {fd_step}")
     rng = np.random.default_rng(0) if rng is None else rng
     batch = np.asarray(batch, dtype=np.int64).reshape(-1, 3)
     negatives = sample_negatives_batch(batch, train_config.num_negatives, params.num_entities, rng)
@@ -339,18 +339,16 @@ def grad_check(params, model_config, train_config, batch, fd_step=1e-6, max_coor
         train_config.adversarial_sign,
     )
     _, grads = gradients(params, model_config, train_config, batch, negatives, weights=weights)
+    analytic_of = {name: grad_dense(grads, params, name) for name, _ in params.field_items()}
     if floor is None:
-        scale = max(
-            float(np.max(np.abs(grad_dense(grads, params, name)), initial=0.0))
-            for name, _ in params.field_items()
-        )
+        scale = max(float(np.max(np.abs(g), initial=0.0)) for g in analytic_of.values())
         floor = max(1e-8, 1e-3 * scale)
 
     def loss_at():
         pos, neg, _ = _forward_step(params, model_config, batch, negatives)
         return loss(pos, neg, weights, train_config.gamma)
 
-    names = [name for name, _ in params.field_items()]
+    names = list(analytic_of)
     sizes = [getattr(params, name).size for name in names]
     total = int(np.sum(sizes))
     if max_coords is not None and total > max_coords:
@@ -372,7 +370,7 @@ def grad_check(params, model_config, train_config, batch, fd_step=1e-6, max_coor
         down = loss_at()
         tensor.flat[local] = orig
         fd = (up - down) / (2.0 * fd_step)
-        analytic = grad_dense(grads, params, name).flat[local]
+        analytic = analytic_of[name].flat[local]
         err = abs(analytic - fd) / max(abs(analytic), abs(fd), floor)
         if not np.isfinite(err):
             coord = ", ".join(map(str, np.unravel_index(local, tensor.shape)))
@@ -452,17 +450,28 @@ def adam_step(params, grads: GradSet, state: AdamState, config: TrainConfig):
     return params, state
 
 
+def _model_of(model_kind, model_config):
+    """The module of model_config's kind; ValueError if model_kind names another kind."""
+    if model_kind != model_config.kind:
+        raise ValueError(f"model_kind {model_kind!r} differs from the config's kind {model_config.kind!r}")
+    return MODELS[model_config.kind]
+
+
 def init_model(model_kind, num_entities, num_relations, model_config, seed):
-    return MODELS[model_kind].init_params(num_entities, num_relations, model_config, seed)
+    """Fresh params of model_config's kind; ValueError if model_kind names another kind."""
+    return _model_of(model_kind, model_config).init_params(num_entities, num_relations, model_config, seed)
 
 
 def train(kg, model_kind, model_config, train_config: TrainConfig, params=None):
     """Full training loop; returns (params, loss_log).
 
-    loss_log rows are (step, mean_loss, alpha_value); alpha_value is the
-    params' `alpha`, None for a model whose params have none (the
-    baselines). Raises NumericError on a non-finite loss.
+    The model is model_config's kind; model_kind must name the same kind,
+    ValueError otherwise, also when params are given. loss_log rows are
+    (step, mean_loss, alpha_value); alpha_value is the params' `alpha`,
+    None for a model whose params have none (the baselines). Raises
+    NumericError on a non-finite loss.
     """
+    _model_of(model_kind, model_config)
     if params is None:
         params = init_model(
             model_kind, len(kg.entity_names), len(kg.relation_names), model_config, train_config.seed

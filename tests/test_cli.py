@@ -535,6 +535,23 @@ class TestEval:
         assert code == 1
         assert "--checkpoint" in err
 
+    def test_relation_absent_from_train_is_data_error(self, capsys, data_dir, trained, tmp_path):
+        # every train triple of one relation moves to test, so that relation has no category
+        dest = tmp_path / "data"
+        copy_data_dir(data_dir, dest, None)
+        train_lines = [line + "\n" for line in (dest / "train.txt").read_text().splitlines()]
+        moved = train_lines[0].split("\t")[1]
+        (dest / "train.txt").write_text("".join(line for line in train_lines if line.split("\t")[1] != moved))
+        with open(dest / "test.txt", "a") as f:
+            f.write("".join(line for line in train_lines if line.split("\t")[1] == moved))
+        rel_id = load_kg(str(dest)).relation_names.index(moved)
+        code, out, err = run_cli(
+            capsys, "eval", "--data-dir", str(dest),
+            "--checkpoint", str(trained / "model.ckpt"), "--split", "test")
+        assert code == 2
+        assert out == ""
+        assert err == f"data error: no category known for relation {rel_id}\n"
+
 
 def copy_data_dir(data_dir, dest, empty_split):
     """The dataset's three files under dest; the file of empty_split, if any, emptied."""

@@ -13,7 +13,6 @@ from hiekge.evaluator import (
     aggregate_metrics,
     evaluate,
     full_report,
-    per_relation_metrics,
     rank_triple,
     report_csv_row,
     report_to_dict,
@@ -22,6 +21,7 @@ from hiekge.hie_model import HieConfig, init_params, score_triples
 from hiekge.kg_data import (
     N_TO_N,
     ONE_TO_ONE,
+    DataError,
     KnowledgeGraph,
     RelationCategory,
     build_filter_index,
@@ -500,9 +500,9 @@ class TestPerRelationMetrics:
     def test_single_relation_equals_global(self):
         results = results_from_pairs([(1, 4), (2, 2), (7, 1)], relation=3)
         categories = {3: RelationCategory(ONE_TO_ONE, 1.0, 1.0)}
-        per_relation, per_category = per_relation_metrics(results, categories)
-        assert per_relation[3] == aggregate_metrics(results)
-        assert per_category[ONE_TO_ONE] == aggregate_metrics(results)
+        report = full_report(results, categories)
+        assert report.per_relation[3] == aggregate_metrics(results)
+        assert report.per_category[ONE_TO_ONE] == aggregate_metrics(results)
 
     def test_weighted_mean_identity(self):
         results = results_from_pairs([(1, 2), (5, 9)], relation=0) + results_from_pairs(
@@ -512,7 +512,7 @@ class TestPerRelationMetrics:
             0: RelationCategory(ONE_TO_ONE, 1.0, 1.0),
             1: RelationCategory(N_TO_N, 2.0, 2.0),
         }
-        per_relation, _ = per_relation_metrics(results, categories)
+        per_relation = full_report(results, categories).per_relation
         total = aggregate_metrics(results)
         counts = {rid: rep.count for rid, rep in per_relation.items()}
         blended = sum(per_relation[rid].mr * counts[rid] for rid in counts) / sum(
@@ -528,15 +528,15 @@ class TestPerRelationMetrics:
             0: RelationCategory(N_TO_N, 3.0, 3.0),
             1: RelationCategory(N_TO_N, 2.0, 2.0),
         }
-        per_relation, per_category = per_relation_metrics(results, categories)
-        assert set(per_relation) == {0, 1}
-        assert per_category[N_TO_N].count == 3
-        assert per_category[N_TO_N] == aggregate_metrics(results)
+        report = full_report(results, categories)
+        assert set(report.per_relation) == {0, 1}
+        assert report.per_category[N_TO_N].count == 3
+        assert report.per_category[N_TO_N] == aggregate_metrics(results)
 
     def test_missing_category_names_relation(self):
         results = results_from_pairs([(1, 1)], relation=7)
-        with pytest.raises(ValueError, match="7"):
-            per_relation_metrics(results, {})
+        with pytest.raises(DataError, match="7"):
+            full_report(results, {})
 
     def test_synth_kg_categories_cover_all_relations(self):
         kg = build_synth_kg(num_entities=20, seed=0)

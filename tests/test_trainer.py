@@ -553,13 +553,13 @@ class TestGradients:
         with np.errstate(all="ignore"), pytest.raises(NumericError, match=r"non-finite .* at ent\[0, 0\]"):
             grad_check(params, config, tc, batch, fd_step=1e-6, rng=rng)
 
-    @pytest.mark.parametrize("fd_step", [0.0, -1e-6, float("nan")])
+    @pytest.mark.parametrize("fd_step", [0.0, -1e-6, float("nan"), float("inf")])
     def test_step_that_is_not_positive_is_rejected(self, fd_step):
         # a NaN step once passed the check and ended in a NumericError at ent[0, 0]
         rng = np.random.default_rng(6)
         config = HieConfig(dim=8)
         params = random_hie_params(rng, 10, 3, config)
-        with pytest.raises(ValueError, match=f"^fd_step must be > 0, got {fd_step}$"):
+        with pytest.raises(ValueError, match=f"^fd_step must be a finite number > 0, got {fd_step}$"):
             grad_check(params, config, FD_TRAIN, toy_batch(rng, 10, 3, 4), fd_step=fd_step, rng=rng)
 
     def test_analytically_zero_coordinates_have_zero_error(self):
@@ -774,3 +774,21 @@ class TestModelTable:
         config = cli.model_config_from(cli.RunConfig(model=kind, dim=8))
         params = trainer.init_model(kind, 5, 2, config, 0)
         assert type(params) is module.Params and isinstance(params, kernels.Params)
+
+    # a model_kind argument, and a config of another kind
+    @pytest.mark.parametrize("kind, config", [("rotate", BaselineConfig(kind="transe", dim=8)),
+                                              ("transe", HieConfig(dim=8)),
+                                              ("hie", BaselineConfig(kind="transe", dim=8))])
+    def test_a_kind_other_than_the_configs_is_rejected(self, kind, config):
+        # the config names the model: a disagreeing argument once trained the config's baseline
+        # silently, or failed across modules with an AttributeError
+        kg = build_synth_kg(num_entities=20, seed=0)
+        tc = TrainConfig(steps=1, batch_size=4, num_negatives=2)
+        message = f"^model_kind {kind!r} differs from the config's kind {config.kind!r}$"
+        with pytest.raises(ValueError, match=message):
+            trainer.init_model(kind, kg.num_entities, kg.num_relations, config, 0)
+        with pytest.raises(ValueError, match=message):
+            train(kg, kind, config, tc)
+        params = trainer.init_model(config.kind, kg.num_entities, kg.num_relations, config, 0)
+        with pytest.raises(ValueError, match=message):
+            train(kg, kind, config, tc, params=params)
